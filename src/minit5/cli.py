@@ -21,6 +21,7 @@ import tempfile
 import numpy as np
 
 from . import bpe, dedup, evaluation, noising, tasks, training
+from .fileio import atomic_write_text
 from .model import PRESETS, budget_table, init_params, preset, training_budget_ratio
 from .tensor import LossError, ShapeError, Tape, backward
 
@@ -49,20 +50,6 @@ _NUMERICAL_ERRORS = (training.NumericalError, FloatingPointError, ZeroDivisionEr
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # option name -> (default, type, help); None default means required
@@ -232,7 +219,7 @@ def _cmd_dedup(cfg):
             os.unlink(tmp)
         raise
     stats_out = cfg["stats_out"] or cfg["output"] + ".stats"
-    _atomic_write_text(stats_out, "\n".join(stats.to_lines()) + "\n")
+    atomic_write_text(stats_out, "\n".join(stats.to_lines()) + "\n")
     print(stats.render_table())
     return 0
 
@@ -368,7 +355,7 @@ def _cmd_finetune(cfg):
     training.save_checkpoint(os.path.join(cfg["output_dir"], "best.bin"), best)
     lines = [f"epoch-{i + 1:03d} rouge_l={s:.6f}" for i, s in enumerate(scores)]
     lines.append(f"selected=epoch-{best_epoch:03d}")
-    _atomic_write_text(os.path.join(cfg["output_dir"], "selection.txt"), "\n".join(lines) + "\n")
+    atomic_write_text(os.path.join(cfg["output_dir"], "selection.txt"), "\n".join(lines) + "\n")
     print(f"selected epoch {best_epoch} (validation ROUGE-L {scores[best_epoch - 1]:.4f})")
     return 0
 
@@ -415,10 +402,6 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    threads = os.environ.get("MINIT5_THREADS")
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

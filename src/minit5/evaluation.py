@@ -11,6 +11,7 @@ sentence accuracy.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import re
 from collections import Counter
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bpe
-from .model import decode_logits, encode
+from .fileio import atomic_write_text
+from .model import DecodeCache, decode_logits, encode
 
 
 class EvalError(ValueError):
@@ -71,22 +73,25 @@ TASK_METRICS = {
 def greedy_decode(config, params, input_ids, max_len, *, pad_id=0, eos_id=1):
     """Argmax decoding from the pad start symbol: stops at EOS or max_len
     generated tokens; ties break to the lowest token id. The returned ids
-    exclude the start symbol and the EOS."""
+    exclude the start symbol and the EOS.
+
+    Decoding is incremental: each step runs the decoder over the newest
+    token only, against a DecodeCache of the earlier positions' K/V."""
     if max_len < 1:
         raise EvalError(f"max_len must be >= 1, got {max_len}")
     ids = np.asarray(input_ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[None, :]
     enc_out, enc_mask = encode(config, params, ids, pad_id=pad_id)
+    cache = DecodeCache()
     generated = []
-    dec = [pad_id]
+    nxt = pad_id
     for _ in range(max_len):
-        logits = decode_logits(config, params, enc_out, enc_mask, np.asarray([dec]))
+        logits = decode_logits(config, params, enc_out, enc_mask, np.asarray([[nxt]]), cache=cache)
         nxt = int(np.argmax(logits.data[0, -1]))
         if nxt == eos_id:
             break
         generated.append(nxt)
-        dec.append(nxt)
     return generated
 
 
@@ -296,14 +301,10 @@ def evaluate_examples(config, params, vocab, examples, task, *, max_output_token
 
 
 def write_report(report, directory):
-    """report.txt (human table), report.kv (key=value) and predictions.csv."""
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(report.render() + "\n")
-    with open(os.path.join(directory, "report.kv"), "w", encoding="utf-8") as f:
-        for line in report.to_kv_lines():
-            f.write(line + "\n")
-    with open(os.path.join(directory, "predictions.csv"), "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, quoting=csv.QUOTE_ALL)
-        for generated, gold in report.predictions:
-            writer.writerow([generated, gold])
+    """report.txt (human table), report.kv (key=value) and predictions.csv,
+    each written atomically."""
+    predictions = io.StringIO()
+    csv.writer(predictions, quoting=csv.QUOTE_ALL).writerows(report.predictions)
+    atomic_write_text(os.path.join(directory, "report.txt"), report.render() + "\n")
+    atomic_write_text(os.path.join(directory, "report.kv"), "".join(line + "\n" for line in report.to_kv_lines()))
+    atomic_write_text(os.path.join(directory, "predictions.csv"), predictions.getvalue())

@@ -17,6 +17,7 @@ import numpy as np
 
 from .tensor import (
     ShapeError,
+    Tape,
     Tensor,
     add,
     dropout,
@@ -181,25 +182,31 @@ def _check_ids(ids, vocab_size, what):
     return ids
 
 
-def _rel_bias(params, key, n_queries, n_keys, bidirectional, config):
-    offsets = np.arange(n_keys)[None, :] - np.arange(n_queries)[:, None]
+def _rel_bias(params, key, query_positions, n_keys, bidirectional, config):
+    """Bias rows [1, heads, queries, keys] for queries at the given absolute
+    positions against keys at positions 0..n_keys-1."""
+    offsets = np.arange(n_keys)[None, :] - query_positions[:, None]
     buckets = relative_bucket(offsets, bidirectional, config.rel_buckets, config.rel_max_distance)
     bias = embedding(params[key], buckets)  # [Tq, Tk, H]
-    return reshape(transpose(bias, (2, 0, 1)), (1, config.n_heads, n_queries, n_keys))
+    return reshape(transpose(bias, (2, 0, 1)), (1, config.n_heads, len(query_positions), n_keys))
 
 
-def _attention(params, prefix, queries, keys_values, mask, bias, config, train, rng):
+def _split_heads(x, config):
+    b, n, _ = x.data.shape
+    return transpose(reshape(x, (b, n, config.n_heads, config.d_kv)), (0, 2, 1, 3))
+
+
+def _project_kv(params, prefix, x, config):
+    """Keys and values [batch, heads, len, d_kv] of one attention block."""
+    return (_split_heads(matmul(x, params[f"{prefix}.k"]), config),
+            _split_heads(matmul(x, params[f"{prefix}.v"]), config))
+
+
+def _attention(params, prefix, queries, kv, mask, bias, config, train, rng):
     b, n_q, _ = queries.data.shape
-    n_k = keys_values.data.shape[1]
-    h, d_kv = config.n_heads, config.d_kv
-
-    def split_heads(x, n):
-        return transpose(reshape(x, (b, n, h, d_kv)), (0, 2, 1, 3))
-
-    q = split_heads(matmul(queries, params[f"{prefix}.q"]), n_q)
-    k = split_heads(matmul(keys_values, params[f"{prefix}.k"]), n_k)
-    v = split_heads(matmul(keys_values, params[f"{prefix}.v"]), n_k)
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), d_kv**-0.5)
+    k, v = kv
+    q = _split_heads(matmul(queries, params[f"{prefix}.q"]), config)
+    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), config.d_kv**-0.5)
     if bias is not None:
         scores = add(scores, bias)
     if mask is not None:
@@ -207,7 +214,7 @@ def _attention(params, prefix, queries, keys_values, mask, bias, config, train, 
     attn = softmax_lastdim(scores)
     if train:
         attn = dropout(attn, config.dropout, rng)
-    ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n_q, h * d_kv))
+    ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n_q, config.inner_dim))
     return matmul(ctx, params[f"{prefix}.o"])
 
 
@@ -225,8 +232,36 @@ def _pad_mask(ids, pad_id, dtype):
     return np.where(ids == pad_id, MASKED, 0.0).astype(dtype)[:, None, None, :]
 
 
-def _causal_mask(n, dtype):
-    return np.triu(np.full((n, n), MASKED, dtype=dtype), k=1)[None, None]
+def _causal_mask(query_positions, n_keys, dtype):
+    """Mask [1, 1, queries, keys] hiding keys after each query's position."""
+    later = np.arange(n_keys)[None, :] > query_positions[:, None]
+    return np.where(later, MASKED, 0.0).astype(dtype)[None, None]
+
+
+class DecodeCache:
+    """Decoder state carried across incremental `decode_logits` calls on one
+    encoder output: the number of positions already decoded, each layer's
+    cross-attention K/V (projected from the encoder output on first use) and
+    each layer's self-attention K/V for every position so far. Inference
+    only: cached K/V carry no gradient."""
+
+    def __init__(self):
+        self.length = 0
+        self._cross = {}
+        self._self = {}
+
+    def cross(self, layer, project):
+        if layer not in self._cross:
+            self._cross[layer] = project()
+        return self._cross[layer]
+
+    def extend(self, layer, kv):
+        """Append new positions' K/V; returns the K/V over all positions."""
+        if layer in self._self:
+            kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=2))
+                       for old, new in zip(self._self[layer], kv))
+        self._self[layer] = kv
+        return kv
 
 
 def encode(config, params, input_ids, *, pad_id=0, train=False, rng=None):
@@ -236,14 +271,15 @@ def encode(config, params, input_ids, *, pad_id=0, train=False, rng=None):
     dtype = params["embedding"].data.dtype
     enc_mask = _pad_mask(ids, pad_id, dtype)
     n = ids.shape[1]
-    bias = _rel_bias(params, "encoder.rel_bias", n, n, True, config)
+    bias = _rel_bias(params, "encoder.rel_bias", np.arange(n), n, True, config)
     x = embedding(params["embedding"], ids)
     if train:
         x = dropout(x, config.dropout, rng)
     for i in range(config.enc_layers):
         base = f"encoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.attn_norm"])
-        a = _attention(params, f"{base}.attn", h, h, enc_mask, bias, config, train, rng)
+        kv = _project_kv(params, f"{base}.attn", h, config)
+        a = _attention(params, f"{base}.attn", h, kv, enc_mask, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
@@ -252,18 +288,29 @@ def encode(config, params, input_ids, *, pad_id=0, train=False, rng=None):
 
 
 def decode_logits(config, params, enc_out, enc_mask, decoder_input_ids, *, train=False, rng=None,
-                  inputs_embeds=None):
+                  inputs_embeds=None, cache=None):
     """Run the decoder stack over teacher-forced (or partially generated)
     decoder input ids. Self-attention is strictly causal; cross-attention
     sees non-pad encoder positions. Returns logits [batch, len, vocab].
 
+    With a DecodeCache, decoder_input_ids are only the positions after those
+    the cache has already seen; their K/V are appended to it, so greedy
+    decoding runs one position per generated token. Cached calls are for
+    inference: they refuse train=True and an active Tape.
+
     inputs_embeds, when given, replaces the embedding lookup (e.g. to probe
     gradients with respect to the embedded decoder inputs)."""
+    if cache is None:
+        cache = DecodeCache()
+    elif train or Tape.active() is not None:
+        raise ValueError("a DecodeCache is for inference: no train=True, no active Tape")
     ids = _check_ids(decoder_input_ids, config.vocab_size, "decoder_input_ids")
     dtype = params["embedding"].data.dtype
     n = ids.shape[1]
-    causal = _causal_mask(n, dtype)
-    bias = _rel_bias(params, "decoder.rel_bias", n, n, False, config)
+    positions = np.arange(cache.length, cache.length + n)
+    n_keys = cache.length + n
+    causal = _causal_mask(positions, n_keys, dtype)
+    bias = _rel_bias(params, "decoder.rel_bias", positions, n_keys, False, config)
     if inputs_embeds is not None:
         if inputs_embeds.data.shape != (ids.shape[0], n, config.d_model):
             raise ShapeError(f"inputs_embeds shape {inputs_embeds.data.shape} does not match ids {ids.shape}")
@@ -275,14 +322,17 @@ def decode_logits(config, params, enc_out, enc_mask, decoder_input_ids, *, train
     for i in range(config.dec_layers):
         base = f"decoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.self_norm"])
-        a = _attention(params, f"{base}.self", h, h, causal, bias, config, train, rng)
+        kv = cache.extend(i, _project_kv(params, f"{base}.self", h, config))
+        a = _attention(params, f"{base}.self", h, kv, causal, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.cross_norm"])
-        a = _attention(params, f"{base}.cross", h, enc_out, enc_mask, None, config, train, rng)
+        kv = cache.cross(i, lambda: _project_kv(params, f"{base}.cross", enc_out, config))
+        a = _attention(params, f"{base}.cross", h, kv, enc_mask, None, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
         x = add(x, dropout(f, config.dropout, rng) if train else f)
+    cache.length = n_keys
     x = rms_norm(x, params["decoder.final_norm"])
     # shared embedding as the output projection, rescaled for the tie
     return mul(matmul(x, transpose(params["embedding"])), config.d_model**-0.5)

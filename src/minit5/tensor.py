@@ -109,12 +109,13 @@ class Tape:
         _TAPE_STACK.pop()
         return False
 
+    @staticmethod
+    def active():
+        """The innermost tape currently recording, or None."""
+        return _TAPE_STACK[-1] if _TAPE_STACK else None
+
 
 _TAPE_STACK: list[Tape] = []
-
-
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 def _as_tensor(x, like=None):
@@ -125,7 +126,7 @@ def _as_tensor(x, like=None):
 
 
 def _record(out, inputs, vjp):
-    tape = _active_tape()
+    tape = Tape.active()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape.nodes.append(Node(out, inputs, vjp))
@@ -397,16 +398,6 @@ def sum_all(x):
 
     def vjp(g):
         return (np.full_like(x.data, g.item()),)
-
-    return _record(out, (x,), vjp)
-
-
-def mean_all(x):
-    x = _as_tensor(x)
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.data.dtype))
-
-    def vjp(g):
-        return (np.full_like(x.data, g.item() / x.data.size),)
 
     return _record(out, (x,), vjp)
 

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import minit5
 from minit5.bpe import load_vocab, save_vocab, train_bpe
 from minit5.cli import main
 from minit5.model import ModelConfig, init_params
@@ -37,6 +41,44 @@ def vocab_file(tmp_path, corpus_file):
     ])
     assert rc == 0
     return path
+
+
+# records OPENBLAS_NUM_THREADS at the moment numpy is first imported
+_BLAS_PROBE = """
+import os, sys
+
+seen = {}
+
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and name not in seen:
+            seen[name] = os.environ.get("OPENBLAS_NUM_THREADS")
+        return None
+
+
+sys.meta_path.insert(0, Probe())
+import minit5.cli
+print(seen["numpy"])
+"""
+
+
+class TestThreads:
+    def _blas_threads_at_numpy_import(self, **env_vars):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(minit5.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(env_vars)
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True,
+                              text=True, check=True)
+        return done.stdout.strip()
+
+    def test_minit5_threads_is_set_before_numpy_loads(self):
+        assert self._blas_threads_at_numpy_import(MINIT5_THREADS="3") == "3"
+
+    def test_explicit_blas_setting_wins(self):
+        assert self._blas_threads_at_numpy_import(MINIT5_THREADS="3", OPENBLAS_NUM_THREADS="2") == "2"
 
 
 class TestBudget:

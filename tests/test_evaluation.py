@@ -1,3 +1,4 @@
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +21,7 @@ from minit5.evaluation import (
     score_predictions,
     write_report,
 )
-from minit5.model import ModelConfig, init_params
+from minit5.model import ModelConfig, decode_logits, encode, init_params
 from minit5.tensor import Tensor
 
 
@@ -61,29 +62,47 @@ def _zero_params(cfg):
     return params
 
 
+def _prefix_greedy(config, params, input_ids, max_len, *, pad_id=0, eos_id=1):
+    """Test oracle: greedy decoding that re-runs the decoder over the whole
+    prefix at every step, with no cache."""
+    enc_out, enc_mask = encode(config, params, np.asarray([input_ids]), pad_id=pad_id)
+    dec = [pad_id]
+    for _ in range(max_len):
+        nxt = int(np.argmax(decode_logits(config, params, enc_out, enc_mask, np.asarray([dec])).data[0, -1]))
+        if nxt == eos_id:
+            break
+        dec.append(nxt)
+    return dec[1:]
+
+
 class TestGreedyDecode:
     def _cfg(self):
         return ModelConfig(vocab_size=12, d_model=8, d_ff=16, n_heads=2, d_kv=4,
                            enc_layers=1, dec_layers=1, rel_buckets=4, rel_max_distance=8,
                            dropout=0.0)
 
+    def _both(self, cfg, params, input_ids, max_len, **kwargs):
+        out = greedy_decode(cfg, params, input_ids, max_len, **kwargs)
+        assert out == _prefix_greedy(cfg, params, input_ids, max_len, **kwargs)
+        return out
+
     def test_eos_first_gives_empty_output(self):
         # zero params argmax to id 0 at every step; declaring 0 the EOS id
         # rigs a model that emits EOS immediately
         cfg = self._cfg()
-        out = greedy_decode(cfg, _zero_params(cfg), [3, 4, 5], max_len=8, eos_id=0)
+        out = self._both(cfg, _zero_params(cfg), [3, 4, 5], max_len=8, eos_id=0)
         assert out == []
 
     def test_max_len_caps_output(self):
         # the same zero model never emits id 1, so with eos_id=1 it runs to
         # the cap: exactly max_len tokens
         cfg = self._cfg()
-        out = greedy_decode(cfg, _zero_params(cfg), [3, 4, 5], max_len=4, eos_id=1)
+        out = self._both(cfg, _zero_params(cfg), [3, 4, 5], max_len=4, eos_id=1)
         assert out == [0, 0, 0, 0]
 
     def test_tie_breaks_to_lowest_id(self):
         cfg = self._cfg()
-        out = greedy_decode(cfg, _zero_params(cfg), [3, 4], max_len=2, eos_id=1)
+        out = self._both(cfg, _zero_params(cfg), [3, 4], max_len=2, eos_id=1)
         assert out == [0, 0]  # every logit equal: lowest id wins
 
     def test_determinism(self):
@@ -97,6 +116,27 @@ class TestGreedyDecode:
         cfg = self._cfg()
         with pytest.raises(EvalError):
             greedy_decode(cfg, init_params(cfg, np.random.default_rng(0)), [3], max_len=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_prefix_oracle_float64(self, seed):
+        # random relative-bias tables (init leaves them at zero) and inputs
+        # with pad ids; 3 * rel_max_distance steps reach the log buckets and
+        # the clamp. eos_id=-1 is no token id, so that run goes to max_len.
+        cfg = ModelConfig(vocab_size=24, d_model=16, d_ff=32, n_heads=2, d_kv=8,
+                          enc_layers=2, dec_layers=2, rel_buckets=8, rel_max_distance=8,
+                          dropout=0.0)
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, rng, dtype=np.float64)
+        for p in params.values():
+            p.data *= 2.0
+        for key in ("encoder.rel_bias", "decoder.rel_bias"):
+            params[key].data[...] = rng.normal(0.0, 1.0, size=params[key].data.shape)
+        input_ids = [int(t) for t in rng.integers(2, 24, size=9)]
+        input_ids[4] = 0
+        input_ids += [1, 0, 0]
+        out = self._both(cfg, params, input_ids, 3 * cfg.rel_max_distance, eos_id=-1)
+        assert len(out) == 24
+        self._both(cfg, params, input_ids, 3 * cfg.rel_max_distance, eos_id=1)
 
 
 class TestPostfilter:
@@ -310,3 +350,21 @@ class TestReports:
         assert "boolq" in txt
         rows = (tmp_path / "predictions.csv").read_text(encoding="utf-8").splitlines()
         assert rows[0] == '"Pravilno.","Pravilno."'
+
+    def test_failed_write_report_leaves_the_old_report(self, tmp_path, monkeypatch):
+        old = EvalReport("boolq", {"accuracy": 0.5}, invalid_rate=0.0,
+                         predictions=[("Pravilno.", "Pravilno.")])
+        write_report(old, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        new = EvalReport("boolq", {"accuracy": 1.0}, invalid_rate=0.0,
+                         predictions=[("Napačno.", "Napačno.")])
+        with pytest.raises(OSError):
+            write_report(new, tmp_path)
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert not [name for name in after if name.startswith(".tmp-")]
+        assert after == before

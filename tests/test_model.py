@@ -243,3 +243,67 @@ class TestForward:
         err = finite_diff_check(f, params, max_coords_per_param=4,
                                 rng=np.random.default_rng(13))
         assert err < 1e-4
+
+
+def _random_bias_model(seed, dtype):
+    """Random weights and random relative-bias tables: init leaves the tables
+    at zero, which would hide a wrong bucket or query offset."""
+    cfg = _tiny(rel_buckets=8, rel_max_distance=8)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng, dtype=dtype)
+    for key in ("encoder.rel_bias", "decoder.rel_bias"):
+        params[key].data[...] = rng.normal(0.0, 1.0, size=params[key].data.shape)
+    return cfg, params, rng
+
+
+class TestDecodeCache:
+    def _inputs(self, rng, dec_len):
+        enc_in = np.concatenate([rng.integers(3, 60, size=(1, 6)), [[0]],
+                                 rng.integers(3, 60, size=(1, 3)), [[0, 0]]], axis=1)
+        return enc_in, rng.integers(3, 60, size=(1, dec_len))
+
+    def _cached(self, cfg, params, enc_in, dec_in, chunks):
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        enc_out, enc_mask = encode(cfg, params, enc_in)
+        cache = DecodeCache()
+        rows, start = [], 0
+        for n in chunks:
+            rows.append(decode_logits(cfg, params, enc_out, enc_mask, dec_in[:, start:start + n],
+                                      cache=cache).data)
+            start += n
+        assert cache.length == dec_in.shape[1]
+        return np.concatenate(rows, axis=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chunked_calls_match_one_full_call_float64(self, seed):
+        # 30 positions run past rel_max_distance=8, into the log buckets
+        # and the clamp; chunks of several positions exercise the causal
+        # mask at a non-zero query offset
+        cfg, params, rng = _random_bias_model(seed, np.float64)
+        enc_in, dec_in = self._inputs(rng, 30)
+        full = forward(cfg, params, enc_in, dec_in).data
+        cached = self._cached(cfg, params, enc_in, dec_in, [1, 4, 1, 10, 14])
+        assert np.abs(cached - full).max() < 1e-10
+
+    def test_step_by_step_logits_allclose_to_full_call_float32(self):
+        cfg, params, rng = _random_bias_model(3, np.float32)
+        enc_in, dec_in = self._inputs(rng, 24)
+        full = forward(cfg, params, enc_in, dec_in).data
+        cached = self._cached(cfg, params, enc_in, dec_in, [1] * 24)
+        assert np.allclose(cached, full, rtol=1e-4, atol=1e-5)
+
+    def test_cache_refuses_training_and_an_active_tape(self):
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        cfg, params, rng = _random_bias_model(4, np.float64)
+        enc_in, dec_in = self._inputs(rng, 3)
+        enc_out, enc_mask = encode(cfg, params, enc_in)
+        cache = DecodeCache()
+        with pytest.raises(ValueError):
+            decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache, train=True,
+                          rng=np.random.default_rng(0))
+        with Tape() as tape:
+            with pytest.raises(ValueError):
+                decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache)
+        assert tape.nodes == [] and cache.length == 0
