@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .fileio import atomic_write
+
 PAD_TOKEN = "<pad>"
 EOS_TOKEN = "</s>"
 UNK_TOKEN = "<unk>"
@@ -184,24 +186,21 @@ def decode(ids, vocab, strip_specials=False):
     return text.removeprefix(" ")
 
 
-def sentinel_id(k, vocab):
-    return vocab.sentinel_id(k)
-
-
 def save_vocab(vocab, vocab_path, merges_path=None):
     """Plain-text vocabulary file (header line, then one token per line in
-    id order) and a merges file (one pair per line in application order)."""
+    id order) and a merges file (one pair per line in application order).
+    Each file is written atomically; the pair is not."""
     if merges_path is None:
         merges_path = str(vocab_path) + ".merges"
     header = (
         f"{VOCAB_FORMAT_VERSION},{len(vocab)},{vocab.sentinel_count},"
         f"{vocab.pad_id},{vocab.eos_id},{vocab.unk_id}"
     )
-    with open(vocab_path, "w", encoding="utf-8") as f:
+    with atomic_write(vocab_path) as f:
         f.write(header + "\n")
         for tok in vocab.id_to_token:
             f.write(tok + "\n")
-    with open(merges_path, "w", encoding="utf-8") as f:
+    with atomic_write(merges_path) as f:
         for a, b in vocab.merges:
             f.write(f"{a} {b}\n")
 
@@ -210,10 +209,11 @@ def load_vocab(vocab_path, merges_path=None):
     if merges_path is None:
         merges_path = str(vocab_path) + ".merges"
     with open(vocab_path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split(",")
-        if len(header) != 6:
-            raise TokenizerError(f"{vocab_path}: malformed header line")
-        version, size, sentinel_count, pad_id, eos_id, unk_id = (int(x) for x in header)
+        header = f.readline().rstrip("\n")
+        try:
+            version, size, sentinel_count, pad_id, eos_id, unk_id = map(int, header.split(","))
+        except ValueError:
+            raise TokenizerError(f"{vocab_path}: malformed header line {header!r}") from None
         if version != VOCAB_FORMAT_VERSION:
             raise TokenizerError(f"{vocab_path}: unsupported vocabulary version {version}")
         tokens = [line.rstrip("\n") for line in f]

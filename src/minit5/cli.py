@@ -3,8 +3,9 @@
 Subcommands: tokenizer-train, dedup, pretrain, finetune, evaluate, budget.
 Every option can also be supplied via a JSON config file (--config);
 explicit flags win over the file, unknown config keys are rejected.
-Artifacts are written to a temp file and renamed, so a failed run leaves
-nothing half-written.
+Artifacts go through `fileio.atomic_write` (a `.tmp-*` file in the target
+directory, then a rename), so a failed run leaves nothing half-written;
+only training.log is appended as training runs.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 """
@@ -16,7 +17,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -120,6 +120,9 @@ _SPECS = {
     },
 }
 
+# options whose value must be one of a fixed set
+_CHOICES = {"preset": PRESETS, "task": evaluation.DECODE_LIMITS}
+
 _REQUIRED = {
     "tokenizer-train": ("corpus",),
     "dedup": ("input", "output"),
@@ -166,30 +169,18 @@ def _resolve_config(args, command):
     for name in _REQUIRED[command]:
         if cfg.get(name) is None:
             raise UsageError(f"{command}: missing required option --{name.replace('_', '-')}")
+    for name, choices in _CHOICES.items():
+        if name in cfg and cfg[name] not in choices:
+            raise UsageError(f"unknown {name} {cfg[name]!r}; choose from {sorted(choices)}")
     cfg.pop("config", None)
     return cfg
-
-
-def _model_config(preset_name, vocab_size, dropout):
-    return preset(preset_name, vocab_size=vocab_size, dropout=dropout)
 
 
 def _cmd_tokenizer_train(cfg):
     with open(cfg["corpus"], encoding="utf-8") as f:
         vocab = bpe.train_bpe(f.read().splitlines(), cfg["vocab_size"], cfg["sentinel_count"])
     merges_out = cfg["merges_out"] or cfg["vocab_out"] + ".merges"
-    os.makedirs(os.path.dirname(os.path.abspath(cfg["vocab_out"])), exist_ok=True)
-    tmp_vocab = cfg["vocab_out"] + ".tmp"
-    tmp_merges = merges_out + ".tmp"
-    try:
-        bpe.save_vocab(vocab, tmp_vocab, tmp_merges)
-        os.replace(tmp_vocab, cfg["vocab_out"])
-        os.replace(tmp_merges, merges_out)
-    except BaseException:
-        for tmp in (tmp_vocab, tmp_merges):
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        raise
+    bpe.save_vocab(vocab, cfg["vocab_out"], merges_out)
     print(f"trained vocabulary of {len(vocab)} tokens "
           f"({len(vocab.merges)} merges, {vocab.sentinel_count} sentinels)")
     print(f"wrote {cfg['vocab_out']} and {merges_out}")
@@ -197,29 +188,14 @@ def _cmd_tokenizer_train(cfg):
 
 
 def _cmd_dedup(cfg):
+    if cfg["ngram"] < 1:
+        raise UsageError("dedup: --ngram must be at least 1")
     vocab = bpe.load_vocab(cfg["vocab"]) if cfg["vocab"] else None
     kept, stats = dedup.deduplicate_stream(
         dedup.read_paragraphs(cfg["input"]), n=cfg["ngram"], threshold=cfg["threshold"], vocab=vocab
     )
-    directory = os.path.dirname(os.path.abspath(cfg["output"])) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
-    try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            first = True
-            for p in kept:
-                if not first:
-                    out.write("\n")
-                out.write(p.text.rstrip("\n") + "\n")
-                first = False
-        os.replace(tmp, cfg["output"])
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    stats_out = cfg["stats_out"] or cfg["output"] + ".stats"
-    atomic_write_text(stats_out, "\n".join(stats.to_lines()) + "\n")
+    dedup.write_paragraphs(kept, cfg["output"])
+    dedup.write_stats(stats, cfg["stats_out"] or cfg["output"] + ".stats")
     print(stats.render_table())
     return 0
 
@@ -248,7 +224,7 @@ def _cmd_pretrain(cfg):
     if cfg["seq_len"] < 2:
         raise UsageError("pretrain: --seq-len must be at least 2")
     vocab = bpe.load_vocab(cfg["vocab"])
-    model_cfg = _model_config(cfg["preset"], len(vocab), cfg["dropout"])
+    model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
     rng = np.random.default_rng(cfg["seed"])
     params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))
     opt = training.AdamW(params, lr=cfg["lr"])
@@ -308,8 +284,6 @@ def _encode_examples(examples, vocab):
 
 def _cmd_finetune(cfg):
     task = cfg["task"]
-    if task not in evaluation.DECODE_LIMITS:
-        raise UsageError(f"unknown task {task!r}; choose from {sorted(evaluation.DECODE_LIMITS)}")
     vocab = bpe.load_vocab(cfg["vocab"])
     epochs = cfg["epochs"] if cfg["epochs"] is not None else evaluation.FINETUNE_EPOCHS[task]
     max_out = cfg["max_output_tokens"] if cfg["max_output_tokens"] is not None else evaluation.DECODE_LIMITS[task]
@@ -329,7 +303,7 @@ def _cmd_finetune(cfg):
             )
         params = start.to_params()
     else:
-        model_cfg = _model_config(cfg["preset"], len(vocab), cfg["dropout"])
+        model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
         params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))
     encoded = _encode_examples(train_examples, vocab)
     opt = training.AdamW(params, lr=cfg["lr"])
@@ -362,8 +336,6 @@ def _cmd_finetune(cfg):
 
 def _cmd_evaluate(cfg):
     task = cfg["task"]
-    if task not in evaluation.DECODE_LIMITS:
-        raise UsageError(f"unknown task {task!r}; choose from {sorted(evaluation.DECODE_LIMITS)}")
     vocab = bpe.load_vocab(cfg["vocab"])
     ck = training.load_checkpoint(cfg["checkpoint"])
     examples = tasks.load_csv_dataset(cfg["dataset"], task)

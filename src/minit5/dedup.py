@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bpe
+from .fileio import atomic_write, atomic_write_text
 
 # pinned and recorded in every stats file so runs stay comparable
 HASH_VERSION = "blake2b64-v1"
@@ -30,12 +31,6 @@ class Paragraph:
             raise ValueError("paragraph text is empty")
         if self.word_count < 0:
             self.word_count = len(self.text.split())
-
-
-@dataclass
-class ShingleIndex:
-    seen: set[int] = field(default_factory=set)
-    n: int = 10
 
 
 def _hash64(s):
@@ -105,12 +100,12 @@ def deduplicate_stream(paragraphs, n=10, threshold=0.5, vocab=None):
     if vocab is not None:
         stats.tokens_in = 0
         stats.tokens_kept = 0
-    index = ShingleIndex(n=n)
+    seen = set()
 
     def kept():
         for p in paragraphs:
             shingles = shingle_set(p, n)
-            overlap = len(shingles & index.seen) / len(shingles)
+            overlap = len(shingles & seen) / len(shingles)
             tokens = len(bpe.encode(p.text, vocab)) if vocab is not None else 0
             stats.words_in += p.word_count
             if vocab is not None:
@@ -118,7 +113,7 @@ def deduplicate_stream(paragraphs, n=10, threshold=0.5, vocab=None):
             if overlap > threshold:
                 stats.dropped += 1
                 continue
-            index.seen |= shingles
+            seen.update(shingles)
             stats.kept += 1
             stats.words_kept += p.word_count
             if vocab is not None:
@@ -157,16 +152,13 @@ def read_paragraphs(path, doc_id=None):
 
 
 def write_paragraphs(paragraphs, path):
-    with open(path, "w", encoding="utf-8") as f:
-        first = True
-        for p in paragraphs:
-            if not first:
+    """Blank-line separated paragraphs, streamed into an atomic write."""
+    with atomic_write(path) as f:
+        for i, p in enumerate(paragraphs):
+            if i:
                 f.write("\n")
             f.write(p.text.rstrip("\n") + "\n")
-            first = False
 
 
 def write_stats(stats, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for line in stats.to_lines():
-            f.write(line + "\n")
+    atomic_write_text(path, "".join(line + "\n" for line in stats.to_lines()))

@@ -11,7 +11,6 @@ sentence accuracy.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import re
 from collections import Counter
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bpe
-from .fileio import atomic_write_text
+from .fileio import atomic_write, atomic_write_text
 from .model import DecodeCache, decode_logits, encode
 
 
@@ -303,8 +302,7 @@ def evaluate_examples(config, params, vocab, examples, task, *, max_output_token
 def write_report(report, directory):
     """report.txt (human table), report.kv (key=value) and predictions.csv,
     each written atomically."""
-    predictions = io.StringIO()
-    csv.writer(predictions, quoting=csv.QUOTE_ALL).writerows(report.predictions)
     atomic_write_text(os.path.join(directory, "report.txt"), report.render() + "\n")
     atomic_write_text(os.path.join(directory, "report.kv"), "".join(line + "\n" for line in report.to_kv_lines()))
-    atomic_write_text(os.path.join(directory, "predictions.csv"), predictions.getvalue())
+    with atomic_write(os.path.join(directory, "predictions.csv")) as f:
+        csv.writer(f, quoting=csv.QUOTE_ALL).writerows(report.predictions)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+from .fileio import atomic_write
+
 
 class TaskFormatError(ValueError):
     pass
@@ -294,7 +296,7 @@ def load_csv_dataset(path, task=""):
 
 
 def write_csv_dataset(examples, path):
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f, quoting=csv.QUOTE_ALL)
         for ex in examples:
             writer.writerow([ex.input_text, ex.target_text])

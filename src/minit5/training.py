@@ -2,8 +2,9 @@
 binary checkpoints with per-blob checksums.
 
 Checkpoints round-trip bit-exactly: little-endian blobs in path-sorted
-order behind a magic/version header, written to a temp file and renamed,
-so a failed save never leaves a partial artifact.
+order behind a magic/version header, streamed through
+`fileio.atomic_write`, so a failed save never leaves a partial artifact.
+A damaged file raises CheckpointError naming the byte offset.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import json
 import math
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluation
+from .fileio import atomic_write
 from .model import ModelConfig, forward
 from .tensor import Tensor, cross_entropy, reshape
 
@@ -189,94 +191,113 @@ class Checkpoint:
         return rng
 
 
+def _write_sized(f, size_fmt, data):
+    """Length-prefixed bytes, the inverse of _Reader.text."""
+    f.write(struct.pack(size_fmt, len(data)))
+    f.write(data)
+
+
 def _write_blob(f, path, arr):
     data = np.ascontiguousarray(arr)
     dtype = data.dtype.newbyteorder("<").str
     payload = data.astype(dtype, copy=False).tobytes()
-    enc_path = path.encode("utf-8")
-    f.write(struct.pack("<H", len(enc_path)))
-    f.write(enc_path)
-    enc_dtype = dtype.encode("ascii")
-    f.write(struct.pack("<B", len(enc_dtype)))
-    f.write(enc_dtype)
+    _write_sized(f, "<H", path.encode("utf-8"))
+    _write_sized(f, "<B", dtype.encode("ascii"))
     f.write(struct.pack("<B", data.ndim))
     for dim in data.shape:
         f.write(struct.pack("<I", dim))
-    f.write(struct.pack("<Q", len(payload)))
-    f.write(payload)
+    _write_sized(f, "<Q", payload)
     f.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 class _Reader:
     def __init__(self, f):
         self.f = f
+        self.size = os.fstat(f.fileno()).st_size
+
+    def fail(self, offset, problem):
+        raise CheckpointError(f"corrupt checkpoint at byte offset {offset}: {problem}")
 
     def read(self, n, what):
         offset = self.f.tell()
-        data = self.f.read(n)
+        data = self.f.read(n) if n <= self.size - offset else b""
         if len(data) != n:
-            raise CheckpointError(f"corrupt checkpoint at byte offset {offset}: truncated {what}")
+            self.fail(offset, f"truncated {what}")
         return data
 
     def unpack(self, fmt, what):
         (value,) = struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
         return value
 
+    def text(self, size_fmt, what, encoding="utf-8"):
+        """A length-prefixed string."""
+        data = self.read(self.unpack(size_fmt, f"{what} size"), what)
+        try:
+            return data.decode(encoding)
+        except UnicodeDecodeError:
+            self.fail(self.f.tell() - len(data), f"{what} is not {encoding}")
+
+    def json(self, what):
+        """A length-prefixed JSON document; empty means None."""
+        offset = self.f.tell() + 4  # the document follows its 4-byte size
+        text = self.text("<I", what)
+        try:
+            return json.loads(text) if text else None
+        except ValueError:
+            self.fail(offset, f"{what} is not valid JSON")
+
 
 def _read_blob(r):
-    path = r.read(r.unpack("<H", "blob path length"), "blob path").decode("utf-8")
-    dtype = r.read(r.unpack("<B", "dtype length"), "dtype").decode("ascii")
+    path = r.text("<H", "blob path")
+    dtype_str = r.text("<B", "dtype", encoding="ascii")
+    offset = r.f.tell() - len(dtype_str)
+    try:  # the writer stores canonical little-endian numeric type strings only
+        dtype = np.dtype(dtype_str)
+        valid = dtype.str == dtype_str and dtype.kind in "biufc"
+    except (TypeError, ValueError, SyntaxError):  # numpy parses some type strings as Python literals
+        valid = False
+    if not valid:
+        r.fail(offset, f"invalid dtype {dtype_str!r} in '{path}'")
     ndim = r.unpack("<B", "ndim")
     shape = tuple(r.unpack("<I", "dimension") for _ in range(ndim))
     nbytes = r.unpack("<Q", "payload size")
     offset = r.f.tell()
+    if nbytes != dtype.itemsize * math.prod(shape):
+        r.fail(offset, f"payload size {nbytes} does not match {dtype_str} {list(shape)} in '{path}'")
     payload = r.read(nbytes, f"payload of '{path}'")
     crc = r.unpack("<I", "checksum")
     if zlib.crc32(payload) != crc:
-        raise CheckpointError(f"corrupt checkpoint at byte offset {offset}: checksum mismatch in '{path}'")
+        r.fail(offset, f"checksum mismatch in '{path}'")
     return path, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 def save_checkpoint(path, checkpoint):
-    """Atomic write: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", checkpoint.version))
-            f.write(struct.pack("<Q", checkpoint.step))
-            config_json = json.dumps(dataclasses.asdict(checkpoint.config)).encode("utf-8")
-            f.write(struct.pack("<I", len(config_json)))
-            f.write(config_json)
-            rng_json = b"" if checkpoint.rng_state is None else json.dumps(checkpoint.rng_state).encode("utf-8")
-            f.write(struct.pack("<I", len(rng_json)))
-            f.write(rng_json)
-            f.write(struct.pack("<B", 0 if checkpoint.optimizer is None else 1))
-            names = sorted(checkpoint.params)
-            f.write(struct.pack("<I", len(names)))
+    """Stream the checkpoint blob by blob through an atomic write."""
+    with atomic_write(path, binary=True) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", checkpoint.version))
+        f.write(struct.pack("<Q", checkpoint.step))
+        _write_sized(f, "<I", json.dumps(dataclasses.asdict(checkpoint.config)).encode("utf-8"))
+        rng_json = "" if checkpoint.rng_state is None else json.dumps(checkpoint.rng_state)
+        _write_sized(f, "<I", rng_json.encode("utf-8"))
+        f.write(struct.pack("<B", 0 if checkpoint.optimizer is None else 1))
+        names = sorted(checkpoint.params)
+        f.write(struct.pack("<I", len(names)))
+        for name in names:
+            _write_blob(f, name, checkpoint.params[name])
+        if checkpoint.optimizer is not None:
+            opt = checkpoint.optimizer
+            f.write(struct.pack("<Q", opt["step"]))
+            _write_sized(f, "<I", json.dumps(opt["hyper"]).encode("utf-8"))
             for name in names:
-                _write_blob(f, name, checkpoint.params[name])
-            if checkpoint.optimizer is not None:
-                opt = checkpoint.optimizer
-                f.write(struct.pack("<Q", opt["step"]))
-                hyper_json = json.dumps(opt["hyper"]).encode("utf-8")
-                f.write(struct.pack("<I", len(hyper_json)))
-                f.write(hyper_json)
-                for name in names:
-                    _write_blob(f, name, opt["m"][name])
-                for name in names:
-                    _write_blob(f, name, opt["v"][name])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+                _write_blob(f, name, opt["m"][name])
+            for name in names:
+                _write_blob(f, name, opt["v"][name])
 
 
 def load_checkpoint(path):
-    """Parse and verify a checkpoint; never returns partial state."""
+    """Parse and verify a checkpoint; never returns partial state. Any
+    damage raises CheckpointError."""
     with open(path, "rb") as f:
         r = _Reader(f)
         magic = r.read(len(CHECKPOINT_MAGIC), "magic")
@@ -286,25 +307,24 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
         step = r.unpack("<Q", "step")
-        config = ModelConfig(**json.loads(r.read(r.unpack("<I", "config size"), "config").decode("utf-8")))
-        rng_len = r.unpack("<I", "rng state size")
-        rng_state = json.loads(r.read(rng_len, "rng state").decode("utf-8")) if rng_len else None
+        offset = f.tell()
+        try:
+            config = ModelConfig(**r.json("config"))
+        except (TypeError, ValueError) as e:
+            r.fail(offset, f"invalid model config ({e})")
+        rng_state = r.json("rng state")
         has_opt = r.unpack("<B", "optimizer flag")
         n_params = r.unpack("<I", "parameter count")
-        params = {}
-        for _ in range(n_params):
-            name, arr = _read_blob(r)
-            params[name] = arr
+        params = dict(_read_blob(r) for _ in range(n_params))
         optimizer = None
         if has_opt:
             opt_step = r.unpack("<Q", "optimizer step")
-            hyper = json.loads(r.read(r.unpack("<I", "hyper size"), "hyper").decode("utf-8"))
+            hyper = r.json("hyper")
             m = dict(_read_blob(r) for _ in range(n_params))
             v = dict(_read_blob(r) for _ in range(n_params))
             optimizer = {"step": opt_step, "hyper": hyper, "m": m, "v": v}
-        trailing = f.read(1)
-        if trailing:
-            raise CheckpointError(f"corrupt checkpoint at byte offset {f.tell() - 1}: trailing data")
+        if f.read(1):
+            r.fail(f.tell() - 1, "trailing data")
     return Checkpoint(config, params, step=step, optimizer=optimizer, rng_state=rng_state, version=version)
 
 
@@ -312,9 +332,6 @@ def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens,
     """Decode the validation set with every checkpoint and keep the one with
     the highest mean ROUGE-L; ties go to the earliest. Returns
     (best checkpoint, scores)."""
-    from . import bpe
-    from .evaluation import greedy_decode, rouge_l
-
     checkpoints = list(checkpoints)
     validation = list(validation)
     if not checkpoints:
@@ -323,13 +340,9 @@ def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens,
         raise TrainingError("empty validation set")
     scores = []
     for ck in checkpoints:
-        params = ck.to_params()
-        total = 0.0
-        for ex in validation:
-            input_ids = bpe.encode(ex.input_text, vocab, append_eos=True)
-            out = greedy_decode(ck.config, params, input_ids, max_output_tokens, pad_id=pad_id,
-                                eos_id=vocab.eos_id)
-            total += rouge_l(bpe.decode(out, vocab, strip_specials=True), ex.target_text)
-        scores.append(total / len(validation))
+        outputs = evaluation.decode_examples(ck.config, ck.to_params(), vocab, validation, max_output_tokens,
+                                             pad_id=pad_id)
+        scores.append(sum(evaluation.rouge_l(out, ex.target_text) for out, ex in zip(outputs, validation))
+                      / len(validation))
     best = int(np.argmax(scores))  # argmax returns the first (earliest) maximum
     return checkpoints[best], scores

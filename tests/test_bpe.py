@@ -12,7 +12,6 @@ from minit5.bpe import (
     encode,
     load_vocab,
     save_vocab,
-    sentinel_id,
     sentinel_token,
     train_bpe,
 )
@@ -145,15 +144,15 @@ class TestSentinels:
     def test_sentinel_arithmetic(self):
         vocab = _tiny_vocab(sentinels=4)
         v = len(vocab)
-        assert sentinel_id(0, vocab) == v - 1
-        assert sentinel_id(3, vocab) == v - 4
+        assert vocab.sentinel_id(0) == v - 1
+        assert vocab.sentinel_id(3) == v - 4
 
     def test_sentinel_out_of_range(self):
         vocab = _tiny_vocab(sentinels=4)
         with pytest.raises(TokenizerError):
-            sentinel_id(4, vocab)
+            vocab.sentinel_id(4)
         with pytest.raises(TokenizerError):
-            sentinel_id(-1, vocab)
+            vocab.sentinel_id(-1)
 
     def test_sentinel_token_strings(self):
         assert sentinel_token(0) == "<extra_id_0>"
@@ -187,6 +186,16 @@ class TestVocabFiles:
         lines[0] = lines[0].replace("1,", "9,", 1)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(TokenizerError, match="version"):
+            load_vocab(path)
+
+    def test_non_integer_header_rejected(self, tmp_path):
+        vocab = _tiny_vocab()
+        path = tmp_path / "vocab.txt"
+        save_vocab(vocab, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] = lines[0].replace(",4,", ",four,", 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TokenizerError, match="malformed header"):
             load_vocab(path)
 
     def test_truncated_file_rejected(self, tmp_path):

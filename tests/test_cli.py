@@ -381,3 +381,30 @@ class TestExitCodes:
                    "--checkpoint", str(bad), "--task", "boolq",
                    "--output-dir", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_unknown_preset_exits_1(self, tmp_path, corpus_file, vocab_file, capsys):
+        rc = main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+                   "--output-dir", str(tmp_path / "run"), "--preset", "bogus"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown preset 'bogus'")
+        assert "Traceback" not in err
+
+    def test_zero_ngram_exits_1(self, tmp_path, corpus_file, capsys):
+        rc = main(["dedup", "--input", str(corpus_file), "--output", str(tmp_path / "clean.txt"),
+                   "--ngram", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_non_integer_vocab_header_exits_2(self, tmp_path, corpus_file, vocab_file, capsys):
+        lines = vocab_file.read_text(encoding="utf-8").splitlines()
+        lines[0] = "1,sixty," + lines[0].split(",", 2)[2]
+        vocab_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["dedup", "--input", str(corpus_file), "--output", str(tmp_path / "clean.txt"),
+                   "--vocab", str(vocab_file)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "malformed header" in err
+        assert "Traceback" not in err

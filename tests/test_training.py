@@ -217,6 +217,34 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="version 9"):
             load_checkpoint(path)
 
+    def test_fuzzed_file_loads_or_raises_checkpoint_error(self, tmp_path):
+        # two small blobs of different dtype and rank keep every record kind
+        # (config, RNG state, parameters, optimizer moments) in a short file
+        arrays = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.array([0.5, -1.0])}
+        ck = Checkpoint(_tiny(), arrays, step=42, rng_state=np.random.default_rng(7).bit_generator.state,
+                        optimizer={"step": 3, "hyper": {"lr": 0.01}, "m": arrays, "v": arrays})
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ck)
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        rng = np.random.default_rng(0)
+        unexpected = []
+        for _ in range(400):
+            flipped = bytearray(blob)
+            i = int(rng.integers(len(blob)))
+            flipped[i] ^= 1 << int(rng.integers(8))
+            path.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+            except Exception as e:  # noqa: BLE001 - any other type is the failure under test
+                unexpected.append((i, type(e).__name__))
+        assert not unexpected
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
