@@ -2,7 +2,7 @@
 
 Subcommands: tokenizer-train, dedup, pretrain, finetune, evaluate, budget.
 Every option can also be supplied via a JSON config file (--config);
-explicit flags win over the file, unknown config keys are rejected.
+explicit flags win over the file, unknown keys and mistyped values are rejected.
 Artifacts go through `fileio.atomic_write` (a `.tmp-*` file in the target
 directory, then a rename), so a failed run leaves nothing half-written;
 only training.log is appended as training runs.
@@ -161,6 +161,12 @@ def _resolve_config(args, command):
         unknown = sorted(set(file_cfg) - set(spec))
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys {unknown}")
+        for name, value in file_cfg.items():  # null only where the default is None; a bool is no number
+            default, typ, _ = spec[name]
+            if value is None and default is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
+                raise UsageError(f"{args.config}: {name} must be a JSON {typ.__name__}, got {json.dumps(value)}")
         cfg.update(file_cfg)
     for name in spec:
         value = getattr(args, name)
@@ -309,23 +315,25 @@ def _cmd_finetune(cfg):
     opt = training.AdamW(params, lr=cfg["lr"])
     rng = np.random.default_rng(cfg["seed"] + 1)
     os.makedirs(cfg["output_dir"], exist_ok=True)
-    checkpoints = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(encoded))
-        for lo in range(0, len(encoded), cfg["batch_examples"]):
-            batch = [encoded[i] for i in order[lo : lo + cfg["batch_examples"]]]
-            with Tape() as tape:
-                loss = training.teacher_forced_loss(model_cfg, params, batch, train=True, rng=rng)
-                backward(loss, tape)
-            opt.step()
-            opt.zero_grad()
-        ck = training.Checkpoint.from_model(model_cfg, params, step=epoch)
-        training.save_checkpoint(os.path.join(cfg["output_dir"], f"epoch-{epoch:03d}.bin"), ck)
-        checkpoints.append(ck)
-        print(f"epoch {epoch}/{epochs}: loss {loss.item():.4f}")
-    best, scores = training.select_best_checkpoint(checkpoints, val_examples, vocab,
+
+    def trained_epochs():
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(len(encoded))
+            for lo in range(0, len(encoded), cfg["batch_examples"]):
+                batch = [encoded[i] for i in order[lo : lo + cfg["batch_examples"]]]
+                with Tape() as tape:
+                    loss = training.teacher_forced_loss(model_cfg, params, batch, train=True, rng=rng)
+                    backward(loss, tape)
+                opt.step()
+                opt.zero_grad()
+            ck = training.Checkpoint.from_model(model_cfg, params, step=epoch)
+            training.save_checkpoint(os.path.join(cfg["output_dir"], f"epoch-{epoch:03d}.bin"), ck)
+            print(f"epoch {epoch}/{epochs}: loss {loss.item():.4f}")
+            yield ck
+
+    best, scores = training.select_best_checkpoint(trained_epochs(), val_examples, vocab,
                                                    max_output_tokens=max_out)
-    best_epoch = checkpoints.index(best) + 1
+    best_epoch = best.step
     training.save_checkpoint(os.path.join(cfg["output_dir"], "best.bin"), best)
     lines = [f"epoch-{i + 1:03d} rouge_l={s:.6f}" for i, s in enumerate(scores)]
     lines.append(f"selected=epoch-{best_epoch:03d}")

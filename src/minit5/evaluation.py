@@ -21,6 +21,7 @@ import numpy as np
 from . import bpe
 from .fileio import atomic_write, atomic_write_text
 from .model import DecodeCache, decode_logits, encode
+from .tasks import TASK_LABELS
 
 
 class EvalError(ValueError):
@@ -259,10 +260,8 @@ def decode_examples(config, params, vocab, examples, max_len, *, pad_id=0):
 
 def score_predictions(task, generated, golds, labels=None):
     """EvalReport from raw generated strings and gold target strings."""
-    if task in ("boolq", "cb", "copa", "rte", "wsc", "sa"):
+    if task in TASK_LABELS:
         if labels is None:
-            from .tasks import TASK_LABELS
-
             labels = TASK_LABELS[task]
         matched = [postfilter_and_match(g, labels) for g in generated]
         invalid = sum(1 for m in matched if m is None) / len(matched)

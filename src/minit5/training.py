@@ -1,10 +1,12 @@
-"""Teacher-forced loss, AdamW, LR schedule, token-budget batch packing and
-binary checkpoints with per-blob checksums.
+"""Teacher-forced loss, AdamW, LR schedule, token-budget batch packing,
+binary checkpoints and best-checkpoint selection.
 
-Checkpoints round-trip bit-exactly: little-endian blobs in path-sorted
-order behind a magic/version header, streamed through
-`fileio.atomic_write`, so a failed save never leaves a partial artifact.
-A damaged file raises CheckpointError naming the byte offset.
+A checkpoint (format version 2) is `MNT5CKPT`, a u32 version, a u32 header
+size, a JSON header (step, config, RNG state, optimizer step and hyper, and
+a table of each array's name, dtype, shape and CRC32), the header's CRC32,
+then the raw little-endian arrays in table order. It round-trips bit-exactly
+and is streamed through `fileio.atomic_write`, so a failed save never leaves
+a partial artifact. Damage, or another version, raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .model import ModelConfig, forward
 from .tensor import Tensor, cross_entropy, reshape
 
 CHECKPOINT_MAGIC = b"MNT5CKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_PREFIX = struct.Struct("<8sII")  # magic, version, header size in bytes
 
 
 class TrainingError(ValueError):
@@ -170,7 +173,6 @@ class Checkpoint:
     step: int = 0
     optimizer: dict | None = None
     rng_state: dict | None = None
-    version: int = CHECKPOINT_VERSION
 
     @classmethod
     def from_model(cls, config, params, step=0, optimizer=None, rng=None):
@@ -191,158 +193,130 @@ class Checkpoint:
         return rng
 
 
-def _write_sized(f, size_fmt, data):
-    """Length-prefixed bytes, the inverse of _Reader.text."""
-    f.write(struct.pack(size_fmt, len(data)))
-    f.write(data)
-
-
-def _write_blob(f, path, arr):
-    data = np.ascontiguousarray(arr)
-    dtype = data.dtype.newbyteorder("<").str
-    payload = data.astype(dtype, copy=False).tobytes()
-    _write_sized(f, "<H", path.encode("utf-8"))
-    _write_sized(f, "<B", dtype.encode("ascii"))
-    f.write(struct.pack("<B", data.ndim))
-    for dim in data.shape:
-        f.write(struct.pack("<I", dim))
-    _write_sized(f, "<Q", payload)
-    f.write(struct.pack("<I", zlib.crc32(payload)))
-
-
-class _Reader:
-    def __init__(self, f):
-        self.f = f
-        self.size = os.fstat(f.fileno()).st_size
-
-    def fail(self, offset, problem):
-        raise CheckpointError(f"corrupt checkpoint at byte offset {offset}: {problem}")
-
-    def read(self, n, what):
-        offset = self.f.tell()
-        data = self.f.read(n) if n <= self.size - offset else b""
-        if len(data) != n:
-            self.fail(offset, f"truncated {what}")
-        return data
-
-    def unpack(self, fmt, what):
-        (value,) = struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
-        return value
-
-    def text(self, size_fmt, what, encoding="utf-8"):
-        """A length-prefixed string."""
-        data = self.read(self.unpack(size_fmt, f"{what} size"), what)
-        try:
-            return data.decode(encoding)
-        except UnicodeDecodeError:
-            self.fail(self.f.tell() - len(data), f"{what} is not {encoding}")
-
-    def json(self, what):
-        """A length-prefixed JSON document; empty means None."""
-        offset = self.f.tell() + 4  # the document follows its 4-byte size
-        text = self.text("<I", what)
-        try:
-            return json.loads(text) if text else None
-        except ValueError:
-            self.fail(offset, f"{what} is not valid JSON")
-
-
-def _read_blob(r):
-    path = r.text("<H", "blob path")
-    dtype_str = r.text("<B", "dtype", encoding="ascii")
-    offset = r.f.tell() - len(dtype_str)
-    try:  # the writer stores canonical little-endian numeric type strings only
-        dtype = np.dtype(dtype_str)
-        valid = dtype.str == dtype_str and dtype.kind in "biufc"
-    except (TypeError, ValueError, SyntaxError):  # numpy parses some type strings as Python literals
-        valid = False
-    if not valid:
-        r.fail(offset, f"invalid dtype {dtype_str!r} in '{path}'")
-    ndim = r.unpack("<B", "ndim")
-    shape = tuple(r.unpack("<I", "dimension") for _ in range(ndim))
-    nbytes = r.unpack("<Q", "payload size")
-    offset = r.f.tell()
-    if nbytes != dtype.itemsize * math.prod(shape):
-        r.fail(offset, f"payload size {nbytes} does not match {dtype_str} {list(shape)} in '{path}'")
-    payload = r.read(nbytes, f"payload of '{path}'")
-    crc = r.unpack("<I", "checksum")
-    if zlib.crc32(payload) != crc:
-        r.fail(offset, f"checksum mismatch in '{path}'")
-    return path, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-
-
 def save_checkpoint(path, checkpoint):
-    """Stream the checkpoint blob by blob through an atomic write."""
+    """Write the header, then each array straight from memory (C-contiguous
+    little-endian arrays are not copied): parameters in sorted path order,
+    then the AdamW m and v moments under the same names."""
+    opt = checkpoint.optimizer
+    names = sorted(checkpoint.params)
+    groups = [checkpoint.params] + ([] if opt is None else [opt["m"], opt["v"]])
+    arrays = [(name, np.require(g[name], g[name].dtype.newbyteorder("<"), "C")) for g in groups for name in names]
+    header = json.dumps({
+        "step": checkpoint.step,
+        "config": dataclasses.asdict(checkpoint.config),
+        "rng_state": checkpoint.rng_state,
+        "optimizer": None if opt is None else {"step": opt["step"], "hyper": opt["hyper"]},
+        "arrays": [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape), "crc32": zlib.crc32(a)}
+                   for name, a in arrays],
+    }).encode("utf-8")
     with atomic_write(path, binary=True) as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", checkpoint.version))
-        f.write(struct.pack("<Q", checkpoint.step))
-        _write_sized(f, "<I", json.dumps(dataclasses.asdict(checkpoint.config)).encode("utf-8"))
-        rng_json = "" if checkpoint.rng_state is None else json.dumps(checkpoint.rng_state)
-        _write_sized(f, "<I", rng_json.encode("utf-8"))
-        f.write(struct.pack("<B", 0 if checkpoint.optimizer is None else 1))
-        names = sorted(checkpoint.params)
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            _write_blob(f, name, checkpoint.params[name])
-        if checkpoint.optimizer is not None:
-            opt = checkpoint.optimizer
-            f.write(struct.pack("<Q", opt["step"]))
-            _write_sized(f, "<I", json.dumps(opt["hyper"]).encode("utf-8"))
-            for name in names:
-                _write_blob(f, name, opt["m"][name])
-            for name in names:
-                _write_blob(f, name, opt["v"][name])
+        f.write(_PREFIX.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header)))
+        f.write(header)
+        f.write(struct.pack("<I", zlib.crc32(header)))
+        for _, a in arrays:
+            f.write(a)
+
+
+def _fail(offset, problem):
+    raise CheckpointError(f"corrupt checkpoint at byte offset {offset}: {problem}")
+
+
+def _check(ok, problem):
+    if not ok:
+        raise ValueError(problem)
+
+
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+# the canonical little-endian numeric type strings, the only ones the writer stores
+_DTYPES = {np.dtype(c).newbyteorder("<").str for c in "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]}
+
+
+def _parse_header(data):
+    """(step, config, rng state, optimizer step and hyper, array table) from
+    the header; table rows are (name, dtype, shape, crc32)."""
+    try:
+        header = json.loads(data.decode("utf-8"))
+        step, rng_state, opt = header["step"], header["rng_state"], header["optimizer"]
+        _check(_is_count(step), f"invalid step {step!r}")
+        _check(rng_state is None or isinstance(rng_state, dict), "invalid rng state")
+        _check(opt is None or _is_count(opt["step"]) and isinstance(opt["hyper"], dict), "invalid optimizer")
+        table = []
+        for entry in header["arrays"]:
+            name, dtype, shape, crc = entry["name"], entry["dtype"], entry["shape"], entry["crc32"]
+            _check(isinstance(name, str), f"invalid array name {name!r}")
+            _check(isinstance(dtype, str) and dtype in _DTYPES, f"invalid dtype {dtype!r} in '{name}'")
+            _check(isinstance(shape, list) and all(map(_is_count, shape)),
+                   f"invalid shape {shape!r} in '{name}'")
+            table.append((name, np.dtype(dtype), tuple(shape), crc))
+        names = [row[0] for row in table]
+        params = names if opt is None else names[: len(names) // 3]
+        _check(all(a < b for a, b in zip(params, params[1:])), "parameter names are not strictly sorted")
+        _check(names == params * (1 if opt is None else 3),
+               "optimizer moment names differ from the parameter names")
+        return step, ModelConfig(**header["config"]), rng_state, opt, table
+    except (ValueError, KeyError, TypeError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        _fail(_PREFIX.size, f"invalid header ({type(e).__name__}: {e})")
 
 
 def load_checkpoint(path):
     """Parse and verify a checkpoint; never returns partial state. Any
-    damage raises CheckpointError."""
+    damage raises CheckpointError naming the byte offset."""
     with open(path, "rb") as f:
-        r = _Reader(f)
-        magic = r.read(len(CHECKPOINT_MAGIC), "magic")
-        if magic != CHECKPOINT_MAGIC:
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(_PREFIX.size)
+        if prefix[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-        version = r.unpack("<I", "version")
+        if len(prefix) < _PREFIX.size:
+            _fail(len(CHECKPOINT_MAGIC), "truncated version and header size")
+        _, version, header_size = _PREFIX.unpack(prefix)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
-        step = r.unpack("<Q", "step")
-        offset = f.tell()
-        try:
-            config = ModelConfig(**r.json("config"))
-        except (TypeError, ValueError) as e:
-            r.fail(offset, f"invalid model config ({e})")
-        rng_state = r.json("rng state")
-        has_opt = r.unpack("<B", "optimizer flag")
-        n_params = r.unpack("<I", "parameter count")
-        params = dict(_read_blob(r) for _ in range(n_params))
-        optimizer = None
-        if has_opt:
-            opt_step = r.unpack("<Q", "optimizer step")
-            hyper = r.json("hyper")
-            m = dict(_read_blob(r) for _ in range(n_params))
-            v = dict(_read_blob(r) for _ in range(n_params))
-            optimizer = {"step": opt_step, "hyper": hyper, "m": m, "v": v}
-        if f.read(1):
-            r.fail(f.tell() - 1, "trailing data")
-    return Checkpoint(config, params, step=step, optimizer=optimizer, rng_state=rng_state, version=version)
+        offset = _PREFIX.size + header_size + 4  # the header and its CRC32
+        if offset > size:
+            _fail(_PREFIX.size, "truncated header")
+        data = f.read(header_size)
+        if zlib.crc32(data) != struct.unpack("<I", f.read(4))[0]:
+            _fail(_PREFIX.size, "header checksum mismatch")
+        step, config, rng_state, opt, table = _parse_header(data)
+        payload = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape, _ in table)
+        if payload != size - offset:
+            _fail(offset, f"the header lists {payload} payload bytes but {size - offset} follow it")
+        arrays = []
+        for name, dtype, shape, crc in table:
+            try:
+                a = np.empty(shape, dtype)
+            except ValueError:  # a zero-size shape too large for numpy
+                _fail(offset, f"invalid shape {list(shape)} in '{name}'")
+            if f.readinto(a) != a.nbytes or zlib.crc32(a) != crc:
+                _fail(offset, f"checksum mismatch in '{name}'")
+            arrays.append(a)
+            offset += a.nbytes
+    n = len(table) if opt is None else len(table) // 3
+    names = [row[0] for row in table[:n]]
+    if opt is not None:
+        opt = {"step": opt["step"], "hyper": opt["hyper"],
+               "m": dict(zip(names, arrays[n : 2 * n])), "v": dict(zip(names, arrays[2 * n :]))}
+    return Checkpoint(config, dict(zip(names, arrays)), step=step, optimizer=opt, rng_state=rng_state)
 
 
 def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens, pad_id=0):
-    """Decode the validation set with every checkpoint and keep the one with
-    the highest mean ROUGE-L; ties go to the earliest. Returns
-    (best checkpoint, scores)."""
-    checkpoints = list(checkpoints)
+    """Decode the validation set with each checkpoint as the iterable yields
+    it, keeping only the one with the highest mean ROUGE-L; ties go to the
+    earliest. Returns (best checkpoint, scores)."""
     validation = list(validation)
-    if not checkpoints:
-        raise TrainingError("no checkpoints to select from")
     if not validation:
         raise TrainingError("empty validation set")
-    scores = []
+    best, scores = None, []
     for ck in checkpoints:
         outputs = evaluation.decode_examples(ck.config, ck.to_params(), vocab, validation, max_output_tokens,
                                              pad_id=pad_id)
         scores.append(sum(evaluation.rouge_l(out, ex.target_text) for out, ex in zip(outputs, validation))
                       / len(validation))
-    best = int(np.argmax(scores))  # argmax returns the first (earliest) maximum
-    return checkpoints[best], scores
+        if scores[-1] > max(scores[:-1], default=-math.inf):
+            best = ck
+    if not scores:
+        raise TrainingError("no checkpoints to select from")
+    return best, scores

@@ -182,6 +182,28 @@ class TestConfigHandling:
                        encoding="utf-8")
         assert main(["tokenizer-train", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command, key, value, flags", [
+        ("dedup", "ngram", "3", ["--input", "corpus", "--output", "clean.txt"]),
+        ("budget", "steps", "5", []),
+        ("evaluate", "task", ["ner"], ["--dataset", "corpus", "--vocab", "vocab", "--checkpoint", "c.bin",
+                                       "--output-dir", "out"]),
+        ("pretrain", "steps", None, ["--corpus", "corpus", "--vocab", "vocab", "--output-dir", "out"]),
+    ])
+    def test_config_value_of_wrong_type_exits_1(self, tmp_path, corpus_file, vocab_file, monkeypatch, capsys,
+                                                command, key, value, flags):
+        # null is allowed only where the default is None; without the check,
+        # null steps would pretrain without end, so an empty batch stream
+        # turns that into a quick traceback instead
+        monkeypatch.setattr("minit5.training.token_batch_pack", lambda pairs, budget: iter(()))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        files = {"corpus": str(corpus_file), "vocab": str(vocab_file)}
+        argv = [f if f.startswith("--") else files.get(f, str(tmp_path / f)) for f in flags]
+        assert main([command, "--config", str(cfg), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {key} must be ")
+        assert "Traceback" not in err
+
     def test_missing_required_option(self):
         assert main(["dedup"]) == 1
 
@@ -381,6 +403,17 @@ class TestExitCodes:
                    "--checkpoint", str(bad), "--task", "boolq",
                    "--output-dir", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_version_1_checkpoint_exits_2(self, tmp_path, vocab_file, capsys):
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"MNT5CKPT" + (1).to_bytes(4, "little") + b"\x00" * 64)  # a v1 file's first fields
+        dataset = tmp_path / "d.csv"
+        dataset.write_text('"a","b"\n', encoding="utf-8")
+        rc = main(["evaluate", "--dataset", str(dataset), "--vocab", str(vocab_file),
+                   "--checkpoint", str(path), "--task", "boolq", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "data error: unsupported checkpoint version 1 (expected 2)\n"
 
     def test_unknown_preset_exits_1(self, tmp_path, corpus_file, vocab_file, capsys):
         rc = main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),

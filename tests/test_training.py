@@ -1,4 +1,8 @@
+import json
 import math
+import struct
+import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -182,7 +186,9 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         for key in ck.optimizer["m"]:
             np.testing.assert_array_equal(loaded.optimizer["m"][key], ck.optimizer["m"][key])
+            np.testing.assert_array_equal(loaded.optimizer["v"][key], ck.optimizer["v"][key])
         assert loaded.optimizer["step"] == ck.optimizer["step"]
+        assert loaded.optimizer["hyper"] == ck.optimizer["hyper"]
 
     def test_checkpoint_without_optimizer_loads(self, tmp_path):
         ck = self._checkpoint(optimizer=False)
@@ -210,46 +216,135 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        ck = self._checkpoint()
-        ck.version = 9
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, ck)
-        with pytest.raises(CheckpointError, match="version 9"):
-            load_checkpoint(path)
-
-    def test_fuzzed_file_loads_or_raises_checkpoint_error(self, tmp_path):
-        # two small blobs of different dtype and rank keep every record kind
-        # (config, RNG state, parameters, optimizer moments) in a short file
-        arrays = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.array([0.5, -1.0])}
-        ck = Checkpoint(_tiny(), arrays, step=42, rng_state=np.random.default_rng(7).bit_generator.state,
-                        optimizer={"step": 3, "hyper": {"lr": 0.01}, "m": arrays, "v": arrays})
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, ck)
+        save_checkpoint(path, self._checkpoint())
         blob = path.read_bytes()
+        for version in (1, 9):  # no reader for version 1 is kept
+            path.write_bytes(blob[:8] + struct.pack("<I", version) + blob[12:])
+            with pytest.raises(CheckpointError, match=rf"unsupported checkpoint version {version} \(expected 2\)"):
+                load_checkpoint(path)
+
+    @staticmethod
+    def _small_file(path):
+        """Two small arrays of different dtype and rank keep every header field
+        (config, RNG state, optimizer, array table) and both moments in a
+        short file. Returns its bytes."""
+        arrays = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.array([0.5, -1.0])}
+        opt = {"step": 3, "hyper": {"lr": 0.01}, "m": arrays, "v": arrays}
+        rng_state = np.random.default_rng(7).bit_generator.state
+        save_checkpoint(path, Checkpoint(_tiny(), arrays, step=42, optimizer=opt, rng_state=rng_state))
+        return path.read_bytes()
+
+    def test_fuzzed_file_raises_checkpoint_error(self, tmp_path):
+        # the header CRC and the array CRCs cover every byte
+        path = tmp_path / "model.ckpt"
+        blob = self._small_file(path)
         for n in range(len(blob)):
             path.write_bytes(blob[:n])
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
         rng = np.random.default_rng(0)
-        unexpected = []
         for _ in range(400):
             flipped = bytearray(blob)
             i = int(rng.integers(len(blob)))
             flipped[i] ^= 1 << int(rng.integers(8))
             path.write_bytes(bytes(flipped))
-            try:
+            with pytest.raises(CheckpointError):
                 load_checkpoint(path)
-            except CheckpointError:
-                pass
-            except Exception as e:  # noqa: BLE001 - any other type is the failure under test
-                unexpected.append((i, type(e).__name__))
-        assert not unexpected
+
+    @staticmethod
+    def _defect_bad_dtype(header):
+        header["arrays"][0]["dtype"] = ">f4"  # canonical, but big-endian
+        return "invalid dtype '>f4' in 'a'"
+
+    @staticmethod
+    def _defect_negative_dimension(header):
+        header["arrays"][0]["shape"][0] = -2
+        return "invalid shape \\[-2, 3\\] in 'a'"
+
+    @staticmethod
+    def _defect_unsorted_names(header):
+        for table in (header["arrays"][:2], header["arrays"][2:4], header["arrays"][4:]):
+            table[0]["name"], table[1]["name"] = table[1]["name"], table[0]["name"]
+        return "parameter names are not strictly sorted"
+
+    @staticmethod
+    def _defect_moment_names(header):
+        header["arrays"][2]["name"] = "c"
+        return "optimizer moment names differ from the parameter names"
+
+    @staticmethod
+    def _defect_payload_larger_than_file(header):
+        header["arrays"][-1]["shape"][0] += 1
+        return "the header lists 128 payload bytes but 120 follow it"
+
+    @pytest.mark.parametrize("defect", ["bad_dtype", "negative_dimension", "unsorted_names", "moment_names",
+                                        "payload_larger_than_file"])
+    def test_crafted_header_rejected(self, tmp_path, defect):
+        # each file carries a valid header CRC, so only the table checks stand
+        # between the defect and a load
+        path = tmp_path / "model.ckpt"
+        blob = self._small_file(path)
+        (size,) = struct.unpack("<I", blob[12:16])
+        header = json.loads(blob[16 : 16 + size])
+        message = getattr(self, f"_defect_{defect}")(header)
+        data = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:12] + struct.pack("<I", len(data)) + data + struct.pack("<I", zlib.crc32(data))
+                         + blob[16 + size + 4 :])
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        data = b"[" * 100_000 + b"]" * 100_000
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(struct.pack("<8sII", b"MNT5CKPT", 2, len(data)) + data + struct.pack("<I", zlib.crc32(data)))
+        with pytest.raises(CheckpointError, match="RecursionError"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+
+class TestResume:
+    def test_resumed_run_matches_uninterrupted_run(self, tmp_path):
+        cfg = _tiny(dropout=0.2)
+        data_rng = np.random.default_rng(30)
+        batches = [[NoisedPair(data_rng.integers(3, 30, size=6).tolist(),
+                               data_rng.integers(3, 30, size=4).tolist()) for _ in range(2)]
+                   for _ in range(6)]
+
+        def train(params, opt, rng, steps):
+            for batch in steps:
+                with Tape() as tape:
+                    loss = teacher_forced_loss(cfg, params, batch, train=True, rng=rng)
+                    backward(loss, tape)
+                opt.step()
+                opt.zero_grad()
+
+        def fresh():
+            params = init_params(cfg, np.random.default_rng(31))
+            return params, AdamW(params, lr=1e-2, weight_decay=0.1), np.random.default_rng(32)
+
+        params, opt, rng = fresh()
+        train(params, opt, rng, batches)
+
+        first, first_opt, first_rng = fresh()
+        train(first, first_opt, first_rng, batches[:3])
+        path = tmp_path / "step3.ckpt"
+        save_checkpoint(path, Checkpoint.from_model(cfg, first, step=3, optimizer=first_opt, rng=first_rng))
+        del first, first_opt, first_rng
+        ck = load_checkpoint(path)
+        resumed = ck.to_params()
+        resumed_opt = AdamW(resumed)
+        resumed_opt.load_state(ck.optimizer)
+        train(resumed, resumed_opt, ck.make_rng(), batches[3:])
+
+        assert resumed_opt.step_count == opt.step_count == 6
+        for name, p in params.items():
+            assert resumed[name].data.tobytes() == p.data.tobytes(), name
 
 
 class TestDeterminism:
@@ -343,6 +438,30 @@ class TestSelectBestCheckpoint:
         best, scores = select_best_checkpoint(cks, [TaskExample("a", "a")], vocab, max_output_tokens=2)
         assert best is cks[0]
         assert scores == [0.3, 0.3]
+
+
+    def test_stream_keeps_only_the_best(self, monkeypatch):
+        from minit5.tasks import TaskExample
+
+        fake_scores = iter([0.2, 0.5, 0.1, 0.5])
+        monkeypatch.setattr("minit5.evaluation.rouge_l", lambda c, r: next(fake_scores))
+        vocab = self._vocab()
+        cfg = _tiny(vocab=len(vocab))
+        refs, alive_before_each = [], []
+
+        def stream():
+            for i in range(4):
+                alive_before_each.append(sum(r() is not None for r in refs))
+                ck = Checkpoint.from_model(cfg, init_params(cfg, np.random.default_rng(i)), step=i)
+                refs.append(weakref.ref(ck))
+                yield ck
+
+        best, scores = select_best_checkpoint(stream(), [TaskExample("a", "a")], vocab, max_output_tokens=2)
+        assert best.step == 1
+        assert scores == [0.2, 0.5, 0.1, 0.5]
+        # at most the best so far and the one just scored
+        assert alive_before_each == [0, 1, 1, 2]
+        assert [r() is not None for r in refs] == [False, True, False, False]
 
 
 class TestOverfitSmoke:
