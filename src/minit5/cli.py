@@ -23,7 +23,7 @@ import numpy as np
 from . import bpe, dedup, evaluation, noising, tasks, training
 from .fileio import atomic_write_text
 from .model import PRESETS, budget_table, init_params, preset, training_budget_ratio
-from .tensor import LossError, ShapeError, Tape, backward
+from .tensor import LossError, ShapeError
 
 
 class UsageError(ValueError):
@@ -227,8 +227,9 @@ def _sequence_stream(corpus_path, vocab, seq_len):
 
 
 def _cmd_pretrain(cfg):
-    if cfg["seq_len"] < 2:
-        raise UsageError("pretrain: --seq-len must be at least 2")
+    for name, low in (("seq_len", 2), ("steps", 0), ("batch_tokens", 1), ("checkpoint_every", 0)):
+        if cfg[name] < low:
+            raise UsageError(f"pretrain: --{name.replace('_', '-')} must be at least {low}")
     vocab = bpe.load_vocab(cfg["vocab"])
     model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
     rng = np.random.default_rng(cfg["seed"])
@@ -255,13 +256,9 @@ def _cmd_pretrain(cfg):
     with open(log_path, "w", encoding="utf-8") as log:
         for step, batch in enumerate(itertools.islice(batches, cfg["steps"]), start=1):
             lr = training.lr_schedule(step, cfg["lr"], cfg["warmup"])
-            with Tape() as tape:
-                loss = training.teacher_forced_loss(model_cfg, params, batch, train=True, rng=rng)
-                backward(loss, tape)
-            opt.step(lr=lr)
-            opt.zero_grad()
+            loss = training.train_step(model_cfg, params, opt, batch, rng, f"step {step}", lr=lr)
             tokens_seen += sum(len(p.input_ids) + len(p.target_ids) for p in batch)
-            line = f"{step}, {loss.item():.6f}, {lr:.8f}, {tokens_seen}"
+            line = f"{step}, {loss:.6f}, {lr:.8f}, {tokens_seen}"
             log.write(line + "\n")
             if step % 50 == 0 or step == cfg["steps"]:
                 print(line)
@@ -319,16 +316,12 @@ def _cmd_finetune(cfg):
     def trained_epochs():
         for epoch in range(1, epochs + 1):
             order = rng.permutation(len(encoded))
-            for lo in range(0, len(encoded), cfg["batch_examples"]):
+            for n, lo in enumerate(range(0, len(encoded), cfg["batch_examples"]), start=1):
                 batch = [encoded[i] for i in order[lo : lo + cfg["batch_examples"]]]
-                with Tape() as tape:
-                    loss = training.teacher_forced_loss(model_cfg, params, batch, train=True, rng=rng)
-                    backward(loss, tape)
-                opt.step()
-                opt.zero_grad()
+                loss = training.train_step(model_cfg, params, opt, batch, rng, f"epoch {epoch}, batch {n}")
             ck = training.Checkpoint.from_model(model_cfg, params, step=epoch)
             training.save_checkpoint(os.path.join(cfg["output_dir"], f"epoch-{epoch:03d}.bin"), ck)
-            print(f"epoch {epoch}/{epochs}: loss {loss.item():.4f}")
+            print(f"epoch {epoch}/{epochs}: loss {loss:.4f}")
             yield ck
 
     best, scores = training.select_best_checkpoint(trained_epochs(), val_examples, vocab,

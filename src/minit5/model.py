@@ -20,8 +20,10 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     dropout,
     embedding,
+    gated_gelu_ffn,
     gelu,
     matmul,
     mul,
@@ -31,6 +33,11 @@ from .tensor import (
     softmax_lastdim,
     transpose,
 )
+
+# Unused here since attention and the gated FFN became fused ops: gelu and
+# softmax_lastdim stay imported because the benchmark's traced run discovers
+# the tensor ops to time in this namespace, and its tests require every op
+# it names (perfbench/metrics.py TENSOR_OPS).
 
 MASKED = -1e9  # additive attention-logit mask; underflows to weight 0 after softmax
 
@@ -191,41 +198,24 @@ def _rel_bias(params, key, query_positions, n_keys, bidirectional, config):
     return reshape(transpose(bias, (2, 0, 1)), (1, config.n_heads, len(query_positions), n_keys))
 
 
-def _split_heads(x, config):
-    b, n, _ = x.data.shape
-    return transpose(reshape(x, (b, n, config.n_heads, config.d_kv)), (0, 2, 1, 3))
-
-
 def _project_kv(params, prefix, x, config):
-    """Keys and values [batch, heads, len, d_kv] of one attention block."""
-    return (_split_heads(matmul(x, params[f"{prefix}.k"]), config),
-            _split_heads(matmul(x, params[f"{prefix}.v"]), config))
+    """Keys and values [batch, len, heads * d_kv] of one attention block."""
+    return matmul(x, params[f"{prefix}.k"]), matmul(x, params[f"{prefix}.v"])
 
 
 def _attention(params, prefix, queries, kv, mask, bias, config, train, rng):
-    b, n_q, _ = queries.data.shape
-    k, v = kv
-    q = _split_heads(matmul(queries, params[f"{prefix}.q"]), config)
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), config.d_kv**-0.5)
-    if bias is not None:
-        scores = add(scores, bias)
-    if mask is not None:
-        scores = add(scores, mask)
-    attn = softmax_lastdim(scores)
-    if train:
-        attn = dropout(attn, config.dropout, rng)
-    ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n_q, config.inner_dim))
+    q = matmul(queries, params[f"{prefix}.q"])
+    ctx = attention(q, *kv, config.n_heads, config.d_kv**-0.5, bias=bias, mask=mask,
+                    p=config.dropout if train else 0.0, rng=rng)
     return matmul(ctx, params[f"{prefix}.o"])
 
 
 def _ffn(params, prefix, x, config, train, rng):
+    p = config.dropout if train else 0.0
     if config.gated_ffn:
-        h = mul(gelu(matmul(x, params[f"{prefix}.wi_0"])), matmul(x, params[f"{prefix}.wi_1"]))
-    else:
-        h = relu(matmul(x, params[f"{prefix}.wi"]))
-    if train:
-        h = dropout(h, config.dropout, rng)
-    return matmul(h, params[f"{prefix}.wo"])
+        return gated_gelu_ffn(x, params[f"{prefix}.wi_0"], params[f"{prefix}.wi_1"],
+                              params[f"{prefix}.wo"], p=p, rng=rng)
+    return matmul(dropout(relu(matmul(x, params[f"{prefix}.wi"])), p, rng), params[f"{prefix}.wo"])
 
 
 def _pad_mask(ids, pad_id, dtype):
@@ -258,7 +248,7 @@ class DecodeCache:
     def extend(self, layer, kv):
         """Append new positions' K/V; returns the K/V over all positions."""
         if layer in self._self:
-            kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=2))
+            kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=1))
                        for old, new in zip(self._self[layer], kv))
         self._self[layer] = kv
         return kv

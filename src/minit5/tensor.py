@@ -3,8 +3,15 @@
 Ops run eagerly. While a Tape is active (``with Tape() as tape:``), every
 op whose inputs require gradients records a backward rule on the tape;
 ``backward(loss, tape)`` then replays the tape in reverse and accumulates
-gradients into ``Tensor.grad``. With no tape active, ops are plain forward
-computations (used for decoding and finite-difference probes).
+gradients into ``Tensor.grad`` of the leaves only: tensors that require
+gradients and are no op's output on that tape (parameters, probes).
+Intermediate outputs never get a ``.grad``. With no tape active, ops are
+plain forward computations (used for decoding and finite-difference probes).
+
+Backward rules skip the work for operands that do not require gradients
+(masks, scales). Besides the primitives there are fused ops that save only
+what their backward rule needs: ``dropout``, multi-head ``attention`` and
+the gated-GELU feed-forward ``gated_gelu_ffn``.
 
 float32 is the working precision for training. Build parameters as float64
 when gradient-checking; ops follow the dtype of their inputs.
@@ -136,36 +143,45 @@ def _record(out, inputs, vjp):
 def _accumulate(t, g):
     if g.shape != t.data.shape:
         g = g.reshape(t.data.shape)
-    t.grad = g.copy() if t.grad is None else t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss, tape):
-    """Populate .grad for every requires_grad tensor reachable from loss.
+    """Populate .grad on every leaf reachable from loss: a tensor that
+    requires gradients and is not the output of a node on this tape.
 
     Gradients accumulate additively: across fan-out within this call, and
-    across repeated calls into pre-existing .grad arrays.
+    across repeated calls into pre-existing .grad arrays. A leaf's .grad is
+    the array its backward rule returned, not a copy, so it may share memory
+    with another leaf's .grad: replace .grad, never write into it.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+    produced = {id(node.out) for node in tape.nodes}
     grads = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
+    leaves = {} if id(loss) in produced else {id(loss): loss}
+    # keys whose gradient buffer this call allocated; only those are added
+    # into in place, since add and reshape rules return aliases of g
+    owned = set()
     for node in reversed(tape.nodes):
-        g = grads.get(id(node.out))
+        g = grads.pop(id(node.out), None)
         if g is None:
             continue
         for inp, ig in zip(node.inputs, node.vjp(g)):
             if ig is None or not inp.requires_grad:
                 continue
             key = id(inp)
-            grads[key] = grads[key] + ig if key in grads else ig
-            holders[key] = inp
-        if node.out.requires_grad:
-            _accumulate(node.out, grads.pop(id(node.out)))
-            holders.pop(id(node.out), None)
-    # whatever is left never appeared as a node output: leaves (and a loss
-    # that is itself a leaf)
-    for key, g in grads.items():
-        _accumulate(holders[key], g)
+            if key not in grads:
+                grads[key] = ig
+                if key not in produced:
+                    leaves[key] = inp
+            elif key in owned:
+                grads[key] += ig
+            else:
+                grads[key] = grads[key] + ig
+                owned.add(key)
+    for key, t in leaves.items():
+        _accumulate(t, grads[key])
 
 
 def _unbroadcast(g, shape):
@@ -187,7 +203,8 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
 
@@ -198,7 +215,8 @@ def sub(a, b):
     out = Tensor(a.data - b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
 
@@ -219,13 +237,19 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
 
 
 def _swap_last(x):
     return np.swapaxes(x, -1, -2)
+
+
+def _rows(x):
+    """x as a matrix of its trailing-dimension vectors."""
+    return x.reshape(-1, x.shape[-1])
 
 
 def matmul(a, b):
@@ -241,10 +265,11 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data)
 
     def vjp(g):
-        ga = g @ _swap_last(b.data)
-        if b.data.ndim == 2:
-            k = a.data.shape[-1]
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+        ga = g @ _swap_last(b.data) if a.requires_grad else None
+        if not b.requires_grad:
+            gb = None
+        elif b.data.ndim == 2:
+            gb = _rows(a.data).T @ _rows(g)
         else:
             gb = _swap_last(a.data) @ g
         return ga, gb
@@ -277,16 +302,28 @@ def softmax_lastdim(x):
     x = _as_tensor(x)
     if x.data.ndim == 0 or x.data.shape[-1] < 1 or x.data.size == 0:
         raise ShapeError(f"softmax needs a non-empty trailing dimension, got {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax_inplace(x.data.copy())
     out = Tensor(s)
 
     def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        return (_softmax_grad_inplace(g.copy(), s),)
 
     return _record(out, (x,), vjp)
+
+
+def _softmax_inplace(z):
+    """Softmax over the trailing dimension of z, overwriting z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _softmax_grad_inplace(g, s):
+    """Gradient at the softmax input, s * (g - sum(g * s)), overwriting g."""
+    g -= (g * s).sum(axis=-1, keepdims=True)
+    g *= s
+    return g
 
 
 def rms_norm(x, gain, eps=1e-6):
@@ -317,14 +354,33 @@ def rms_norm(x, gain, eps=1e-6):
 def gelu(x):
     x = _as_tensor(x)
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd / math.sqrt(2.0)))
+    cdf = _normal_cdf(xd)
     out = Tensor(xd * cdf)
 
     def vjp(g):
-        pdf = np.exp(-0.5 * xd * xd) / math.sqrt(2.0 * math.pi)
-        return (g * (cdf + xd * pdf),)
+        return (g * _gelu_slope(xd, cdf),)
 
     return _record(out, (x,), vjp)
+
+
+def _normal_cdf(x):
+    """0.5 * (1 + erf(x / sqrt(2))), the standard normal CDF, in one buffer."""
+    cdf = x / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_slope(x, cdf):
+    """d/dx of x * cdf(x): cdf + x * exp(-x^2 / 2) / sqrt(2 pi), in one buffer."""
+    d = np.square(x)
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= x
+    d *= 1.0 / math.sqrt(2.0 * math.pi)
+    d += cdf
+    return d
 
 
 def relu(x):
@@ -402,10 +458,115 @@ def sum_all(x):
     return _record(out, (x,), vjp)
 
 
+def _dropout_mask(shape, p, rng, dtype):
+    """Boolean keep-mask of inverted dropout, drawn in dtype, and the 1/(1-p)
+    scale of the kept elements; (None, 1.0) when p <= 0."""
+    if p <= 0:
+        return None, 1.0
+    return rng.random(shape, dtype=dtype) >= p, 1.0 / (1.0 - p)
+
+
+def _apply_mask(a, keep, scale, out=None):
+    """a with the dropped elements zeroed and the kept ones scaled, written
+    to out (a new array when None); a itself when there is no mask."""
+    if keep is None:
+        return a
+    out = np.multiply(a, keep, out=out)
+    out *= scale
+    return out
+
+
 def dropout(x, p, rng):
     """Inverted dropout; identity when p <= 0."""
     if p <= 0:
         return x
     x = _as_tensor(x)
-    mask = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return mul(x, Tensor(mask))
+    keep, scale = _dropout_mask(x.data.shape, p, rng, x.data.dtype)
+    out = Tensor(_apply_mask(x.data, keep, scale))
+
+    def vjp(g):
+        return (_apply_mask(g, keep, scale),)
+
+    return _record(out, (x,), vjp)
+
+
+def attention(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None):
+    """Multi-head scaled dot-product attention as one op.
+
+    q: [batch, queries, heads * d]; k and v: [batch, keys, heads * d].
+    Per head, the scores q.k^T are multiplied by scale, then the Tensor bias
+    (broadcastable to [batch, heads, queries, keys]) and the constant
+    additive mask array are added; the softmax weights take inverted
+    dropout with probability p and weight the values. Returns the context
+    [batch, queries, heads * d]. The backward rule keeps only the softmax
+    weights and the dropout mask.
+    """
+    _, _, inner = q.data.shape
+    if inner % n_heads or k.data.shape[-1] != inner or v.data.shape != k.data.shape:
+        raise ShapeError(f"attention over {n_heads} heads: q {q.shape}, k {k.shape}, v {v.shape}")
+    d = inner // n_heads
+
+    def heads(a):
+        return a.reshape(a.shape[0], a.shape[1], n_heads, d).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], inner)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    w = qh @ _swap_last(kh)
+    w *= scale
+    if bias is not None:
+        w += bias.data
+    if mask is not None:
+        w += mask
+    w = _softmax_inplace(w)
+    keep, drop_scale = _dropout_mask(w.shape, p, rng, w.dtype)
+    out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh))
+
+    def vjp(g):
+        gh = heads(g)
+        gv = merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh) if v.requires_grad else None
+        gw = gh @ _swap_last(vh)
+        gw = _softmax_grad_inplace(_apply_mask(gw, keep, drop_scale, out=gw), w)
+        gbias = _unbroadcast(gw, bias.data.shape) if bias is not None and bias.requires_grad else None
+        gq = merge(gw @ kh) * scale if q.requires_grad else None
+        gk = merge(_swap_last(gw) @ qh) * scale if k.requires_grad else None
+        return gq, gk, gv, gbias
+
+    return _record(out, (q, k, v) if bias is None else (q, k, v, bias), vjp)
+
+
+def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
+    """Gated-GELU feed-forward as one op: (gelu(x.wi_0) * (x.wi_1)) with
+    inverted dropout p, then .wo. x: [..., d_model]; wi_0, wi_1:
+    [d_model, d_ff]; wo: [d_ff, d_model]. The backward rule keeps both
+    input projections, the normal CDF of the first, the hidden activations
+    and the dropout mask."""
+    h0 = x.data @ wi_0.data
+    h1 = x.data @ wi_1.data
+    cdf = _normal_cdf(h0)
+    h = h0 * cdf
+    h *= h1
+    keep, scale = _dropout_mask(h.shape, p, rng, h.dtype)
+    h = _apply_mask(h, keep, scale, out=h)
+    out = Tensor(h @ wo.data)
+
+    def vjp(g):
+        gwo = _rows(h).T @ _rows(g) if wo.requires_grad else None
+        gh = g @ wo.data.T
+        gh = _apply_mask(gh, keep, scale, out=gh)
+        gh1 = h0 * cdf
+        gh1 *= gh
+        gh0 = _gelu_slope(h0, cdf)
+        gh0 *= gh
+        gh0 *= h1
+        del gh
+        gx = None
+        if x.requires_grad:
+            gx = gh0 @ wi_0.data.T
+            gx += gh1 @ wi_1.data.T
+        xt = _rows(x.data).T
+        return (gx, xt @ _rows(gh0) if wi_0.requires_grad else None,
+                xt @ _rows(gh1) if wi_1.requires_grad else None, gwo)
+
+    return _record(out, (x, wi_0, wi_1, wo), vjp)

@@ -24,7 +24,7 @@ import numpy as np
 from . import evaluation
 from .fileio import atomic_write
 from .model import ModelConfig, forward
-from .tensor import Tensor, cross_entropy, reshape
+from .tensor import Tape, Tensor, backward, cross_entropy, reshape
 
 CHECKPOINT_MAGIC = b"MNT5CKPT"
 CHECKPOINT_VERSION = 2
@@ -69,6 +69,20 @@ def teacher_forced_loss(config, params, pairs, *, pad_id=0, train=False, rng=Non
     dec_in = np.concatenate([np.full((b, 1), pad_id, dtype=np.int64), targets[:, :-1]], axis=1)
     logits = forward(config, params, enc_in, dec_in, pad_id=pad_id, train=train, rng=rng)
     return cross_entropy(reshape(logits, (b * t, config.vocab_size)), targets.reshape(-1), ignore_id=pad_id)
+
+
+def train_step(config, params, optimizer, batch, rng, where, lr=None):
+    """One teacher-forced update with dropout: loss, backward, optimizer
+    step. Returns the loss. A non-finite loss raises NumericalError naming
+    `where` (e.g. "step 12") before any gradient is formed."""
+    with Tape() as tape:
+        loss = teacher_forced_loss(config, params, batch, train=True, rng=rng)
+        if not np.isfinite(loss.data).all():
+            raise NumericalError(f"non-finite loss {loss.item()} at {where}")
+        backward(loss, tape)
+    optimizer.step(lr=lr)
+    optimizer.zero_grad()
+    return loss.item()
 
 
 class AdamW:

@@ -309,20 +309,21 @@ class TestPretrain:
         assert rc == 1
 
 
+def _write_dataset(path, rows):
+    import csv
+
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, quoting=csv.QUOTE_ALL)
+        writer.writerows(rows)
+
+
 class TestFinetuneAndEvaluate:
-    def _write_dataset(self, path, rows):
-        import csv
-
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, quoting=csv.QUOTE_ALL)
-            writer.writerows(rows)
-
     def test_finetune_selects_best_and_evaluate_writes_report(self, tmp_path, vocab_file):
         train = tmp_path / "train.csv"
         val = tmp_path / "val.csv"
         rows = [["kje gori", "gori"], ["voda teče", "teče"], ["mlin melje", "melje"]]
-        self._write_dataset(train, rows)
-        self._write_dataset(val, rows[:2])
+        _write_dataset(train, rows)
+        _write_dataset(val, rows[:2])
         out_dir = tmp_path / "ft"
         rc = main(["finetune", "--train", str(train), "--validation", str(val),
                    "--vocab", str(vocab_file), "--task", "summarization",
@@ -358,7 +359,7 @@ class TestFinetuneAndEvaluate:
         ck_path = tmp_path / "zero.bin"
         save_checkpoint(ck_path, Checkpoint.from_model(cfg, params))
         dataset = tmp_path / "boolq.csv"
-        self._write_dataset(dataset, [
+        _write_dataset(dataset, [
             ["Sestavek: a Vprašanje: b", "Pravilno."],
             ["Sestavek: c Vprašanje: d", "Napačno."],
         ])
@@ -393,6 +394,72 @@ class TestExitCodes:
                    "--output-dir", str(tmp_path / "run"), "--steps", "1",
                    "--seq-len", "16", "--batch-tokens", "96"])
         assert rc == 3
+
+    @pytest.mark.parametrize("option, value", [("steps", -1), ("batch_tokens", 0), ("checkpoint_every", -1)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_pretrain_option_exits_1_before_writing(self, tmp_path, corpus_file, vocab_file,
+                                                                 capsys, option, value, source):
+        out_dir = tmp_path / "run"
+        argv = ["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+                "--output-dir", str(out_dir), "--seq-len", "16"]
+        if source == "flag":
+            argv += [f"--{option.replace('_', '-')}", str(value)]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({option: value}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pretrain: --{option.replace('_', '-')} must be at least")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @staticmethod
+    def _nan_loss_on_call(monkeypatch, n):
+        """Make training.teacher_forced_loss return NaN on its n-th call;
+        returns the list of backward calls made meanwhile."""
+        from minit5 import training
+        from minit5.tensor import Tensor
+
+        real_loss, real_backward = training.teacher_forced_loss, training.backward
+        calls, backwards = [], []
+
+        def loss(*args, **kwargs):
+            calls.append(1)
+            return Tensor(np.nan) if len(calls) == n else real_loss(*args, **kwargs)
+
+        def counted_backward(*args):
+            backwards.append(len(calls))
+            return real_backward(*args)
+
+        monkeypatch.setattr(training, "teacher_forced_loss", loss)
+        monkeypatch.setattr(training, "backward", counted_backward)
+        return backwards
+
+    def test_non_finite_loss_exits_3_naming_the_step(self, tmp_path, corpus_file, vocab_file, capsys,
+                                                      monkeypatch):
+        backwards = self._nan_loss_on_call(monkeypatch, 2)
+        rc = main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+                   "--output-dir", str(tmp_path / "run"), "--steps", "3",
+                   "--seq-len", "16", "--batch-tokens", "96"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: non-finite loss nan at step 2\n"
+        assert backwards == [1]  # step 2 stopped before its backward pass
+
+    def test_non_finite_finetune_loss_exits_3_naming_epoch_and_batch(self, tmp_path, vocab_file, capsys,
+                                                                      monkeypatch):
+        train = tmp_path / "train.csv"
+        _write_dataset(train, [["kje gori", "gori"], ["voda teče", "teče"], ["mlin melje", "melje"]])
+        backwards = self._nan_loss_on_call(monkeypatch, 4)
+        rc = main(["finetune", "--train", str(train), "--validation", str(train),
+                   "--vocab", str(vocab_file), "--task", "summarization", "--output-dir", str(tmp_path / "ft"),
+                   "--epochs", "2", "--batch-examples", "2", "--max-output-tokens", "2"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: non-finite loss nan at epoch 2, batch 2\n"
+        assert backwards == [1, 2, 3]
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, vocab_file):
         bad = tmp_path / "bad.bin"

@@ -16,6 +16,7 @@ from minit5.model import (
     training_budget_ratio,
 )
 from minit5.tensor import Tape, backward, cross_entropy, reshape
+from test_gradcheck import attention_composition, gated_gelu_ffn_composition
 
 
 def _tiny(vocab=64, **overrides):
@@ -243,6 +244,53 @@ class TestForward:
         err = finite_diff_check(f, params, max_coords_per_param=4,
                                 rng=np.random.default_rng(13))
         assert err < 1e-4
+
+
+class TestFusedOps:
+    """The model's fused attention and feed-forward ops against the
+    primitive-op compositions they replaced."""
+
+    @staticmethod
+    def _compose(monkeypatch):
+        import minit5.model as model
+
+        monkeypatch.setattr(model, "attention", attention_composition)
+        monkeypatch.setattr(model, "gated_gelu_ffn", gated_gelu_ffn_composition)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inference_logits_bitwise_equal_to_composition(self, seed, monkeypatch):
+        cfg, params, rng = _random_bias_model(seed, np.float32)
+        enc_in = np.concatenate([rng.integers(3, 60, size=(2, 7)), np.zeros((2, 2), dtype=int)], axis=1)
+        dec_in = rng.integers(3, 60, size=(2, 6))
+        fused = forward(cfg, params, enc_in, dec_in).data
+        self._compose(monkeypatch)
+        composed = forward(cfg, params, enc_in, dec_in).data
+        assert np.array_equal(fused, composed)
+
+    def _step(self, cfg, params, enc_in, dec_in, targets):
+        for p in params.values():
+            p.grad = None
+        with Tape() as tape:
+            logits = forward(cfg, params, enc_in, dec_in, train=True, rng=np.random.default_rng(0))
+            loss = cross_entropy(reshape(logits, (-1, cfg.vocab_size)), targets.reshape(-1), ignore_id=0)
+            backward(loss, tape)
+        return loss.item(), {k: p.grad for k, p in params.items()}, tape
+
+    def test_training_step_matches_composition_float64(self, monkeypatch):
+        # dropout on: the fused ops draw their masks in the composition's order
+        cfg, params, rng = _random_bias_model(5, np.float64)
+        cfg.dropout = 0.2
+        enc_in = np.concatenate([rng.integers(3, 60, size=(2, 7)), np.zeros((2, 2), dtype=int)], axis=1)
+        dec_in = rng.integers(3, 60, size=(2, 6))
+        targets = rng.integers(3, 60, size=(2, 6))
+        loss, grads, tape = self._step(cfg, params, enc_in, dec_in, targets)
+        assert all(node.out.grad is None for node in tape.nodes)  # intermediates get no .grad
+        assert all(g is not None for g in grads.values())
+        self._compose(monkeypatch)
+        ref_loss, ref_grads, _ = self._step(cfg, params, enc_in, dec_in, targets)
+        assert abs(loss - ref_loss) < 1e-12
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 def _random_bias_model(seed, dtype):

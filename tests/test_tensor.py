@@ -222,6 +222,48 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [2.0])
 
 
+    def test_only_leaves_get_gradients(self):
+        w = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        x = Tensor([[1.0, -1.0]])
+        with Tape() as tape:
+            h = matmul(x, w)
+            y = mul(h, h)
+            loss = sum_all(y)
+            backward(loss, tape)
+        assert h.requires_grad and y.requires_grad
+        assert h.grad is None and y.grad is None and loss.grad is None
+        assert x.grad is None  # a constant input is no leaf
+        np.testing.assert_array_equal(w.grad, [[-4.0, -4.0], [4.0, 4.0]])
+
+    def test_aliased_partials_are_not_overwritten(self):
+        # add's rule hands the same array to both operands; the later
+        # contribution to u must not be added into the array v still holds
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            v = mul(p, 3.0)
+            u = mul(p, 2.0)
+            w = mul(u, 5.0)
+            loss = sum_all(add(add(u, v), w))  # = sum(15 p)
+            backward(loss, tape)
+        np.testing.assert_array_equal(p.grad, [15.0, 15.0])
+
+    def test_leaves_sharing_a_gradient_accumulate_apart(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(add(a, b))
+            backward(loss, tape)
+            backward(loss, tape)
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+
+    def test_leaf_loss_gets_unit_gradient(self):
+        x = Tensor(3.0, requires_grad=True)
+        with Tape() as tape:
+            backward(x, tape)
+        assert x.grad == 1.0
+
+
 class TestEmbeddingAndShapes:
     def test_lookup_and_scatter(self):
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
