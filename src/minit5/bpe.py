@@ -51,6 +51,8 @@ class Vocabulary:
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise TokenizerError("duplicate token strings in vocabulary")
+        if not 0 <= self.sentinel_count <= len(self) - 3:
+            raise TokenizerError(f"sentinel_count {self.sentinel_count} out of range [0, {len(self) - 3}]")
         # encode only ever produces corpus pieces, never specials/sentinels
         self._piece_ids = {
             tok: i

@@ -2,7 +2,8 @@
 
 Subcommands: tokenizer-train, dedup, pretrain, finetune, evaluate, budget.
 Every option can also be supplied via a JSON config file (--config);
-explicit flags win over the file, unknown keys and mistyped values are rejected.
+explicit flags win over the file; unknown keys, mistyped values and
+out-of-range numbers are rejected.
 Artifacts go through `fileio.atomic_write` (a `.tmp-*` file in the target
 directory, then a rename), so a failed run leaves nothing half-written;
 only training.log is appended as training runs.
@@ -123,6 +124,25 @@ _SPECS = {
 # options whose value must be one of a fixed set
 _CHOICES = {"preset": PRESETS, "task": evaluation.DECODE_LIMITS}
 
+
+def _at_least(low):
+    return f"at least {low}", lambda v: v >= low
+
+
+_RATE = "in [0, 1)", lambda v: 0 <= v < 1
+
+# per command, the numeric options with a bounded range: (the range as shown, its test)
+_BOUNDS = {
+    "tokenizer-train": {"sentinel_count": _at_least(0)},
+    "dedup": {"ngram": _at_least(1), "threshold": ("in [0, 1]", lambda v: 0 <= v <= 1)},
+    "pretrain": {"seq_len": _at_least(2), "steps": _at_least(0), "batch_tokens": _at_least(1),
+                 "warmup": _at_least(1), "checkpoint_every": _at_least(0), "dropout": _RATE},
+    "finetune": {"epochs": _at_least(1), "batch_examples": _at_least(1), "max_output_tokens": _at_least(1),
+                 "dropout": _RATE},
+    "evaluate": {"max_output_tokens": _at_least(1)},
+    "budget": {"steps": _at_least(1), "batch_tokens": _at_least(1), "params": _at_least(1)},
+}
+
 _REQUIRED = {
     "tokenizer-train": ("corpus",),
     "dedup": ("input", "output"),
@@ -178,6 +198,9 @@ def _resolve_config(args, command):
     for name, choices in _CHOICES.items():
         if name in cfg and cfg[name] not in choices:
             raise UsageError(f"unknown {name} {cfg[name]!r}; choose from {sorted(choices)}")
+    for name, (allowed, ok) in _BOUNDS[command].items():  # None: the per-task default
+        if cfg[name] is not None and not ok(cfg[name]):
+            raise UsageError(f"{command}: --{name.replace('_', '-')} must be {allowed}")
     cfg.pop("config", None)
     return cfg
 
@@ -194,8 +217,6 @@ def _cmd_tokenizer_train(cfg):
 
 
 def _cmd_dedup(cfg):
-    if cfg["ngram"] < 1:
-        raise UsageError("dedup: --ngram must be at least 1")
     vocab = bpe.load_vocab(cfg["vocab"]) if cfg["vocab"] else None
     kept, stats = dedup.deduplicate_stream(
         dedup.read_paragraphs(cfg["input"]), n=cfg["ngram"], threshold=cfg["threshold"], vocab=vocab
@@ -227,9 +248,6 @@ def _sequence_stream(corpus_path, vocab, seq_len):
 
 
 def _cmd_pretrain(cfg):
-    for name, low in (("seq_len", 2), ("steps", 0), ("batch_tokens", 1), ("checkpoint_every", 0)):
-        if cfg[name] < low:
-            raise UsageError(f"pretrain: --{name.replace('_', '-')} must be at least {low}")
     vocab = bpe.load_vocab(cfg["vocab"])
     model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
     rng = np.random.default_rng(cfg["seed"])

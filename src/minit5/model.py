@@ -1,6 +1,6 @@
 """Encoder-decoder transformer with relative position bias and pre-norm
 residual blocks (T5-family layout): shared input/output embedding, RMS-style
-normalization, gated feed-forward, bucketed relative attention bias owned
+normalization, gated-GELU feed-forward, bucketed relative attention bias owned
 once per stack, strictly causal decoder self-attention.
 
 Parameters live in a flat dict keyed by path; `count_parameters` computes
@@ -27,7 +27,6 @@ from .tensor import (
     gelu,
     matmul,
     mul,
-    relu,
     reshape,
     rms_norm,
     softmax_lastdim,
@@ -54,12 +53,13 @@ class ModelConfig:
     rel_buckets: int = 32
     rel_max_distance: int = 128
     dropout: float = 0.1
-    gated_ffn: bool = True
 
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "d_ff", "n_heads", "d_kv", "enc_layers", "dec_layers", "rel_buckets", "rel_max_distance"):
             if getattr(self, name) < 1:
                 raise ValueError(f"ModelConfig.{name} must be positive")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"ModelConfig.dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def inner_dim(self):
@@ -135,11 +135,8 @@ def init_params(config, rng, dtype=np.float32):
         params[f"{prefix}.o"] = normal((c.inner_dim, c.d_model), c.inner_dim**-0.5)
 
     def ffn_block(prefix):
-        if c.gated_ffn:
-            params[f"{prefix}.wi_0"] = normal((c.d_model, c.d_ff), c.d_model**-0.5)
-            params[f"{prefix}.wi_1"] = normal((c.d_model, c.d_ff), c.d_model**-0.5)
-        else:
-            params[f"{prefix}.wi"] = normal((c.d_model, c.d_ff), c.d_model**-0.5)
+        params[f"{prefix}.wi_0"] = normal((c.d_model, c.d_ff), c.d_model**-0.5)
+        params[f"{prefix}.wi_1"] = normal((c.d_model, c.d_ff), c.d_model**-0.5)
         params[f"{prefix}.wo"] = normal((c.d_ff, c.d_model), c.d_ff**-0.5)
 
     params["embedding"] = normal((c.vocab_size, c.d_model), 1.0)
@@ -169,7 +166,7 @@ def count_parameters(config):
     """Analytic parameter count; equals the allocated element total exactly."""
     c = config
     attn = 3 * c.d_model * c.inner_dim + c.inner_dim * c.d_model
-    ffn = (3 if c.gated_ffn else 2) * c.d_model * c.d_ff
+    ffn = 3 * c.d_model * c.d_ff
     enc_layer = attn + ffn + 2 * c.d_model
     dec_layer = 2 * attn + ffn + 3 * c.d_model
     total = c.vocab_size * c.d_model
@@ -211,11 +208,8 @@ def _attention(params, prefix, queries, kv, mask, bias, config, train, rng):
 
 
 def _ffn(params, prefix, x, config, train, rng):
-    p = config.dropout if train else 0.0
-    if config.gated_ffn:
-        return gated_gelu_ffn(x, params[f"{prefix}.wi_0"], params[f"{prefix}.wi_1"],
-                              params[f"{prefix}.wo"], p=p, rng=rng)
-    return matmul(dropout(relu(matmul(x, params[f"{prefix}.wi"])), p, rng), params[f"{prefix}.wo"])
+    return gated_gelu_ffn(x, params[f"{prefix}.wi_0"], params[f"{prefix}.wi_1"], params[f"{prefix}.wo"],
+                          p=config.dropout if train else 0.0, rng=rng)
 
 
 def _pad_mask(ids, pad_id, dtype):

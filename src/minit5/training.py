@@ -270,7 +270,11 @@ def _parse_header(data):
         _check(all(a < b for a, b in zip(params, params[1:])), "parameter names are not strictly sorted")
         _check(names == params * (1 if opt is None else 3),
                "optimizer moment names differ from the parameter names")
-        return step, ModelConfig(**header["config"]), rng_state, opt, table
+        config = header["config"]
+        _check(isinstance(config, dict), "invalid config")
+        # checkpoints written before the ReLU FFN was removed hold gated_ffn=true
+        _check(config.pop("gated_ffn", True) is True, "unsupported config gated_ffn: the FFN is gated-GELU only")
+        return step, ModelConfig(**config), rng_state, opt, table
     except (ValueError, KeyError, TypeError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
         _fail(_PREFIX.size, f"invalid header ({type(e).__name__}: {e})")
 

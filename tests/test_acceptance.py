@@ -95,7 +95,6 @@ def test_criterion_2_parameter_counts():
                 dec_layers=int(rng.integers(1, 4)),
                 rel_buckets=int(rng.integers(2, 8)),
                 rel_max_distance=int(rng.integers(4, 32)),
-                gated_ffn=bool(rng.integers(0, 2)),
             )
             allocated = sum(p.data.size for p in init_params(cfg, rng).values())
             assert count_parameters(cfg) == allocated

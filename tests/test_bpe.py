@@ -7,6 +7,7 @@ from minit5.bpe import (
     EOS_TOKEN,
     PAD_TOKEN,
     TokenizerError,
+    Vocabulary,
     WORD_MARKER,
     decode,
     encode,
@@ -153,6 +154,14 @@ class TestSentinels:
             vocab.sentinel_id(4)
         with pytest.raises(TokenizerError):
             vocab.sentinel_id(-1)
+
+    @pytest.mark.parametrize("count", [-1, 18])
+    def test_sentinel_count_out_of_range_rejected(self, count):
+        # 20 tokens: pad, eos and unk leave room for at most 17 sentinels
+        tokens = ["<pad>", "</s>", "<unk>"] + [f"t{i}" for i in range(17)]
+        assert Vocabulary(tokens, [], 17).sentinel_count == 17
+        with pytest.raises(TokenizerError, match=rf"sentinel_count {count} out of range \[0, 17\]"):
+            Vocabulary(tokens, [], count)
 
     def test_sentinel_token_strings(self):
         assert sentinel_token(0) == "<extra_id_0>"

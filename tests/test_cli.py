@@ -81,6 +81,60 @@ class TestThreads:
         assert self._blas_threads_at_numpy_import(MINIT5_THREADS="3", OPENBLAS_NUM_THREADS="2") == "2"
 
 
+# runs the minit5 command line with every scipy import failing
+_NO_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"blocked import of {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from minit5.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestNumpyOnly:
+    def test_pipeline_runs_with_scipy_blocked(self, tmp_path, corpus_file):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(minit5.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        vocab = tmp_path / "vocab.txt"
+        dataset = tmp_path / "data.csv"
+        _write_dataset(dataset, [["kje gori", "gori"], ["voda teče", "teče"]])
+        for argv in (
+            ["tokenizer-train", "--corpus", corpus_file, "--vocab-out", vocab, "--vocab-size", "60",
+             "--sentinel-count", "8"],
+            ["pretrain", "--corpus", corpus_file, "--vocab", vocab, "--output-dir", tmp_path / "pre",
+             "--steps", "2", "--seq-len", "16", "--batch-tokens", "96"],
+            ["finetune", "--train", dataset, "--validation", dataset, "--vocab", vocab, "--task", "summarization",
+             "--init", tmp_path / "pre" / "ckpt-00000002.bin", "--output-dir", tmp_path / "ft", "--epochs", "1",
+             "--max-output-tokens", "3"],
+            ["evaluate", "--dataset", dataset, "--vocab", vocab, "--checkpoint", tmp_path / "ft" / "best.bin",
+             "--task", "summarization", "--output-dir", tmp_path / "eval", "--max-output-tokens", "3"],
+        ):
+            done = subprocess.run([sys.executable, "-c", _NO_SCIPY, *map(str, argv)], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, f"{argv[0]}: {done.stderr}"
+
+    def test_scipy_is_no_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        package = os.path.dirname(os.path.abspath(minit5.__file__))
+        for name in os.listdir(package):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as f:
+                    assert "scipy" not in f.read(), name
+        with open(os.path.join(os.path.dirname(os.path.dirname(package)), "pyproject.toml"), "rb") as f:
+            dependencies = tomllib.load(f)["project"]["dependencies"]
+        assert not [d for d in dependencies if d.startswith("scipy")]
+
+
 class TestBudget:
     def test_table_within_five_percent_of_reference(self, capsys):
         assert main(["budget"]) == 0
@@ -395,25 +449,62 @@ class TestExitCodes:
                    "--seq-len", "16", "--batch-tokens", "96"])
         assert rc == 3
 
-    @pytest.mark.parametrize("option, value", [("steps", -1), ("batch_tokens", 0), ("checkpoint_every", -1)])
+    @pytest.mark.parametrize("command, option, value", [
+        pytest.param("pretrain", "steps", -1, id="steps--1"),
+        pytest.param("pretrain", "batch_tokens", 0, id="batch_tokens-0"),
+        pytest.param("pretrain", "checkpoint_every", -1, id="checkpoint_every--1"),
+        ("pretrain", "seq_len", 1),
+        ("pretrain", "warmup", 0),
+        ("pretrain", "dropout", 1.0),
+        ("pretrain", "dropout", 1.5),
+        ("pretrain", "dropout", -0.5),
+        ("finetune", "batch_examples", 0),
+        ("finetune", "batch_examples", -2),
+        ("finetune", "epochs", 0),
+        ("finetune", "max_output_tokens", 0),
+        ("finetune", "dropout", 1.0),
+        ("evaluate", "max_output_tokens", 0),
+        ("tokenizer-train", "sentinel_count", -1),
+        ("dedup", "threshold", -1.0),
+        ("dedup", "threshold", 1.5),
+        ("budget", "steps", 0),
+    ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_out_of_range_pretrain_option_exits_1_before_writing(self, tmp_path, corpus_file, vocab_file,
-                                                                 capsys, option, value, source):
-        out_dir = tmp_path / "run"
-        argv = ["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
-                "--output-dir", str(out_dir), "--seq-len", "16"]
-        if source == "flag":
-            argv += [f"--{option.replace('_', '-')}", str(value)]
-        else:
+                                                                 capsys, command, option, value, source):
+        # every other option is valid, so each run would otherwise write files
+        dataset = tmp_path / "data.csv"
+        _write_dataset(dataset, [["kje gori", "gori"], ["voda teče", "teče"]])
+        cfg = ModelConfig(vocab_size=60, d_model=8, d_ff=16, n_heads=2, d_kv=4, enc_layers=1, dec_layers=1)
+        checkpoint = tmp_path / "model.bin"
+        save_checkpoint(checkpoint, Checkpoint.from_model(cfg, init_params(cfg, np.random.default_rng(0))))
+        out_dir = tmp_path / "out"
+        options = {
+            "tokenizer-train": {"corpus": corpus_file, "vocab_out": tmp_path / "new.txt", "vocab_size": 60},
+            "dedup": {"input": corpus_file, "output": tmp_path / "clean.txt"},
+            "pretrain": {"corpus": corpus_file, "vocab": vocab_file, "output_dir": out_dir, "seq_len": 16},
+            "finetune": {"train": dataset, "validation": dataset, "vocab": vocab_file, "task": "summarization",
+                         "output_dir": out_dir, "epochs": 1, "max_output_tokens": 2},
+            "evaluate": {"dataset": dataset, "vocab": vocab_file, "checkpoint": checkpoint,
+                         "task": "summarization", "output_dir": out_dir},
+            "budget": {"steps": 10, "batch_tokens": 10, "params": 10},
+        }[command]
+        options.pop(option, None)
+        if source == "config":
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps({option: value}), encoding="utf-8")
-            argv += ["--config", str(config)]
-        rc = main(argv)
-        assert rc == 1
+            options["config"] = config
+        else:
+            options[option] = value
+        argv = [command]
+        for name, v in options.items():
+            argv += [f"--{name.replace('_', '-')}", str(v)]
+        files = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        allowed = {"dropout": r"in \[0, 1\)", "threshold": r"in \[0, 1\]"}.get(option, r"at least \d+")
         err = capsys.readouterr().err
-        assert err.startswith(f"error: pretrain: --{option.replace('_', '-')} must be at least")
-        assert "Traceback" not in err
-        assert not out_dir.exists()
+        assert re.fullmatch(rf"error: {command}: --{option.replace('_', '-')} must be {allowed}\n", err), err
+        assert sorted(tmp_path.rglob("*")) == files
 
     @staticmethod
     def _nan_loss_on_call(monkeypatch, n):
@@ -497,6 +588,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_out_of_range_sentinel_count_in_vocab_exits_2(self, tmp_path, corpus_file, vocab_file, capsys):
+        lines = vocab_file.read_text(encoding="utf-8").splitlines()
+        lines[0] = "1,60,-1," + lines[0].split(",", 3)[3]
+        vocab_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["dedup", "--input", str(corpus_file), "--output", str(tmp_path / "clean.txt"),
+                   "--vocab", str(vocab_file)])
+        assert rc == 2
+        assert capsys.readouterr().err == "data error: sentinel_count -1 out of range [0, 57]\n"
 
     def test_non_integer_vocab_header_exits_2(self, tmp_path, corpus_file, vocab_file, capsys):
         lines = vocab_file.read_text(encoding="utf-8").splitlines()

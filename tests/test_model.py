@@ -101,7 +101,6 @@ class TestParameterCount:
                 dec_layers=int(rng.integers(1, 4)),
                 rel_buckets=int(rng.integers(2, 10)),
                 rel_max_distance=int(rng.integers(4, 40)),
-                gated_ffn=bool(rng.integers(0, 2)),
             )
             params = init_params(cfg, rng)
             assert count_parameters(cfg) == sum(p.data.size for p in params.values())

@@ -15,7 +15,6 @@ from minit5.tensor import (
     gelu,
     matmul,
     mul,
-    relu,
     reshape,
     rms_norm,
     softmax_lastdim,
@@ -289,10 +288,15 @@ class TestEmbeddingAndShapes:
             backward(sum_all(y), tape)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
 
-    def test_gelu_relu_values(self):
+    def test_gelu_values(self):
         assert gelu(Tensor([0.0])).data[0] == 0.0
         np.testing.assert_allclose(gelu(Tensor([100.0])).data[0], 100.0)
-        np.testing.assert_array_equal(relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
+
+    def test_gelu_within_bound_of_erf_form(self):
+        # the tanh form against the exact x * Phi(x), whose Phi is built on math.erf
+        x = np.linspace(-10.0, 10.0, 40001)
+        exact = np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+        assert np.abs(gelu(Tensor(x, dtype=np.float64)).data - exact).max() <= 5e-4
 
     def test_broadcast_add_unbroadcasts_grad(self):
         bias = Tensor(np.zeros(3), requires_grad=True)

@@ -278,21 +278,43 @@ class TestCheckpoints:
         header["arrays"][-1]["shape"][0] += 1
         return "the header lists 128 payload bytes but 120 follow it"
 
-    @pytest.mark.parametrize("defect", ["bad_dtype", "negative_dimension", "unsorted_names", "moment_names",
-                                        "payload_larger_than_file"])
-    def test_crafted_header_rejected(self, tmp_path, defect):
-        # each file carries a valid header CRC, so only the table checks stand
-        # between the defect and a load
-        path = tmp_path / "model.ckpt"
+    @staticmethod
+    def _defect_dropout(header):
+        header["config"]["dropout"] = 1.5
+        return r"ModelConfig.dropout must be in \[0, 1\), got 1.5"
+
+    @staticmethod
+    def _defect_gated_ffn_false(header):
+        header["config"]["gated_ffn"] = False
+        return "unsupported config gated_ffn: the FFN is gated-GELU only"
+
+    def _small_file_with_header(self, path, edit):
+        """_small_file with its JSON header passed through edit and a valid
+        header CRC; returns what edit returned."""
         blob = self._small_file(path)
         (size,) = struct.unpack("<I", blob[12:16])
         header = json.loads(blob[16 : 16 + size])
-        message = getattr(self, f"_defect_{defect}")(header)
+        result = edit(header)
         data = json.dumps(header).encode("utf-8")
         path.write_bytes(blob[:12] + struct.pack("<I", len(data)) + data + struct.pack("<I", zlib.crc32(data))
                          + blob[16 + size + 4 :])
+        return result
+
+    @pytest.mark.parametrize("defect", ["bad_dtype", "negative_dimension", "unsorted_names", "moment_names",
+                                        "payload_larger_than_file", "dropout", "gated_ffn_false"])
+    def test_crafted_header_rejected(self, tmp_path, defect):
+        # each file carries a valid header CRC, so only the header checks stand
+        # between the defect and a load
+        path = tmp_path / "model.ckpt"
+        message = self._small_file_with_header(path, getattr(self, f"_defect_{defect}"))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    def test_header_with_gated_ffn_true_loads(self, tmp_path):
+        # every checkpoint written while ModelConfig had a gated_ffn field carries it
+        path = tmp_path / "model.ckpt"
+        self._small_file_with_header(path, lambda header: header["config"].update(gated_ffn=True))
+        assert load_checkpoint(path).config == _tiny()
 
     def test_deeply_nested_header_rejected(self, tmp_path):
         data = b"[" * 100_000 + b"]" * 100_000
