@@ -20,6 +20,7 @@ from .fileio import atomic_write
 PAD_TOKEN = "<pad>"
 EOS_TOKEN = "</s>"
 UNK_TOKEN = "<unk>"
+PAD_ID, EOS_ID, UNK_ID = 0, 1, 2  # fixed ids of the three tokens above
 WORD_MARKER = "▁"  # visible word-start marker
 
 VOCAB_FORMAT_VERSION = 1
@@ -40,9 +41,7 @@ class Vocabulary:
     id_to_token: list[str]
     merges: list[tuple[str, str]]
     sentinel_count: int
-    pad_id: int = 0
-    eos_id: int = 1
-    unk_id: int = 2
+    pad_id, eos_id, unk_id = PAD_ID, EOS_ID, UNK_ID  # class attributes, not fields
     token_to_id: dict[str, int] = field(init=False, repr=False)
     _piece_ids: dict[str, int] = field(init=False, repr=False)
     _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False)
@@ -64,10 +63,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.id_to_token)
 
-    @property
-    def size(self):
-        return len(self.id_to_token)
-
     def sentinel_id(self, k):
         if not 0 <= k < self.sentinel_count:
             raise TokenizerError(f"sentinel index {k} out of range [0, {self.sentinel_count})")
@@ -76,7 +71,7 @@ class Vocabulary:
     def special_ids(self):
         """pad, EOS and all sentinel ids (the ones strip_specials removes)."""
         first_sentinel = len(self.id_to_token) - self.sentinel_count
-        return {self.pad_id, self.eos_id} | set(range(first_sentinel, len(self.id_to_token)))
+        return {PAD_ID, EOS_ID} | set(range(first_sentinel, len(self.id_to_token)))
 
 
 def _merge_word(symbols, pair):
@@ -163,9 +158,9 @@ def encode(text, vocab, append_eos=False):
     ids = []
     for word in text.split():
         for sym in _segment_word(word, vocab):
-            ids.append(vocab._piece_ids.get(sym, vocab.unk_id))
+            ids.append(vocab._piece_ids.get(sym, UNK_ID))
     if append_eos:
-        ids.append(vocab.eos_id)
+        ids.append(EOS_ID)
     return ids
 
 
@@ -188,28 +183,25 @@ def decode(ids, vocab, strip_specials=False):
     return text.removeprefix(" ")
 
 
-def save_vocab(vocab, vocab_path, merges_path=None):
+def save_vocab(vocab, vocab_path):
     """Plain-text vocabulary file (header line, then one token per line in
-    id order) and a merges file (one pair per line in application order).
-    Each file is written atomically; the pair is not."""
-    if merges_path is None:
-        merges_path = str(vocab_path) + ".merges"
-    header = (
-        f"{VOCAB_FORMAT_VERSION},{len(vocab)},{vocab.sentinel_count},"
-        f"{vocab.pad_id},{vocab.eos_id},{vocab.unk_id}"
-    )
+    id order) and, beside it at `<vocab_path>.merges`, the merges file (one
+    pair per line in application order). Each file is written atomically;
+    the pair is not."""
+    header = f"{VOCAB_FORMAT_VERSION},{len(vocab)},{vocab.sentinel_count},{PAD_ID},{EOS_ID},{UNK_ID}"
     with atomic_write(vocab_path) as f:
         f.write(header + "\n")
         for tok in vocab.id_to_token:
             f.write(tok + "\n")
-    with atomic_write(merges_path) as f:
+    with atomic_write(str(vocab_path) + ".merges") as f:
         for a, b in vocab.merges:
             f.write(f"{a} {b}\n")
 
 
-def load_vocab(vocab_path, merges_path=None):
-    if merges_path is None:
-        merges_path = str(vocab_path) + ".merges"
+def load_vocab(vocab_path):
+    """Load a vocabulary and the merges file beside it; the special ids must
+    be the fixed ones and the merges must build the merged tokens."""
+    merges_path = str(vocab_path) + ".merges"
     with open(vocab_path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         try:
@@ -218,9 +210,14 @@ def load_vocab(vocab_path, merges_path=None):
             raise TokenizerError(f"{vocab_path}: malformed header line {header!r}") from None
         if version != VOCAB_FORMAT_VERSION:
             raise TokenizerError(f"{vocab_path}: unsupported vocabulary version {version}")
+        if (pad_id, eos_id, unk_id) != (PAD_ID, EOS_ID, UNK_ID):
+            raise TokenizerError(f"{vocab_path}: special ids {pad_id},{eos_id},{unk_id} in the header, "
+                                 f"expected {PAD_ID},{EOS_ID},{UNK_ID}")
         tokens = [line.rstrip("\n") for line in f]
     if len(tokens) != size:
         raise TokenizerError(f"{vocab_path}: header claims {size} tokens, file has {len(tokens)}")
+    if tokens[:3] != [PAD_TOKEN, EOS_TOKEN, UNK_TOKEN]:
+        raise TokenizerError(f"{vocab_path}: ids 0-2 must be {PAD_TOKEN}, {EOS_TOKEN}, {UNK_TOKEN}")
     merges = []
     with open(merges_path, encoding="utf-8") as f:
         for line in f:
@@ -231,4 +228,10 @@ def load_vocab(vocab_path, merges_path=None):
             if not b:
                 raise TokenizerError(f"{merges_path}: malformed merge line {line!r}")
             merges.append((a, b))
-    return Vocabulary(tokens, merges, sentinel_count, pad_id=pad_id, eos_id=eos_id, unk_id=unk_id)
+    vocab = Vocabulary(tokens, merges, sentinel_count)
+    # single-symbol alphabet after the specials, then merge k's token at id first + k
+    first = len(tokens) - sentinel_count - len(merges)
+    if (first < 3 or any(len(t) != 1 for t in tokens[3:first])
+            or any(a + b != tokens[first + k] for k, (a, b) in enumerate(merges))):
+        raise TokenizerError(f"{merges_path} does not match {vocab_path}")
+    return vocab

@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# option name -> (default, type, help); None default means required
+# option name -> (default, type, help); _REQUIRED names the options a command cannot run without
 _COMMON = {
     "config": (None, str, "JSON config file; explicit flags override its values"),
     "seed": (0, int, "root random seed"),
@@ -62,8 +62,7 @@ _COMMON = {
 _SPECS = {
     "tokenizer-train": {
         "corpus": (None, str, "input text file (UTF-8, blank-line paragraphs)"),
-        "vocab_out": ("vocab.txt", str, "output vocabulary file"),
-        "merges_out": (None, str, "output merges file (default: <vocab_out>.merges)"),
+        "vocab_out": ("vocab.txt", str, "output vocabulary file; the merges go to <vocab_out>.merges"),
         "vocab_size": (32000, int, "total vocabulary size"),
         "sentinel_count": (100, int, "reserved sentinel tokens at the top of the id space"),
     },
@@ -130,13 +129,15 @@ def _at_least(low):
 
 
 _RATE = "in [0, 1)", lambda v: 0 <= v < 1
+_SHARE = "in [0, 1]", lambda v: 0 <= v <= 1
 
 # per command, the numeric options with a bounded range: (the range as shown, its test)
 _BOUNDS = {
     "tokenizer-train": {"sentinel_count": _at_least(0)},
-    "dedup": {"ngram": _at_least(1), "threshold": ("in [0, 1]", lambda v: 0 <= v <= 1)},
+    "dedup": {"ngram": _at_least(1), "threshold": _SHARE},
     "pretrain": {"seq_len": _at_least(2), "steps": _at_least(0), "batch_tokens": _at_least(1),
-                 "warmup": _at_least(1), "checkpoint_every": _at_least(0), "dropout": _RATE},
+                 "warmup": _at_least(1), "checkpoint_every": _at_least(0), "dropout": _RATE,
+                 "mean_span": _at_least(1), "mix": _SHARE, "noise_density": _SHARE, "iid_rate": _SHARE},
     "finetune": {"epochs": _at_least(1), "batch_examples": _at_least(1), "max_output_tokens": _at_least(1),
                  "dropout": _RATE},
     "evaluate": {"max_output_tokens": _at_least(1)},
@@ -208,11 +209,10 @@ def _resolve_config(args, command):
 def _cmd_tokenizer_train(cfg):
     with open(cfg["corpus"], encoding="utf-8") as f:
         vocab = bpe.train_bpe(f.read().splitlines(), cfg["vocab_size"], cfg["sentinel_count"])
-    merges_out = cfg["merges_out"] or cfg["vocab_out"] + ".merges"
-    bpe.save_vocab(vocab, cfg["vocab_out"], merges_out)
+    bpe.save_vocab(vocab, cfg["vocab_out"])
     print(f"trained vocabulary of {len(vocab)} tokens "
           f"({len(vocab.merges)} merges, {vocab.sentinel_count} sentinels)")
-    print(f"wrote {cfg['vocab_out']} and {merges_out}")
+    print(f"wrote {cfg['vocab_out']} and {cfg['vocab_out']}.merges")
     return 0
 
 

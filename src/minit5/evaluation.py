@@ -70,7 +70,7 @@ TASK_METRICS = {
 }
 
 
-def greedy_decode(config, params, input_ids, max_len, *, pad_id=0, eos_id=1):
+def greedy_decode(config, params, input_ids, max_len, *, eos_id=bpe.EOS_ID):
     """Argmax decoding from the pad start symbol: stops at EOS or max_len
     generated tokens; ties break to the lowest token id. The returned ids
     exclude the start symbol and the EOS.
@@ -79,13 +79,10 @@ def greedy_decode(config, params, input_ids, max_len, *, pad_id=0, eos_id=1):
     token only, against a DecodeCache of the earlier positions' K/V."""
     if max_len < 1:
         raise EvalError(f"max_len must be >= 1, got {max_len}")
-    ids = np.asarray(input_ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    enc_out, enc_mask = encode(config, params, ids, pad_id=pad_id)
+    enc_out, enc_mask = encode(config, params, input_ids)
     cache = DecodeCache()
     generated = []
-    nxt = pad_id
+    nxt = bpe.PAD_ID
     for _ in range(max_len):
         logits = decode_logits(config, params, enc_out, enc_mask, np.asarray([[nxt]]), cache=cache)
         nxt = int(np.argmax(logits.data[0, -1]))
@@ -248,22 +245,20 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def decode_examples(config, params, vocab, examples, max_len, *, pad_id=0):
+def decode_examples(config, params, vocab, examples, max_len):
     """Greedy-decode every example's input; returns special-stripped strings."""
     outputs = []
     for ex in examples:
         input_ids = bpe.encode(ex.input_text, vocab, append_eos=True)
-        out_ids = greedy_decode(config, params, input_ids, max_len, pad_id=pad_id, eos_id=vocab.eos_id)
+        out_ids = greedy_decode(config, params, input_ids, max_len)
         outputs.append(bpe.decode(out_ids, vocab, strip_specials=True))
     return outputs
 
 
-def score_predictions(task, generated, golds, labels=None):
+def score_predictions(task, generated, golds):
     """EvalReport from raw generated strings and gold target strings."""
     if task in TASK_LABELS:
-        if labels is None:
-            labels = TASK_LABELS[task]
-        matched = [postfilter_and_match(g, labels) for g in generated]
+        matched = [postfilter_and_match(g, TASK_LABELS[task]) for g in generated]
         invalid = sum(1 for m in matched if m is None) / len(matched)
         metric = TASK_METRICS[task]
         value = classification_scores(matched, list(golds), metric)
@@ -285,7 +280,7 @@ def score_predictions(task, generated, golds, labels=None):
     raise EvalError(f"unknown task {task!r}")
 
 
-def evaluate_examples(config, params, vocab, examples, task, *, max_output_tokens=None, pad_id=0):
+def evaluate_examples(config, params, vocab, examples, task, *, max_output_tokens=None):
     """Decode and score a task dataset with its per-task output limit."""
     examples = list(examples)
     if not examples:
@@ -293,7 +288,7 @@ def evaluate_examples(config, params, vocab, examples, task, *, max_output_token
     if task not in DECODE_LIMITS:
         raise EvalError(f"unknown task {task!r}; choose from {sorted(DECODE_LIMITS)}")
     limit = max_output_tokens if max_output_tokens is not None else DECODE_LIMITS[task]
-    generated = decode_examples(config, params, vocab, examples, limit, pad_id=pad_id)
+    generated = decode_examples(config, params, vocab, examples, limit)
     golds = [ex.target_text for ex in examples]
     return score_predictions(task, generated, golds)
 

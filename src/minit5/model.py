@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bpe import PAD_ID
 from .tensor import (
     ShapeError,
     Tape,
@@ -195,7 +196,7 @@ def _rel_bias(params, key, query_positions, n_keys, bidirectional, config):
     return reshape(transpose(bias, (2, 0, 1)), (1, config.n_heads, len(query_positions), n_keys))
 
 
-def _project_kv(params, prefix, x, config):
+def _project_kv(params, prefix, x):
     """Keys and values [batch, len, heads * d_kv] of one attention block."""
     return matmul(x, params[f"{prefix}.k"]), matmul(x, params[f"{prefix}.v"])
 
@@ -212,8 +213,8 @@ def _ffn(params, prefix, x, config, train, rng):
                           p=config.dropout if train else 0.0, rng=rng)
 
 
-def _pad_mask(ids, pad_id, dtype):
-    return np.where(ids == pad_id, MASKED, 0.0).astype(dtype)[:, None, None, :]
+def _pad_mask(ids, dtype):
+    return np.where(ids == PAD_ID, MASKED, 0.0).astype(dtype)[:, None, None, :]
 
 
 def _causal_mask(query_positions, n_keys, dtype):
@@ -248,12 +249,12 @@ class DecodeCache:
         return kv
 
 
-def encode(config, params, input_ids, *, pad_id=0, train=False, rng=None):
+def encode(config, params, input_ids, *, train=False, rng=None):
     """Run the encoder stack. Returns (encoder output, encoder pad mask);
     self-attention sees every non-pad input position."""
     ids = _check_ids(input_ids, config.vocab_size, "input_ids")
     dtype = params["embedding"].data.dtype
-    enc_mask = _pad_mask(ids, pad_id, dtype)
+    enc_mask = _pad_mask(ids, dtype)
     n = ids.shape[1]
     bias = _rel_bias(params, "encoder.rel_bias", np.arange(n), n, True, config)
     x = embedding(params["embedding"], ids)
@@ -262,7 +263,7 @@ def encode(config, params, input_ids, *, pad_id=0, train=False, rng=None):
     for i in range(config.enc_layers):
         base = f"encoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.attn_norm"])
-        kv = _project_kv(params, f"{base}.attn", h, config)
+        kv = _project_kv(params, f"{base}.attn", h)
         a = _attention(params, f"{base}.attn", h, kv, enc_mask, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
@@ -306,11 +307,11 @@ def decode_logits(config, params, enc_out, enc_mask, decoder_input_ids, *, train
     for i in range(config.dec_layers):
         base = f"decoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.self_norm"])
-        kv = cache.extend(i, _project_kv(params, f"{base}.self", h, config))
+        kv = cache.extend(i, _project_kv(params, f"{base}.self", h))
         a = _attention(params, f"{base}.self", h, kv, causal, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.cross_norm"])
-        kv = cache.cross(i, lambda: _project_kv(params, f"{base}.cross", enc_out, config))
+        kv = cache.cross(i, lambda: _project_kv(params, f"{base}.cross", enc_out))
         a = _attention(params, f"{base}.cross", h, kv, enc_mask, None, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
@@ -322,9 +323,9 @@ def decode_logits(config, params, enc_out, enc_mask, decoder_input_ids, *, train
     return mul(matmul(x, transpose(params["embedding"])), config.d_model**-0.5)
 
 
-def forward(config, params, input_ids, decoder_input_ids, *, pad_id=0, train=False, rng=None):
+def forward(config, params, input_ids, decoder_input_ids, *, train=False, rng=None):
     """Full pass: encoder over input_ids, decoder over decoder_input_ids."""
-    enc_out, enc_mask = encode(config, params, input_ids, pad_id=pad_id, train=train, rng=rng)
+    enc_out, enc_mask = encode(config, params, input_ids, train=train, rng=rng)
     return decode_logits(config, params, enc_out, enc_mask, decoder_input_ids, train=train, rng=rng)
 
 

@@ -56,9 +56,6 @@ class Tensor:
     def item(self):
         return float(self.data.item())
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

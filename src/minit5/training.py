@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluation
+from .bpe import PAD_ID
 from .fileio import atomic_write
 from .model import ModelConfig, forward
 from .tensor import Tape, Tensor, backward, cross_entropy, reshape
@@ -43,15 +44,15 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def _pad_batch(sequences, pad_id):
+def _pad_batch(sequences):
     width = max(len(s) for s in sequences)
-    out = np.full((len(sequences), width), pad_id, dtype=np.int64)
+    out = np.full((len(sequences), width), PAD_ID, dtype=np.int64)
     for i, s in enumerate(sequences):
         out[i, : len(s)] = s
     return out
 
 
-def teacher_forced_loss(config, params, pairs, *, pad_id=0, train=False, rng=None):
+def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     """Mean cross-entropy of the targets under teacher forcing.
 
     pairs: objects with input_ids / target_ids (noised pairs or encoded
@@ -63,12 +64,12 @@ def teacher_forced_loss(config, params, pairs, *, pad_id=0, train=False, rng=Non
         raise TrainingError("empty batch")
     if any(len(p.target_ids) == 0 for p in pairs):
         raise TrainingError("empty target sequence in batch")
-    enc_in = _pad_batch([p.input_ids for p in pairs], pad_id)
-    targets = _pad_batch([p.target_ids for p in pairs], pad_id)
+    enc_in = _pad_batch([p.input_ids for p in pairs])
+    targets = _pad_batch([p.target_ids for p in pairs])
     b, t = targets.shape
-    dec_in = np.concatenate([np.full((b, 1), pad_id, dtype=np.int64), targets[:, :-1]], axis=1)
-    logits = forward(config, params, enc_in, dec_in, pad_id=pad_id, train=train, rng=rng)
-    return cross_entropy(reshape(logits, (b * t, config.vocab_size)), targets.reshape(-1), ignore_id=pad_id)
+    dec_in = np.concatenate([np.full((b, 1), PAD_ID, dtype=np.int64), targets[:, :-1]], axis=1)
+    logits = forward(config, params, enc_in, dec_in, train=train, rng=rng)
+    return cross_entropy(reshape(logits, (b * t, config.vocab_size)), targets.reshape(-1), ignore_id=PAD_ID)
 
 
 def train_step(config, params, optimizer, batch, rng, where, lr=None):
@@ -151,23 +152,23 @@ def lr_schedule(step, base_lr, warmup=10_000):
     """Linear warmup to base_lr, then inverse-square-root decay."""
     if step < 1:
         raise TrainingError(f"schedule step must be >= 1, got {step}")
+    if warmup < 1:
+        raise TrainingError(f"warmup must be >= 1, got {warmup}")
     if step <= warmup:
         return base_lr * step / warmup
     return base_lr * math.sqrt(warmup / step)
 
 
-def token_batch_pack(examples, budget, size=None):
-    """Greedy in-order packing into batches of at most `budget` total tokens.
+def token_batch_pack(examples, budget):
+    """Greedy in-order packing into batches of at most `budget` input plus target tokens.
 
     No example is split; an example alone exceeding the budget is an error
     (truncate upstream). Yields lists of examples.
     """
-    if size is None:
-        size = lambda e: len(e.input_ids) + len(e.target_ids)
     batch = []
     batch_tokens = 0
     for ex in examples:
-        n = size(ex)
+        n = len(ex.input_ids) + len(ex.target_ids)
         if n > budget:
             raise TrainingError(f"single example of {n} tokens exceeds the {budget}-token budget")
         if batch and batch_tokens + n > budget:
@@ -320,7 +321,7 @@ def load_checkpoint(path):
     return Checkpoint(config, dict(zip(names, arrays)), step=step, optimizer=opt, rng_state=rng_state)
 
 
-def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens, pad_id=0):
+def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens):
     """Decode the validation set with each checkpoint as the iterable yields
     it, keeping only the one with the highest mean ROUGE-L; ties go to the
     earliest. Returns (best checkpoint, scores)."""
@@ -329,8 +330,7 @@ def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens,
         raise TrainingError("empty validation set")
     best, scores = None, []
     for ck in checkpoints:
-        outputs = evaluation.decode_examples(ck.config, ck.to_params(), vocab, validation, max_output_tokens,
-                                             pad_id=pad_id)
+        outputs = evaluation.decode_examples(ck.config, ck.to_params(), vocab, validation, max_output_tokens)
         scores.append(sum(evaluation.rouge_l(out, ex.target_text) for out, ex in zip(outputs, validation))
                       / len(validation))
         if scores[-1] > max(scores[:-1], default=-math.inf):

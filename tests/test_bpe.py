@@ -1,11 +1,17 @@
+import ast
+import os
 import string
 
 import numpy as np
 import pytest
 
+import minit5
 from minit5.bpe import (
+    EOS_ID,
     EOS_TOKEN,
+    PAD_ID,
     PAD_TOKEN,
+    UNK_ID,
     TokenizerError,
     Vocabulary,
     WORD_MARKER,
@@ -186,6 +192,7 @@ class TestVocabFiles:
         save_vocab(vocab, path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == f"1,{len(vocab)},4,0,1,2"
+        assert (vocab.pad_id, vocab.eos_id, vocab.unk_id) == (PAD_ID, EOS_ID, UNK_ID) == (0, 1, 2)
 
     def test_version_mismatch_rejected(self, tmp_path):
         vocab = _tiny_vocab()
@@ -215,3 +222,38 @@ class TestVocabFiles:
         path.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
         with pytest.raises(TokenizerError):
             load_vocab(path)
+
+    def test_merges_must_build_the_merged_tokens(self, tmp_path):
+        vocab = _tiny_vocab()
+        path = tmp_path / "vocab.txt"
+        merges = tmp_path / "vocab.txt.merges"
+        save_vocab(vocab, path)
+        good = merges.read_text(encoding="utf-8")
+        for bad in (good.replace("a b\n", "b a\n"), good + "k j\n", "a b\n" * 40, ""):
+            merges.write_text(bad, encoding="utf-8")
+            with pytest.raises(TokenizerError, match="does not match"):
+                load_vocab(path)
+        merges.write_text(good, encoding="utf-8")
+        assert load_vocab(path).merges == vocab.merges
+
+
+def test_special_ids_are_constants_of_bpe():
+    """The pad, EOS and unk ids are assigned once, in bpe.py, and no
+    function takes them as a pad_id parameter."""
+    src = os.path.dirname(os.path.abspath(minit5.__file__))
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                offenders += [f"{name}:{node.lineno}: pad_id parameter" for a in args if a.arg == "pad_id"]
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and name != "bpe.py":
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for n in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(n, ast.Name) and n.id in ("PAD_ID", "EOS_ID", "UNK_ID"):
+                        offenders.append(f"{name}:{node.lineno}: assigns {n.id}")
+    assert not offenders

@@ -182,6 +182,65 @@ class TestTokenizerTrain:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_merges_out_is_gone(self, tmp_path, corpus_file, capsys, source):
+        argv = ["tokenizer-train", "--corpus", str(corpus_file), "--vocab-out", str(tmp_path / "v.txt")]
+        if source == "config":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"merges_out": str(tmp_path / "m.txt")}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--merges-out", str(tmp_path / "m.txt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "v.txt").exists()
+
+
+class TestVocabLoading:
+    """A vocabulary whose special ids, special strings or merges are not
+    the ones the tokenizer fixes is a data error naming the file."""
+
+    def _dedup(self, tmp_path, corpus_file, vocab_file, capsys):
+        rc = main(["dedup", "--input", str(corpus_file), "--output", str(tmp_path / "clean.txt"),
+                   "--vocab", str(vocab_file)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert str(vocab_file) in err
+        assert not (tmp_path / "clean.txt").exists()
+        return err
+
+    def _edit(self, vocab_file, edit):
+        lines = vocab_file.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        vocab_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("ids", ["1,0,2", "0,1,3", "1,28,4"])
+    def test_other_special_ids_in_header_exit_2(self, tmp_path, corpus_file, vocab_file, capsys, ids):
+        def edit(lines):
+            lines[0] = lines[0].rsplit(",", 3)[0] + "," + ids
+        self._edit(vocab_file, edit)
+        assert f"special ids {ids} in the header" in self._dedup(tmp_path, corpus_file, vocab_file, capsys)
+
+    def test_swapped_special_strings_exit_2(self, tmp_path, corpus_file, vocab_file, capsys):
+        def edit(lines):
+            lines[1], lines[2] = lines[2], lines[1]
+        self._edit(vocab_file, edit)
+        assert "ids 0-2 must be <pad>, </s>, <unk>" in self._dedup(tmp_path, corpus_file, vocab_file, capsys)
+
+    def test_merges_from_another_corpus_exit_2(self, tmp_path, corpus_file, vocab_file, capsys):
+        other_corpus = tmp_path / "other.txt"
+        other_corpus.write_text("mlin melje zrnje počasi\n\nmlin melje zrnje hitro\n" * 3, encoding="utf-8")
+        other = tmp_path / "other-vocab.txt"
+        assert main(["tokenizer-train", "--corpus", str(other_corpus), "--vocab-out", str(other),
+                     "--vocab-size", "40", "--sentinel-count", "8"]) == 0
+        capsys.readouterr()
+        merges = tmp_path / "vocab.txt.merges"
+        merges.write_bytes((tmp_path / "other-vocab.txt.merges").read_bytes())
+        err = self._dedup(tmp_path, corpus_file, vocab_file, capsys)
+        assert err == f"data error: {merges} does not match {vocab_file}\n"
+
+
 class TestDedup:
     def test_removes_duplicates_and_writes_stats(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "clean.txt"
@@ -468,6 +527,11 @@ class TestExitCodes:
         ("dedup", "threshold", -1.0),
         ("dedup", "threshold", 1.5),
         ("budget", "steps", 0),
+        ("pretrain", "mean_span", 0),
+        ("pretrain", "mix", 2),
+        ("pretrain", "mix", -0.1),
+        ("pretrain", "noise_density", 5),
+        ("pretrain", "iid_rate", 1.5),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_out_of_range_pretrain_option_exits_1_before_writing(self, tmp_path, corpus_file, vocab_file,
@@ -501,7 +565,9 @@ class TestExitCodes:
             argv += [f"--{name.replace('_', '-')}", str(v)]
         files = sorted(tmp_path.rglob("*"))
         assert main(argv) == 1
-        allowed = {"dropout": r"in \[0, 1\)", "threshold": r"in \[0, 1\]"}.get(option, r"at least \d+")
+        share = r"in \[0, 1\]"
+        allowed = {"dropout": r"in \[0, 1\)", "threshold": share, "mix": share, "noise_density": share,
+                   "iid_rate": share}.get(option, r"at least \d+")
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: {command}: --{option.replace('_', '-')} must be {allowed}\n", err), err
         assert sorted(tmp_path.rglob("*")) == files

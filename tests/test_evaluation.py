@@ -62,11 +62,11 @@ def _zero_params(cfg):
     return params
 
 
-def _prefix_greedy(config, params, input_ids, max_len, *, pad_id=0, eos_id=1):
+def _prefix_greedy(config, params, input_ids, max_len, *, eos_id=1):
     """Test oracle: greedy decoding that re-runs the decoder over the whole
     prefix at every step, with no cache."""
-    enc_out, enc_mask = encode(config, params, np.asarray([input_ids]), pad_id=pad_id)
-    dec = [pad_id]
+    enc_out, enc_mask = encode(config, params, np.asarray([input_ids]))
+    dec = [0]
     for _ in range(max_len):
         nxt = int(np.argmax(decode_logits(config, params, enc_out, enc_mask, np.asarray([dec])).data[0, -1]))
         if nxt == eos_id:

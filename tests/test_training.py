@@ -122,6 +122,11 @@ class TestLrSchedule:
         with pytest.raises(TrainingError):
             lr_schedule(0, 0.01)
 
+    @pytest.mark.parametrize("warmup", [0, -1])
+    def test_warmup_below_one(self, warmup):
+        with pytest.raises(TrainingError, match="warmup"):
+            lr_schedule(1, 0.01, warmup=warmup)
+
 
 class TestTokenBatchPack:
     def _pairs(self, lengths):
