@@ -12,7 +12,8 @@ produced by encoding natural text.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .fileio import atomic_write
@@ -92,9 +93,19 @@ def _merge_word(symbols, pair):
 def train_bpe(corpus, vocab_size, sentinel_count=100):
     """Train a BPE vocabulary of exactly vocab_size entries.
 
-    corpus: a string or an iterable of strings. Merges are chosen greedily
-    by pair frequency; ties go to the lexicographically smallest pair, so
-    training is deterministic.
+    corpus: a string or an iterable of strings, such as an open text file.
+    Merges are chosen greedily by pair frequency; ties go to the
+    lexicographically smallest pair, so training is deterministic. A pair
+    whose concatenation is a special or sentinel token is never merged.
+
+    The pair counts are kept up to date instead of being recounted for each
+    merge (the bookkeeping of Sennrich et al., arXiv:1508.07909): the pairs
+    are counted once, an index maps each pair to the words that hold it,
+    and a heap of (-count, pair) yields the next merge, an entry whose
+    count has changed since it was pushed being dropped when it surfaces.
+    A merge re-segments only the words in its pair's index; each of them
+    gives back its old pair counts and adds its new ones, times the word's
+    frequency, so runs such as "aaaa" count exactly as a full recount would.
     """
     if isinstance(corpus, str):
         corpus = [corpus]
@@ -114,25 +125,48 @@ def train_bpe(corpus, vocab_size, sentinel_count=100):
         )
 
     reserved = {PAD_TOKEN, EOS_TOKEN, UNK_TOKEN} | {sentinel_token(k) for k in range(sentinel_count)}
-    words = [([WORD_MARKER] + list(w), f) for w, f in word_freq.items()]
+    words = [[WORD_MARKER, *w] for w in word_freq]
+    freqs = list(word_freq.values())
+    counts = Counter()
+    where = defaultdict(set)  # pair -> indices of the words that hold it
+    for i, syms in enumerate(words):
+        for pair in zip(syms, syms[1:]):
+            counts[pair] += freqs[i]
+            where[pair].add(i)
+    heap = [(-c, pair) for pair, c in counts.items() if pair[0] + pair[1] not in reserved]
+    heapq.heapify(heap)
     tokens = [PAD_TOKEN, EOS_TOKEN, UNK_TOKEN] + alphabet
     merges = []
-    for _ in range(n_merges):
-        pairs = Counter()
-        for syms, f in words:
-            for a, b in zip(syms, syms[1:]):
-                pairs[(a, b)] += f
-        candidates = [(pair, c) for pair, c in pairs.items() if pair[0] + pair[1] not in reserved]
-        if not candidates:
+    while len(merges) < n_merges:
+        while heap and -heap[0][0] != counts[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
             # tokens already holds specials + alphabet + the merges so far
             raise TokenizerError(
                 f"corpus exhausted after {len(merges)} merges; "
                 f"lower vocab_size to at most {len(tokens) + sentinel_count}"
             )
-        best = min(candidates, key=lambda item: (-item[1], item[0]))[0]
+        best = heapq.heappop(heap)[1]
         merges.append(best)
         tokens.append(best[0] + best[1])
-        words = [(_merge_word(syms, best), f) for syms, f in words]
+        delta = Counter()
+        for i in where.pop(best):
+            old, f = words[i], freqs[i]
+            new = words[i] = _merge_word(old, best)
+            old_pairs, new_pairs = set(zip(old, old[1:])), set(zip(new, new[1:]))
+            for pair in zip(old, old[1:]):
+                delta[pair] -= f
+            for pair in zip(new, new[1:]):
+                delta[pair] += f
+            for pair in old_pairs - new_pairs - {best}:  # best's entry is already popped
+                where[pair].discard(i)
+            for pair in new_pairs - old_pairs:
+                where[pair].add(i)
+        for pair, d in delta.items():
+            if d:
+                counts[pair] += d
+                if counts[pair] and pair[0] + pair[1] not in reserved:
+                    heapq.heappush(heap, (-counts[pair], pair))
 
     tokens.extend(sentinel_token(k) for k in reversed(range(sentinel_count)))
     return Vocabulary(tokens, merges, sentinel_count)

@@ -128,18 +128,19 @@ def _at_least(low):
     return f"at least {low}", lambda v: v >= low
 
 
+_POSITIVE = "greater than 0", lambda v: v > 0
 _RATE = "in [0, 1)", lambda v: 0 <= v < 1
 _SHARE = "in [0, 1]", lambda v: 0 <= v <= 1
 
 # per command, the numeric options with a bounded range: (the range as shown, its test)
 _BOUNDS = {
-    "tokenizer-train": {"sentinel_count": _at_least(0)},
+    "tokenizer-train": {"vocab_size": _at_least(4), "sentinel_count": _at_least(0)},  # 4: specials + marker
     "dedup": {"ngram": _at_least(1), "threshold": _SHARE},
     "pretrain": {"seq_len": _at_least(2), "steps": _at_least(0), "batch_tokens": _at_least(1),
-                 "warmup": _at_least(1), "checkpoint_every": _at_least(0), "dropout": _RATE,
+                 "warmup": _at_least(1), "checkpoint_every": _at_least(0), "lr": _POSITIVE, "dropout": _RATE,
                  "mean_span": _at_least(1), "mix": _SHARE, "noise_density": _SHARE, "iid_rate": _SHARE},
     "finetune": {"epochs": _at_least(1), "batch_examples": _at_least(1), "max_output_tokens": _at_least(1),
-                 "dropout": _RATE},
+                 "lr": _POSITIVE, "dropout": _RATE},
     "evaluate": {"max_output_tokens": _at_least(1)},
     "budget": {"steps": _at_least(1), "batch_tokens": _at_least(1), "params": _at_least(1)},
 }
@@ -208,7 +209,7 @@ def _resolve_config(args, command):
 
 def _cmd_tokenizer_train(cfg):
     with open(cfg["corpus"], encoding="utf-8") as f:
-        vocab = bpe.train_bpe(f.read().splitlines(), cfg["vocab_size"], cfg["sentinel_count"])
+        vocab = bpe.train_bpe(f, cfg["vocab_size"], cfg["sentinel_count"])
     bpe.save_vocab(vocab, cfg["vocab_out"])
     print(f"trained vocabulary of {len(vocab)} tokens "
           f"({len(vocab.merges)} merges, {vocab.sentinel_count} sentinels)")

@@ -1,6 +1,9 @@
 import ast
 import os
+import random
 import string
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,9 +15,11 @@ from minit5.bpe import (
     PAD_ID,
     PAD_TOKEN,
     UNK_ID,
+    UNK_TOKEN,
     TokenizerError,
     Vocabulary,
     WORD_MARKER,
+    _merge_word,
     decode,
     encode,
     load_vocab,
@@ -22,6 +27,65 @@ from minit5.bpe import (
     sentinel_token,
     train_bpe,
 )
+
+
+def _recount_bpe(corpus, vocab_size, sentinel_count=100):
+    """Reference trainer: every pair in every word is recounted for each
+    merge. train_bpe must give the same vocabulary, or the same error."""
+    if isinstance(corpus, str):
+        corpus = [corpus]
+    word_freq = Counter()
+    for text in corpus:
+        word_freq.update(text.split())
+    if not word_freq:
+        raise TokenizerError("cannot train on an empty corpus")
+    alphabet = sorted({WORD_MARKER} | {ch for w in word_freq for ch in w})
+    base = 3 + len(alphabet)
+    n_merges = vocab_size - base - sentinel_count
+    if n_merges < 0:
+        raise TokenizerError(
+            f"vocab_size {vocab_size} too small: need at least "
+            f"{base + sentinel_count} (specials + alphabet + sentinels)"
+        )
+    reserved = {PAD_TOKEN, EOS_TOKEN, UNK_TOKEN} | {sentinel_token(k) for k in range(sentinel_count)}
+    words = [([WORD_MARKER] + list(w), f) for w, f in word_freq.items()]
+    tokens = [PAD_TOKEN, EOS_TOKEN, UNK_TOKEN] + alphabet
+    merges = []
+    for _ in range(n_merges):
+        pairs = Counter()
+        for syms, f in words:
+            for a, b in zip(syms, syms[1:]):
+                pairs[(a, b)] += f
+        candidates = [(pair, c) for pair, c in pairs.items() if pair[0] + pair[1] not in reserved]
+        if not candidates:
+            raise TokenizerError(
+                f"corpus exhausted after {len(merges)} merges; "
+                f"lower vocab_size to at most {len(tokens) + sentinel_count}"
+            )
+        best = min(candidates, key=lambda item: (-item[1], item[0]))[0]
+        merges.append(best)
+        tokens.append(best[0] + best[1])
+        words = [(_merge_word(syms, best), f) for syms, f in words]
+    tokens.extend(sentinel_token(k) for k in reversed(range(sentinel_count)))
+    return Vocabulary(tokens, merges, sentinel_count)
+
+
+def _train_or_error(trainer, *args):
+    try:
+        vocab = trainer(*args)
+    except TokenizerError as e:
+        return str(e)
+    return vocab.id_to_token, vocab.merges
+
+
+def _random_corpus(rng):
+    """A few words over a small alphabet, with whole or partial reserved
+    strings and runs of one letter, so ties, reserved pairs and
+    overlapping pairs all occur."""
+    alphabet = rng.sample("<>pad_extri1", rng.randint(2, 6))
+    pieces = alphabet + ["<pad>", "</s>", "<unk>", "<extra_id_0>", "<extra_id_1>", "<extra_", "a" * rng.randint(2, 6)]
+    words = ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(1, 25))]
+    return " ".join(words)
 
 
 def _tiny_vocab(corpus="kje gori kje gori abab abab beri knjigo beri knjigo", extra_merges=12, sentinels=4):
@@ -83,6 +147,55 @@ class TestTraining:
         sentinels = {vocab.sentinel_id(k) for k in range(vocab.sentinel_count)}
         assert len(ids) == 3
         assert not ids & sentinels
+
+    def test_overlapping_runs_count_every_position(self):
+        # "aaaa" holds (a,a) three times, so (a,a) beats (b,c) held twice
+        vocab = train_bpe("aaaa bcbc", vocab_size=3 + 4 + 1, sentinel_count=0)
+        assert vocab.merges == [("a", "a")]
+
+    def test_reserved_strings_are_never_merged(self):
+        corpus = "<pad> <pad> <pad> <extra_id_0> <extra_id_0>"
+        vocab = train_bpe(corpus, 33, sentinel_count=1)
+        assert (WORD_MARKER + "<", "pad>") in vocab.merges and (WORD_MARKER + "<", "extra_id_0>") in vocab.merges
+        assert PAD_TOKEN not in vocab.id_to_token[3:] and vocab.id_to_token.count(sentinel_token(0)) == 1
+        with pytest.raises(TokenizerError, match="exhausted after 16 merges; lower vocab_size to at most 33"):
+            train_bpe(corpus, 34, sentinel_count=1)
+
+    def test_matches_the_recounting_trainer(self):
+        rng = random.Random(0)
+        outcomes = Counter()
+        for case in range(300):
+            corpus = _random_corpus(rng)
+            sentinels = rng.randint(0, 3)
+            base = 4 + len(set(corpus.replace(" ", "")))
+            args = (corpus, base + sentinels + rng.randint(-2, len(corpus) // 2), sentinels)
+            expected = _train_or_error(_recount_bpe, *args)
+            assert _train_or_error(train_bpe, *args) == expected, (case, args)
+            outcomes[expected.split()[0] if isinstance(expected, str) else "vocabulary"] += 1
+        # a vocabulary, "corpus exhausted" and "vocab_size too small" all occur
+        assert len(outcomes) == 3, outcomes
+
+    def test_paper_sized_vocabulary(self):
+        """32,000 entries, the size of the paper's models and of the small
+        and large presets, from a seeded Zipfian corpus of 300k words."""
+        rng = np.random.default_rng(0)
+        syllables = [o + v + c for o in ["", "b", "d", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z",
+                                         "št", "pr", "kr", "sl", "dr"]
+                     for v in "aeiou" for c in ["", "", "n", "l", "r", "j", "m", "k", "s"]]
+        lexicon = list(dict.fromkeys(
+            "".join(syllables[j] for j in rng.integers(len(syllables), size=n)) for n in rng.integers(1, 5, 40_000)
+        ))
+        weights = (np.arange(1, len(lexicon) + 1) + 2.7) ** -1.1
+        words = [lexicon[i] for i in rng.choice(len(lexicon), size=300_000, p=weights / weights.sum())]
+        corpus = [" ".join(words[j : j + 1000]) for j in range(0, len(words), 1000)]
+        start = time.perf_counter()
+        vocab = train_bpe(corpus, 32_000)
+        elapsed = time.perf_counter() - start
+        assert len(vocab) == 32_000 and vocab.sentinel_count == 100
+        first = len(vocab) - vocab.sentinel_count - len(vocab.merges)
+        assert len(vocab.merges) > 31_000
+        assert all(a + b == vocab.id_to_token[first + k] for k, (a, b) in enumerate(vocab.merges))
+        assert elapsed < 60, f"{elapsed:.1f} s"
 
 
 class TestEncodeDecode:

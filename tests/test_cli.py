@@ -181,6 +181,28 @@ class TestTokenizerTrain:
                    "--vocab-out", str(tmp_path / "v.txt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("size, message", [(4, "too small"), (500, "exhausted")])
+    def test_size_the_corpus_cannot_fill_is_data_error(self, tmp_path, corpus_file, capsys, size, message):
+        rc = main(["tokenizer-train", "--corpus", str(corpus_file), "--vocab-out", str(tmp_path / "v.txt"),
+                   "--vocab-size", str(size), "--sentinel-count", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert not (tmp_path / "v.txt").exists()
+
+    def test_streamed_corpus_matches_the_text(self, tmp_path):
+        # the file is read line by line; CRLF endings and a U+2028 inside a
+        # line are whitespace to str.split, so the words are those of the text
+        text = "kje gori\r\nna hribu\u2028kje gori\r\n\r\nvoda teče po strugi\r\n"
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(text.encode("utf-8"))
+        assert main(["tokenizer-train", "--corpus", str(corpus), "--vocab-out", str(tmp_path / "cli.txt"),
+                     "--vocab-size", "40", "--sentinel-count", "4"]) == 0
+        save_vocab(train_bpe(text, 40, sentinel_count=4), tmp_path / "lib.txt")
+        for suffix in ("", ".merges"):
+            cli, lib = tmp_path / f"cli.txt{suffix}", tmp_path / f"lib.txt{suffix}"
+            assert cli.read_bytes() == lib.read_bytes()
+
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_merges_out_is_gone(self, tmp_path, corpus_file, capsys, source):
@@ -524,6 +546,8 @@ class TestExitCodes:
         ("finetune", "dropout", 1.0),
         ("evaluate", "max_output_tokens", 0),
         ("tokenizer-train", "sentinel_count", -1),
+        ("tokenizer-train", "vocab_size", 0),
+        ("tokenizer-train", "vocab_size", -5),
         ("dedup", "threshold", -1.0),
         ("dedup", "threshold", 1.5),
         ("budget", "steps", 0),
@@ -532,6 +556,10 @@ class TestExitCodes:
         ("pretrain", "mix", -0.1),
         ("pretrain", "noise_density", 5),
         ("pretrain", "iid_rate", 1.5),
+        ("pretrain", "lr", 0),
+        ("pretrain", "lr", -1),
+        ("finetune", "lr", 0),
+        ("finetune", "lr", -1),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_out_of_range_pretrain_option_exits_1_before_writing(self, tmp_path, corpus_file, vocab_file,
@@ -567,7 +595,7 @@ class TestExitCodes:
         assert main(argv) == 1
         share = r"in \[0, 1\]"
         allowed = {"dropout": r"in \[0, 1\)", "threshold": share, "mix": share, "noise_density": share,
-                   "iid_rate": share}.get(option, r"at least \d+")
+                   "iid_rate": share, "lr": "greater than 0"}.get(option, r"at least \d+")
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: {command}: --{option.replace('_', '-')} must be {allowed}\n", err), err
         assert sorted(tmp_path.rglob("*")) == files
