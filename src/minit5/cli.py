@@ -248,8 +248,26 @@ def _sequence_stream(corpus_path, vocab, seq_len):
     return chunks()
 
 
+def _check_sentinels(cfg, vocab):
+    """Refuse noising settings whose full-length sequences need more
+    sentinels than the vocabulary reserves, before anything is written: one
+    per span plus the closing one. For i.i.d. denoising this is the expected
+    count; a random excess can still fail later, at its batch."""
+    n = cfg["seq_len"]
+    needs = []
+    if cfg["mix"] > 0:
+        needs.append(("span corruption", noising.noise_counts(n, cfg["noise_density"], cfg["mean_span"])[1] + 1))
+    if cfg["mix"] < 1:
+        needs.append(("i.i.d. denoising", round(cfg["iid_rate"] * n) + 1))
+    for what, count in needs:
+        if count > vocab.sentinel_count:
+            raise noising.NoisingError(f"{what} of {n}-token sequences needs {count} sentinels, "
+                                       f"vocabulary reserves {vocab.sentinel_count}")
+
+
 def _cmd_pretrain(cfg):
     vocab = bpe.load_vocab(cfg["vocab"])
+    _check_sentinels(cfg, vocab)
     model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
     rng = np.random.default_rng(cfg["seed"])
     params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))

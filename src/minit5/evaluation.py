@@ -79,12 +79,12 @@ def greedy_decode(config, params, input_ids, max_len, *, eos_id=bpe.EOS_ID):
     token only, against a DecodeCache of the earlier positions' K/V."""
     if max_len < 1:
         raise EvalError(f"max_len must be >= 1, got {max_len}")
-    enc_out, enc_mask = encode(config, params, input_ids)
+    enc_out, enc_rows = encode(config, params, input_ids)
     cache = DecodeCache()
     generated = []
     nxt = bpe.PAD_ID
     for _ in range(max_len):
-        logits = decode_logits(config, params, enc_out, enc_mask, np.asarray([[nxt]]), cache=cache)
+        logits = decode_logits(config, params, enc_out, enc_rows, np.asarray([[nxt]]), cache=cache)
         nxt = int(np.argmax(logits.data[0, -1]))
         if nxt == eos_id:
             break

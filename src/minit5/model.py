@@ -3,6 +3,17 @@ residual blocks (T5-family layout): shared input/output embedding, RMS-style
 normalization, gated-GELU feed-forward, bucketed relative attention bias owned
 once per stack, strictly causal decoder self-attention.
 
+The residual stream is carried as rows: a 2-D [real positions, d_model]
+array with no padding in it (encoder positions whose id is not the pad id;
+decoder positions inside each target, when `decode_logits` is given the
+target lengths). The embedding, the norms, every projection, the feed-
+forward, dropout, the residual adds and the tied output projection are one
+2-D computation over those rows. A `Rows` object names the real positions
+of a [batch, len] grid; the attention op alone lays its query, key and
+value rows out on that grid, zero-filled, with pad keys masked, and returns
+its context as rows. When every position is real (greedy decoding, full
+batches) that layout is a view, and nothing is copied.
+
 Parameters live in a flat dict keyed by path; `count_parameters` computes
 the same total analytically, and `training_budget_ratio` is the
 tokens-seen over parameter-count diagnostic.
@@ -196,25 +207,41 @@ def _rel_bias(params, key, query_positions, n_keys, bidirectional, config):
     return reshape(transpose(bias, (2, 0, 1)), (1, config.n_heads, len(query_positions), n_keys))
 
 
+class Rows:
+    """The real positions of a [batch, len] grid, given as a boolean array,
+    and their row-major flat indices (None when every position is real).
+    Rows are kept in that row-major order, as `ids[rows.real]` lists them."""
+
+    def __init__(self, real):
+        self.real = real
+        self.index = None if real.all() else np.flatnonzero(real)
+
+    @property
+    def grid(self):
+        """The (index, shape) layout that `tensor.attention` takes."""
+        return self.index, self.real.shape
+
+    def key_mask(self, dtype):
+        """Additive attention mask [batch, 1, 1, len] hiding the positions
+        that are not real as keys."""
+        return np.where(self.real, 0.0, MASKED).astype(dtype)[:, None, None, :]
+
+
 def _project_kv(params, prefix, x):
-    """Keys and values [batch, len, heads * d_kv] of one attention block."""
+    """Key and value rows [real positions, heads * d_kv] of one attention block."""
     return matmul(x, params[f"{prefix}.k"]), matmul(x, params[f"{prefix}.v"])
 
 
-def _attention(params, prefix, queries, kv, mask, bias, config, train, rng):
+def _attention(params, prefix, queries, kv, grids, mask, bias, config, train, rng):
     q = matmul(queries, params[f"{prefix}.q"])
     ctx = attention(q, *kv, config.n_heads, config.d_kv**-0.5, bias=bias, mask=mask,
-                    p=config.dropout if train else 0.0, rng=rng)
+                    p=config.dropout if train else 0.0, rng=rng, grids=grids)
     return matmul(ctx, params[f"{prefix}.o"])
 
 
 def _ffn(params, prefix, x, config, train, rng):
     return gated_gelu_ffn(x, params[f"{prefix}.wi_0"], params[f"{prefix}.wi_1"], params[f"{prefix}.wo"],
                           p=config.dropout if train else 0.0, rng=rng)
-
-
-def _pad_mask(ids, dtype):
-    return np.where(ids == PAD_ID, MASKED, 0.0).astype(dtype)[:, None, None, :]
 
 
 def _causal_mask(query_positions, n_keys, dtype):
@@ -240,79 +267,107 @@ class DecodeCache:
             self._cross[layer] = project()
         return self._cross[layer]
 
-    def extend(self, layer, kv):
-        """Append new positions' K/V; returns the K/V over all positions."""
+    def extend(self, layer, kv, batch):
+        """Append the K/V rows of new positions, `batch` rows of positions
+        that are all real; returns the K/V rows over all positions so far."""
         if layer in self._self:
-            kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=1))
-                       for old, new in zip(self._self[layer], kv))
+            kv = tuple(Tensor(_join_rows(old.data, new.data, batch)) for old, new in zip(self._self[layer], kv))
         self._self[layer] = kv
         return kv
 
 
+def _join_rows(old, new, batch):
+    """Rows of two all-real grids of `batch` rows, each grid row's positions
+    followed by its new ones."""
+    f = new.shape[-1]
+    return np.concatenate((old.reshape(batch, -1, f), new.reshape(batch, -1, f)), axis=1).reshape(-1, f)
+
+
 def encode(config, params, input_ids, *, train=False, rng=None):
-    """Run the encoder stack. Returns (encoder output, encoder pad mask);
-    self-attention sees every non-pad input position."""
+    """Run the encoder stack over the non-pad input positions. Returns
+    (encoder output rows [real positions, d_model], their Rows); a pad id
+    is never a row, and cross-attention masks it as a key."""
     ids = _check_ids(input_ids, config.vocab_size, "input_ids")
+    rows = Rows(ids != PAD_ID)
     dtype = params["embedding"].data.dtype
-    enc_mask = _pad_mask(ids, dtype)
+    mask = rows.key_mask(dtype)
     n = ids.shape[1]
     bias = _rel_bias(params, "encoder.rel_bias", np.arange(n), n, True, config)
-    x = embedding(params["embedding"], ids)
+    x = embedding(params["embedding"], ids[rows.real])
     if train:
         x = dropout(x, config.dropout, rng)
     for i in range(config.enc_layers):
         base = f"encoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.attn_norm"])
         kv = _project_kv(params, f"{base}.attn", h)
-        a = _attention(params, f"{base}.attn", h, kv, enc_mask, bias, config, train, rng)
+        a = _attention(params, f"{base}.attn", h, kv, (rows.grid, rows.grid), mask, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
         x = add(x, dropout(f, config.dropout, rng) if train else f)
-    return rms_norm(x, params["encoder.final_norm"]), enc_mask
+    return rms_norm(x, params["encoder.final_norm"]), rows
 
 
-def decode_logits(config, params, enc_out, enc_mask, decoder_input_ids, *, train=False, rng=None,
-                  inputs_embeds=None, cache=None):
+def decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, *, train=False, rng=None,
+                  inputs_embeds=None, cache=None, lengths=None):
     """Run the decoder stack over teacher-forced (or partially generated)
-    decoder input ids. Self-attention is strictly causal; cross-attention
-    sees non-pad encoder positions. Returns logits [batch, len, vocab].
+    decoder input ids, against the output rows of `encode` and their Rows.
+    Self-attention is strictly causal; cross-attention sees non-pad encoder
+    positions. Returns logits [batch, len, vocab].
+
+    lengths, when given, holds each row's number of real positions (its
+    target length): the rest of the row is padding and is never computed,
+    and the logits are the rows [sum(lengths), vocab] of the real positions
+    in row-major order. Position 0 holds the start symbol, the pad id, and
+    is real.
 
     With a DecodeCache, decoder_input_ids are only the positions after those
     the cache has already seen; their K/V are appended to it, so greedy
     decoding runs one position per generated token. Cached calls are for
     inference: they refuse train=True and an active Tape.
 
-    inputs_embeds, when given, replaces the embedding lookup (e.g. to probe
-    gradients with respect to the embedded decoder inputs)."""
+    inputs_embeds [batch, len, d_model], when given, replaces the embedding
+    lookup (e.g. to probe gradients with respect to the embedded decoder
+    inputs)."""
     if cache is None:
         cache = DecodeCache()
-    elif train or Tape.active() is not None:
-        raise ValueError("a DecodeCache is for inference: no train=True, no active Tape")
+    elif train or lengths is not None or Tape.active() is not None:
+        raise ValueError("a DecodeCache is for inference: no train=True, no lengths, no active Tape")
     ids = _check_ids(decoder_input_ids, config.vocab_size, "decoder_input_ids")
+    b, n = ids.shape
+    real = np.ones((b, n), dtype=bool)
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (b,) or (lengths < 1).any() or (lengths > n).any():
+            raise ShapeError(f"lengths {lengths.tolist()} do not fit decoder ids of shape {ids.shape}")
+        real = np.arange(n)[None, :] < lengths[:, None]
+    rows = Rows(real)
     dtype = params["embedding"].data.dtype
-    n = ids.shape[1]
+    enc_mask = enc_rows.key_mask(dtype)
     positions = np.arange(cache.length, cache.length + n)
     n_keys = cache.length + n
     causal = _causal_mask(positions, n_keys, dtype)
+    # keys of a cached call are every position so far; else they are the queries
+    self_grids = (rows.grid, (rows.index, (b, n_keys)))
+    cross_grids = (rows.grid, enc_rows.grid)
     bias = _rel_bias(params, "decoder.rel_bias", positions, n_keys, False, config)
     if inputs_embeds is not None:
-        if inputs_embeds.data.shape != (ids.shape[0], n, config.d_model):
+        if inputs_embeds.data.shape != (b, n, config.d_model):
             raise ShapeError(f"inputs_embeds shape {inputs_embeds.data.shape} does not match ids {ids.shape}")
-        x = inputs_embeds
+        x = embedding(reshape(inputs_embeds, (b * n, config.d_model)), np.flatnonzero(real))
     else:
-        x = embedding(params["embedding"], ids)
+        x = embedding(params["embedding"], ids[rows.real])
     if train:
         x = dropout(x, config.dropout, rng)
     for i in range(config.dec_layers):
         base = f"decoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.self_norm"])
-        kv = cache.extend(i, _project_kv(params, f"{base}.self", h))
-        a = _attention(params, f"{base}.self", h, kv, causal, bias, config, train, rng)
+        kv = cache.extend(i, _project_kv(params, f"{base}.self", h), b)
+        a = _attention(params, f"{base}.self", h, kv, self_grids, causal, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.cross_norm"])
         kv = cache.cross(i, lambda: _project_kv(params, f"{base}.cross", enc_out))
-        a = _attention(params, f"{base}.cross", h, kv, enc_mask, None, config, train, rng)
+        a = _attention(params, f"{base}.cross", h, kv, cross_grids, enc_mask, None, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
@@ -320,13 +375,15 @@ def decode_logits(config, params, enc_out, enc_mask, decoder_input_ids, *, train
     cache.length = n_keys
     x = rms_norm(x, params["decoder.final_norm"])
     # shared embedding as the output projection, rescaled for the tie
-    return mul(matmul(x, transpose(params["embedding"])), config.d_model**-0.5)
+    logits = mul(matmul(x, transpose(params["embedding"])), config.d_model**-0.5)
+    return logits if lengths is not None else reshape(logits, (b, n, config.vocab_size))
 
 
 def forward(config, params, input_ids, decoder_input_ids, *, train=False, rng=None):
-    """Full pass: encoder over input_ids, decoder over decoder_input_ids."""
-    enc_out, enc_mask = encode(config, params, input_ids, train=train, rng=rng)
-    return decode_logits(config, params, enc_out, enc_mask, decoder_input_ids, train=train, rng=rng)
+    """Full pass: encoder over input_ids, decoder over decoder_input_ids.
+    Returns logits [batch, len, vocab] at every decoder position."""
+    enc_out, enc_rows = encode(config, params, input_ids, train=train, rng=rng)
+    return decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, train=train, rng=rng)
 
 
 def training_budget_ratio(steps, batch_tokens, params):

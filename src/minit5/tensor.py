@@ -13,6 +13,14 @@ Backward rules skip the work for operands that do not require gradients
 what their backward rule needs: ``dropout``, multi-head ``attention`` and
 the gated-GELU feed-forward ``gated_gelu_ffn``, with T5 v1.1's tanh GELU.
 
+Ragged batches travel as rows: a 2-D ``[real positions, features]`` array
+holding only the positions that are not padding, so every position-wise op
+(``matmul`` by a weight, ``rms_norm``, ``gated_gelu_ffn``, ``dropout``,
+``add``, ``cross_entropy``) is one 2-D computation over real tokens.
+``attention`` alone lays its rows out on the zero-filled
+``[batch, len, features]`` grid they came from, and returns its context as
+rows again.
+
 float32 is the working precision for training. Build parameters as float64
 when gradient-checking; ops follow the dtype of their inputs.
 """
@@ -453,12 +461,20 @@ def sum_all(x):
     return _record(out, (x,), vjp)
 
 
-def _dropout_mask(shape, p, rng, dtype):
-    """Boolean keep-mask of inverted dropout, drawn in dtype, and the 1/(1-p)
-    scale of the kept elements; (None, 1.0) when p <= 0."""
+_DROP_LEVELS = 1 << 16  # dropout masks compare 16-bit draws: p is quantized to 1/65536
+
+
+def _dropout_mask(shape, p, rng):
+    """Boolean keep-mask of inverted dropout and the scale of the kept
+    elements; (None, 1.0) when p <= 0. An element is dropped when a uniform
+    16-bit draw is below round(p * 65536), so the drop rate is p quantized
+    to 1/65536 (at most 65535/65536), and the scale is the inverse of the
+    quantized keep rate."""
     if p <= 0:
         return None, 1.0
-    return rng.random(shape, dtype=dtype) >= p, 1.0 / (1.0 - p)
+    cut = min(round(p * _DROP_LEVELS), _DROP_LEVELS - 1)
+    keep = rng.integers(0, _DROP_LEVELS, size=shape, dtype=np.uint16) >= cut
+    return keep, _DROP_LEVELS / (_DROP_LEVELS - cut)
 
 
 def _apply_mask(a, keep, scale, out=None):
@@ -472,11 +488,12 @@ def _apply_mask(a, keep, scale, out=None):
 
 
 def dropout(x, p, rng):
-    """Inverted dropout; identity when p <= 0."""
+    """Inverted dropout; identity when p <= 0. The drop probability p is
+    quantized to a multiple of 1/65536 (see _dropout_mask)."""
     if p <= 0:
         return x
     x = _as_tensor(x)
-    keep, scale = _dropout_mask(x.data.shape, p, rng, x.data.dtype)
+    keep, scale = _dropout_mask(x.data.shape, p, rng)
     out = Tensor(_apply_mask(x.data, keep, scale))
 
     def vjp(g):
@@ -485,29 +502,46 @@ def dropout(x, p, rng):
     return _record(out, (x,), vjp)
 
 
-def attention(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None):
+def attention(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None, grids=None):
     """Multi-head scaled dot-product attention as one op.
 
-    q: [batch, queries, heads * d]; k and v: [batch, keys, heads * d].
+    q: [batch, queries, heads * d]; k and v: [batch, keys, heads * d]. With
+    grids = (query grid, key grid), q, k and v are instead rows [n, heads *
+    d] of real positions on their grid (index, (batch, len)): row i is the
+    row-major flat position index[i] of the grid, or position i when index
+    is None (every position is a row). Attention runs on that layout with
+    zeros at the other positions, so the mask must hide the keys that are
+    not rows; the context comes back as rows.
     Per head, the scores q.k^T are multiplied by scale, then the Tensor bias
     (broadcastable to [batch, heads, queries, keys]) and the constant
     additive mask array are added; the softmax weights take inverted
     dropout with probability p and weight the values. Returns the context
-    [batch, queries, heads * d]. The backward rule keeps only the softmax
-    weights and the dropout mask.
+    in q's layout. The backward rule keeps only the softmax weights and the
+    dropout mask.
     """
-    _, _, inner = q.data.shape
+    inner = q.data.shape[-1]
     if inner % n_heads or k.data.shape[-1] != inner or v.data.shape != k.data.shape:
         raise ShapeError(f"attention over {n_heads} heads: q {q.shape}, k {k.shape}, v {v.shape}")
+    q_grid, kv_grid = grids or ((None, q.data.shape[:-1]), (None, k.data.shape[:-1]))
     d = inner // n_heads
 
-    def heads(a):
-        return a.reshape(a.shape[0], a.shape[1], n_heads, d).transpose(0, 2, 1, 3)
+    def heads(a, grid):
+        index, (b, n) = grid
+        if a.size != inner * (b * n if index is None else len(index)):
+            raise ShapeError(f"attention: {a.shape} does not fill the grid {(b, n)} with index {index}")
+        if index is not None:  # rows at their grid positions, zeros elsewhere
+            full = np.zeros((b * n, inner), dtype=a.dtype)
+            full[index] = a
+            a = full
+        return a.reshape(b, n, n_heads, d).transpose(0, 2, 1, 3)
 
-    def merge(a):
-        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], inner)
+    def merge(a, grid, like):
+        """Per-head a [batch, heads, len, d] back in the layout of `like`."""
+        index = grid[0]
+        a = a.transpose(0, 2, 1, 3).reshape(like.shape if index is None else (-1, inner))
+        return a if index is None else a[index]
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    qh, kh, vh = heads(q.data, q_grid), heads(k.data, kv_grid), heads(v.data, kv_grid)
     w = qh @ _swap_last(kh)
     w *= scale
     if bias is not None:
@@ -515,17 +549,18 @@ def attention(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None):
     if mask is not None:
         w += mask
     w = _softmax_inplace(w)
-    keep, drop_scale = _dropout_mask(w.shape, p, rng, w.dtype)
-    out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh))
+    keep, drop_scale = _dropout_mask(w.shape, p, rng)
+    out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh, q_grid, q.data))
 
     def vjp(g):
-        gh = heads(g)
-        gv = merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh) if v.requires_grad else None
+        gh = heads(g, q_grid)
+        gv = (merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_grid, v.data)
+              if v.requires_grad else None)
         gw = gh @ _swap_last(vh)
         gw = _softmax_grad_inplace(_apply_mask(gw, keep, drop_scale, out=gw), w)
         gbias = _unbroadcast(gw, bias.data.shape) if bias is not None and bias.requires_grad else None
-        gq = merge(gw @ kh) * scale if q.requires_grad else None
-        gk = merge(_swap_last(gw) @ qh) * scale if k.requires_grad else None
+        gq = merge(gw @ kh, q_grid, q.data) * scale if q.requires_grad else None
+        gk = merge(_swap_last(gw) @ qh, kv_grid, k.data) * scale if k.requires_grad else None
         return gq, gk, gv, gbias
 
     return _record(out, (q, k, v) if bias is None else (q, k, v, bias), vjp)
@@ -542,7 +577,7 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     cdf = _normal_cdf(h0)
     h = h0 * cdf
     h *= h1
-    keep, scale = _dropout_mask(h.shape, p, rng, h.dtype)
+    keep, scale = _dropout_mask(h.shape, p, rng)
     h = _apply_mask(h, keep, scale, out=h)
     out = Tensor(h @ wo.data)
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import evaluation
 from .bpe import PAD_ID
 from .fileio import atomic_write
-from .model import ModelConfig, forward
-from .tensor import Tape, Tensor, backward, cross_entropy, reshape
+from .model import ModelConfig, decode_logits, encode
+from .tensor import Tape, Tensor, backward, cross_entropy
 
 CHECKPOINT_MAGIC = b"MNT5CKPT"
 CHECKPOINT_VERSION = 2
@@ -57,7 +57,8 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
 
     pairs: objects with input_ids / target_ids (noised pairs or encoded
     task examples). The decoder consumes [start, target[:-1]] with the pad
-    id as the start symbol; pad positions in the padded targets are ignored.
+    id as the start symbol. Only real positions are computed: the encoder
+    skips pad inputs and the decoder stops each row at its target's length.
     """
     pairs = list(pairs)
     if not pairs:
@@ -66,10 +67,11 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
         raise TrainingError("empty target sequence in batch")
     enc_in = _pad_batch([p.input_ids for p in pairs])
     targets = _pad_batch([p.target_ids for p in pairs])
-    b, t = targets.shape
-    dec_in = np.concatenate([np.full((b, 1), PAD_ID, dtype=np.int64), targets[:, :-1]], axis=1)
-    logits = forward(config, params, enc_in, dec_in, train=train, rng=rng)
-    return cross_entropy(reshape(logits, (b * t, config.vocab_size)), targets.reshape(-1), ignore_id=PAD_ID)
+    dec_in = np.concatenate([np.full((len(pairs), 1), PAD_ID, dtype=np.int64), targets[:, :-1]], axis=1)
+    enc_out, enc_rows = encode(config, params, enc_in, train=train, rng=rng)
+    logits = decode_logits(config, params, enc_out, enc_rows, dec_in, train=train, rng=rng,
+                           lengths=[len(p.target_ids) for p in pairs])
+    return cross_entropy(logits, np.concatenate([p.target_ids for p in pairs]), ignore_id=PAD_ID)
 
 
 def train_step(config, params, optimizer, batch, rng, where, lr=None):
@@ -98,6 +100,7 @@ class AdamW:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.step_count = 0
+        self._buffers = {}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -105,27 +108,48 @@ class AdamW:
 
     def step(self, lr=None):
         """One update from the gradients currently stored on the parameters.
-        Parameters without gradients are skipped."""
+        Parameters without gradients are skipped. Works in place: the bias
+        corrections are folded into two scalars, and the update of each
+        parameter is formed in one scratch buffer reused across them."""
         if lr is None:
             lr = self.lr
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
+        # lr * m_hat / (sqrt(v_hat) + eps) == step_size * m / (sqrt(v) * root_c2 + eps)
+        step_size = lr / (1.0 - b1**t)
+        root_c2 = 1.0 / math.sqrt(1.0 - b2**t)
+        decay = 1.0 - lr * self.weight_decay
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient in parameter '{name}'")
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
+            s = self._scratch(p.data)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=s)
             v *= b2
-            v += (1.0 - b2) * np.square(g)
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
+            np.square(g, out=s)
+            s *= 1.0 - b2
+            v += s
+            np.sqrt(v, out=s)
+            s *= root_c2
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= step_size
+            if decay != 1.0:
+                p.data *= decay
+            p.data -= s
+
+    def _scratch(self, like):
+        """A buffer shaped like `like`, a view of one per-dtype array that
+        grows to the largest parameter and is reused for every update."""
+        buf = self._buffers.get(like.dtype)
+        if buf is None or buf.size < like.size:
+            buf = self._buffers[like.dtype] = np.empty(like.size, like.dtype)
+        return buf[: like.size].reshape(like.shape)
 
     def state(self):
         return {

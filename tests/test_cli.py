@@ -403,6 +403,46 @@ class TestPretrain:
             logs.append((out_dir / "training.log").read_text(encoding="utf-8"))
         assert logs[0] == logs[1]
 
+    @pytest.fixture()
+    def sentinel_vocab(self, tmp_path):
+        """A 120-token vocabulary with 10 sentinels and a corpus for it."""
+        rng = np.random.default_rng(3)
+        words = ["".join(rng.choice(list("abcdefghij"), size=rng.integers(2, 7))) for _ in range(400)]
+        corpus = tmp_path / "words.txt"
+        corpus.write_text("\n\n".join(" ".join(words[i:i + 20]) for i in range(0, 400, 20)) + "\n",
+                          encoding="utf-8")
+        vocab = tmp_path / "v120.txt"
+        save_vocab(train_bpe(corpus.read_text(encoding="utf-8"), 120, sentinel_count=10), vocab)
+        return corpus, vocab
+
+    def _pretrain_32(self, tmp_path, sentinel_vocab, options):
+        corpus, vocab = sentinel_vocab
+        return main(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab), "--output-dir",
+                     str(tmp_path / "run"), "--steps", "1", "--seq-len", "32", "--batch-tokens", "200", *options])
+
+    @pytest.mark.parametrize("options, message", [
+        (["--iid-rate", "1"], "i.i.d. denoising of 32-token sequences needs 33 sentinels"),
+        (["--iid-rate", "0.3", "--mix", "0"], "i.i.d. denoising of 32-token sequences needs 11 sentinels"),
+        (["--noise-density", "0.9", "--mean-span", "1"], "span corruption of 32-token sequences needs 30 sentinels"),
+        (["--noise-density", "0.6", "--mean-span", "2", "--mix", "1"],
+         "span corruption of 32-token sequences needs 11 sentinels"),
+    ])
+    def test_too_few_sentinels_exit_2_before_writing(self, tmp_path, sentinel_vocab, capsys, options, message):
+        files = sorted(tmp_path.rglob("*"))
+        assert self._pretrain_32(tmp_path, sentinel_vocab, options) == 2
+        assert capsys.readouterr().err == f"data error: {message}, vocabulary reserves 10\n"
+        assert sorted(tmp_path.rglob("*")) == files
+
+    @pytest.mark.parametrize("options", [
+        ["--iid-rate", "0.25", "--mix", "0"],  # 8 corruptions: 9 sentinels
+        ["--iid-rate", "1", "--mix", "1"],  # no i.i.d. denoising at all
+        ["--noise-density", "0.9", "--mean-span", "1", "--mix", "0"],  # no span corruption at all
+        ["--noise-density", "0.5", "--mean-span", "2", "--mix", "1"],  # 8 spans: 9 sentinels
+    ])
+    def test_sentinels_that_suffice_train(self, tmp_path, sentinel_vocab, options):
+        assert self._pretrain_32(tmp_path, sentinel_vocab, options) == 0
+        assert (tmp_path / "run" / "ckpt-00000001.bin").exists()
+
     def test_finetune_resumes_from_pretrained_checkpoint(self, tmp_path, corpus_file, vocab_file):
         import csv
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from minit5.gradcheck import finite_diff_check
 from minit5.model import MASKED
 from minit5.tensor import (
+    ShapeError,
     Tape,
     Tensor,
     add,
@@ -114,7 +117,26 @@ def test_sampled_coordinates():
 
 # The primitive-op compositions that the fused ops replaced, kept as oracles
 # with the fused ops' signatures.
-def attention_composition(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None):
+def _grid_composition(rows, grid):
+    """Rows laid out on a zero-filled (index, shape) grid by a product with a
+    constant one-hot matrix, which copies each row exactly."""
+    index, shape = grid
+    if index is not None:
+        place = np.zeros((math.prod(shape), len(index)), dtype=rows.dtype)
+        place[index, np.arange(len(index))] = 1.0
+        rows = matmul(Tensor(place), rows)
+    return reshape(rows, (*shape, rows.shape[-1]))
+
+
+def _rows_composition(x, grid):
+    """The rows of grid tensor x at the grid's positions, by an embedding lookup."""
+    flat = reshape(x, (-1, x.shape[-1]))
+    return flat if grid[0] is None else embedding(flat, grid[0])
+
+
+def attention_composition(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None, grids=None):
+    if grids is not None:
+        q, k, v = _grid_composition(q, grids[0]), _grid_composition(k, grids[1]), _grid_composition(v, grids[1])
     b, n_q, inner = q.shape
     d = inner // n_heads
 
@@ -127,7 +149,8 @@ def attention_composition(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, 
     if mask is not None:
         scores = add(scores, mask)
     weights = dropout(softmax_lastdim(scores), p, rng)
-    return reshape(transpose(matmul(weights, heads(v)), (0, 2, 1, 3)), (b, n_q, inner))
+    ctx = reshape(transpose(matmul(weights, heads(v)), (0, 2, 1, 3)), (b, n_q, inner))
+    return ctx if grids is None else _rows_composition(ctx, grids[0])
 
 
 def gated_gelu_ffn_composition(x, wi_0, wi_1, wo, p=0.0, rng=None):
@@ -257,3 +280,52 @@ def test_fused_gated_ffn_matches_composition(dtype, p):
     _assert_fused_matches_composition(lambda: _run_ffn(gated_gelu_ffn, inputs, p, 9),
                                       lambda: _run_ffn(gated_gelu_ffn_composition, inputs, p, 9),
                                       inputs, dtype)
+
+
+# real positions of a [batch, len] grid: a trailing pad in row 0, a pad
+# inside row 1 and two trailing ones
+REAL_Q = np.array([[True, True, False], [True, True, True]])
+REAL_K = np.array([[True, True, True, True, False], [True, False, True, False, False]])
+
+
+def _rows_attention_case(rng, dtype):
+    """Query, key and value rows of REAL_Q and REAL_K, a bias, the mask
+    hiding the keys that are not rows, and the grids."""
+    def param(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+
+    nq, nk = int(REAL_Q.sum()), int(REAL_K.sum())
+    inputs = {"q": param(nq, HEADS * D), "k": param(nk, HEADS * D), "v": param(nk, HEADS * D),
+              "bias": param(1, HEADS, TQ, TK)}
+    mask = np.where(REAL_K, 0.0, MASKED).astype(dtype)[:, None, None, :]
+    return inputs, mask, ((np.flatnonzero(REAL_Q), REAL_Q.shape), (np.flatnonzero(REAL_K), REAL_K.shape))
+
+
+def _run_rows_attention(op, inputs, mask, grids, p, seed):
+    i = inputs
+    return op(i["q"], i["k"], i["v"], HEADS, D**-0.5, bias=i["bias"], mask=mask, p=p,
+              rng=np.random.default_rng(seed), grids=grids)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+def test_attention_on_rows_gradients(p):
+    # the layout every attention block of the model uses: rows in, rows out
+    rng = np.random.default_rng(28)
+    inputs, mask, grids = _rows_attention_case(rng, np.float64)
+    w = Tensor(rng.normal(size=(int(REAL_Q.sum()), HEADS * D)), dtype=np.float64)
+    f = lambda: sum_all(mul(_run_rows_attention(attention, inputs, mask, grids, p, 9), w))
+    assert finite_diff_check(f, inputs) < 1e-6
+
+
+@pytest.mark.parametrize("dtype, p", [(np.float64, 0.0), (np.float64, 0.4), (np.float32, 0.0)])
+def test_attention_on_rows_matches_padded_composition(dtype, p):
+    inputs, mask, grids = _rows_attention_case(np.random.default_rng(29), dtype)
+    _assert_fused_matches_composition(
+        lambda: _run_rows_attention(attention, inputs, mask, grids, p, 10),
+        lambda: _run_rows_attention(attention_composition, inputs, mask, grids, p, 10), inputs, dtype)
+
+
+def test_attention_on_rows_rejects_a_row_count_its_grid_does_not_hold():
+    inputs, mask, (q_grid, kv_grid) = _rows_attention_case(np.random.default_rng(30), np.float64)
+    with pytest.raises(ShapeError):
+        _run_rows_attention(attention, inputs, mask, (q_grid, (np.flatnonzero(REAL_K)[:-1], REAL_K.shape)), 0.0, 0)

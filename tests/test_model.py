@@ -15,7 +15,9 @@ from minit5.model import (
     relative_bucket,
     training_budget_ratio,
 )
+from minit5.noising import NoisedPair
 from minit5.tensor import Tape, backward, cross_entropy, reshape
+from minit5.training import teacher_forced_loss
 from test_gradcheck import attention_composition, gated_gelu_ffn_composition
 
 
@@ -333,6 +335,16 @@ class TestDecodeCache:
         cached = self._cached(cfg, params, enc_in, dec_in, [1, 4, 1, 10, 14])
         assert np.abs(cached - full).max() < 1e-10
 
+    def test_batch_of_two_chunked_calls_match_one_full_call_float64(self):
+        # the cache joins each row's K/V along its positions; row 1's input
+        # ends in pads, so cross-attention reads packed encoder rows
+        cfg, params, rng = _random_bias_model(6, np.float64)
+        enc_in = rng.integers(3, 60, size=(2, 9))
+        enc_in[1, 6:] = 0
+        dec_in = rng.integers(3, 60, size=(2, 12))
+        full = forward(cfg, params, enc_in, dec_in).data
+        assert np.abs(self._cached(cfg, params, enc_in, dec_in, [1, 3, 8]) - full).max() < 1e-10
+
     def test_step_by_step_logits_allclose_to_full_call_float32(self):
         cfg, params, rng = _random_bias_model(3, np.float32)
         enc_in, dec_in = self._inputs(rng, 24)
@@ -350,7 +362,108 @@ class TestDecodeCache:
         with pytest.raises(ValueError):
             decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache, train=True,
                           rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache, lengths=[3])
         with Tape() as tape:
             with pytest.raises(ValueError):
                 decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache)
         assert tape.nodes == [] and cache.length == 0
+
+
+def _ragged_batch(rng, size):
+    """Pairs of ragged lengths; about a third of the inputs hold pad ids
+    (id 0) inside them, which are never rows, in a batch or alone."""
+    pairs = []
+    for _ in range(size):
+        inputs = rng.integers(3, 60, size=int(rng.integers(1, 9)))
+        if inputs.size > 2 and rng.random() < 0.35:
+            inputs[rng.integers(1, inputs.size - 1)] = 0
+        pairs.append(NoisedPair(inputs.tolist(), rng.integers(3, 60, size=int(rng.integers(1, 7))).tolist()))
+    return pairs
+
+
+class TestRowLayout:
+    """The row layout computes real positions only: a padded batch gives the
+    same loss, gradients and logits as its examples run one at a time,
+    which have no padding at all."""
+
+    @staticmethod
+    def _loss_and_grads(cfg, params, pairs):
+        for p in params.values():
+            p.grad = None
+        with Tape() as tape:
+            loss = teacher_forced_loss(cfg, params, pairs)
+            backward(loss, tape)
+        return loss.item(), {k: np.zeros_like(p.data) if p.grad is None else p.grad for k, p in params.items()}
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_batch_loss_and_gradients_equal_per_example_runs(self, seed):
+        cfg, params, rng = _random_bias_model(100 + seed, np.float64)
+        pairs = _ragged_batch(rng, int(rng.integers(2, 6)))
+        loss, grads = self._loss_and_grads(cfg, params, pairs)
+        counts = [len(p.target_ids) for p in pairs]
+        ref_loss, ref_grads = 0.0, {k: np.zeros_like(g) for k, g in grads.items()}
+        for pair, n in zip(pairs, counts):  # the batch mean is the token-weighted mean of the examples
+            one_loss, one_grads = self._loss_and_grads(cfg, params, [pair])
+            ref_loss += one_loss * n / sum(counts)
+            for k, g in one_grads.items():
+                ref_grads[k] += g * n / sum(counts)
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        for k, g in grads.items():
+            assert np.abs(g - ref_grads[k]).max() <= 1e-10 * np.abs(ref_grads[k]).max(), k
+
+    def test_feed_forward_sees_real_positions_only(self, monkeypatch):
+        import minit5.model as model
+        from minit5.tensor import gated_gelu_ffn
+
+        rows = []
+
+        def counted_ffn(x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return gated_gelu_ffn(x, *args, **kwargs)
+
+        monkeypatch.setattr(model, "gated_gelu_ffn", counted_ffn)
+        cfg = _tiny(enc_layers=3, dec_layers=2, dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(0))
+        pairs = _ragged_batch(np.random.default_rng(1), 6)
+        with Tape() as tape:
+            backward(teacher_forced_loss(cfg, params, pairs, train=True, rng=np.random.default_rng(2)), tape)
+        enc_real = sum(int(np.count_nonzero(p.input_ids)) for p in pairs)
+        dec_real = sum(len(p.target_ids) for p in pairs)
+        assert max(len(p.input_ids) for p in pairs) * len(pairs) > enc_real  # the batch has padding
+        assert len(rows) == cfg.enc_layers + cfg.dec_layers
+        assert sum(rows) == enc_real * cfg.enc_layers + dec_real * cfg.dec_layers
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_padded_forward_logits_match_per_example_runs_float32(self, seed):
+        cfg, params, rng = _random_bias_model(200 + seed, np.float32)
+        pairs = _ragged_batch(rng, 5)
+        enc_in = np.zeros((5, max(len(p.input_ids) for p in pairs)), dtype=np.int64)
+        dec_in = np.zeros((5, max(len(p.target_ids) for p in pairs)), dtype=np.int64)
+        for i, p in enumerate(pairs):
+            enc_in[i, : len(p.input_ids)] = p.input_ids
+            dec_in[i, 1 : len(p.target_ids)] = p.target_ids[:-1]
+        logits = forward(cfg, params, enc_in, dec_in).data
+        assert logits.shape == (*dec_in.shape, cfg.vocab_size)
+        for i, p in enumerate(pairs):
+            n = len(p.target_ids)
+            one = forward(cfg, params, [p.input_ids], dec_in[i : i + 1, :n]).data[0]
+            np.testing.assert_allclose(logits[i, :n], one, rtol=1e-4, atol=1e-5)
+            assert (logits[i, :n].argmax(-1) == one.argmax(-1)).all()
+
+    def test_lengths_select_the_real_decoder_rows(self):
+        from minit5.model import decode_logits, encode
+
+        cfg, params, rng = _random_bias_model(7, np.float64)
+        enc_in = rng.integers(3, 60, size=(3, 5))
+        dec_in = rng.integers(3, 60, size=(3, 4))
+        dec_in[:, 0] = 0  # the start symbol is the pad id, and real
+        enc_out, enc_rows = encode(cfg, params, enc_in)
+        full = decode_logits(cfg, params, enc_out, enc_rows, dec_in).data
+        rows = decode_logits(cfg, params, enc_out, enc_rows, dec_in, lengths=[4, 1, 2]).data
+        assert rows.shape == (7, cfg.vocab_size)
+        np.testing.assert_allclose(rows, np.concatenate([full[0], full[1, :1], full[2, :2]]),
+                                   rtol=1e-12, atol=1e-12)
+        for bad in ([0, 1, 2], [5, 1, 1], [1, 2]):
+            with pytest.raises(ShapeError):
+                decode_logits(cfg, params, enc_out, enc_rows, dec_in, lengths=bad)
