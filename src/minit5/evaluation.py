@@ -82,13 +82,14 @@ def greedy_decode(config, params, input_ids, max_len, *, eos_id=bpe.EOS_ID):
     enc_out, enc_rows = encode(config, params, input_ids)
     cache = DecodeCache()
     generated = []
-    nxt = bpe.PAD_ID
+    step = np.full((1, 1), bpe.PAD_ID)  # the start symbol, then each generated id in turn
     for _ in range(max_len):
-        logits = decode_logits(config, params, enc_out, enc_rows, np.asarray([[nxt]]), cache=cache)
+        logits = decode_logits(config, params, enc_out, enc_rows, step, cache=cache)
         nxt = int(np.argmax(logits.data[0, -1]))
         if nxt == eos_id:
             break
         generated.append(nxt)
+        step[0, 0] = nxt
     return generated
 
 

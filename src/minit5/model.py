@@ -14,6 +14,12 @@ value rows out on that grid, zero-filled, with pad keys masked, and returns
 its context as rows. When every position is real (greedy decoding, full
 batches) that layout is a view, and nothing is copied.
 
+Incremental decoding passes a `DecodeCache`, which owns the per-decode
+constants (K/V buffers written in place, the decoder bias by distance); a
+causal mask is built only for a call with more than one query. Uncached
+calls, training among them, build the bias with `_rel_bias`, so its
+gradient flows.
+
 Parameters live in a flat dict keyed by path; `count_parameters` computes
 the same total analytically, and `training_budget_ratio` is the
 tokens-seen over parameter-count diagnostic.
@@ -215,6 +221,7 @@ class Rows:
     def __init__(self, real):
         self.real = real
         self.index = None if real.all() else np.flatnonzero(real)
+        self._key_masks = {}
 
     @property
     def grid(self):
@@ -223,8 +230,11 @@ class Rows:
 
     def key_mask(self, dtype):
         """Additive attention mask [batch, 1, 1, len] hiding the positions
-        that are not real as keys."""
-        return np.where(self.real, 0.0, MASKED).astype(dtype)[:, None, None, :]
+        that are not real as keys; built once per dtype."""
+        mask = self._key_masks.get(dtype)
+        if mask is None:
+            mask = self._key_masks[dtype] = np.where(self.real, 0.0, MASKED).astype(dtype)[:, None, None, :]
+        return mask
 
 
 def _project_kv(params, prefix, x):
@@ -252,35 +262,70 @@ def _causal_mask(query_positions, n_keys, dtype):
 
 class DecodeCache:
     """Decoder state carried across incremental `decode_logits` calls on one
-    encoder output: the number of positions already decoded, each layer's
-    cross-attention K/V (projected from the encoder output on first use) and
-    each layer's self-attention K/V for every position so far. Inference
-    only: cached K/V carry no gradient."""
+    encoder output and one batch size. Inference only: cached K/V carry no
+    gradient.
+
+    - `length`: the number of positions already decoded.
+    - Cross-attention K/V of each layer, projected from the encoder output
+      on first use.
+    - Self-attention K/V of every layer in one buffer [layers, 2, batch,
+      capacity, inner]. A call writes its new positions in place, and
+      attention reads [batch, keys, inner] views of it. A call that needs
+      more positions doubles the capacity (as often as needed).
+    - The decoder's relative bias by distance, [heads, capacity], built
+      from `decoder.rel_bias` with the capacity. The unidirectional bucket
+      depends only on max(query - key, 0), so a query at position p takes
+      `table[:, max(p - key, 0)]`; for one query that is the reversed
+      slice `table[:, p::-1]`."""
 
     def __init__(self):
         self.length = 0
         self._cross = {}
-        self._self = {}
+        self._kv = None
+        self._table = None
 
     def cross(self, layer, project):
         if layer not in self._cross:
             self._cross[layer] = project()
         return self._cross[layer]
 
-    def extend(self, layer, kv, batch):
-        """Append the K/V rows of new positions, `batch` rows of positions
-        that are all real; returns the K/V rows over all positions so far."""
-        if layer in self._self:
-            kv = tuple(Tensor(_join_rows(old.data, new.data, batch)) for old, new in zip(self._self[layer], kv))
-        self._self[layer] = kv
-        return kv
+    def reserve(self, config, params, batch, n):
+        """Make room for n more positions of each of `batch` rows. Returns
+        the decoder bias [1, heads, n, keys] of those positions' queries
+        against every key so far."""
+        keys = self.length + n
+        if self._kv is not None and self._kv.shape[2] != batch:
+            raise ShapeError(f"a DecodeCache built for a batch of {self._kv.shape[2]} "
+                             f"was called with a batch of {batch}")
+        if self._kv is None or keys > self._kv.shape[3]:
+            self._grow(config, params, batch, keys)
+        if n == 1:
+            return Tensor(self._table[None, :, None, self.length::-1])
+        distance = np.maximum(np.arange(self.length, keys)[:, None] - np.arange(keys), 0)
+        return Tensor(self._table[:, distance][None])
 
+    def _grow(self, config, params, batch, keys):
+        capacity = self._kv.shape[3] if self._kv is not None else 1
+        while capacity < keys:
+            capacity *= 2
+        dtype = params["embedding"].data.dtype
+        kv = np.empty((config.dec_layers, 2, batch, capacity, config.inner_dim), dtype=dtype)
+        if self._kv is not None:
+            kv[:, :, :, :self.length] = self._kv[:, :, :, :self.length]
+        self._kv = kv
+        buckets = relative_bucket(-np.arange(capacity), False, config.rel_buckets, config.rel_max_distance)
+        self._table = np.ascontiguousarray(params["decoder.rel_bias"].data[buckets].T)
 
-def _join_rows(old, new, batch):
-    """Rows of two all-real grids of `batch` rows, each grid row's positions
-    followed by its new ones."""
-    f = new.shape[-1]
-    return np.concatenate((old.reshape(batch, -1, f), new.reshape(batch, -1, f)), axis=1).reshape(-1, f)
+    def extend(self, layer, kv):
+        """Write the K/V rows [batch * n, inner] of the n new positions in
+        place; returns the K/V views [batch, keys, inner] over all positions
+        so far."""
+        buf = self._kv[layer]
+        batch, inner = buf.shape[1], buf.shape[3]
+        stop = self.length + kv[0].data.shape[0] // batch
+        for slot, new in zip(buf, kv):
+            slot[:, self.length:stop] = new.data.reshape(batch, -1, inner)
+        return Tensor(buf[0, :, :stop]), Tensor(buf[1, :, :stop])
 
 
 def encode(config, params, input_ids, *, train=False, rng=None):
@@ -322,16 +367,15 @@ def decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, *, train
     is real.
 
     With a DecodeCache, decoder_input_ids are only the positions after those
-    the cache has already seen; their K/V are appended to it, so greedy
-    decoding runs one position per generated token. Cached calls are for
-    inference: they refuse train=True and an active Tape.
+    the cache has already seen, for the batch size of its first call; their
+    K/V are written into its buffers, so greedy decoding runs one position
+    per generated token. Cached calls are for inference: they refuse
+    train=True and an active Tape.
 
     inputs_embeds [batch, len, d_model], when given, replaces the embedding
     lookup (e.g. to probe gradients with respect to the embedded decoder
     inputs)."""
-    if cache is None:
-        cache = DecodeCache()
-    elif train or lengths is not None or Tape.active() is not None:
+    if cache is not None and (train or lengths is not None or Tape.active() is not None):
         raise ValueError("a DecodeCache is for inference: no train=True, no lengths, no active Tape")
     ids = _check_ids(decoder_input_ids, config.vocab_size, "decoder_input_ids")
     b, n = ids.shape
@@ -344,13 +388,18 @@ def decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, *, train
     rows = Rows(real)
     dtype = params["embedding"].data.dtype
     enc_mask = enc_rows.key_mask(dtype)
-    positions = np.arange(cache.length, cache.length + n)
-    n_keys = cache.length + n
-    causal = _causal_mask(positions, n_keys, dtype)
+    if cache is None:
+        start = 0
+        bias = _rel_bias(params, "decoder.rel_bias", np.arange(n), n, False, config)
+    else:
+        start = cache.length
+        bias = cache.reserve(config, params, b, n)
+    n_keys = start + n
+    # a single query sees every key so far: only longer calls need the mask
+    causal = _causal_mask(np.arange(start, n_keys), n_keys, dtype) if n > 1 else None
     # keys of a cached call are every position so far; else they are the queries
     self_grids = (rows.grid, (rows.index, (b, n_keys)))
     cross_grids = (rows.grid, enc_rows.grid)
-    bias = _rel_bias(params, "decoder.rel_bias", positions, n_keys, False, config)
     if inputs_embeds is not None:
         if inputs_embeds.data.shape != (b, n, config.d_model):
             raise ShapeError(f"inputs_embeds shape {inputs_embeds.data.shape} does not match ids {ids.shape}")
@@ -362,17 +411,23 @@ def decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, *, train
     for i in range(config.dec_layers):
         base = f"decoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.self_norm"])
-        kv = cache.extend(i, _project_kv(params, f"{base}.self", h), b)
+        kv = _project_kv(params, f"{base}.self", h)
+        if cache is not None:
+            kv = cache.extend(i, kv)
         a = _attention(params, f"{base}.self", h, kv, self_grids, causal, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.cross_norm"])
-        kv = cache.cross(i, lambda: _project_kv(params, f"{base}.cross", enc_out))
+        if cache is None:
+            kv = _project_kv(params, f"{base}.cross", enc_out)
+        else:
+            kv = cache.cross(i, lambda: _project_kv(params, f"{base}.cross", enc_out))
         a = _attention(params, f"{base}.cross", h, kv, cross_grids, enc_mask, None, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
         x = add(x, dropout(f, config.dropout, rng) if train else f)
-    cache.length = n_keys
+    if cache is not None:
+        cache.length = n_keys
     x = rms_norm(x, params["decoder.final_norm"])
     # shared embedding as the output projection, rescaled for the tie
     logits = mul(matmul(x, transpose(params["embedding"])), config.d_model**-0.5)

@@ -248,7 +248,7 @@ def mul(a, b):
 
 
 def _swap_last(x):
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def _rows(x):
@@ -341,7 +341,8 @@ def rms_norm(x, gain, eps=1e-6):
     d = x.data.shape[-1]
     if gain.data.shape != (d,):
         raise ShapeError(f"gain shape {gain.data.shape} does not match trailing dimension {d}")
-    ms = np.mean(np.square(x.data), axis=-1, keepdims=True)
+    # np.mean's result, bit for bit, without its Python-level wrapper
+    ms = np.add.reduce(np.square(x.data), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(ms + eps)
     out = Tensor(x.data * inv * gain.data)
 

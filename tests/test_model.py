@@ -336,7 +336,7 @@ class TestDecodeCache:
         assert np.abs(cached - full).max() < 1e-10
 
     def test_batch_of_two_chunked_calls_match_one_full_call_float64(self):
-        # the cache joins each row's K/V along its positions; row 1's input
+        # the cache writes each row's K/V into its own buffer row; row 1's input
         # ends in pads, so cross-attention reads packed encoder rows
         cfg, params, rng = _random_bias_model(6, np.float64)
         enc_in = rng.integers(3, 60, size=(2, 9))
@@ -368,6 +368,134 @@ class TestDecodeCache:
             with pytest.raises(ValueError):
                 decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache)
         assert tape.nodes == [] and cache.length == 0
+
+
+def _join_rows(old, new, batch):
+    """Rows of two all-real grids of `batch` rows, each grid row's positions
+    followed by its new ones."""
+    f = new.shape[-1]
+    return np.concatenate((old.reshape(batch, -1, f), new.reshape(batch, -1, f)), axis=1).reshape(-1, f)
+
+
+class _JoinedState:
+    """Test oracle: the cached decoder step as it was built before DecodeCache
+    kept buffers. Every call re-joins each layer's self-attention K/V rows,
+    and rebuilds the relative bias with `_rel_bias` and the causal mask,
+    whatever the number of queries."""
+
+    def __init__(self):
+        self.length = 0
+        self.cross = {}
+        self.kv = {}
+
+    def logits(self, cfg, params, enc_out, enc_rows, ids):
+        import minit5.model as model
+        from minit5.tensor import Tensor, add, embedding, matmul, mul, rms_norm, transpose
+
+        b, n = ids.shape
+        dtype = params["embedding"].data.dtype
+        positions = np.arange(self.length, self.length + n)
+        n_keys = self.length + n
+        causal = model._causal_mask(positions, n_keys, dtype)
+        bias = model._rel_bias(params, "decoder.rel_bias", positions, n_keys, False, cfg)
+        enc_mask = np.where(enc_rows.real, 0.0, model.MASKED).astype(dtype)[:, None, None, :]
+        self_grids = ((None, (b, n)), (None, (b, n_keys)))
+        cross_grids = ((None, (b, n)), enc_rows.grid)
+        x = embedding(params["embedding"], ids.reshape(-1))
+        for i in range(cfg.dec_layers):
+            base = f"decoder.layers.{i}"
+            h = rms_norm(x, params[f"{base}.self_norm"])
+            kv = model._project_kv(params, f"{base}.self", h)
+            if i in self.kv:
+                kv = tuple(Tensor(_join_rows(old.data, new.data, b)) for old, new in zip(self.kv[i], kv))
+            self.kv[i] = kv
+            x = add(x, model._attention(params, f"{base}.self", h, kv, self_grids, causal, bias, cfg, False, None))
+            h = rms_norm(x, params[f"{base}.cross_norm"])
+            if i not in self.cross:
+                self.cross[i] = model._project_kv(params, f"{base}.cross", enc_out)
+            x = add(x, model._attention(params, f"{base}.cross", h, self.cross[i], cross_grids, enc_mask, None,
+                                        cfg, False, None))
+            h = rms_norm(x, params[f"{base}.ffn_norm"])
+            x = add(x, model._ffn(params, f"{base}.ffn", h, cfg, False, None))
+        self.length = n_keys
+        x = rms_norm(x, params["decoder.final_norm"])
+        logits = mul(matmul(x, transpose(params["embedding"])), cfg.d_model**-0.5)
+        return logits.data.reshape(b, n, cfg.vocab_size)
+
+
+class TestDecodeCacheBuffers:
+    """DecodeCache's K/V buffers and bias table against the per-step
+    construction they replaced, and the buffers' own invariants."""
+
+    @staticmethod
+    def _batch(rng, batch, dec_len):
+        enc_in = rng.integers(3, 60, size=(batch, 11))
+        enc_in[-1, 7:] = 0  # the last row's input ends in pads
+        enc_in[0, 3] = 0  # and the first holds one inside
+        return enc_in, rng.integers(3, 60, size=(batch, dec_len))
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("chunks", [[1] * 40, [1, 4, 1, 10, 14]], ids=["one_per_call", "chunks"])
+    def test_logits_bitwise_equal_to_per_step_construction_float32(self, batch, chunks):
+        # 30 and 40 positions cross the buffer's doublings at 2, 4, ..., 32
+        # and 3 * rel_max_distance = 24, where every offset is clamped
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        cfg, params, rng = _random_bias_model(30 + batch, np.float32)
+        assert sum(chunks) > 3 * cfg.rel_max_distance
+        enc_in, dec_in = self._batch(rng, batch, sum(chunks))
+        enc_out, enc_rows = encode(cfg, params, enc_in)
+        cache, oracle, start = DecodeCache(), _JoinedState(), 0
+        for n in chunks:
+            ids = dec_in[:, start:start + n]
+            got = decode_logits(cfg, params, enc_out, enc_rows, ids, cache=cache).data
+            want = oracle.logits(cfg, params, enc_out, enc_rows, ids)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want), start
+            start += n
+        assert cache.length == oracle.length == sum(chunks)
+
+    def test_buffers_are_written_in_place_and_double(self, monkeypatch):
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        views = {}
+        extend = DecodeCache.extend
+
+        def recorded(self, layer, kv):
+            out = extend(self, layer, kv)
+            views.setdefault(layer, []).append(out[0].data)
+            return out
+
+        monkeypatch.setattr(DecodeCache, "extend", recorded)
+        cfg, params, rng = _random_bias_model(40, np.float32)
+        enc_in, dec_in = self._batch(rng, 1, 300)
+        enc_out, enc_rows = encode(cfg, params, enc_in)
+        cache = DecodeCache()
+        for t in range(300):
+            decode_logits(cfg, params, enc_out, enc_rows, dec_in[:, t:t + 1], cache=cache)
+        for layer in range(cfg.dec_layers):
+            ks = views[layer]
+            assert [k.shape[1] for k in ks] == list(range(1, 301))
+            buffers = []
+            for prev, k in zip([None] + ks, ks):
+                if buffers and k.base is buffers[-1]:
+                    assert np.shares_memory(prev, k)
+                    assert np.array_equal(k[:, :-1], prev)  # earlier positions stay put
+                else:
+                    buffers.append(k.base)
+            assert len(buffers) - 1 <= math.ceil(math.log2(300))
+
+    def test_a_call_with_another_batch_size_is_refused(self):
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        cfg, params, rng = _random_bias_model(41, np.float32)
+        enc_in, dec_in = self._batch(rng, 2, 3)
+        enc_out, enc_rows = encode(cfg, params, enc_in)
+        cache = DecodeCache()
+        decode_logits(cfg, params, enc_out, enc_rows, dec_in[:, :1], cache=cache)
+        with pytest.raises(ShapeError, match=r"batch of 2.*batch of 1"):
+            decode_logits(cfg, params, enc_out, enc_rows, dec_in[:1, 1:2], cache=cache)
+        assert cache.length == 1
 
 
 def _ragged_batch(rng, size):

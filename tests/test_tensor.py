@@ -136,6 +136,19 @@ class TestRmsNorm:
         with pytest.raises(ShapeError):
             rms_norm(Tensor(np.ones((2, 0))), Tensor(np.ones(0)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [3, 8, 12, 256, 1024])
+    def test_bitwise_equal_to_np_mean_form(self, dtype, width):
+        # oracle: the mean of squares through np.mean, as rms_norm computed it before
+        rng = np.random.default_rng(width)
+        x = (rng.normal(size=(7, width)) * rng.uniform(0.01, 100.0, size=(7, 1))).astype(dtype)
+        gain = rng.normal(size=width).astype(dtype)
+        eps = 1e-6
+        want = x * (1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)) * gain
+        got = rms_norm(Tensor(x), Tensor(gain), eps).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
