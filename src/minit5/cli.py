@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -322,6 +323,13 @@ def _encode_examples(examples, vocab):
     return encoded
 
 
+def _check_vocab_size(ck, vocab, vocab_path):
+    """Refuse a checkpoint whose embedding does not have one row per token of the vocabulary."""
+    if ck.config.vocab_size != len(vocab):
+        raise UsageError(f"checkpoint vocabulary size {ck.config.vocab_size} does not match "
+                         f"{vocab_path} ({len(vocab)} tokens)")
+
+
 def _cmd_finetune(cfg):
     task = cfg["task"]
     vocab = bpe.load_vocab(cfg["vocab"])
@@ -335,12 +343,8 @@ def _cmd_finetune(cfg):
         raise tasks.DatasetError(f"{cfg['validation']}: no validation examples")
     if cfg["init"]:
         start = training.load_checkpoint(cfg["init"])
-        model_cfg = start.config
-        if model_cfg.vocab_size != len(vocab):
-            raise UsageError(
-                f"checkpoint vocabulary size {model_cfg.vocab_size} does not match "
-                f"{cfg['vocab']} ({len(vocab)} tokens)"
-            )
+        _check_vocab_size(start, vocab, cfg["vocab"])
+        model_cfg = dataclasses.replace(start.config, dropout=cfg["dropout"])
         params = start.to_params()
     else:
         model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
@@ -376,6 +380,7 @@ def _cmd_evaluate(cfg):
     task = cfg["task"]
     vocab = bpe.load_vocab(cfg["vocab"])
     ck = training.load_checkpoint(cfg["checkpoint"])
+    _check_vocab_size(ck, vocab, cfg["vocab"])
     examples = tasks.load_csv_dataset(cfg["dataset"], task)
     report = evaluation.evaluate_examples(
         ck.config, ck.to_params(), vocab, examples, task,

@@ -79,12 +79,12 @@ def greedy_decode(config, params, input_ids, max_len, *, eos_id=bpe.EOS_ID):
     token only, against a DecodeCache of the earlier positions' K/V."""
     if max_len < 1:
         raise EvalError(f"max_len must be >= 1, got {max_len}")
-    enc_out, enc_rows = encode(config, params, input_ids)
+    enc_out, enc_grid = encode(config, params, input_ids)
     cache = DecodeCache()
     generated = []
     step = np.full((1, 1), bpe.PAD_ID)  # the start symbol, then each generated id in turn
     for _ in range(max_len):
-        logits = decode_logits(config, params, enc_out, enc_rows, step, cache=cache)
+        logits = decode_logits(config, params, enc_out, enc_grid, step, cache=cache)
         nxt = int(np.argmax(logits.data[0, -1]))
         if nxt == eos_id:
             break

@@ -8,17 +8,17 @@ array with no padding in it (encoder positions whose id is not the pad id;
 decoder positions inside each target, when `decode_logits` is given the
 target lengths). The embedding, the norms, every projection, the feed-
 forward, dropout, the residual adds and the tied output projection are one
-2-D computation over those rows. A `Rows` object names the real positions
-of a [batch, len] grid; the attention op alone lays its query, key and
-value rows out on that grid, zero-filled, with pad keys masked, and returns
-its context as rows. When every position is real (greedy decoding, full
-batches) that layout is a view, and nothing is copied.
+2-D computation over those rows. A grid (index, (batch, len)) names the
+real positions; `tensor.attention` alone lays its query, key and value rows
+out on their grids, zero-filled, hides the keys that are not rows and, for
+self-attention in the decoder, the later ones, and returns its context as
+rows. When every position is real (greedy decoding, full batches) that
+layout is a view, and nothing is copied.
 
 Incremental decoding passes a `DecodeCache`, which owns the per-decode
-constants (K/V buffers written in place, the decoder bias by distance); a
-causal mask is built only for a call with more than one query. Uncached
-calls, training among them, build the bias with `_rel_bias`, so its
-gradient flows.
+constants (K/V buffers written in place, the decoder bias by distance).
+Uncached calls, training among them, build the bias with `_rel_bias`, so
+its gradient flows.
 
 Parameters live in a flat dict keyed by path; `count_parameters` computes
 the same total analytically, and `training_budget_ratio` is the
@@ -55,9 +55,6 @@ from .tensor import (
 # softmax_lastdim stay imported because the benchmark's traced run discovers
 # the tensor ops to time in this namespace, and its tests require every op
 # it names (perfbench/metrics.py TENSOR_OPS).
-
-MASKED = -1e9  # additive attention-logit mask; underflows to weight 0 after softmax
-
 
 @dataclass
 class ModelConfig:
@@ -213,28 +210,11 @@ def _rel_bias(params, key, query_positions, n_keys, bidirectional, config):
     return reshape(transpose(bias, (2, 0, 1)), (1, config.n_heads, len(query_positions), n_keys))
 
 
-class Rows:
-    """The real positions of a [batch, len] grid, given as a boolean array,
-    and their row-major flat indices (None when every position is real).
-    Rows are kept in that row-major order, as `ids[rows.real]` lists them."""
-
-    def __init__(self, real):
-        self.real = real
-        self.index = None if real.all() else np.flatnonzero(real)
-        self._key_masks = {}
-
-    @property
-    def grid(self):
-        """The (index, shape) layout that `tensor.attention` takes."""
-        return self.index, self.real.shape
-
-    def key_mask(self, dtype):
-        """Additive attention mask [batch, 1, 1, len] hiding the positions
-        that are not real as keys; built once per dtype."""
-        mask = self._key_masks.get(dtype)
-        if mask is None:
-            mask = self._key_masks[dtype] = np.where(self.real, 0.0, MASKED).astype(dtype)[:, None, None, :]
-        return mask
+def _grid(real):
+    """The (index, shape) grid `tensor.attention` takes for a boolean [batch,
+    len] array of real positions: their row-major flat indices, or None when
+    every position is real. Rows come in that order, as `ids[real]` lists them."""
+    return (None if real.all() else np.flatnonzero(real)), real.shape
 
 
 def _project_kv(params, prefix, x):
@@ -242,22 +222,16 @@ def _project_kv(params, prefix, x):
     return matmul(x, params[f"{prefix}.k"]), matmul(x, params[f"{prefix}.v"])
 
 
-def _attention(params, prefix, queries, kv, grids, mask, bias, config, train, rng):
+def _attention(params, prefix, queries, kv, grids, causal, bias, config, train, rng):
     q = matmul(queries, params[f"{prefix}.q"])
-    ctx = attention(q, *kv, config.n_heads, config.d_kv**-0.5, bias=bias, mask=mask,
-                    p=config.dropout if train else 0.0, rng=rng, grids=grids)
+    ctx = attention(q, *kv, config.n_heads, config.d_kv**-0.5, grids, bias=bias, causal=causal,
+                    p=config.dropout if train else 0.0, rng=rng)
     return matmul(ctx, params[f"{prefix}.o"])
 
 
 def _ffn(params, prefix, x, config, train, rng):
     return gated_gelu_ffn(x, params[f"{prefix}.wi_0"], params[f"{prefix}.wi_1"], params[f"{prefix}.wo"],
                           p=config.dropout if train else 0.0, rng=rng)
-
-
-def _causal_mask(query_positions, n_keys, dtype):
-    """Mask [1, 1, queries, keys] hiding keys after each query's position."""
-    later = np.arange(n_keys)[None, :] > query_positions[:, None]
-    return np.where(later, MASKED, 0.0).astype(dtype)[None, None]
 
 
 class DecodeCache:
@@ -330,33 +304,32 @@ class DecodeCache:
 
 def encode(config, params, input_ids, *, train=False, rng=None):
     """Run the encoder stack over the non-pad input positions. Returns
-    (encoder output rows [real positions, d_model], their Rows); a pad id
-    is never a row, and cross-attention masks it as a key."""
+    (encoder output rows [real positions, d_model], their grid); a pad id
+    is never a row, so attention never sees it as a key."""
     ids = _check_ids(input_ids, config.vocab_size, "input_ids")
-    rows = Rows(ids != PAD_ID)
-    dtype = params["embedding"].data.dtype
-    mask = rows.key_mask(dtype)
+    real = ids != PAD_ID
+    grid = _grid(real)
     n = ids.shape[1]
     bias = _rel_bias(params, "encoder.rel_bias", np.arange(n), n, True, config)
-    x = embedding(params["embedding"], ids[rows.real])
+    x = embedding(params["embedding"], ids[real])
     if train:
         x = dropout(x, config.dropout, rng)
     for i in range(config.enc_layers):
         base = f"encoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.attn_norm"])
         kv = _project_kv(params, f"{base}.attn", h)
-        a = _attention(params, f"{base}.attn", h, kv, (rows.grid, rows.grid), mask, bias, config, train, rng)
+        a = _attention(params, f"{base}.attn", h, kv, (grid, grid), False, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
         x = add(x, dropout(f, config.dropout, rng) if train else f)
-    return rms_norm(x, params["encoder.final_norm"]), rows
+    return rms_norm(x, params["encoder.final_norm"]), grid
 
 
-def decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, *, train=False, rng=None,
+def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train=False, rng=None,
                   inputs_embeds=None, cache=None, lengths=None):
     """Run the decoder stack over teacher-forced (or partially generated)
-    decoder input ids, against the output rows of `encode` and their Rows.
+    decoder input ids, against the output rows of `encode` and their grid.
     Self-attention is strictly causal; cross-attention sees non-pad encoder
     positions. Returns logits [batch, len, vocab].
 
@@ -385,27 +358,22 @@ def decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, *, train
         if lengths.shape != (b,) or (lengths < 1).any() or (lengths > n).any():
             raise ShapeError(f"lengths {lengths.tolist()} do not fit decoder ids of shape {ids.shape}")
         real = np.arange(n)[None, :] < lengths[:, None]
-    rows = Rows(real)
-    dtype = params["embedding"].data.dtype
-    enc_mask = enc_rows.key_mask(dtype)
+    grid = _grid(real)
     if cache is None:
-        start = 0
+        n_keys = n
         bias = _rel_bias(params, "decoder.rel_bias", np.arange(n), n, False, config)
     else:
-        start = cache.length
+        n_keys = cache.length + n
         bias = cache.reserve(config, params, b, n)
-    n_keys = start + n
-    # a single query sees every key so far: only longer calls need the mask
-    causal = _causal_mask(np.arange(start, n_keys), n_keys, dtype) if n > 1 else None
     # keys of a cached call are every position so far; else they are the queries
-    self_grids = (rows.grid, (rows.index, (b, n_keys)))
-    cross_grids = (rows.grid, enc_rows.grid)
+    self_grids = (grid, (grid[0], (b, n_keys)))
+    cross_grids = (grid, enc_grid)
     if inputs_embeds is not None:
         if inputs_embeds.data.shape != (b, n, config.d_model):
             raise ShapeError(f"inputs_embeds shape {inputs_embeds.data.shape} does not match ids {ids.shape}")
         x = embedding(reshape(inputs_embeds, (b * n, config.d_model)), np.flatnonzero(real))
     else:
-        x = embedding(params["embedding"], ids[rows.real])
+        x = embedding(params["embedding"], ids[real])
     if train:
         x = dropout(x, config.dropout, rng)
     for i in range(config.dec_layers):
@@ -414,14 +382,14 @@ def decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, *, train
         kv = _project_kv(params, f"{base}.self", h)
         if cache is not None:
             kv = cache.extend(i, kv)
-        a = _attention(params, f"{base}.self", h, kv, self_grids, causal, bias, config, train, rng)
+        a = _attention(params, f"{base}.self", h, kv, self_grids, True, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.cross_norm"])
         if cache is None:
             kv = _project_kv(params, f"{base}.cross", enc_out)
         else:
             kv = cache.cross(i, lambda: _project_kv(params, f"{base}.cross", enc_out))
-        a = _attention(params, f"{base}.cross", h, kv, cross_grids, enc_mask, None, config, train, rng)
+        a = _attention(params, f"{base}.cross", h, kv, cross_grids, False, None, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
@@ -437,8 +405,8 @@ def decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, *, train
 def forward(config, params, input_ids, decoder_input_ids, *, train=False, rng=None):
     """Full pass: encoder over input_ids, decoder over decoder_input_ids.
     Returns logits [batch, len, vocab] at every decoder position."""
-    enc_out, enc_rows = encode(config, params, input_ids, train=train, rng=rng)
-    return decode_logits(config, params, enc_out, enc_rows, decoder_input_ids, train=train, rng=rng)
+    enc_out, enc_grid = encode(config, params, input_ids, train=train, rng=rng)
+    return decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, train=train, rng=rng)
 
 
 def training_budget_ratio(steps, batch_tokens, params):

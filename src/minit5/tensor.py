@@ -9,9 +9,10 @@ Intermediate outputs never get a ``.grad``. With no tape active, ops are
 plain forward computations (used for decoding and finite-difference probes).
 
 Backward rules skip the work for operands that do not require gradients
-(masks, scales). Besides the primitives there are fused ops that save only
-what their backward rule needs: ``dropout``, multi-head ``attention`` and
-the gated-GELU feed-forward ``gated_gelu_ffn``, with T5 v1.1's tanh GELU.
+(constants such as scales). Besides the primitives there are fused ops that
+save only what their backward rule needs: ``dropout``, multi-head
+``attention`` and the gated-GELU feed-forward ``gated_gelu_ffn``, with T5
+v1.1's tanh GELU.
 
 Ragged batches travel as rows: a 2-D ``[real positions, features]`` array
 holding only the positions that are not padding, so every position-wise op
@@ -19,7 +20,8 @@ holding only the positions that are not padding, so every position-wise op
 ``add``, ``cross_entropy``) is one 2-D computation over real tokens.
 ``attention`` alone lays its rows out on the zero-filled
 ``[batch, len, features]`` grid they came from, and returns its context as
-rows again.
+rows again. It also builds every attention mask, from the grid and a causal
+flag: a grid position that is not a row is never a key.
 
 float32 is the working precision for training. Build parameters as float64
 when gradient-checking; ops follow the dtype of their inputs.
@@ -66,29 +68,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the module-level functions do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Node:
@@ -211,28 +190,6 @@ def add(a, b):
                 _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
-
-
-def sub(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    out = Tensor(a.data - b.data)
-
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
-
-    return _record(out, (a, b), vjp)
-
-
-def neg(a):
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-
-    def vjp(g):
-        return (-g,)
-
-    return _record(out, (a,), vjp)
 
 
 def mul(a, b):
@@ -503,27 +460,53 @@ def dropout(x, p, rng):
     return _record(out, (x,), vjp)
 
 
-def attention(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None, grids=None):
-    """Multi-head scaled dot-product attention as one op.
+MASKED = -1e9  # additive attention-logit mask; underflows to weight 0 after softmax
 
-    q: [batch, queries, heads * d]; k and v: [batch, keys, heads * d]. With
-    grids = (query grid, key grid), q, k and v are instead rows [n, heads *
-    d] of real positions on their grid (index, (batch, len)): row i is the
-    row-major flat position index[i] of the grid, or position i when index
-    is None (every position is a row). Attention runs on that layout with
-    zeros at the other positions, so the mask must hide the keys that are
-    not rows; the context comes back as rows.
+
+def _key_mask(kv_grid, n_queries, causal, dtype):
+    """Additive mask [.., queries, keys] hiding the keys a query may not see,
+    or None when every query sees every key: the key grid positions that are
+    not rows and, when causal, the keys after the query's position. Query i
+    of n sits at key position len - n + i, so a single query sees every key."""
+    index, (b, n_keys) = kv_grid
+    mask = None
+    if index is not None:
+        mask = np.full(b * n_keys, MASKED, dtype=dtype)
+        mask[index] = 0.0
+        mask = mask.reshape(b, 1, 1, n_keys)
+    if causal and n_queries > 1:
+        later = np.arange(n_keys) > np.arange(n_keys - n_queries, n_keys)[:, None]
+        later = np.where(later, MASKED, 0.0).astype(dtype)
+        mask = later if mask is None else np.minimum(mask, later)
+    return mask
+
+
+def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rng=None):
+    """Multi-head scaled dot-product attention as one op, on rows.
+
+    grids = (query grid, key grid), each (index, (batch, len)). q holds the
+    rows [n, heads * d] of the query grid's real positions, k and v those of
+    the key grid: row i is the row-major flat position index[i], or position
+    i when index is None (every position is real; k and v may then also come
+    as [batch, len, heads * d]). Attention runs on the grids, zero-filled
+    elsewhere, and decides itself which keys a query sees: no key position
+    that is not a row, and with causal=True no key after the query's own
+    position, query i of len_q sitting at key position len_k - len_q + i
+    (the queries are the keys, or the last of them in a cached decoding step).
     Per head, the scores q.k^T are multiplied by scale, then the Tensor bias
-    (broadcastable to [batch, heads, queries, keys]) and the constant
-    additive mask array are added; the softmax weights take inverted
-    dropout with probability p and weight the values. Returns the context
-    in q's layout. The backward rule keeps only the softmax weights and the
+    (broadcastable to [batch, heads, queries, keys]) is added and the hidden
+    keys get MASKED; the softmax weights take inverted dropout with
+    probability p and weight the values. Returns the context rows of the
+    query grid. The backward rule keeps only the softmax weights and the
     dropout mask.
     """
     inner = q.data.shape[-1]
     if inner % n_heads or k.data.shape[-1] != inner or v.data.shape != k.data.shape:
         raise ShapeError(f"attention over {n_heads} heads: q {q.shape}, k {k.shape}, v {v.shape}")
-    q_grid, kv_grid = grids or ((None, q.data.shape[:-1]), (None, k.data.shape[:-1]))
+    q_grid, kv_grid = grids
+    n_q, n_k = q_grid[1][1], kv_grid[1][1]
+    if causal and n_q > n_k:
+        raise ShapeError(f"causal attention of {n_q} queries over {n_k} keys")
     d = inner // n_heads
 
     def heads(a, grid):
@@ -547,6 +530,7 @@ def attention(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None, gr
     w *= scale
     if bias is not None:
         w += bias.data
+    mask = _key_mask(kv_grid, n_q, causal, w.dtype)
     if mask is not None:
         w += mask
     w = _softmax_inplace(w)

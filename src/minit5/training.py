@@ -68,8 +68,8 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     enc_in = _pad_batch([p.input_ids for p in pairs])
     targets = _pad_batch([p.target_ids for p in pairs])
     dec_in = np.concatenate([np.full((len(pairs), 1), PAD_ID, dtype=np.int64), targets[:, :-1]], axis=1)
-    enc_out, enc_rows = encode(config, params, enc_in, train=train, rng=rng)
-    logits = decode_logits(config, params, enc_out, enc_rows, dec_in, train=train, rng=rng,
+    enc_out, enc_grid = encode(config, params, enc_in, train=train, rng=rng)
+    logits = decode_logits(config, params, enc_out, enc_grid, dec_in, train=train, rng=rng,
                            lengths=[len(p.target_ids) for p in pairs])
     return cross_entropy(logits, np.concatenate([p.target_ids for p in pairs]), ignore_id=PAD_ID)
 

@@ -223,9 +223,9 @@ def test_criterion_5_causality_and_pad_invariance():
         targets[t] = 9
         probe = Tensor(np.zeros((1, 6, cfg.d_model)), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            enc_out, enc_mask = encode(cfg, params, enc_in)
+            enc_out, enc_grid = encode(cfg, params, enc_in)
             embeds = add(embedding(params["embedding"], dec_in), probe)
-            logits = decode_logits(cfg, params, enc_out, enc_mask, dec_in, inputs_embeds=embeds)
+            logits = decode_logits(cfg, params, enc_out, enc_grid, dec_in, inputs_embeds=embeds)
             loss = cross_entropy(reshape(logits, (6, cfg.vocab_size)), targets, ignore_id=0)
             backward(loss, tape)
         assert (probe.grad[0, t + 1 :] == 0.0).all()  # exactly zero

@@ -551,6 +551,37 @@ class TestFinetuneAndEvaluate:
             "invalid_rate=1.000000\n"
         )
 
+    @staticmethod
+    def _small_checkpoint(path, vocab_size, dropout=0.1):
+        cfg = ModelConfig(vocab_size=vocab_size, d_model=8, d_ff=16, n_heads=2, d_kv=4,
+                          enc_layers=1, dec_layers=1, rel_buckets=4, rel_max_distance=8, dropout=dropout)
+        save_checkpoint(path, Checkpoint.from_model(cfg, init_params(cfg, np.random.default_rng(0))))
+
+    @pytest.mark.parametrize("extra", [27, -10], ids=["larger", "smaller"])
+    def test_evaluate_refuses_a_checkpoint_of_another_vocabulary_size(self, tmp_path, vocab_file, capsys, extra):
+        n = len(load_vocab(vocab_file))
+        self._small_checkpoint(tmp_path / "ck.bin", n + extra)
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"]])
+        rc = main(["evaluate", "--dataset", str(dataset), "--vocab", str(vocab_file),
+                   "--checkpoint", str(tmp_path / "ck.bin"), "--task", "summarization",
+                   "--output-dir", str(tmp_path / "eval")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint vocabulary size {n + extra} does not match {vocab_file} ({n} tokens)\n")
+        assert not (tmp_path / "eval").exists()
+
+    def test_finetune_from_a_checkpoint_trains_with_the_dropout_option(self, tmp_path, vocab_file):
+        self._small_checkpoint(tmp_path / "ck.bin", len(load_vocab(vocab_file)), dropout=0.1)
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"], ["voda teče", "teče"]])
+        rc = main(["finetune", "--train", str(dataset), "--validation", str(dataset),
+                   "--vocab", str(vocab_file), "--task", "summarization", "--init", str(tmp_path / "ck.bin"),
+                   "--output-dir", str(tmp_path / "ft"), "--epochs", "1", "--max-output-tokens", "2",
+                   "--dropout", "0"])
+        assert rc == 0
+        assert load_checkpoint(tmp_path / "ft" / "epoch-001.bin").config.dropout == 0.0
+
     def test_unknown_task_is_usage_error(self, tmp_path, vocab_file):
         assert main(["evaluate", "--dataset", "x.csv", "--vocab", str(vocab_file),
                      "--checkpoint", "c.bin", "--task", "nope",

@@ -65,10 +65,10 @@ def _zero_params(cfg):
 def _prefix_greedy(config, params, input_ids, max_len, *, eos_id=1):
     """Test oracle: greedy decoding that re-runs the decoder over the whole
     prefix at every step, with no cache."""
-    enc_out, enc_mask = encode(config, params, np.asarray([input_ids]))
+    enc_out, enc_grid = encode(config, params, np.asarray([input_ids]))
     dec = [0]
     for _ in range(max_len):
-        nxt = int(np.argmax(decode_logits(config, params, enc_out, enc_mask, np.asarray([dec])).data[0, -1]))
+        nxt = int(np.argmax(decode_logits(config, params, enc_out, enc_grid, np.asarray([dec])).data[0, -1]))
         if nxt == eos_id:
             break
         dec.append(nxt)

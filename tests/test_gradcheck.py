@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from minit5.gradcheck import finite_diff_check
-from minit5.model import MASKED
 from minit5.tensor import (
+    MASKED,
     ShapeError,
     Tape,
     Tensor,
@@ -134,9 +134,22 @@ def _rows_composition(x, grid):
     return flat if grid[0] is None else embedding(flat, grid[0])
 
 
-def attention_composition(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, rng=None, grids=None):
-    if grids is not None:
-        q, k, v = _grid_composition(q, grids[0]), _grid_composition(k, grids[1]), _grid_composition(v, grids[1])
+def _mask_composition(kv_grid, n_q, causal):
+    """An additive mask built apart from the fused op's: MASKED on each key
+    position that is not a row, plus MASKED on each key after the query's
+    position when causal (query i at key position n_k - n_q + i)."""
+    index, (b, n_k) = kv_grid
+    mask = np.zeros((b, 1, n_q, n_k))
+    if index is not None:
+        mask += np.where(np.isin(np.arange(b * n_k), index), 0.0, MASKED).reshape(b, 1, 1, n_k)
+    if causal:
+        mask += np.triu(np.full((n_q, n_k), MASKED), k=n_k - n_q + 1)
+    return mask
+
+
+def attention_composition(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rng=None):
+    mask = _mask_composition(grids[1], grids[0][1][1], causal)
+    q, k, v = _grid_composition(q, grids[0]), _grid_composition(k, grids[1]), _grid_composition(v, grids[1])
     b, n_q, inner = q.shape
     d = inner // n_heads
 
@@ -146,11 +159,9 @@ def attention_composition(q, k, v, n_heads, scale, bias=None, mask=None, p=0.0, 
     scores = mul(matmul(heads(q), transpose(heads(k), (0, 1, 3, 2))), scale)
     if bias is not None:
         scores = add(scores, bias)
-    if mask is not None:
-        scores = add(scores, mask)
-    weights = dropout(softmax_lastdim(scores), p, rng)
+    weights = dropout(softmax_lastdim(add(scores, mask)), p, rng)
     ctx = reshape(transpose(matmul(weights, heads(v)), (0, 2, 1, 3)), (b, n_q, inner))
-    return ctx if grids is None else _rows_composition(ctx, grids[0])
+    return _rows_composition(ctx, grids[0])
 
 
 def gated_gelu_ffn_composition(x, wi_0, wi_1, wo, p=0.0, rng=None):
@@ -161,20 +172,19 @@ B, TQ, TK, HEADS, D = 2, 3, 5, 2, 3
 
 
 def _attention_case(rng, dtype, masks):
-    """q, k, v and bias tensors (gradient-tracking) and a constant mask of
-    the kinds named in masks ("pad": last key of row 1; "causal": no key
-    after a query's position)."""
+    """q, k, v rows and a bias (gradient-tracking), the grids, and the causal
+    flag, for the hidden keys named in masks ("pad": the last key of row 1
+    is not a row; "causal": no key after a query's position)."""
     def param(*shape):
         return Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
 
-    inputs = {"q": param(B, TQ, HEADS * D), "k": param(B, TK, HEADS * D), "v": param(B, TK, HEADS * D),
+    real_k = np.ones((B, TK), dtype=bool)
+    real_k[1, -1] = "pad" not in masks
+    n_k = int(real_k.sum())
+    inputs = {"q": param(B * TQ, HEADS * D), "k": param(n_k, HEADS * D), "v": param(n_k, HEADS * D),
               "bias": param(1, HEADS, TQ, TK)}
-    mask = np.zeros((B, 1, TQ, TK), dtype=dtype)
-    if "pad" in masks:
-        mask[1, :, :, -1] = MASKED
-    if "causal" in masks:
-        mask[:, :, np.arange(TK)[None, :] > np.arange(TQ)[:, None] + TK - TQ] += MASKED
-    return inputs, (mask if masks else None)
+    kv_index = None if real_k.all() else np.flatnonzero(real_k)
+    return inputs, ((None, (B, TQ)), (kv_index, (B, TK))), "causal" in masks
 
 
 def _ffn_case(rng, dtype):
@@ -184,9 +194,9 @@ def _ffn_case(rng, dtype):
     return {"x": param(B, TQ, 4), "wi_0": param(4, 6), "wi_1": param(4, 6), "wo": param(6, 4)}
 
 
-def _run_attention(op, inputs, mask, p, seed):
+def _run_attention(op, inputs, grids, causal, p, seed):
     i = inputs
-    return op(i["q"], i["k"], i["v"], HEADS, D**-0.5, bias=i["bias"], mask=mask, p=p,
+    return op(i["q"], i["k"], i["v"], HEADS, D**-0.5, grids, bias=i["bias"], causal=causal, p=p,
               rng=np.random.default_rng(seed))
 
 
@@ -199,10 +209,10 @@ def _run_ffn(op, inputs, p, seed):
 @pytest.mark.parametrize("p", [0.0, 0.4])
 def test_fused_attention_gradients(masks, p):
     rng = np.random.default_rng(21)
-    inputs, mask = _attention_case(rng, np.float64, masks)
-    w = Tensor(rng.normal(size=(B, TQ, HEADS * D)), dtype=np.float64)
+    inputs, grids, causal = _attention_case(rng, np.float64, masks)
+    w = Tensor(rng.normal(size=(B * TQ, HEADS * D)), dtype=np.float64)
     # the rng is re-seeded inside f, so every evaluation drops the same weights
-    f = lambda: sum_all(mul(_run_attention(attention, inputs, mask, p, 5), w))
+    f = lambda: sum_all(mul(_run_attention(attention, inputs, grids, causal, p, 5), w))
     assert finite_diff_check(f, inputs) < 1e-6
 
 
@@ -268,9 +278,9 @@ def _assert_fused_matches_composition(fused_run, composed_run, inputs, dtype):
 
 @pytest.mark.parametrize("dtype, p", [(np.float64, 0.0), (np.float64, 0.4), (np.float32, 0.0)])
 def test_fused_attention_matches_composition(dtype, p):
-    inputs, mask = _attention_case(np.random.default_rng(25), dtype, ("pad", "causal"))
-    _assert_fused_matches_composition(lambda: _run_attention(attention, inputs, mask, p, 8),
-                                      lambda: _run_attention(attention_composition, inputs, mask, p, 8),
+    inputs, grids, causal = _attention_case(np.random.default_rng(25), dtype, ("pad", "causal"))
+    _assert_fused_matches_composition(lambda: _run_attention(attention, inputs, grids, causal, p, 8),
+                                      lambda: _run_attention(attention_composition, inputs, grids, causal, p, 8),
                                       inputs, dtype)
 
 
@@ -289,43 +299,35 @@ REAL_K = np.array([[True, True, True, True, False], [True, False, True, False, F
 
 
 def _rows_attention_case(rng, dtype):
-    """Query, key and value rows of REAL_Q and REAL_K, a bias, the mask
-    hiding the keys that are not rows, and the grids."""
+    """Query, key and value rows of REAL_Q and REAL_K, a bias, and the grids."""
     def param(*shape):
         return Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
 
     nq, nk = int(REAL_Q.sum()), int(REAL_K.sum())
     inputs = {"q": param(nq, HEADS * D), "k": param(nk, HEADS * D), "v": param(nk, HEADS * D),
               "bias": param(1, HEADS, TQ, TK)}
-    mask = np.where(REAL_K, 0.0, MASKED).astype(dtype)[:, None, None, :]
-    return inputs, mask, ((np.flatnonzero(REAL_Q), REAL_Q.shape), (np.flatnonzero(REAL_K), REAL_K.shape))
-
-
-def _run_rows_attention(op, inputs, mask, grids, p, seed):
-    i = inputs
-    return op(i["q"], i["k"], i["v"], HEADS, D**-0.5, bias=i["bias"], mask=mask, p=p,
-              rng=np.random.default_rng(seed), grids=grids)
+    return inputs, ((np.flatnonzero(REAL_Q), REAL_Q.shape), (np.flatnonzero(REAL_K), REAL_K.shape))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.4])
 def test_attention_on_rows_gradients(p):
     # the layout every attention block of the model uses: rows in, rows out
     rng = np.random.default_rng(28)
-    inputs, mask, grids = _rows_attention_case(rng, np.float64)
+    inputs, grids = _rows_attention_case(rng, np.float64)
     w = Tensor(rng.normal(size=(int(REAL_Q.sum()), HEADS * D)), dtype=np.float64)
-    f = lambda: sum_all(mul(_run_rows_attention(attention, inputs, mask, grids, p, 9), w))
+    f = lambda: sum_all(mul(_run_attention(attention, inputs, grids, False, p, 9), w))
     assert finite_diff_check(f, inputs) < 1e-6
 
 
 @pytest.mark.parametrize("dtype, p", [(np.float64, 0.0), (np.float64, 0.4), (np.float32, 0.0)])
 def test_attention_on_rows_matches_padded_composition(dtype, p):
-    inputs, mask, grids = _rows_attention_case(np.random.default_rng(29), dtype)
+    inputs, grids = _rows_attention_case(np.random.default_rng(29), dtype)
     _assert_fused_matches_composition(
-        lambda: _run_rows_attention(attention, inputs, mask, grids, p, 10),
-        lambda: _run_rows_attention(attention_composition, inputs, mask, grids, p, 10), inputs, dtype)
+        lambda: _run_attention(attention, inputs, grids, False, p, 10),
+        lambda: _run_attention(attention_composition, inputs, grids, False, p, 10), inputs, dtype)
 
 
 def test_attention_on_rows_rejects_a_row_count_its_grid_does_not_hold():
-    inputs, mask, (q_grid, kv_grid) = _rows_attention_case(np.random.default_rng(30), np.float64)
+    inputs, (q_grid, kv_grid) = _rows_attention_case(np.random.default_rng(30), np.float64)
     with pytest.raises(ShapeError):
-        _run_rows_attention(attention, inputs, mask, (q_grid, (np.flatnonzero(REAL_K)[:-1], REAL_K.shape)), 0.0, 0)
+        _run_attention(attention, inputs, (q_grid, (np.flatnonzero(REAL_K)[:-1], REAL_K.shape)), False, 0.0, 0)

@@ -167,9 +167,9 @@ class TestForward:
         targets = np.array([0, 0, 7, 0, 0, 0])  # loss reads only position t
         probe = Tensor(np.zeros((1, 6, cfg.d_model)), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            enc_out, enc_mask = encode(cfg, params, enc_in)
+            enc_out, enc_grid = encode(cfg, params, enc_in)
             embeds = add(embedding(params["embedding"], dec_in), probe)
-            logits = decode_logits(cfg, params, enc_out, enc_mask, dec_in, inputs_embeds=embeds)
+            logits = decode_logits(cfg, params, enc_out, enc_grid, dec_in, inputs_embeds=embeds)
             loss = cross_entropy(reshape(logits, (6, cfg.vocab_size)), targets, ignore_id=0)
             backward(loss, tape)
         # gradient w.r.t. embedded decoder inputs: zero (exactly) after t
@@ -314,11 +314,11 @@ class TestDecodeCache:
     def _cached(self, cfg, params, enc_in, dec_in, chunks):
         from minit5.model import DecodeCache, decode_logits, encode
 
-        enc_out, enc_mask = encode(cfg, params, enc_in)
+        enc_out, enc_grid = encode(cfg, params, enc_in)
         cache = DecodeCache()
         rows, start = [], 0
         for n in chunks:
-            rows.append(decode_logits(cfg, params, enc_out, enc_mask, dec_in[:, start:start + n],
+            rows.append(decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, start:start + n],
                                       cache=cache).data)
             start += n
         assert cache.length == dec_in.shape[1]
@@ -357,16 +357,16 @@ class TestDecodeCache:
 
         cfg, params, rng = _random_bias_model(4, np.float64)
         enc_in, dec_in = self._inputs(rng, 3)
-        enc_out, enc_mask = encode(cfg, params, enc_in)
+        enc_out, enc_grid = encode(cfg, params, enc_in)
         cache = DecodeCache()
         with pytest.raises(ValueError):
-            decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache, train=True,
+            decode_logits(cfg, params, enc_out, enc_grid, dec_in, cache=cache, train=True,
                           rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache, lengths=[3])
+            decode_logits(cfg, params, enc_out, enc_grid, dec_in, cache=cache, lengths=[3])
         with Tape() as tape:
             with pytest.raises(ValueError):
-                decode_logits(cfg, params, enc_out, enc_mask, dec_in, cache=cache)
+                decode_logits(cfg, params, enc_out, enc_grid, dec_in, cache=cache)
         assert tape.nodes == [] and cache.length == 0
 
 
@@ -380,27 +380,23 @@ def _join_rows(old, new, batch):
 class _JoinedState:
     """Test oracle: the cached decoder step as it was built before DecodeCache
     kept buffers. Every call re-joins each layer's self-attention K/V rows,
-    and rebuilds the relative bias with `_rel_bias` and the causal mask,
-    whatever the number of queries."""
+    and rebuilds the relative bias with `_rel_bias`."""
 
     def __init__(self):
         self.length = 0
         self.cross = {}
         self.kv = {}
 
-    def logits(self, cfg, params, enc_out, enc_rows, ids):
+    def logits(self, cfg, params, enc_out, enc_grid, ids):
         import minit5.model as model
         from minit5.tensor import Tensor, add, embedding, matmul, mul, rms_norm, transpose
 
         b, n = ids.shape
-        dtype = params["embedding"].data.dtype
         positions = np.arange(self.length, self.length + n)
         n_keys = self.length + n
-        causal = model._causal_mask(positions, n_keys, dtype)
         bias = model._rel_bias(params, "decoder.rel_bias", positions, n_keys, False, cfg)
-        enc_mask = np.where(enc_rows.real, 0.0, model.MASKED).astype(dtype)[:, None, None, :]
         self_grids = ((None, (b, n)), (None, (b, n_keys)))
-        cross_grids = ((None, (b, n)), enc_rows.grid)
+        cross_grids = ((None, (b, n)), enc_grid)
         x = embedding(params["embedding"], ids.reshape(-1))
         for i in range(cfg.dec_layers):
             base = f"decoder.layers.{i}"
@@ -409,11 +405,11 @@ class _JoinedState:
             if i in self.kv:
                 kv = tuple(Tensor(_join_rows(old.data, new.data, b)) for old, new in zip(self.kv[i], kv))
             self.kv[i] = kv
-            x = add(x, model._attention(params, f"{base}.self", h, kv, self_grids, causal, bias, cfg, False, None))
+            x = add(x, model._attention(params, f"{base}.self", h, kv, self_grids, True, bias, cfg, False, None))
             h = rms_norm(x, params[f"{base}.cross_norm"])
             if i not in self.cross:
                 self.cross[i] = model._project_kv(params, f"{base}.cross", enc_out)
-            x = add(x, model._attention(params, f"{base}.cross", h, self.cross[i], cross_grids, enc_mask, None,
+            x = add(x, model._attention(params, f"{base}.cross", h, self.cross[i], cross_grids, False, None,
                                         cfg, False, None))
             h = rms_norm(x, params[f"{base}.ffn_norm"])
             x = add(x, model._ffn(params, f"{base}.ffn", h, cfg, False, None))
@@ -444,12 +440,12 @@ class TestDecodeCacheBuffers:
         cfg, params, rng = _random_bias_model(30 + batch, np.float32)
         assert sum(chunks) > 3 * cfg.rel_max_distance
         enc_in, dec_in = self._batch(rng, batch, sum(chunks))
-        enc_out, enc_rows = encode(cfg, params, enc_in)
+        enc_out, enc_grid = encode(cfg, params, enc_in)
         cache, oracle, start = DecodeCache(), _JoinedState(), 0
         for n in chunks:
             ids = dec_in[:, start:start + n]
-            got = decode_logits(cfg, params, enc_out, enc_rows, ids, cache=cache).data
-            want = oracle.logits(cfg, params, enc_out, enc_rows, ids)
+            got = decode_logits(cfg, params, enc_out, enc_grid, ids, cache=cache).data
+            want = oracle.logits(cfg, params, enc_out, enc_grid, ids)
             assert got.dtype == np.float32
             assert np.array_equal(got, want), start
             start += n
@@ -469,10 +465,10 @@ class TestDecodeCacheBuffers:
         monkeypatch.setattr(DecodeCache, "extend", recorded)
         cfg, params, rng = _random_bias_model(40, np.float32)
         enc_in, dec_in = self._batch(rng, 1, 300)
-        enc_out, enc_rows = encode(cfg, params, enc_in)
+        enc_out, enc_grid = encode(cfg, params, enc_in)
         cache = DecodeCache()
         for t in range(300):
-            decode_logits(cfg, params, enc_out, enc_rows, dec_in[:, t:t + 1], cache=cache)
+            decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, t:t + 1], cache=cache)
         for layer in range(cfg.dec_layers):
             ks = views[layer]
             assert [k.shape[1] for k in ks] == list(range(1, 301))
@@ -490,11 +486,11 @@ class TestDecodeCacheBuffers:
 
         cfg, params, rng = _random_bias_model(41, np.float32)
         enc_in, dec_in = self._batch(rng, 2, 3)
-        enc_out, enc_rows = encode(cfg, params, enc_in)
+        enc_out, enc_grid = encode(cfg, params, enc_in)
         cache = DecodeCache()
-        decode_logits(cfg, params, enc_out, enc_rows, dec_in[:, :1], cache=cache)
+        decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, :1], cache=cache)
         with pytest.raises(ShapeError, match=r"batch of 2.*batch of 1"):
-            decode_logits(cfg, params, enc_out, enc_rows, dec_in[:1, 1:2], cache=cache)
+            decode_logits(cfg, params, enc_out, enc_grid, dec_in[:1, 1:2], cache=cache)
         assert cache.length == 1
 
 
@@ -586,12 +582,12 @@ class TestRowLayout:
         enc_in = rng.integers(3, 60, size=(3, 5))
         dec_in = rng.integers(3, 60, size=(3, 4))
         dec_in[:, 0] = 0  # the start symbol is the pad id, and real
-        enc_out, enc_rows = encode(cfg, params, enc_in)
-        full = decode_logits(cfg, params, enc_out, enc_rows, dec_in).data
-        rows = decode_logits(cfg, params, enc_out, enc_rows, dec_in, lengths=[4, 1, 2]).data
+        enc_out, enc_grid = encode(cfg, params, enc_in)
+        full = decode_logits(cfg, params, enc_out, enc_grid, dec_in).data
+        rows = decode_logits(cfg, params, enc_out, enc_grid, dec_in, lengths=[4, 1, 2]).data
         assert rows.shape == (7, cfg.vocab_size)
         np.testing.assert_allclose(rows, np.concatenate([full[0], full[1, :1], full[2, :2]]),
                                    rtol=1e-12, atol=1e-12)
         for bad in ([0, 1, 2], [5, 1, 1], [1, 2]):
             with pytest.raises(ShapeError):
-                decode_logits(cfg, params, enc_out, enc_rows, dec_in, lengths=bad)
+                decode_logits(cfg, params, enc_out, enc_grid, dec_in, lengths=bad)

@@ -9,6 +9,7 @@ from minit5.tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     backward,
     cross_entropy,
     embedding,
@@ -18,7 +19,6 @@ from minit5.tensor import (
     reshape,
     rms_norm,
     softmax_lastdim,
-    sub,
     sum_all,
     transpose,
 )
@@ -324,10 +324,52 @@ class TestEmbeddingAndShapes:
         for out in (softmax_lastdim(x), gelu(x), rms_norm(x, Tensor(np.ones(4)))):
             assert np.isfinite(out.data).all()
 
-    def test_sub_grad(self):
-        a = Tensor([3.0], requires_grad=True)
-        b = Tensor([1.0], requires_grad=True)
-        with Tape() as tape:
-            backward(sum_all(sub(a, b)), tape)
-        np.testing.assert_array_equal(a.grad, [1.0])
-        np.testing.assert_array_equal(b.grad, [-1.0])
+
+class TestAttentionMasking:
+    """tensor.attention decides which keys a query sees from the key grid
+    and the causal flag alone."""
+
+    H, D = 2, 3
+
+    def _tensor(self, rng, *shape):
+        return Tensor(rng.normal(size=shape), dtype=np.float64)
+
+    def test_keys_that_are_not_rows_are_hidden(self):
+        # a pad inside row 0's keys and two at the end of row 1's, a pad
+        # inside row 1's queries: no mask is passed
+        rng = np.random.default_rng(31)
+        real_q = np.array([[True, True, True], [True, False, True]])
+        real_k = np.array([[True, True, False, True, True, True], [True, True, True, True, False, False]])
+        inner = self.H * self.D
+        q = self._tensor(rng, int(real_q.sum()), inner)
+        k, v = self._tensor(rng, int(real_k.sum()), inner), self._tensor(rng, int(real_k.sum()), inner)
+        bias = self._tensor(rng, 1, self.H, 3, 6)
+        grids = ((np.flatnonzero(real_q), real_q.shape), (np.flatnonzero(real_k), real_k.shape))
+        out = attention(q, k, v, self.H, 0.5, grids, bias=bias).data
+        q_start = k_start = 0
+        for rq, rk in zip(real_q, real_k):
+            nq, nk = int(rq.sum()), int(rk.sum())
+            one = attention(Tensor(q.data[q_start:q_start + nq]), Tensor(k.data[k_start:k_start + nk]),
+                            Tensor(v.data[k_start:k_start + nk]), self.H, 0.5,
+                            ((np.flatnonzero(rq), (1, 3)), (None, (1, nk))), bias=Tensor(bias.data[..., rk]))
+            np.testing.assert_allclose(out[q_start:q_start + nq], one.data, rtol=1e-12, atol=1e-12)
+            q_start, k_start = q_start + nq, k_start + nk
+
+    def test_causal_queries_are_the_last_keys(self):
+        # query i of 2 sits at key position 5 - 2 + i and sees the keys up to it
+        rng = np.random.default_rng(32)
+        inner = self.H * self.D
+        q, k, v = self._tensor(rng, 2, inner), self._tensor(rng, 5, inner), self._tensor(rng, 5, inner)
+        bias = self._tensor(rng, 1, self.H, 2, 5)
+        out = attention(q, k, v, self.H, 0.5, ((None, (1, 2)), (None, (1, 5))), bias=bias, causal=True).data
+        for i in range(2):
+            seen = 3 + i + 1
+            one = attention(Tensor(q.data[i:i + 1]), Tensor(k.data[:seen]), Tensor(v.data[:seen]), self.H, 0.5,
+                            ((None, (1, 1)), (None, (1, seen))), bias=Tensor(bias.data[:, :, i:i + 1, :seen]))
+            np.testing.assert_allclose(out[i:i + 1], one.data, rtol=1e-12, atol=1e-12)
+
+    def test_causal_needs_no_more_queries_than_keys(self):
+        rng = np.random.default_rng(33)
+        q, kv = self._tensor(rng, 3, self.H * self.D), self._tensor(rng, 2, self.H * self.D)
+        with pytest.raises(ShapeError):
+            attention(q, kv, kv, self.H, 0.5, ((None, (1, 3)), (None, (1, 2))), causal=True)
