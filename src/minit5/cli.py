@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import bpe, dedup, evaluation, noising, tasks, training
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, open_text
 from .model import PRESETS, budget_table, init_params, preset, training_budget_ratio
 from .tensor import LossError, ShapeError
 
@@ -57,7 +57,6 @@ class _Parser(argparse.ArgumentParser):
 # option name -> (default, type, help); _REQUIRED names the options a command cannot run without
 _COMMON = {
     "config": (None, str, "JSON config file; explicit flags override its values"),
-    "seed": (0, int, "root random seed"),
 }
 
 _SPECS = {
@@ -91,6 +90,7 @@ _SPECS = {
         "checkpoint_every": (500, int, "save a checkpoint every N steps"),
         "preset": ("tiny", str, f"model preset, one of {sorted(PRESETS)}"),
         "dropout": (0.1, float, "dropout rate during training"),
+        "seed": (0, int, "root random seed"),
     },
     "finetune": {
         "train": (None, str, "training CSV (input, target)"),
@@ -105,6 +105,7 @@ _SPECS = {
         "max_output_tokens": (None, int, "decode budget for validation scoring (default: per-task table)"),
         "preset": ("tiny", str, "model preset when --init is not given"),
         "dropout": (0.1, float, "dropout rate during training"),
+        "seed": (0, int, "root random seed"),
     },
     "evaluate": {
         "dataset": (None, str, "evaluation CSV (input, target)"),
@@ -139,9 +140,10 @@ _BOUNDS = {
     "dedup": {"ngram": _at_least(1), "threshold": _SHARE},
     "pretrain": {"seq_len": _at_least(2), "steps": _at_least(0), "batch_tokens": _at_least(1),
                  "warmup": _at_least(1), "checkpoint_every": _at_least(0), "lr": _POSITIVE, "dropout": _RATE,
-                 "mean_span": _at_least(1), "mix": _SHARE, "noise_density": _SHARE, "iid_rate": _SHARE},
+                 "mean_span": _at_least(1), "mix": _SHARE, "noise_density": _SHARE, "iid_rate": _SHARE,
+                 "seed": _at_least(0)},
     "finetune": {"epochs": _at_least(1), "batch_examples": _at_least(1), "max_output_tokens": _at_least(1),
-                 "lr": _POSITIVE, "dropout": _RATE},
+                 "lr": _POSITIVE, "dropout": _RATE, "seed": _at_least(0)},
     "evaluate": {"max_output_tokens": _at_least(1)},
     "budget": {"steps": _at_least(1), "batch_tokens": _at_least(1), "params": _at_least(1)},
 }
@@ -209,7 +211,7 @@ def _resolve_config(args, command):
 
 
 def _cmd_tokenizer_train(cfg):
-    with open(cfg["corpus"], encoding="utf-8") as f:
+    with open_text(cfg["corpus"]) as f:
         vocab = bpe.train_bpe(f, cfg["vocab_size"], cfg["sentinel_count"])
     bpe.save_vocab(vocab, cfg["vocab_out"])
     print(f"trained vocabulary of {len(vocab)} tokens "

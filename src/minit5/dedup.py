@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from . import bpe
-from .fileio import atomic_write, atomic_write_text
+from .fileio import atomic_write, atomic_write_text, open_text
 
 # pinned and recorded in every stats file so runs stay comparable
 HASH_VERSION = "blake2b64-v1"
@@ -137,7 +137,7 @@ def corpus_stats(paragraphs, vocab=None):
 def read_paragraphs(path, doc_id=None):
     """Paragraphs from a UTF-8 text file, separated by blank lines."""
     doc = doc_id if doc_id is not None else os.path.basename(str(path))
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         buf = []
         idx = 0
         for line in f:

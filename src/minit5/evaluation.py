@@ -80,7 +80,7 @@ def greedy_decode(config, params, input_ids, max_len, *, eos_id=bpe.EOS_ID):
     if max_len < 1:
         raise EvalError(f"max_len must be >= 1, got {max_len}")
     enc_out, enc_grid = encode(config, params, input_ids)
-    cache = DecodeCache()
+    cache = DecodeCache(config, params, enc_out, enc_grid, max_len)
     generated = []
     step = np.full((1, 1), bpe.PAD_ID)  # the start symbol, then each generated id in turn
     for _ in range(max_len):

@@ -1,4 +1,5 @@
-"""Atomic artifact writes, the one way minit5 puts a file on disk.
+"""Atomic artifact writes, the one way minit5 puts a file on disk, and
+`open_text`, which opens the corpus and dataset inputs.
 
 Checkpoints, vocabulary and merges files, dedup output and stats, reports,
 predictions, selection files and CSV datasets are each written to a
@@ -40,3 +41,16 @@ def atomic_write(path, binary=False):
 def atomic_write_text(path, text):
     with atomic_write(path) as f:
         f.write(text)
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """Yield path open as UTF-8 text (newline as for open()). Bytes that are
+    not UTF-8 raise UnicodeDecodeError with the file's name in its reason,
+    since the codec's position counts from the start of a read chunk, not
+    of the file."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise UnicodeDecodeError(e.encoding, e.object, e.start, e.end, f"{e.reason}, in {path}") from None

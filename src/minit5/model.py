@@ -16,7 +16,8 @@ rows. When every position is real (greedy decoding, full batches) that
 layout is a view, and nothing is copied.
 
 Incremental decoding passes a `DecodeCache`, which owns the per-decode
-constants (K/V buffers written in place, the decoder bias by distance).
+constants (cross-attention K/V, the self-attention K/V buffer written in
+place, the decoder bias by distance).
 Uncached calls, training among them, build the bias with `_rel_bias`, so
 its gradient flows.
 
@@ -236,70 +237,48 @@ def _ffn(params, prefix, x, config, train, rng):
 
 class DecodeCache:
     """Decoder state carried across incremental `decode_logits` calls on one
-    encoder output and one batch size. Inference only: cached K/V carry no
-    gradient.
+    encoder output, built once per decode. Each call adds one position per
+    row. Inference only: the cached K/V carry no gradient.
 
-    - `length`: the number of positions already decoded.
-    - Cross-attention K/V of each layer, projected from the encoder output
-      on first use.
+    - `length`: the number of positions already decoded, at most `capacity`.
+    - `cross[i]`: layer i's cross-attention K/V rows, projected here from
+      the encoder output.
     - Self-attention K/V of every layer in one buffer [layers, 2, batch,
-      capacity, inner]. A call writes its new positions in place, and
-      attention reads [batch, keys, inner] views of it. A call that needs
-      more positions doubles the capacity (as often as needed).
-    - The decoder's relative bias by distance, [heads, capacity], built
-      from `decoder.rel_bias` with the capacity. The unidirectional bucket
-      depends only on max(query - key, 0), so a query at position p takes
-      `table[:, max(p - key, 0)]`; for one query that is the reversed
-      slice `table[:, p::-1]`."""
+      capacity, inner], the batch size taken from the encoder grid. A call
+      writes column `length` in place, and attention reads [batch, keys,
+      inner] views of it.
+    - The decoder's relative bias by distance, [heads, capacity]. The
+      unidirectional bucket depends only on max(query - key, 0), so the
+      query at position p takes the reversed slice `table[:, p::-1]`."""
 
-    def __init__(self):
+    def __init__(self, config, params, enc_out, enc_grid, capacity):
         self.length = 0
-        self._cross = {}
-        self._kv = None
-        self._table = None
-
-    def cross(self, layer, project):
-        if layer not in self._cross:
-            self._cross[layer] = project()
-        return self._cross[layer]
-
-    def reserve(self, config, params, batch, n):
-        """Make room for n more positions of each of `batch` rows. Returns
-        the decoder bias [1, heads, n, keys] of those positions' queries
-        against every key so far."""
-        keys = self.length + n
-        if self._kv is not None and self._kv.shape[2] != batch:
-            raise ShapeError(f"a DecodeCache built for a batch of {self._kv.shape[2]} "
-                             f"was called with a batch of {batch}")
-        if self._kv is None or keys > self._kv.shape[3]:
-            self._grow(config, params, batch, keys)
-        if n == 1:
-            return Tensor(self._table[None, :, None, self.length::-1])
-        distance = np.maximum(np.arange(self.length, keys)[:, None] - np.arange(keys), 0)
-        return Tensor(self._table[:, distance][None])
-
-    def _grow(self, config, params, batch, keys):
-        capacity = self._kv.shape[3] if self._kv is not None else 1
-        while capacity < keys:
-            capacity *= 2
+        self.cross = [_project_kv(params, f"decoder.layers.{i}.cross", enc_out) for i in range(config.dec_layers)]
         dtype = params["embedding"].data.dtype
-        kv = np.empty((config.dec_layers, 2, batch, capacity, config.inner_dim), dtype=dtype)
-        if self._kv is not None:
-            kv[:, :, :, :self.length] = self._kv[:, :, :, :self.length]
-        self._kv = kv
+        self._kv = np.empty((config.dec_layers, 2, enc_grid[1][0], capacity, config.inner_dim), dtype=dtype)
         buckets = relative_bucket(-np.arange(capacity), False, config.rel_buckets, config.rel_max_distance)
         self._table = np.ascontiguousarray(params["decoder.rel_bias"].data[buckets].T)
 
+    def bias(self, ids):
+        """The decoder bias [1, heads, 1, keys] of the next position's query
+        against every key so far. Refuses ids that are not one position per
+        row of the cache's batch, and a full cache."""
+        batch, capacity = self._kv.shape[2:4]
+        if ids.shape != (batch, 1):
+            raise ShapeError(f"a DecodeCache for a batch of {batch} takes decoder ids of shape "
+                             f"({batch}, 1), got {ids.shape}")
+        if self.length == capacity:
+            raise ShapeError(f"the DecodeCache is full: it holds {capacity} positions")
+        return Tensor(self._table[None, :, None, self.length::-1])
+
     def extend(self, layer, kv):
-        """Write the K/V rows [batch * n, inner] of the n new positions in
-        place; returns the K/V views [batch, keys, inner] over all positions
-        so far."""
+        """Write the K/V rows [batch, inner] of the new position into column
+        `length`; returns the K/V views [batch, keys, inner] over all
+        positions so far."""
         buf = self._kv[layer]
-        batch, inner = buf.shape[1], buf.shape[3]
-        stop = self.length + kv[0].data.shape[0] // batch
         for slot, new in zip(buf, kv):
-            slot[:, self.length:stop] = new.data.reshape(batch, -1, inner)
-        return Tensor(buf[0, :, :stop]), Tensor(buf[1, :, :stop])
+            slot[:, self.length] = new.data
+        return Tensor(buf[0, :, :self.length + 1]), Tensor(buf[1, :, :self.length + 1])
 
 
 def encode(config, params, input_ids, *, train=False, rng=None):
@@ -339,11 +318,11 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
     in row-major order. Position 0 holds the start symbol, the pad id, and
     is real.
 
-    With a DecodeCache, decoder_input_ids are only the positions after those
-    the cache has already seen, for the batch size of its first call; their
-    K/V are written into its buffers, so greedy decoding runs one position
-    per generated token. Cached calls are for inference: they refuse
-    train=True and an active Tape.
+    With a DecodeCache, decoder_input_ids are the one position per row that
+    follows those the cache has already seen, [batch, 1] with the batch size
+    of the cache's encoder grid; their K/V are written into its buffer, so
+    greedy decoding runs one position per generated token. Cached calls are
+    for inference: they refuse train=True, lengths and an active Tape.
 
     inputs_embeds [batch, len, d_model], when given, replaces the embedding
     lookup (e.g. to probe gradients with respect to the embedded decoder
@@ -363,8 +342,8 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
         n_keys = n
         bias = _rel_bias(params, "decoder.rel_bias", np.arange(n), n, False, config)
     else:
-        n_keys = cache.length + n
-        bias = cache.reserve(config, params, b, n)
+        bias = cache.bias(ids)
+        n_keys = cache.length + 1
     # keys of a cached call are every position so far; else they are the queries
     self_grids = (grid, (grid[0], (b, n_keys)))
     cross_grids = (grid, enc_grid)
@@ -385,10 +364,7 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
         a = _attention(params, f"{base}.self", h, kv, self_grids, True, bias, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.cross_norm"])
-        if cache is None:
-            kv = _project_kv(params, f"{base}.cross", enc_out)
-        else:
-            kv = cache.cross(i, lambda: _project_kv(params, f"{base}.cross", enc_out))
+        kv = _project_kv(params, f"{base}.cross", enc_out) if cache is None else cache.cross[i]
         a = _attention(params, f"{base}.cross", h, kv, cross_grids, False, None, config, train, rng)
         x = add(x, dropout(a, config.dropout, rng) if train else a)
         h = rms_norm(x, params[f"{base}.ffn_norm"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from .fileio import atomic_write
+from .fileio import atomic_write, open_text
 
 
 class TaskFormatError(ValueError):
@@ -284,14 +284,18 @@ def merge_simplification(entries):
 
 
 def load_csv_dataset(path, task=""):
-    """Two-column CSV (input, target), RFC-style quoting."""
+    """Two-column CSV (input, target), RFC-style quoting. A malformed row
+    raises DatasetError naming path:line."""
     examples = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with open_text(path, newline="") as f:
         reader = csv.reader(f)
         for row in reader:
             if len(row) != 2:
                 raise DatasetError(f"{path}:{reader.line_num}: expected 2 columns, found {len(row)}")
-            examples.append(TaskExample(row[0], row[1], task))
+            try:
+                examples.append(TaskExample(row[0], row[1], task))
+            except TaskFormatError as e:
+                raise DatasetError(f"{path}:{reader.line_num}: {e}") from None
     return examples
 
 

@@ -221,9 +221,10 @@ class Checkpoint:
         return cls(config, raw, step=step, optimizer=opt, rng_state=rng_state)
 
     def to_params(self):
-        """Parameter dict of gradient-tracking tensors over copies of the
-        stored arrays."""
-        return {k: Tensor(a.copy(), requires_grad=True) for k, a in self.params.items()}
+        """Parameter dict of gradient-tracking tensors over the stored arrays
+        themselves, not copies: an update to the parameters changes the
+        checkpoint's arrays too."""
+        return {k: Tensor(a, requires_grad=True) for k, a in self.params.items()}
 
     def make_rng(self):
         rng = np.random.default_rng(0)

@@ -339,6 +339,15 @@ class TestConfigHandling:
         assert err.startswith(f"error: {cfg}: {key} must be ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["tokenizer-train", "dedup", "evaluate", "budget"])
+    def test_seed_is_no_option_of_a_command_that_never_reads_it(self, tmp_path, capsys, command):
+        assert main([command, "--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}), encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config keys ['seed']\n"
+
     def test_missing_required_option(self):
         assert main(["dedup"]) == 1
 
@@ -631,6 +640,8 @@ class TestExitCodes:
         ("pretrain", "lr", -1),
         ("finetune", "lr", 0),
         ("finetune", "lr", -1),
+        ("pretrain", "seed", -1),
+        ("finetune", "seed", -1),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_out_of_range_pretrain_option_exits_1_before_writing(self, tmp_path, corpus_file, vocab_file,
@@ -773,3 +784,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "malformed header" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def _evaluate_argv(tmp_path, vocab_file, dataset):
+        cfg = ModelConfig(vocab_size=len(load_vocab(vocab_file)), d_model=8, d_ff=16, n_heads=2, d_kv=4,
+                          enc_layers=1, dec_layers=1)
+        checkpoint = tmp_path / "model.bin"
+        save_checkpoint(checkpoint, Checkpoint.from_model(cfg, init_params(cfg, np.random.default_rng(0))))
+        return ["evaluate", "--dataset", str(dataset), "--vocab", str(vocab_file), "--checkpoint", str(checkpoint),
+                "--task", "summarization", "--output-dir", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    def test_empty_csv_input_cell_exits_2_naming_the_line(self, tmp_path, vocab_file, capsys, command):
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"], ["", "teče"]])
+        if command == "evaluate":
+            argv = self._evaluate_argv(tmp_path, vocab_file, dataset)
+        else:
+            argv = ["finetune", "--train", str(dataset), "--validation", str(dataset), "--vocab", str(vocab_file),
+                    "--task", "summarization", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {dataset}:2: TaskExample.input_text is empty\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["dedup", "tokenizer-train", "pretrain", "finetune", "evaluate"])
+    def test_input_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, corpus_file, vocab_file, capsys,
+                                                            command):
+        bad = tmp_path / "bad.txt"
+        if command in ("finetune", "evaluate"):
+            bad.write_bytes(b'"kje gori","gori"\n"voda \xff",".."\n')
+        else:
+            bad.write_bytes(CORPUS.encode("utf-8") + b"\nvoda \xff\n")
+        argv = self._evaluate_argv(tmp_path, vocab_file, bad) if command == "evaluate" else {
+            "dedup": ["dedup", "--input", str(bad), "--output", str(tmp_path / "clean.txt")],
+            "tokenizer-train": ["tokenizer-train", "--corpus", str(bad), "--vocab-out", str(tmp_path / "v.txt"),
+                                "--vocab-size", "60", "--sentinel-count", "8"],
+            "pretrain": ["pretrain", "--corpus", str(bad), "--vocab", str(vocab_file),
+                         "--output-dir", str(tmp_path / "run"), "--steps", "1", "--seq-len", "16"],
+            "finetune": ["finetune", "--train", str(bad), "--validation", str(bad), "--vocab", str(vocab_file),
+                         "--task", "summarization", "--output-dir", str(tmp_path / "ft")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: 'utf-8' codec can't decode byte 0xff") and err.endswith(f", in {bad}\n")

@@ -311,31 +311,27 @@ class TestDecodeCache:
                                  rng.integers(3, 60, size=(1, 3)), [[0, 0]]], axis=1)
         return enc_in, rng.integers(3, 60, size=(1, dec_len))
 
-    def _cached(self, cfg, params, enc_in, dec_in, chunks):
+    def _cached(self, cfg, params, enc_in, dec_in):
+        """Logits of one cached call per position, joined along the positions."""
         from minit5.model import DecodeCache, decode_logits, encode
 
         enc_out, enc_grid = encode(cfg, params, enc_in)
-        cache = DecodeCache()
-        rows, start = [], 0
-        for n in chunks:
-            rows.append(decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, start:start + n],
-                                      cache=cache).data)
-            start += n
+        cache = DecodeCache(cfg, params, enc_out, enc_grid, dec_in.shape[1])
+        rows = [decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, t:t + 1], cache=cache).data
+                for t in range(dec_in.shape[1])]
         assert cache.length == dec_in.shape[1]
         return np.concatenate(rows, axis=1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_chunked_calls_match_one_full_call_float64(self, seed):
+    def test_step_by_step_calls_match_one_full_call_float64(self, seed):
         # 30 positions run past rel_max_distance=8, into the log buckets
-        # and the clamp; chunks of several positions exercise the causal
-        # mask at a non-zero query offset
+        # and the clamp
         cfg, params, rng = _random_bias_model(seed, np.float64)
         enc_in, dec_in = self._inputs(rng, 30)
         full = forward(cfg, params, enc_in, dec_in).data
-        cached = self._cached(cfg, params, enc_in, dec_in, [1, 4, 1, 10, 14])
-        assert np.abs(cached - full).max() < 1e-10
+        assert np.abs(self._cached(cfg, params, enc_in, dec_in) - full).max() < 1e-10
 
-    def test_batch_of_two_chunked_calls_match_one_full_call_float64(self):
+    def test_batch_of_two_step_by_step_calls_match_one_full_call_float64(self):
         # the cache writes each row's K/V into its own buffer row; row 1's input
         # ends in pads, so cross-attention reads packed encoder rows
         cfg, params, rng = _random_bias_model(6, np.float64)
@@ -343,27 +339,26 @@ class TestDecodeCache:
         enc_in[1, 6:] = 0
         dec_in = rng.integers(3, 60, size=(2, 12))
         full = forward(cfg, params, enc_in, dec_in).data
-        assert np.abs(self._cached(cfg, params, enc_in, dec_in, [1, 3, 8]) - full).max() < 1e-10
+        assert np.abs(self._cached(cfg, params, enc_in, dec_in) - full).max() < 1e-10
 
     def test_step_by_step_logits_allclose_to_full_call_float32(self):
         cfg, params, rng = _random_bias_model(3, np.float32)
         enc_in, dec_in = self._inputs(rng, 24)
         full = forward(cfg, params, enc_in, dec_in).data
-        cached = self._cached(cfg, params, enc_in, dec_in, [1] * 24)
-        assert np.allclose(cached, full, rtol=1e-4, atol=1e-5)
+        assert np.allclose(self._cached(cfg, params, enc_in, dec_in), full, rtol=1e-4, atol=1e-5)
 
     def test_cache_refuses_training_and_an_active_tape(self):
         from minit5.model import DecodeCache, decode_logits, encode
 
         cfg, params, rng = _random_bias_model(4, np.float64)
-        enc_in, dec_in = self._inputs(rng, 3)
+        enc_in, dec_in = self._inputs(rng, 1)
         enc_out, enc_grid = encode(cfg, params, enc_in)
-        cache = DecodeCache()
+        cache = DecodeCache(cfg, params, enc_out, enc_grid, 3)
         with pytest.raises(ValueError):
             decode_logits(cfg, params, enc_out, enc_grid, dec_in, cache=cache, train=True,
                           rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            decode_logits(cfg, params, enc_out, enc_grid, dec_in, cache=cache, lengths=[3])
+            decode_logits(cfg, params, enc_out, enc_grid, dec_in, cache=cache, lengths=[1])
         with Tape() as tape:
             with pytest.raises(ValueError):
                 decode_logits(cfg, params, enc_out, enc_grid, dec_in, cache=cache)
@@ -420,8 +415,8 @@ class _JoinedState:
 
 
 class TestDecodeCacheBuffers:
-    """DecodeCache's K/V buffers and bias table against the per-step
-    construction they replaced, and the buffers' own invariants."""
+    """DecodeCache's K/V buffer and bias table against the per-step
+    construction they replaced, and the buffer's own invariants."""
 
     @staticmethod
     def _batch(rng, batch, dec_len):
@@ -431,67 +426,72 @@ class TestDecodeCacheBuffers:
         return enc_in, rng.integers(3, 60, size=(batch, dec_len))
 
     @pytest.mark.parametrize("batch", [1, 2])
-    @pytest.mark.parametrize("chunks", [[1] * 40, [1, 4, 1, 10, 14]], ids=["one_per_call", "chunks"])
-    def test_logits_bitwise_equal_to_per_step_construction_float32(self, batch, chunks):
-        # 30 and 40 positions cross the buffer's doublings at 2, 4, ..., 32
-        # and 3 * rel_max_distance = 24, where every offset is clamped
+    def test_logits_bitwise_equal_to_per_step_construction_float32(self, batch):
+        # 40 positions run past 3 * rel_max_distance = 24, where every
+        # offset is clamped
         from minit5.model import DecodeCache, decode_logits, encode
 
         cfg, params, rng = _random_bias_model(30 + batch, np.float32)
-        assert sum(chunks) > 3 * cfg.rel_max_distance
-        enc_in, dec_in = self._batch(rng, batch, sum(chunks))
+        steps = 40
+        assert steps > 3 * cfg.rel_max_distance
+        enc_in, dec_in = self._batch(rng, batch, steps)
         enc_out, enc_grid = encode(cfg, params, enc_in)
-        cache, oracle, start = DecodeCache(), _JoinedState(), 0
-        for n in chunks:
-            ids = dec_in[:, start:start + n]
+        cache, oracle = DecodeCache(cfg, params, enc_out, enc_grid, steps), _JoinedState()
+        for t in range(steps):
+            ids = dec_in[:, t:t + 1]
             got = decode_logits(cfg, params, enc_out, enc_grid, ids, cache=cache).data
             want = oracle.logits(cfg, params, enc_out, enc_grid, ids)
             assert got.dtype == np.float32
-            assert np.array_equal(got, want), start
-            start += n
-        assert cache.length == oracle.length == sum(chunks)
+            assert np.array_equal(got, want), t
+        assert cache.length == oracle.length == steps
 
-    def test_buffers_are_written_in_place_and_double(self, monkeypatch):
+    def test_one_buffer_is_written_in_place(self, monkeypatch):
         from minit5.model import DecodeCache, decode_logits, encode
 
-        views = {}
+        calls = []  # (layer, the K/V views' base arrays, copies of the views as returned)
         extend = DecodeCache.extend
 
         def recorded(self, layer, kv):
             out = extend(self, layer, kv)
-            views.setdefault(layer, []).append(out[0].data)
+            calls.append((layer, [t.data.base for t in out], [t.data.copy() for t in out]))
             return out
 
         monkeypatch.setattr(DecodeCache, "extend", recorded)
         cfg, params, rng = _random_bias_model(40, np.float32)
         enc_in, dec_in = self._batch(rng, 1, 300)
         enc_out, enc_grid = encode(cfg, params, enc_in)
-        cache = DecodeCache()
+        cache = DecodeCache(cfg, params, enc_out, enc_grid, 300)
         for t in range(300):
             decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, t:t + 1], cache=cache)
+        assert all(base is cache._kv for _, bases, _ in calls for base in bases)
+        final = {layer: views for layer, _, views in calls}
         for layer in range(cfg.dec_layers):
-            ks = views[layer]
-            assert [k.shape[1] for k in ks] == list(range(1, 301))
-            buffers = []
-            for prev, k in zip([None] + ks, ks):
-                if buffers and k.base is buffers[-1]:
-                    assert np.shares_memory(prev, k)
-                    assert np.array_equal(k[:, :-1], prev)  # earlier positions stay put
-                else:
-                    buffers.append(k.base)
-            assert len(buffers) - 1 <= math.ceil(math.log2(300))
+            assert [views[0].shape[1] for i, _, views in calls if i == layer] == list(range(1, 301))
+        for layer, _, views in calls:
+            for view, last in zip(views, final[layer]):
+                assert np.array_equal(view, last[:, :view.shape[1]])  # earlier positions stay put
 
-    def test_a_call_with_another_batch_size_is_refused(self):
+    def test_a_call_that_does_not_fit_is_refused_and_changes_nothing(self):
         from minit5.model import DecodeCache, decode_logits, encode
 
         cfg, params, rng = _random_bias_model(41, np.float32)
         enc_in, dec_in = self._batch(rng, 2, 3)
         enc_out, enc_grid = encode(cfg, params, enc_in)
-        cache = DecodeCache()
+        cache = DecodeCache(cfg, params, enc_out, enc_grid, 2)
         decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, :1], cache=cache)
-        with pytest.raises(ShapeError, match=r"batch of 2.*batch of 1"):
-            decode_logits(cfg, params, enc_out, enc_grid, dec_in[:1, 1:2], cache=cache)
+
+        def refused(ids, match):
+            state = cache._kv.tobytes()
+            with pytest.raises(ShapeError, match=match):
+                decode_logits(cfg, params, enc_out, enc_grid, ids, cache=cache)
+            assert cache._kv.tobytes() == state
+
+        refused(dec_in[:1, 1:2], r"batch of 2.*\(1, 1\)")
+        refused(dec_in[:, 1:3], r"batch of 2.*\(2, 2\)")
         assert cache.length == 1
+        decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, 1:2], cache=cache)
+        refused(dec_in[:, 2:3], "full")
+        assert cache.length == 2
 
 
 def _ragged_batch(rng, size):

@@ -184,6 +184,24 @@ class TestCheckpoints:
         assert loaded.step == 42
         assert loaded.rng_state == ck.rng_state
 
+    def test_load_and_to_params_hold_one_copy_of_the_parameters(self, tmp_path):
+        import tracemalloc
+
+        cfg = _tiny(vocab=8192)
+        params = init_params(cfg, np.random.default_rng(0))
+        nbytes = sum(p.data.nbytes for p in params.values())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Checkpoint.from_model(cfg, params))
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path).to_params()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nbytes <= peak < 1.25 * nbytes, (peak, nbytes)
+        for name, p in params.items():
+            assert loaded[name].data.tobytes() == p.data.tobytes(), name
+
     def test_optimizer_state_round_trip(self, tmp_path):
         ck = self._checkpoint(optimizer=True)
         path = tmp_path / "model.ckpt"
