@@ -16,7 +16,7 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .fileio import atomic_write
+from .fileio import atomic_write, open_text
 
 PAD_TOKEN = "<pad>"
 EOS_TOKEN = "</s>"
@@ -236,7 +236,7 @@ def load_vocab(vocab_path):
     """Load a vocabulary and the merges file beside it; the special ids must
     be the fixed ones and the merges must build the merged tokens."""
     merges_path = str(vocab_path) + ".merges"
-    with open(vocab_path, encoding="utf-8") as f:
+    with open_text(vocab_path) as f:
         header = f.readline().rstrip("\n")
         try:
             version, size, sentinel_count, pad_id, eos_id, unk_id = map(int, header.split(","))
@@ -253,7 +253,7 @@ def load_vocab(vocab_path):
     if tokens[:3] != [PAD_TOKEN, EOS_TOKEN, UNK_TOKEN]:
         raise TokenizerError(f"{vocab_path}: ids 0-2 must be {PAD_TOKEN}, {EOS_TOKEN}, {UNK_TOKEN}")
     merges = []
-    with open(merges_path, encoding="utf-8") as f:
+    with open_text(merges_path) as f:
         for line in f:
             line = line.rstrip("\n")
             if not line:

@@ -1,9 +1,11 @@
 """Command-line entry point wiring the library together.
 
 Subcommands: tokenizer-train, dedup, pretrain, finetune, evaluate, budget.
-Every option can also be supplied via a JSON config file (--config);
+Every option can also be supplied via a JSON config file (--config),
+whose keys are the option names (--config itself is none of them);
 explicit flags win over the file; unknown keys, mistyped values and
-out-of-range numbers are rejected.
+out-of-range numbers are rejected. Each option is declared once, as a
+row of `_SPECS` holding its default, type, help and check.
 Artifacts go through `fileio.atomic_write` (a `.tmp-*` file in the target
 directory, then a rename), so a failed run leaves nothing half-written;
 only training.log is appended as training runs.
@@ -54,78 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# option name -> (default, type, help); _REQUIRED names the options a command cannot run without
-_COMMON = {
-    "config": (None, str, "JSON config file; explicit flags override its values"),
-}
-
-_SPECS = {
-    "tokenizer-train": {
-        "corpus": (None, str, "input text file (UTF-8, blank-line paragraphs)"),
-        "vocab_out": ("vocab.txt", str, "output vocabulary file; the merges go to <vocab_out>.merges"),
-        "vocab_size": (32000, int, "total vocabulary size"),
-        "sentinel_count": (100, int, "reserved sentinel tokens at the top of the id space"),
-    },
-    "dedup": {
-        "input": (None, str, "input text file (UTF-8, blank-line paragraphs)"),
-        "output": (None, str, "deduplicated output file"),
-        "stats_out": (None, str, "stats file (default: <output>.stats)"),
-        "ngram": (10, int, "shingle order in words"),
-        "threshold": (0.5, float, "drop a paragraph when more than this fraction of its shingles was seen"),
-        "vocab": (None, str, "optional vocabulary file for token counts"),
-    },
-    "pretrain": {
-        "corpus": (None, str, "training text file"),
-        "vocab": (None, str, "vocabulary file"),
-        "output_dir": (None, str, "directory for checkpoints and the training log"),
-        "steps": (1000, int, "optimizer steps (full-scale reference: 1000000)"),
-        "batch_tokens": (4096, int, "token budget per batch"),
-        "seq_len": (128, int, "tokens per pretraining sequence before noising"),
-        "lr": (0.01, float, "peak learning rate"),
-        "warmup": (10000, int, "linear warmup steps before inverse-sqrt decay"),
-        "noise_density": (0.15, float, "fraction of tokens corrupted by span corruption"),
-        "mean_span": (3.0, float, "mean corrupted-span length in tokens"),
-        "mix": (0.5, float, "probability of span corruption vs i.i.d. denoising"),
-        "iid_rate": (0.15, float, "per-token corruption probability for i.i.d. denoising"),
-        "checkpoint_every": (500, int, "save a checkpoint every N steps"),
-        "preset": ("tiny", str, f"model preset, one of {sorted(PRESETS)}"),
-        "dropout": (0.1, float, "dropout rate during training"),
-        "seed": (0, int, "root random seed"),
-    },
-    "finetune": {
-        "train": (None, str, "training CSV (input, target)"),
-        "validation": (None, str, "validation CSV used for checkpoint selection"),
-        "vocab": (None, str, "vocabulary file"),
-        "task": (None, str, f"task tag, one of {sorted(evaluation.DECODE_LIMITS)}"),
-        "init": (None, str, "checkpoint to start from (default: fresh parameters)"),
-        "output_dir": (None, str, "directory for per-epoch checkpoints and the selection report"),
-        "epochs": (None, int, "fine-tuning epochs (default: per-task table)"),
-        "batch_examples": (64, int, "examples per batch"),
-        "lr": (1e-4, float, "constant learning rate"),
-        "max_output_tokens": (None, int, "decode budget for validation scoring (default: per-task table)"),
-        "preset": ("tiny", str, "model preset when --init is not given"),
-        "dropout": (0.1, float, "dropout rate during training"),
-        "seed": (0, int, "root random seed"),
-    },
-    "evaluate": {
-        "dataset": (None, str, "evaluation CSV (input, target)"),
-        "vocab": (None, str, "vocabulary file"),
-        "checkpoint": (None, str, "model checkpoint"),
-        "task": (None, str, f"task tag, one of {sorted(evaluation.DECODE_LIMITS)}"),
-        "output_dir": (None, str, "directory for report.txt, report.kv and predictions.csv"),
-        "max_output_tokens": (None, int, "decode budget (default: per-task table)"),
-    },
-    "budget": {
-        "steps": (None, int, "optimizer steps for a custom ratio"),
-        "batch_tokens": (None, int, "tokens per batch for a custom ratio"),
-        "params": (None, int, "parameter count for a custom ratio"),
-    },
-}
-
-# options whose value must be one of a fixed set
-_CHOICES = {"preset": PRESETS, "task": evaluation.DECODE_LIMITS}
-
-
 def _at_least(low):
     return f"at least {low}", lambda v: v >= low
 
@@ -134,27 +64,73 @@ _POSITIVE = "greater than 0", lambda v: v > 0
 _RATE = "in [0, 1)", lambda v: 0 <= v < 1
 _SHARE = "in [0, 1]", lambda v: 0 <= v <= 1
 
-# per command, the numeric options with a bounded range: (the range as shown, its test)
-_BOUNDS = {
-    "tokenizer-train": {"vocab_size": _at_least(4), "sentinel_count": _at_least(0)},  # 4: specials + marker
-    "dedup": {"ngram": _at_least(1), "threshold": _SHARE},
-    "pretrain": {"seq_len": _at_least(2), "steps": _at_least(0), "batch_tokens": _at_least(1),
-                 "warmup": _at_least(1), "checkpoint_every": _at_least(0), "lr": _POSITIVE, "dropout": _RATE,
-                 "mean_span": _at_least(1), "mix": _SHARE, "noise_density": _SHARE, "iid_rate": _SHARE,
-                 "seed": _at_least(0)},
-    "finetune": {"epochs": _at_least(1), "batch_examples": _at_least(1), "max_output_tokens": _at_least(1),
-                 "lr": _POSITIVE, "dropout": _RATE, "seed": _at_least(0)},
-    "evaluate": {"max_output_tokens": _at_least(1)},
-    "budget": {"steps": _at_least(1), "batch_tokens": _at_least(1), "params": _at_least(1)},
-}
+REQUIRED = ...  # the default of an option a command cannot run without
 
-_REQUIRED = {
-    "tokenizer-train": ("corpus",),
-    "dedup": ("input", "output"),
-    "pretrain": ("corpus", "vocab", "output_dir"),
-    "finetune": ("train", "validation", "vocab", "task", "output_dir"),
-    "evaluate": ("dataset", "vocab", "checkpoint", "task", "output_dir"),
-    "budget": (),
+# per command, option name -> (default, type, help, check); check is None, a
+# range (as shown, its test) or the fixed set the value must be one of
+_SPECS = {
+    "tokenizer-train": {
+        "corpus": (REQUIRED, str, "input text file (UTF-8, blank-line paragraphs)", None),
+        "vocab_out": ("vocab.txt", str, "output vocabulary file; the merges go to <vocab_out>.merges", None),
+        "vocab_size": (32000, int, "total vocabulary size", _at_least(4)),  # 4: specials + marker
+        "sentinel_count": (100, int, "reserved sentinel tokens at the top of the id space", _at_least(0)),
+    },
+    "dedup": {
+        "input": (REQUIRED, str, "input text file (UTF-8, blank-line paragraphs)", None),
+        "output": (REQUIRED, str, "deduplicated output file", None),
+        "stats_out": (None, str, "stats file (default: <output>.stats)", None),
+        "ngram": (10, int, "shingle order in words", _at_least(1)),
+        "threshold": (0.5, float, "drop a paragraph when more than this fraction of its shingles was seen",
+                      _SHARE),
+        "vocab": (None, str, "optional vocabulary file for token counts", None),
+    },
+    "pretrain": {
+        "corpus": (REQUIRED, str, "training text file", None),
+        "vocab": (REQUIRED, str, "vocabulary file", None),
+        "output_dir": (REQUIRED, str, "directory for checkpoints and the training log", None),
+        "steps": (1000, int, "optimizer steps (full-scale reference: 1000000)", _at_least(0)),
+        "batch_tokens": (4096, int, "token budget per batch", _at_least(1)),
+        "seq_len": (128, int, "tokens per pretraining sequence before noising", _at_least(2)),
+        "lr": (0.01, float, "peak learning rate", _POSITIVE),
+        "warmup": (10000, int, "linear warmup steps before inverse-sqrt decay", _at_least(1)),
+        "noise_density": (0.15, float, "fraction of tokens corrupted by span corruption", _SHARE),
+        "mean_span": (3.0, float, "mean corrupted-span length in tokens", _at_least(1)),
+        "mix": (0.5, float, "probability of span corruption vs i.i.d. denoising", _SHARE),
+        "iid_rate": (0.15, float, "per-token corruption probability for i.i.d. denoising", _SHARE),
+        "checkpoint_every": (500, int, "save a checkpoint every N steps", _at_least(0)),
+        "preset": ("tiny", str, f"model preset, one of {sorted(PRESETS)}", PRESETS),
+        "dropout": (0.1, float, "dropout rate during training", _RATE),
+        "seed": (0, int, "root random seed", _at_least(0)),
+    },
+    "finetune": {
+        "train": (REQUIRED, str, "training CSV (input, target)", None),
+        "validation": (REQUIRED, str, "validation CSV used for checkpoint selection", None),
+        "vocab": (REQUIRED, str, "vocabulary file", None),
+        "task": (REQUIRED, str, f"task tag, one of {sorted(evaluation.DECODE_LIMITS)}", evaluation.DECODE_LIMITS),
+        "init": (None, str, "checkpoint to start from (default: fresh parameters)", None),
+        "output_dir": (REQUIRED, str, "directory for per-epoch checkpoints and the selection report", None),
+        "epochs": (None, int, "fine-tuning epochs (default: per-task table)", _at_least(1)),
+        "batch_examples": (64, int, "examples per batch", _at_least(1)),
+        "lr": (1e-4, float, "constant learning rate", _POSITIVE),
+        "max_output_tokens": (None, int, "decode budget for validation scoring (default: per-task table)",
+                              _at_least(1)),
+        "preset": ("tiny", str, "model preset when --init is not given", PRESETS),
+        "dropout": (0.1, float, "dropout rate during training", _RATE),
+        "seed": (0, int, "root random seed", _at_least(0)),
+    },
+    "evaluate": {
+        "dataset": (REQUIRED, str, "evaluation CSV (input, target)", None),
+        "vocab": (REQUIRED, str, "vocabulary file", None),
+        "checkpoint": (REQUIRED, str, "model checkpoint", None),
+        "task": (REQUIRED, str, f"task tag, one of {sorted(evaluation.DECODE_LIMITS)}", evaluation.DECODE_LIMITS),
+        "output_dir": (REQUIRED, str, "directory for report.txt, report.kv and predictions.csv", None),
+        "max_output_tokens": (None, int, "decode budget (default: per-task table)", _at_least(1)),
+    },
+    "budget": {
+        "steps": (None, int, "optimizer steps for a custom ratio", _at_least(1)),
+        "batch_tokens": (None, int, "tokens per batch for a custom ratio", _at_least(1)),
+        "params": (None, int, "parameter count for a custom ratio", _at_least(1)),
+    },
 }
 
 
@@ -164,8 +140,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command, spec in _SPECS.items():
         p = sub.add_parser(command, description=f"{command} options")
-        for name, (default, typ, help_text) in {**_COMMON, **spec}.items():
-            shown = "required" if name in _REQUIRED[command] else f"default: {default}"
+        p.add_argument("--config", help="JSON config file; explicit flags override its values (default: None)")
+        for name, (default, typ, help_text, _) in spec.items():
+            shown = "required" if default is REQUIRED else f"default: {default}"
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ,
                            default=None, help=f"{help_text} ({shown})")
     return parser
@@ -173,40 +150,42 @@ def _build_parser():
 
 def _resolve_config(args, command):
     """defaults < config file < explicit flags; unknown keys are an error."""
-    spec = {**_COMMON, **_SPECS[command]}
-    cfg = {name: default for name, (default, _, _) in spec.items()}
+    spec = _SPECS[command]
+    cfg = {name: None if default is REQUIRED else default for name, (default, _, _, _) in spec.items()}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as f:
-            try:
+        try:
+            with open_text(args.config) as f:
                 file_cfg = json.load(f)
-            except json.JSONDecodeError as e:
-                raise UsageError(f"{args.config}: invalid JSON ({e})") from e
+        except UnicodeDecodeError as e:
+            raise UsageError(str(e)) from e
+        except json.JSONDecodeError as e:
+            raise UsageError(f"{args.config}: invalid JSON ({e})") from e
         if not isinstance(file_cfg, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(file_cfg) - set(spec))
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys {unknown}")
-        for name, value in file_cfg.items():  # null only where the default is None; a bool is no number
-            default, typ, _ = spec[name]
-            if value is None and default is None:
+        for name, value in file_cfg.items():  # null only where there is no default; a bool is no number
+            default, typ, _, _ = spec[name]
+            if value is None and default in (None, REQUIRED):
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
                 raise UsageError(f"{args.config}: {name} must be a JSON {typ.__name__}, got {json.dumps(value)}")
         cfg.update(file_cfg)
-    for name in spec:
-        value = getattr(args, name)
-        if value is not None:
-            cfg[name] = value
-    for name in _REQUIRED[command]:
-        if cfg.get(name) is None:
-            raise UsageError(f"{command}: missing required option --{name.replace('_', '-')}")
-    for name, choices in _CHOICES.items():
-        if name in cfg and cfg[name] not in choices:
-            raise UsageError(f"unknown {name} {cfg[name]!r}; choose from {sorted(choices)}")
-    for name, (allowed, ok) in _BOUNDS[command].items():  # None: the per-task default
-        if cfg[name] is not None and not ok(cfg[name]):
-            raise UsageError(f"{command}: --{name.replace('_', '-')} must be {allowed}")
-    cfg.pop("config", None)
+    for name, (default, _, _, check) in spec.items():
+        flag = f"--{name.replace('_', '-')}"
+        if getattr(args, name) is not None:
+            cfg[name] = getattr(args, name)
+        value = cfg[name]
+        if value is None:  # unset: required, or left to the command
+            if default is REQUIRED:
+                raise UsageError(f"{command}: missing required option {flag}")
+        elif isinstance(check, tuple):
+            allowed, ok = check
+            if not ok(value):
+                raise UsageError(f"{command}: {flag} must be {allowed}")
+        elif check is not None and value not in check:
+            raise UsageError(f"unknown {name} {value!r}; choose from {sorted(check)}")
     return cfg
 
 
@@ -231,24 +210,12 @@ def _cmd_dedup(cfg):
     return 0
 
 
-def _sequence_stream(corpus_path, vocab, seq_len):
-    """Endless stream of fixed-length id sequences over the corpus."""
-    def chunks():
-        while True:
-            buf = []
-            usable = False
-            for p in dedup.read_paragraphs(corpus_path):
-                buf.extend(bpe.encode(p.text, vocab, append_eos=True))
-                while len(buf) >= seq_len:
-                    yield buf[:seq_len]
-                    buf = buf[seq_len:]
-                    usable = True
-            if len(buf) >= 2:
-                yield buf
-                usable = True
-            if not usable:
-                raise tasks.DatasetError(f"{corpus_path}: corpus too small to pretrain on")
-    return chunks()
+def _sequence_stream(ids, seq_len):
+    """Endless stream of seq_len-id pieces of the encoded corpus, pass after
+    pass; a pass ends with its short last piece when that holds 2 ids or more."""
+    while True:
+        for lo in range(0, len(ids) - 1, seq_len):
+            yield ids[lo:lo + seq_len]
 
 
 def _check_sentinels(cfg, vocab):
@@ -271,6 +238,9 @@ def _check_sentinels(cfg, vocab):
 def _cmd_pretrain(cfg):
     vocab = bpe.load_vocab(cfg["vocab"])
     _check_sentinels(cfg, vocab)
+    ids = [i for p in dedup.read_paragraphs(cfg["corpus"]) for i in bpe.encode(p.text, vocab, append_eos=True)]
+    if len(ids) < 2:
+        raise tasks.DatasetError(f"{cfg['corpus']}: corpus too small to pretrain on")
     model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
     rng = np.random.default_rng(cfg["seed"])
     params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))
@@ -286,7 +256,7 @@ def _cmd_pretrain(cfg):
 
     stats = noising.StreamStats()
     pairs = noising.noise_stream(
-        _sequence_stream(cfg["corpus"], vocab, cfg["seq_len"]), vocab, rng, stats=stats,
+        _sequence_stream(ids, cfg["seq_len"]), vocab, rng, stats=stats,
         mix=cfg["mix"], noise_density=cfg["noise_density"], mean_span=cfg["mean_span"],
         iid_prob=cfg["iid_rate"],
     )

@@ -1,5 +1,5 @@
 """Atomic artifact writes, the one way minit5 puts a file on disk, and
-`open_text`, which opens the corpus and dataset inputs.
+`open_text`, which opens every text input.
 
 Checkpoints, vocabulary and merges files, dedup output and stats, reports,
 predictions, selection files and CSV datasets are each written to a

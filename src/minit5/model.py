@@ -17,7 +17,7 @@ layout is a view, and nothing is copied.
 
 Incremental decoding passes a `DecodeCache`, which owns the per-decode
 constants (cross-attention K/V, the self-attention K/V buffer written in
-place, the decoder bias by distance).
+place, the decoder bias row of its last position).
 Uncached calls, training among them, build the bias with `_rel_bias`, so
 its gradient flows.
 
@@ -247,17 +247,17 @@ class DecodeCache:
       capacity, inner], the batch size taken from the encoder grid. A call
       writes column `length` in place, and attention reads [batch, keys,
       inner] views of it.
-    - The decoder's relative bias by distance, [heads, capacity]. The
-      unidirectional bucket depends only on max(query - key, 0), so the
-      query at position p takes the reversed slice `table[:, p::-1]`."""
+    - The decoder's relative bias row [1, heads, 1, capacity] of a query at
+      position capacity - 1, built by `_rel_bias`. The unidirectional bucket
+      depends only on the distance query - key, so the query at position p
+      takes the row's last p + 1 keys."""
 
     def __init__(self, config, params, enc_out, enc_grid, capacity):
         self.length = 0
         self.cross = [_project_kv(params, f"decoder.layers.{i}.cross", enc_out) for i in range(config.dec_layers)]
         dtype = params["embedding"].data.dtype
         self._kv = np.empty((config.dec_layers, 2, enc_grid[1][0], capacity, config.inner_dim), dtype=dtype)
-        buckets = relative_bucket(-np.arange(capacity), False, config.rel_buckets, config.rel_max_distance)
-        self._table = np.ascontiguousarray(params["decoder.rel_bias"].data[buckets].T)
+        self._bias = _rel_bias(params, "decoder.rel_bias", np.array([capacity - 1]), capacity, False, config).data
 
     def bias(self, ids):
         """The decoder bias [1, heads, 1, keys] of the next position's query
@@ -269,7 +269,7 @@ class DecodeCache:
                              f"({batch}, 1), got {ids.shape}")
         if self.length == capacity:
             raise ShapeError(f"the DecodeCache is full: it holds {capacity} positions")
-        return Tensor(self._table[None, :, None, self.length::-1])
+        return Tensor(self._bias[..., capacity - 1 - self.length:])
 
     def extend(self, layer, kv):
         """Write the K/V rows [batch, inner] of the new position into column

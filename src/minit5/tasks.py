@@ -313,7 +313,7 @@ def read_ner_file(path):
     key = None
     tokens = []
     labels = []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -317,6 +318,19 @@ class TestConfigHandling:
                        encoding="utf-8")
         assert main(["tokenizer-train", "--config", str(cfg)]) == 1
 
+    def test_config_file_that_is_not_utf8_exits_1_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"ngram": 3, "stats_out": "\xff"}')
+        assert main(["dedup", "--config", str(cfg), "--input", "in.txt", "--output", "out.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.endswith(f", in {cfg}\n")
+
+    def test_config_key_inside_a_config_file_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": "other.json", "ngram": 3}), encoding="utf-8")
+        assert main(["dedup", "--config", str(cfg), "--input", "in.txt", "--output", "out.txt"]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config keys ['config']\n"
+
     @pytest.mark.parametrize("command, key, value, flags", [
         ("dedup", "ngram", "3", ["--input", "corpus", "--output", "clean.txt"]),
         ("budget", "steps", "5", []),
@@ -364,13 +378,13 @@ class TestConfigHandling:
         assert "default: 0.15" in out
 
     def test_help_lists_every_option_for_every_command(self, capsys):
-        from minit5.cli import _COMMON, _SPECS
+        from minit5.cli import _SPECS
 
         for command, spec in _SPECS.items():
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             out = capsys.readouterr().out
-            for name in {**_COMMON, **spec}:
+            for name in ["config", *spec]:
                 assert f"--{name.replace('_', '-')}" in out, (command, name)
             assert "default:" in out or "required" in out
 
@@ -411,6 +425,19 @@ class TestPretrain:
                   "--batch-tokens", "96", "--seed", "9"])
             logs.append((out_dir / "training.log").read_text(encoding="utf-8"))
         assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("content, message", [
+        (CORPUS.encode("utf-8") + b"\nvoda \xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"\n \n\n", "{corpus}: corpus too small to pretrain on"),
+    ], ids=["not-utf8", "blank"])
+    def test_unusable_corpus_exits_2_before_writing(self, tmp_path, vocab_file, capsys, content, message):
+        corpus = tmp_path / "bad.txt"
+        corpus.write_bytes(content)
+        rc = main(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab_file),
+                   "--output-dir", str(tmp_path / "run"), "--steps", "1", "--seq-len", "16"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: " + message.format(corpus=corpus))
+        assert not (tmp_path / "run").exists()
 
     @pytest.fixture()
     def sentinel_vocab(self, tmp_path):
@@ -807,12 +834,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"data error: {dataset}:2: TaskExample.input_text is empty\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["dedup", "tokenizer-train", "pretrain", "finetune", "evaluate"])
+    @pytest.mark.parametrize("command", ["dedup", "tokenizer-train", "pretrain", "finetune", "evaluate", "vocab",
+                                         "merges"])
     def test_input_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, corpus_file, vocab_file, capsys,
                                                             command):
         bad = tmp_path / "bad.txt"
         if command in ("finetune", "evaluate"):
             bad.write_bytes(b'"kje gori","gori"\n"voda \xff",".."\n')
+        elif command == "vocab":  # read by dedup --vocab, as by every command that takes one
+            bad.write_bytes(vocab_file.read_bytes() + b"\xff\n")
+            shutil.copy(f"{vocab_file}.merges", f"{bad}.merges")
+        elif command == "merges":
+            bad = tmp_path / f"{vocab_file.name}.merges"
+            bad.write_bytes(bad.read_bytes() + b"\xff \xff\n")
         else:
             bad.write_bytes(CORPUS.encode("utf-8") + b"\nvoda \xff\n")
         argv = self._evaluate_argv(tmp_path, vocab_file, bad) if command == "evaluate" else {
@@ -823,6 +857,10 @@ class TestExitCodes:
                          "--output-dir", str(tmp_path / "run"), "--steps", "1", "--seq-len", "16"],
             "finetune": ["finetune", "--train", str(bad), "--validation", str(bad), "--vocab", str(vocab_file),
                          "--task", "summarization", "--output-dir", str(tmp_path / "ft")],
+            "vocab": ["dedup", "--input", str(corpus_file), "--output", str(tmp_path / "clean.txt"),
+                      "--vocab", str(bad)],
+            "merges": ["dedup", "--input", str(corpus_file), "--output", str(tmp_path / "clean.txt"),
+                       "--vocab", str(vocab_file)],
         }[command]
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -311,3 +311,10 @@ class TestNerFile:
         p.write_text("1130\t4167\tRadical\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=":1:"):
             read_ner_file(p)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "ner.tsv"
+        p.write_bytes(b"1130\t4167\tLondon\xff\tB-LOC\n")
+        with pytest.raises(UnicodeDecodeError) as e:
+            read_ner_file(p)
+        assert str(e.value).endswith(f", in {p}")
