@@ -158,6 +158,8 @@ def _resolve_config(args, command):
                 file_cfg = json.load(f)
         except UnicodeDecodeError as e:
             raise UsageError(str(e)) from e
+        except OSError as e:
+            raise UsageError(f"{args.config}: cannot read config ({e.strerror})") from e
         except json.JSONDecodeError as e:
             raise UsageError(f"{args.config}: invalid JSON ({e})") from e
         if not isinstance(file_cfg, dict):

@@ -329,9 +329,10 @@ _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _normal_cdf(x):
-    """0.5 * (1 + tanh(k * (x + a x^3))), the tanh-form normal CDF, in one buffer of x's dtype."""
-    cdf = np.square(x)
+def _normal_cdf(x, out=None):
+    """0.5 * (1 + tanh(k * (x + a x^3))), the tanh-form normal CDF, in one
+    buffer of x's dtype: out, or a new array when None."""
+    cdf = np.square(x, out=out)
     cdf *= _GELU_A * _GELU_K
     cdf += _GELU_K
     cdf *= x
@@ -551,31 +552,64 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     return _record(out, (q, k, v) if bias is None else (q, k, v, bias), vjp)
 
 
+_BLOCK_ELEMENTS = 1 << 16  # elementwise FFN work runs over row blocks of about this many elements
+
+
+def _by_row_blocks(body, *arrays):
+    """body(*blocks) over blocks of max(1, _BLOCK_ELEMENTS // width) rows of
+    the [..., width] arrays, so each block's temporaries stay in cache; None
+    passes through as None. A call that fits in one block gets the arrays
+    themselves."""
+    width = arrays[0].shape[-1]
+    step = max(1, _BLOCK_ELEMENTS // width)
+    n = arrays[0].size // width
+    if n <= step:
+        body(*arrays)
+        return
+    rows = [None if a is None else _rows(a) for a in arrays]
+    for i in range(0, n, step):
+        body(*(None if a is None else a[i:i + step] for a in rows))
+
+
 def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     """Gated-GELU feed-forward as one op: (gelu(x.wi_0) * (x.wi_1)) with
     inverted dropout p, then .wo. x: [..., d_model]; wi_0, wi_1:
-    [d_model, d_ff]; wo: [d_ff, d_model]. The backward rule keeps both
-    input projections, the normal CDF of the first, the hidden activations
-    and the dropout mask."""
+    [d_model, d_ff]; wo: [d_ff, d_model]. The matrix products run whole;
+    the elementwise work between them runs over blocks of rows (see
+    _by_row_blocks), and the dropout mask is drawn at full shape first. The
+    backward rule keeps both input projections, the normal CDF of the
+    first, the hidden activations and the dropout mask."""
     h0 = x.data @ wi_0.data
     h1 = x.data @ wi_1.data
-    cdf = _normal_cdf(h0)
-    h = h0 * cdf
-    h *= h1
-    keep, scale = _dropout_mask(h.shape, p, rng)
-    h = _apply_mask(h, keep, scale, out=h)
+    keep, scale = _dropout_mask(h0.shape, p, rng)
+    cdf = np.empty_like(h0)
+    h = np.empty_like(h0)
+
+    def hidden(h0, h1, keep, cdf, h):
+        _normal_cdf(h0, out=cdf)
+        np.multiply(h0, cdf, out=h)
+        h *= h1
+        _apply_mask(h, keep, scale, out=h)
+
+    _by_row_blocks(hidden, h0, h1, keep, cdf, h)
     out = Tensor(h @ wo.data)
 
     def vjp(g):
         gwo = _rows(h).T @ _rows(g) if wo.requires_grad else None
         gh = g @ wo.data.T
-        gh = _apply_mask(gh, keep, scale, out=gh)
-        gh1 = h0 * cdf
-        gh1 *= gh
-        gh0 = _gelu_slope(h0, cdf)
-        gh0 *= gh
-        gh0 *= h1
-        del gh
+        gh1 = np.empty_like(gh)
+
+        def hidden_grad(h0, h1, keep, cdf, gh, gh1):
+            """gh1 = gelu(h0) * gh and, in gh's place, gh0 = slope * gh * h1,
+            gh taken after the dropout mask."""
+            _apply_mask(gh, keep, scale, out=gh)
+            np.multiply(h0, cdf, out=gh1)
+            gh1 *= gh
+            gh *= _gelu_slope(h0, cdf)
+            gh *= h1
+
+        _by_row_blocks(hidden_grad, h0, h1, keep, cdf, gh, gh1)
+        gh0 = gh
         gx = None
         if x.requires_grad:
             gx = gh0 @ wi_0.data.T

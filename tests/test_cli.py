@@ -1,6 +1,8 @@
 import json
 import os
+import platform
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -80,6 +82,67 @@ class TestThreads:
 
     def test_explicit_blas_setting_wins(self):
         assert self._blas_threads_at_numpy_import(MINIT5_THREADS="3", OPENBLAS_NUM_THREADS="2") == "2"
+
+
+# allocates, touches and frees three 16 MiB float32 arrays per cycle, as a
+# training step frees its activations, and prints the minor page faults of
+# 8 cycles. Hugepage advice would count faults in 2 MiB units.
+_FAULT_PROBE = """
+import resource
+
+import minit5
+import numpy as np
+
+np._core.multiarray._set_madvise_hugepage(False)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(8):
+    arrays = [np.empty((16 << 20) // 4, dtype=np.float32) for _ in range(3)]
+    for a in arrays:
+        a.fill(1.0)
+    del a, arrays
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+# import minit5 with the C library lookup failing as the argument says
+_NO_MALLOPT = """
+import ctypes, sys
+
+
+class NoMallopt:
+    def __init__(self, name):
+        if sys.argv[1] == "OSError":
+            raise OSError("no C library")
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+ctypes.CDLL = NoMallopt
+import minit5
+
+print(minit5.preset("tiny").d_model)
+"""
+
+
+def _run_python(code, *argv):
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minit5.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+class TestMallocThresholds:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc thresholds are set on glibc only")
+    def test_freed_arrays_are_reused_not_faulted_in_again(self):
+        # glibc's defaults trim the heap (or unmap the arrays) on every free,
+        # so each cycle faults all its 3 * 4096 pages in again
+        pages = 3 * (16 << 20) // resource.getpagesize()
+        assert int(_run_python(_FAULT_PROBE)) < 2 * pages
+
+    @pytest.mark.parametrize("failure", ["OSError", "AttributeError"])
+    def test_import_works_without_mallopt(self, failure):
+        assert _run_python(_NO_MALLOPT, failure) == "64"
 
 
 # runs the minit5 command line with every scipy import failing
@@ -324,6 +387,13 @@ class TestConfigHandling:
         assert main(["dedup", "--config", str(cfg), "--input", "in.txt", "--output", "out.txt"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.endswith(f", in {cfg}\n")
+
+    @pytest.mark.parametrize("path, reason", [("missing.json", "No such file or directory"),
+                                              (".", "Is a directory")])
+    def test_missing_config_exits_1_naming_the_file(self, tmp_path, capsys, path, reason):
+        cfg = tmp_path / path
+        assert main(["dedup", "--config", str(cfg), "--input", "in.txt", "--output", "out.txt"]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: cannot read config ({reason})\n"
 
     def test_config_key_inside_a_config_file_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -25,6 +25,7 @@ from minit5.tensor import (
     sum_all,
     transpose,
 )
+from minit5.tensor import _BLOCK_ELEMENTS, _apply_mask, _dropout_mask, _gelu_slope, _normal_cdf, _record, _rows
 
 
 def _param(rng, *shape):
@@ -168,6 +169,38 @@ def gated_gelu_ffn_composition(x, wi_0, wi_1, wo, p=0.0, rng=None):
     return matmul(dropout(mul(gelu(matmul(x, wi_0)), matmul(x, wi_1)), p, rng), wo)
 
 
+def gated_gelu_ffn_unblocked(x, wi_0, wi_1, wo, p=0.0, rng=None):
+    """gated_gelu_ffn with its elementwise work over all rows at once."""
+    h0 = x.data @ wi_0.data
+    h1 = x.data @ wi_1.data
+    cdf = _normal_cdf(h0)
+    h = h0 * cdf
+    h *= h1
+    keep, scale = _dropout_mask(h.shape, p, rng)
+    h = _apply_mask(h, keep, scale, out=h)
+    out = Tensor(h @ wo.data)
+
+    def vjp(g):
+        gwo = _rows(h).T @ _rows(g) if wo.requires_grad else None
+        gh = g @ wo.data.T
+        gh = _apply_mask(gh, keep, scale, out=gh)
+        gh1 = h0 * cdf
+        gh1 *= gh
+        gh0 = _gelu_slope(h0, cdf)
+        gh0 *= gh
+        gh0 *= h1
+        del gh
+        gx = None
+        if x.requires_grad:
+            gx = gh0 @ wi_0.data.T
+            gx += gh1 @ wi_1.data.T
+        xt = _rows(x.data).T
+        return (gx, xt @ _rows(gh0) if wi_0.requires_grad else None,
+                xt @ _rows(gh1) if wi_1.requires_grad else None, gwo)
+
+    return _record(out, (x, wi_0, wi_1, wo), vjp)
+
+
 B, TQ, TK, HEADS, D = 2, 3, 5, 2, 3
 
 
@@ -187,11 +220,16 @@ def _attention_case(rng, dtype, masks):
     return inputs, ((None, (B, TQ)), (kv_index, (B, TK))), "causal" in masks
 
 
-def _ffn_case(rng, dtype):
+def _ffn_case(rng, dtype, x_shape=(B, TQ, 4), d_ff=6):
     def param(*shape):
         return Tensor(rng.normal(size=shape) * 0.7, requires_grad=True, dtype=dtype)
 
-    return {"x": param(B, TQ, 4), "wi_0": param(4, 6), "wi_1": param(4, 6), "wo": param(6, 4)}
+    d = x_shape[-1]
+    return {"x": param(*x_shape), "wi_0": param(d, d_ff), "wi_1": param(d, d_ff), "wo": param(d_ff, d)}
+
+
+FF = 1024  # the d256 model's d_ff
+ROWS_PER_BLOCK = max(1, _BLOCK_ELEMENTS // FF)
 
 
 def _run_attention(op, inputs, grids, causal, p, seed):
@@ -223,6 +261,28 @@ def test_fused_gated_ffn_gradients(p):
     w = Tensor(rng.normal(size=(B, TQ, 4)), dtype=np.float64)
     f = lambda: sum_all(mul(_run_ffn(gated_gelu_ffn, inputs, p, 6), w))
     assert finite_diff_check(f, inputs) < 1e-6
+
+
+def test_fused_gated_ffn_gradients_over_row_blocks():
+    # three full row blocks and a partial fourth; the weight gradients sum over every block
+    rng = np.random.default_rng(27)
+    rows = 3 * ROWS_PER_BLOCK + 5
+    inputs = _ffn_case(rng, np.float64, (rows, 4), FF)
+    w = Tensor(rng.normal(size=(rows, 4)), dtype=np.float64)
+    f = lambda: sum_all(mul(_run_ffn(gated_gelu_ffn, inputs, 0.1, 6), w))
+    assert finite_diff_check(f, inputs, max_coords_per_param=24) < 1e-6
+
+
+@pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
+                                  3 * ROWS_PER_BLOCK + 5])
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_row_blocked_ffn_is_bitwise_the_unblocked_one(rows, p):
+    inputs = _ffn_case(np.random.default_rng(28), np.float32, (rows, 32), FF)
+    out, grads = _forward_and_grads(lambda: _run_ffn(gated_gelu_ffn, inputs, p, 10), inputs)
+    ref, ref_grads = _forward_and_grads(lambda: _run_ffn(gated_gelu_ffn_unblocked, inputs, p, 10), inputs)
+    assert out.dtype == np.float32 and np.array_equal(out, ref)
+    for name in inputs:
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def test_dropout_gradient():
