@@ -7,10 +7,11 @@ The residual stream is carried as rows: a 2-D [real positions, d_model]
 array with no padding in it (encoder positions whose id is not the pad id;
 decoder positions inside each target, when `decode_logits` is given the
 target lengths). The embedding, the norms, every projection, the feed-
-forward, dropout, the residual adds and the tied output projection are one
-2-D computation over those rows. A grid (index, (batch, len)) names the
-real positions; `tensor.attention` alone lays its query, key and value rows
-out on their grids, zero-filled, hides the keys that are not rows and, for
+forward, dropout, the residual branches (`tensor.residual`, dropout and
+add in one op) and the tied output projection are one 2-D computation over
+those rows. A grid (index, (batch, len)) names the real positions;
+`tensor.attention` alone lays its query, key and value rows out on their
+grids, zero-filled, hides the keys that are not rows and, for
 self-attention in the decoder, the later ones, and returns its context as
 rows. When every position is real (greedy decoding, full batches) that
 layout is a view, and nothing is copied.
@@ -47,15 +48,16 @@ from .tensor import (
     matmul,
     mul,
     reshape,
+    residual,
     rms_norm,
     softmax_lastdim,
     transpose,
 )
 
-# Unused here since attention and the gated FFN became fused ops: gelu and
-# softmax_lastdim stay imported because the benchmark's traced run discovers
-# the tensor ops to time in this namespace, and its tests require every op
-# it names (perfbench/metrics.py TENSOR_OPS).
+# Unused here since attention, the gated FFN and the residual add became
+# fused ops: add, gelu and softmax_lastdim stay imported because the
+# benchmark's traced run discovers the tensor ops to time in this namespace,
+# and its tests require every op it names (perfbench/metrics.py TENSOR_OPS).
 
 @dataclass
 class ModelConfig:
@@ -298,10 +300,10 @@ def encode(config, params, input_ids, *, train=False, rng=None):
         h = rms_norm(x, params[f"{base}.attn_norm"])
         kv = _project_kv(params, f"{base}.attn", h)
         a = _attention(params, f"{base}.attn", h, kv, (grid, grid), False, bias, config, train, rng)
-        x = add(x, dropout(a, config.dropout, rng) if train else a)
+        x = residual(x, a, config.dropout if train else 0.0, rng)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
-        x = add(x, dropout(f, config.dropout, rng) if train else f)
+        x = residual(x, f, config.dropout if train else 0.0, rng)
     return rms_norm(x, params["encoder.final_norm"]), grid
 
 
@@ -362,14 +364,14 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
         if cache is not None:
             kv = cache.extend(i, kv)
         a = _attention(params, f"{base}.self", h, kv, self_grids, True, bias, config, train, rng)
-        x = add(x, dropout(a, config.dropout, rng) if train else a)
+        x = residual(x, a, config.dropout if train else 0.0, rng)
         h = rms_norm(x, params[f"{base}.cross_norm"])
         kv = _project_kv(params, f"{base}.cross", enc_out) if cache is None else cache.cross[i]
         a = _attention(params, f"{base}.cross", h, kv, cross_grids, False, None, config, train, rng)
-        x = add(x, dropout(a, config.dropout, rng) if train else a)
+        x = residual(x, a, config.dropout if train else 0.0, rng)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         f = _ffn(params, f"{base}.ffn", h, config, train, rng)
-        x = add(x, dropout(f, config.dropout, rng) if train else f)
+        x = residual(x, f, config.dropout if train else 0.0, rng)
     if cache is not None:
         cache.length = n_keys
     x = rms_norm(x, params["decoder.final_norm"])

@@ -10,14 +10,19 @@ plain forward computations (used for decoding and finite-difference probes).
 
 Backward rules skip the work for operands that do not require gradients
 (constants such as scales). Besides the primitives there are fused ops that
-save only what their backward rule needs: ``dropout``, multi-head
-``attention`` and the gated-GELU feed-forward ``gated_gelu_ffn``, with T5
-v1.1's tanh GELU.
+keep only what their backward rule needs, and rebuild in backward what is
+cheap to rebuild:
+- ``dropout``, and ``residual`` (x + dropout(a)), keep their mask;
+- multi-head ``attention`` keeps its softmax weights and dropout mask, and
+  lays its q, k and v rows out on their grids again;
+- the gated-GELU feed-forward ``gated_gelu_ffn``, with T5 v1.1's tanh GELU,
+  keeps its two input projections and dropout mask, and rebuilds the GELU
+  and the hidden activations block by block.
 
 Ragged batches travel as rows: a 2-D ``[real positions, features]`` array
 holding only the positions that are not padding, so every position-wise op
 (``matmul`` by a weight, ``rms_norm``, ``gated_gelu_ffn``, ``dropout``,
-``add``, ``cross_entropy``) is one 2-D computation over real tokens.
+``residual``, ``cross_entropy``) is one 2-D computation over real tokens.
 ``attention`` alone lays its rows out on the zero-filled
 ``[batch, len, features]`` grid they came from, and returns its context as
 rows again. It also builds every attention mask, from the grid and a causal
@@ -329,10 +334,10 @@ _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _normal_cdf(x, out=None):
+def _normal_cdf(x):
     """0.5 * (1 + tanh(k * (x + a x^3))), the tanh-form normal CDF, in one
-    buffer of x's dtype: out, or a new array when None."""
-    cdf = np.square(x, out=out)
+    new array of x's dtype."""
+    cdf = np.square(x)
     cdf *= _GELU_A * _GELU_K
     cdf += _GELU_K
     cdf *= x
@@ -461,6 +466,23 @@ def dropout(x, p, rng):
     return _record(out, (x,), vjp)
 
 
+def residual(x, a, p, rng):
+    """x + dropout(a, p, rng) as one op, drawing the same mask from rng; a
+    plain add when p <= 0. The backward rule keeps only the dropout mask."""
+    if p <= 0:
+        return add(x, a)
+    if x.data.shape != a.data.shape:
+        raise ShapeError(f"residual of {a.shape} onto {x.shape}")
+    keep, scale = _dropout_mask(a.data.shape, p, rng)
+    out = _apply_mask(a.data, keep, scale)
+    out += x.data
+
+    def vjp(g):
+        return g, _apply_mask(g, keep, scale) if a.requires_grad else None
+
+    return _record(Tensor(out), (x, a), vjp)
+
+
 MASKED = -1e9  # additive attention-logit mask; underflows to weight 0 after softmax
 
 
@@ -499,7 +521,9 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     keys get MASKED; the softmax weights take inverted dropout with
     probability p and weight the values. Returns the context rows of the
     query grid. The backward rule keeps only the softmax weights and the
-    dropout mask.
+    dropout mask: when a grid has positions that are not rows, its
+    zero-filled copies of q, k and v are temporaries, and backward lays the
+    rows out again.
     """
     inner = q.data.shape[-1]
     if inner % n_heads or k.data.shape[-1] != inner or v.data.shape != k.data.shape:
@@ -542,11 +566,11 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
         gh = heads(g, q_grid)
         gv = (merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_grid, v.data)
               if v.requires_grad else None)
-        gw = gh @ _swap_last(vh)
+        gw = gh @ _swap_last(heads(v.data, kv_grid))
         gw = _softmax_grad_inplace(_apply_mask(gw, keep, drop_scale, out=gw), w)
         gbias = _unbroadcast(gw, bias.data.shape) if bias is not None and bias.requires_grad else None
-        gq = merge(gw @ kh, q_grid, q.data) * scale if q.requires_grad else None
-        gk = merge(_swap_last(gw) @ qh, kv_grid, k.data) * scale if k.requires_grad else None
+        gq = merge(gw @ heads(k.data, kv_grid), q_grid, q.data) * scale if q.requires_grad else None
+        gk = merge(_swap_last(gw) @ heads(q.data, q_grid), kv_grid, k.data) * scale if k.requires_grad else None
         return gq, gk, gv, gbias
 
     return _record(out, (q, k, v) if bias is None else (q, k, v, bias), vjp)
@@ -577,38 +601,43 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     [d_model, d_ff]; wo: [d_ff, d_model]. The matrix products run whole;
     the elementwise work between them runs over blocks of rows (see
     _by_row_blocks), and the dropout mask is drawn at full shape first. The
-    backward rule keeps both input projections, the normal CDF of the
-    first, the hidden activations and the dropout mask."""
+    backward rule keeps both input projections and the dropout mask: the
+    normal CDF lives only inside a block, and backward rebuilds it and the
+    hidden activations block by block, with the forward's own ops."""
     h0 = x.data @ wi_0.data
     h1 = x.data @ wi_1.data
     keep, scale = _dropout_mask(h0.shape, p, rng)
-    cdf = np.empty_like(h0)
-    h = np.empty_like(h0)
 
-    def hidden(h0, h1, keep, cdf, h):
-        _normal_cdf(h0, out=cdf)
+    def hidden(h0, h1, keep, h):
+        """h = dropout(gelu(h0) * h1), written to h; returns the CDF of h0."""
+        cdf = _normal_cdf(h0)
         np.multiply(h0, cdf, out=h)
         h *= h1
         _apply_mask(h, keep, scale, out=h)
+        return cdf
 
-    _by_row_blocks(hidden, h0, h1, keep, cdf, h)
+    h = np.empty_like(h0)
+    _by_row_blocks(hidden, h0, h1, keep, h)
     out = Tensor(h @ wo.data)
 
     def vjp(g):
-        gwo = _rows(h).T @ _rows(g) if wo.requires_grad else None
         gh = g @ wo.data.T
         gh1 = np.empty_like(gh)
+        h = np.empty_like(gh)
 
-        def hidden_grad(h0, h1, keep, cdf, gh, gh1):
-            """gh1 = gelu(h0) * gh and, in gh's place, gh0 = slope * gh * h1,
-            gh taken after the dropout mask."""
+        def hidden_grad(h0, h1, keep, h, gh, gh1):
+            """h rebuilt as the forward made it; gh1 = gelu(h0) * gh and, in
+            gh's place, gh0 = slope * gh * h1, gh taken after the dropout mask."""
+            cdf = hidden(h0, h1, keep, h)
             _apply_mask(gh, keep, scale, out=gh)
             np.multiply(h0, cdf, out=gh1)
             gh1 *= gh
             gh *= _gelu_slope(h0, cdf)
             gh *= h1
 
-        _by_row_blocks(hidden_grad, h0, h1, keep, cdf, gh, gh1)
+        _by_row_blocks(hidden_grad, h0, h1, keep, h, gh, gh1)
+        gwo = _rows(h).T @ _rows(g) if wo.requires_grad else None
+        del h
         gh0 = gh
         gx = None
         if x.requires_grad:

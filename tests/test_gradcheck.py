@@ -20,12 +20,26 @@ from minit5.tensor import (
     matmul,
     mul,
     reshape,
+    residual,
     rms_norm,
     softmax_lastdim,
     sum_all,
     transpose,
 )
-from minit5.tensor import _BLOCK_ELEMENTS, _apply_mask, _dropout_mask, _gelu_slope, _normal_cdf, _record, _rows
+from minit5.tensor import (
+    _BLOCK_ELEMENTS,
+    _apply_mask,
+    _dropout_mask,
+    _gelu_slope,
+    _key_mask,
+    _normal_cdf,
+    _record,
+    _rows,
+    _softmax_grad_inplace,
+    _softmax_inplace,
+    _swap_last,
+    _unbroadcast,
+)
 
 
 def _param(rng, *shape):
@@ -169,8 +183,60 @@ def gated_gelu_ffn_composition(x, wi_0, wi_1, wo, p=0.0, rng=None):
     return matmul(dropout(mul(gelu(matmul(x, wi_0)), matmul(x, wi_1)), p, rng), wo)
 
 
+def residual_composition(x, a, p, rng):
+    return add(x, dropout(a, p, rng))
+
+
+def attention_keeping_grids(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rng=None):
+    """attention whose backward rule keeps the zero-filled grid copies of q,
+    k and v that its forward built, instead of laying the rows out again."""
+    inner = q.data.shape[-1]
+    q_grid, kv_grid = grids
+    n_q = q_grid[1][1]
+    d = inner // n_heads
+
+    def heads(a, grid):
+        index, (b, n) = grid
+        if index is not None:
+            full = np.zeros((b * n, inner), dtype=a.dtype)
+            full[index] = a
+            a = full
+        return a.reshape(b, n, n_heads, d).transpose(0, 2, 1, 3)
+
+    def merge(a, grid, like):
+        index = grid[0]
+        a = a.transpose(0, 2, 1, 3).reshape(like.shape if index is None else (-1, inner))
+        return a if index is None else a[index]
+
+    qh, kh, vh = heads(q.data, q_grid), heads(k.data, kv_grid), heads(v.data, kv_grid)
+    w = qh @ _swap_last(kh)
+    w *= scale
+    if bias is not None:
+        w += bias.data
+    mask = _key_mask(kv_grid, n_q, causal, w.dtype)
+    if mask is not None:
+        w += mask
+    w = _softmax_inplace(w)
+    keep, drop_scale = _dropout_mask(w.shape, p, rng)
+    out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh, q_grid, q.data))
+
+    def vjp(g):
+        gh = heads(g, q_grid)
+        gv = (merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_grid, v.data)
+              if v.requires_grad else None)
+        gw = gh @ _swap_last(vh)
+        gw = _softmax_grad_inplace(_apply_mask(gw, keep, drop_scale, out=gw), w)
+        gbias = _unbroadcast(gw, bias.data.shape) if bias is not None and bias.requires_grad else None
+        gq = merge(gw @ kh, q_grid, q.data) * scale if q.requires_grad else None
+        gk = merge(_swap_last(gw) @ qh, kv_grid, k.data) * scale if k.requires_grad else None
+        return gq, gk, gv, gbias
+
+    return _record(out, (q, k, v) if bias is None else (q, k, v, bias), vjp)
+
+
 def gated_gelu_ffn_unblocked(x, wi_0, wi_1, wo, p=0.0, rng=None):
-    """gated_gelu_ffn with its elementwise work over all rows at once."""
+    """gated_gelu_ffn with its elementwise work over all rows at once, and a
+    backward rule that keeps the CDF and the hidden activations."""
     h0 = x.data @ wi_0.data
     h1 = x.data @ wi_1.data
     cdf = _normal_cdf(h0)
@@ -285,6 +351,35 @@ def test_row_blocked_ffn_is_bitwise_the_unblocked_one(rows, p):
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+@pytest.mark.parametrize("p", [0.0, 0.4])
+def test_residual_gradients(p):
+    rng = np.random.default_rng(31)
+    inputs = {"x": _param(rng, 4, 5), "a": _param(rng, 4, 5)}
+    w = Tensor(rng.normal(size=(4, 5)), dtype=np.float64)
+    f = lambda: sum_all(mul(residual(inputs["x"], inputs["a"], p, np.random.default_rng(7)), w))
+    assert finite_diff_check(f, inputs) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.4])
+def test_residual_is_bitwise_add_of_dropout(p):
+    rng = np.random.default_rng(32)
+    inputs = {name: Tensor(rng.normal(size=(37, 16)), requires_grad=True, dtype=np.float32) for name in "xa"}
+    run = lambda op, rng: op(inputs["x"], inputs["a"], p, rng)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    out, grads = _forward_and_grads(lambda: run(residual, rng), inputs)
+    ref, ref_grads = _forward_and_grads(lambda: run(residual_composition, ref_rng), inputs)
+    assert out.dtype == np.float32 and np.array_equal(out, ref)
+    for name in inputs:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)  # the same draws were taken
+
+
+def test_residual_rejects_operands_of_different_shapes():
+    x, a = Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4)))
+    with pytest.raises(ShapeError):
+        residual(x, a, 0.1, np.random.default_rng(0))
+
+
 def test_dropout_gradient():
     rng = np.random.default_rng(23)
     x = _param(rng, 4, 5)
@@ -352,6 +447,18 @@ def test_fused_gated_ffn_matches_composition(dtype, p):
                                       inputs, dtype)
 
 
+@pytest.mark.parametrize("masks", [("pad",), ("causal",), ("pad", "causal")])
+@pytest.mark.parametrize("p", [0.0, 0.4])
+def test_attention_is_bitwise_the_one_that_keeps_its_grids(masks, p):
+    inputs, grids, causal = _attention_case(np.random.default_rng(33), np.float32, masks)
+    out, grads = _forward_and_grads(lambda: _run_attention(attention, inputs, grids, causal, p, 12), inputs)
+    ref, ref_grads = _forward_and_grads(
+        lambda: _run_attention(attention_keeping_grids, inputs, grids, causal, p, 12), inputs)
+    assert out.dtype == np.float32 and np.array_equal(out, ref)
+    for name in inputs:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 # real positions of a [batch, len] grid: a trailing pad in row 0, a pad
 # inside row 1 and two trailing ones
 REAL_Q = np.array([[True, True, False], [True, True, True]])
@@ -385,6 +492,17 @@ def test_attention_on_rows_matches_padded_composition(dtype, p):
     _assert_fused_matches_composition(
         lambda: _run_attention(attention, inputs, grids, False, p, 10),
         lambda: _run_attention(attention_composition, inputs, grids, False, p, 10), inputs, dtype)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+def test_attention_on_rows_is_bitwise_the_one_that_keeps_its_grids(p):
+    inputs, grids = _rows_attention_case(np.random.default_rng(34), np.float32)
+    out, grads = _forward_and_grads(lambda: _run_attention(attention, inputs, grids, True, p, 13), inputs)
+    ref, ref_grads = _forward_and_grads(
+        lambda: _run_attention(attention_keeping_grids, inputs, grids, True, p, 13), inputs)
+    assert np.array_equal(out, ref)
+    for name in inputs:
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def test_attention_on_rows_rejects_a_row_count_its_grid_does_not_hold():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from minit5.tensor import (
     backward,
     cross_entropy,
     embedding,
+    gated_gelu_ffn,
     gelu,
     matmul,
     mul,
@@ -373,3 +375,52 @@ class TestAttentionMasking:
         q, kv = self._tensor(rng, 3, self.H * self.D), self._tensor(rng, 2, self.H * self.D)
         with pytest.raises(ShapeError):
             attention(q, kv, kv, self.H, 0.5, ((None, (1, 3)), (None, (1, 2))), causal=True)
+
+
+def held_after_forward(run):
+    """(bytes that stay allocated after run() under a Tape, its output): the
+    output plus whatever the recorded backward rules keep alive."""
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        assert tape.nodes
+    finally:
+        tracemalloc.stop()
+    return held, out
+
+
+class TestTapeMemory:
+    """What a fused op keeps for its backward rule, measured: its output and
+    the named arrays, plus at most SLACK bytes of Python objects."""
+
+    SLACK = 32 << 10
+
+    def test_gated_ffn_keeps_its_input_projections_and_mask(self):
+        rows, d, d_ff = 512, 32, 1024
+        rng = np.random.default_rng(41)
+
+        def param(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        x, wi_0, wi_1, wo = param(rows, d), param(d, d_ff), param(d, d_ff), param(d_ff, d)
+        held, out = held_after_forward(lambda: gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.1, rng=rng))
+        h0 = h1 = rows * d_ff * 4
+        mask = rows * d_ff  # one bool per hidden unit
+        assert h0 + h1 + mask <= held <= out.data.nbytes + h0 + h1 + mask + self.SLACK, held
+
+    def test_padded_attention_keeps_no_grid_copy(self):
+        # one zero-filled [8 * 16, 256] float32 grid copy of q, k or v is 128 KiB
+        b, n, n_heads, d = 8, 16, 2, 128
+        rng = np.random.default_rng(42)
+        real = np.arange(n)[None, :] < rng.integers(4, n, size=b)[:, None]
+        grid = (np.flatnonzero(real), real.shape)
+        q, k, v = (Tensor(rng.normal(size=(int(real.sum()), n_heads * d)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        held, out = held_after_forward(
+            lambda: attention(q, k, v, n_heads, d**-0.5, (grid, grid), causal=True, p=0.1, rng=rng))
+        weights = b * n_heads * n * n * 4
+        mask = b * n_heads * n * n
+        assert weights + mask <= held <= out.data.nbytes + weights + mask + self.SLACK, held
