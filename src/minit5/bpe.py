@@ -37,19 +37,17 @@ def sentinel_token(k):
 
 @dataclass
 class Vocabulary:
-    """Bidirectional token<->id map with a reserved sentinel block at the top."""
+    """Tokens indexed by id, with a reserved sentinel block at the top."""
 
     id_to_token: list[str]
     merges: list[tuple[str, str]]
     sentinel_count: int
     pad_id, eos_id, unk_id = PAD_ID, EOS_ID, UNK_ID  # class attributes, not fields
-    token_to_id: dict[str, int] = field(init=False, repr=False)
     _piece_ids: dict[str, int] = field(init=False, repr=False)
     _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
+        if len(set(self.id_to_token)) != len(self.id_to_token):
             raise TokenizerError("duplicate token strings in vocabulary")
         if not 0 <= self.sentinel_count <= len(self) - 3:
             raise TokenizerError(f"sentinel_count {self.sentinel_count} out of range [0, {len(self) - 3}]")

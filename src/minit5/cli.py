@@ -106,7 +106,7 @@ _SPECS = {
         "train": (REQUIRED, str, "training CSV (input, target)", None),
         "validation": (REQUIRED, str, "validation CSV used for checkpoint selection", None),
         "vocab": (REQUIRED, str, "vocabulary file", None),
-        "task": (REQUIRED, str, f"task tag, one of {sorted(evaluation.DECODE_LIMITS)}", evaluation.DECODE_LIMITS),
+        "task": (REQUIRED, str, f"task tag, one of {sorted(tasks.TASKS)}", tasks.TASKS),
         "init": (None, str, "checkpoint to start from (default: fresh parameters)", None),
         "output_dir": (REQUIRED, str, "directory for per-epoch checkpoints and the selection report", None),
         "epochs": (None, int, "fine-tuning epochs (default: per-task table)", _at_least(1)),
@@ -122,7 +122,7 @@ _SPECS = {
         "dataset": (REQUIRED, str, "evaluation CSV (input, target)", None),
         "vocab": (REQUIRED, str, "vocabulary file", None),
         "checkpoint": (REQUIRED, str, "model checkpoint", None),
-        "task": (REQUIRED, str, f"task tag, one of {sorted(evaluation.DECODE_LIMITS)}", evaluation.DECODE_LIMITS),
+        "task": (REQUIRED, str, f"task tag, one of {sorted(tasks.TASKS)}", tasks.TASKS),
         "output_dir": (REQUIRED, str, "directory for report.txt, report.kv and predictions.csv", None),
         "max_output_tokens": (None, int, "decode budget (default: per-task table)", _at_least(1)),
     },
@@ -307,8 +307,8 @@ def _check_vocab_size(ck, vocab, vocab_path):
 def _cmd_finetune(cfg):
     task = cfg["task"]
     vocab = bpe.load_vocab(cfg["vocab"])
-    epochs = cfg["epochs"] if cfg["epochs"] is not None else evaluation.FINETUNE_EPOCHS[task]
-    max_out = cfg["max_output_tokens"] if cfg["max_output_tokens"] is not None else evaluation.DECODE_LIMITS[task]
+    epochs = cfg["epochs"] if cfg["epochs"] is not None else tasks.TASKS[task].epochs
+    max_out = cfg["max_output_tokens"] if cfg["max_output_tokens"] is not None else tasks.TASKS[task].decode_limit
     train_examples = tasks.load_csv_dataset(cfg["train"], task)
     val_examples = tasks.load_csv_dataset(cfg["validation"], task)
     if not train_examples:

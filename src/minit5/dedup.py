@@ -123,17 +123,6 @@ def deduplicate_stream(paragraphs, n=10, threshold=0.5, vocab=None):
     return kept(), stats
 
 
-def corpus_stats(paragraphs, vocab=None):
-    """Word count by whitespace split; token count when a vocabulary is given."""
-    words = 0
-    tokens = 0 if vocab is not None else None
-    for p in paragraphs:
-        words += p.word_count
-        if vocab is not None:
-            tokens += len(bpe.encode(p.text, vocab))
-    return {"words": words, "tokens": tokens}
-
-
 def read_paragraphs(path, doc_id=None):
     """Paragraphs from a UTF-8 text file, separated by blank lines."""
     doc = doc_id if doc_id is not None else os.path.basename(str(path))

@@ -1,11 +1,12 @@
 """Greedy decoding, output post-filtering, and task metrics.
 
-Classification tasks are scored by exact string match against the task's
-verbalized labels after stripping special tokens; a generation matching no
-label is INVALID and counts as wrong. Generative tasks are scored with
-ROUGE-L (lowercased whitespace tokens, F measure over the LCS), NER with
-list-level multiset F1, lemmatization with punctuation-blind word and
-sentence accuracy.
+Each task is scored by the metric of its `tasks.TASKS` row. A row with a
+verbalizer is a classification task: a generation is scored by exact
+string match against the verbalized labels after stripping special
+tokens, and one matching no label is INVALID and counts as wrong. The
+other rows name their metric: ROUGE-L (lowercased whitespace tokens, F
+measure over the LCS), list-level multiset entity F1, or punctuation-blind
+word (and sentence) accuracy.
 """
 
 from __future__ import annotations
@@ -21,53 +22,16 @@ import numpy as np
 from . import bpe
 from .fileio import atomic_write, atomic_write_text
 from .model import DecodeCache, decode_logits, encode
-from .tasks import TASK_LABELS
+from .tasks import TASKS
 
 
 class EvalError(ValueError):
     pass
 
 
-# per-task greedy-decode output budgets (tokens)
-DECODE_LIMITS = {
-    "boolq": 4,
-    "cb": 6,
-    "copa": 6,
-    "rte": 6,
-    "wsc": 6,
-    "sa": 5,
-    "ner": 64,
-    "simplification": 256,
-    "lemmatization": 512,
-    "summarization": 512,
-}
-
-# fine-tuning epochs per task
-FINETUNE_EPOCHS = {
-    "boolq": 10,
-    "cb": 15,
-    "copa": 15,
-    "rte": 15,
-    "wsc": 20,
-    "ner": 20,
-    "sa": 10,
-    "lemmatization": 15,
-    "summarization": 5,
-    "simplification": 64,
-}
-
-TASK_METRICS = {
-    "boolq": "accuracy",
-    "cb": "macro_f1",
-    "copa": "accuracy",
-    "rte": "accuracy",
-    "wsc": "accuracy",
-    "sa": "macro_f1",
-    "ner": "entity_f1",
-    "lemmatization": "word_accuracy",
-    "summarization": "rouge_l",
-    "simplification": "rouge_l",
-}
+# views of tasks.TASKS kept because perfbench/workloads.py reads them by name
+DECODE_LIMITS = {tag: task.decode_limit for tag, task in TASKS.items()}
+TASK_METRICS = {tag: task.metric for tag, task in TASKS.items()}
 
 
 def greedy_decode(config, params, input_ids, max_len, *, eos_id=bpe.EOS_ID):
@@ -257,38 +221,37 @@ def decode_examples(config, params, vocab, examples, max_len):
 
 
 def score_predictions(task, generated, golds):
-    """EvalReport from raw generated strings and gold target strings."""
-    if task in TASK_LABELS:
-        matched = [postfilter_and_match(g, TASK_LABELS[task]) for g in generated]
+    """EvalReport from raw generated strings and gold target strings, scored
+    by the metric of the task's row."""
+    if task not in TASKS:
+        raise EvalError(f"unknown task {task!r}; choose from {sorted(TASKS)}")
+    row = TASKS[task]
+    golds = list(golds)
+    predictions = list(zip(generated, golds))
+    if row.verbalizer:
+        matched = [postfilter_and_match(g, row.verbalizer.values()) for g in generated]
         invalid = sum(1 for m in matched if m is None) / len(matched)
-        metric = TASK_METRICS[task]
-        value = classification_scores(matched, list(golds), metric)
-        return EvalReport(task, {metric: value}, invalid_rate=invalid,
-                          predictions=list(zip(generated, golds)))
-    if task == "ner":
-        cleaned = [postfilter_generated(g) for g in generated]
-        return EvalReport(task, {"entity_f1": entity_f1(cleaned, list(golds))},
-                          predictions=list(zip(generated, golds)))
-    if task == "lemmatization":
-        cleaned = [postfilter_generated(g) for g in generated]
-        word_acc, sent_acc = lemma_accuracy(cleaned, list(golds))
-        return EvalReport(task, {"word_accuracy": word_acc, "sentence_accuracy": sent_acc},
-                          predictions=list(zip(generated, golds)))
-    if task in ("summarization", "simplification"):
-        cleaned = [postfilter_generated(g) for g in generated]
-        mean = sum(rouge_l(c, g) for c, g in zip(cleaned, golds)) / len(cleaned)
-        return EvalReport(task, {"rouge_l": mean}, predictions=list(zip(generated, golds)))
-    raise EvalError(f"unknown task {task!r}")
+        value = classification_scores(matched, golds, row.metric)
+        return EvalReport(task, {row.metric: value}, invalid_rate=invalid, predictions=predictions)
+    cleaned = [postfilter_generated(g) for g in generated]
+    if row.metric == "entity_f1":
+        metrics = {"entity_f1": entity_f1(cleaned, golds)}
+    elif row.metric == "word_accuracy":
+        word_acc, sent_acc = lemma_accuracy(cleaned, golds)
+        metrics = {"word_accuracy": word_acc, "sentence_accuracy": sent_acc}
+    else:
+        metrics = {"rouge_l": sum(rouge_l(c, g) for c, g in zip(cleaned, golds)) / len(cleaned)}
+    return EvalReport(task, metrics, predictions=predictions)
 
 
 def evaluate_examples(config, params, vocab, examples, task, *, max_output_tokens=None):
-    """Decode and score a task dataset with its per-task output limit."""
+    """Decode and score a task dataset with its output budget from TASKS."""
     examples = list(examples)
     if not examples:
         raise EvalError("empty evaluation set")
-    if task not in DECODE_LIMITS:
-        raise EvalError(f"unknown task {task!r}; choose from {sorted(DECODE_LIMITS)}")
-    limit = max_output_tokens if max_output_tokens is not None else DECODE_LIMITS[task]
+    if task not in TASKS:
+        raise EvalError(f"unknown task {task!r}; choose from {sorted(TASKS)}")
+    limit = max_output_tokens if max_output_tokens is not None else TASKS[task].decode_limit
     generated = decode_examples(config, params, vocab, examples, limit)
     golds = [ex.target_text for ex in examples]
     return score_predictions(task, generated, golds)

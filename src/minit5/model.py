@@ -225,16 +225,15 @@ def _project_kv(params, prefix, x):
     return matmul(x, params[f"{prefix}.k"]), matmul(x, params[f"{prefix}.v"])
 
 
-def _attention(params, prefix, queries, kv, grids, causal, bias, config, train, rng):
+def _attention(params, prefix, queries, kv, grids, causal, bias, config, p, rng):
     q = matmul(queries, params[f"{prefix}.q"])
-    ctx = attention(q, *kv, config.n_heads, config.d_kv**-0.5, grids, bias=bias, causal=causal,
-                    p=config.dropout if train else 0.0, rng=rng)
+    ctx = attention(q, *kv, config.n_heads, config.d_kv**-0.5, grids, bias=bias, causal=causal, p=p, rng=rng)
     return matmul(ctx, params[f"{prefix}.o"])
 
 
-def _ffn(params, prefix, x, config, train, rng):
+def _ffn(params, prefix, x, p, rng):
     return gated_gelu_ffn(x, params[f"{prefix}.wi_0"], params[f"{prefix}.wi_1"], params[f"{prefix}.wo"],
-                          p=config.dropout if train else 0.0, rng=rng)
+                          p=p, rng=rng)
 
 
 class DecodeCache:
@@ -292,18 +291,16 @@ def encode(config, params, input_ids, *, train=False, rng=None):
     grid = _grid(real)
     n = ids.shape[1]
     bias = _rel_bias(params, "encoder.rel_bias", np.arange(n), n, True, config)
-    x = embedding(params["embedding"], ids[real])
-    if train:
-        x = dropout(x, config.dropout, rng)
+    p = config.dropout if train else 0.0
+    x = dropout(embedding(params["embedding"], ids[real]), p, rng)
     for i in range(config.enc_layers):
         base = f"encoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.attn_norm"])
         kv = _project_kv(params, f"{base}.attn", h)
-        a = _attention(params, f"{base}.attn", h, kv, (grid, grid), False, bias, config, train, rng)
-        x = residual(x, a, config.dropout if train else 0.0, rng)
+        a = _attention(params, f"{base}.attn", h, kv, (grid, grid), False, bias, config, p, rng)
+        x = residual(x, a, p, rng)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
-        f = _ffn(params, f"{base}.ffn", h, config, train, rng)
-        x = residual(x, f, config.dropout if train else 0.0, rng)
+        x = residual(x, _ffn(params, f"{base}.ffn", h, p, rng), p, rng)
     return rms_norm(x, params["encoder.final_norm"]), grid
 
 
@@ -355,23 +352,22 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
         x = embedding(reshape(inputs_embeds, (b * n, config.d_model)), np.flatnonzero(real))
     else:
         x = embedding(params["embedding"], ids[real])
-    if train:
-        x = dropout(x, config.dropout, rng)
+    p = config.dropout if train else 0.0
+    x = dropout(x, p, rng)
     for i in range(config.dec_layers):
         base = f"decoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.self_norm"])
         kv = _project_kv(params, f"{base}.self", h)
         if cache is not None:
             kv = cache.extend(i, kv)
-        a = _attention(params, f"{base}.self", h, kv, self_grids, True, bias, config, train, rng)
-        x = residual(x, a, config.dropout if train else 0.0, rng)
+        a = _attention(params, f"{base}.self", h, kv, self_grids, True, bias, config, p, rng)
+        x = residual(x, a, p, rng)
         h = rms_norm(x, params[f"{base}.cross_norm"])
         kv = _project_kv(params, f"{base}.cross", enc_out) if cache is None else cache.cross[i]
-        a = _attention(params, f"{base}.cross", h, kv, cross_grids, False, None, config, train, rng)
-        x = residual(x, a, config.dropout if train else 0.0, rng)
+        a = _attention(params, f"{base}.cross", h, kv, cross_grids, False, None, config, p, rng)
+        x = residual(x, a, p, rng)
         h = rms_norm(x, params[f"{base}.ffn_norm"])
-        f = _ffn(params, f"{base}.ffn", h, config, train, rng)
-        x = residual(x, f, config.dropout if train else 0.0, rng)
+        x = residual(x, _ffn(params, f"{base}.ffn", h, p, rng), p, rng)
     if cache is not None:
         cache.length = n_keys
     x = rms_norm(x, params["decoder.final_norm"])

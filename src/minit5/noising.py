@@ -28,8 +28,6 @@ class NoisePlan:
     """Where to corrupt a sequence: sorted, disjoint, non-adjacent spans."""
 
     length: int
-    noise_density: float
-    mean_span: float
     spans: list[tuple[int, int]]
 
     def __post_init__(self):
@@ -94,61 +92,47 @@ def plan_spans(n, num_noise, num_spans, rng):
         spans.append((pos, span_len))
         pos += span_len + gap_after
     assert pos == n
-    return NoisePlan(n, num_noise / n, num_noise / num_spans, spans)
+    return NoisePlan(n, spans)
 
 
-def span_corrupt(ids, plan, vocab):
-    """Apply a NoisePlan: sentinels numbered left to right, target spans
-    delimited by the same sentinels plus a closing sentinel and EOS."""
-    if plan.length != len(ids):
-        raise NoisingError(f"plan length {plan.length} does not match sequence length {len(ids)}")
-    if len(plan.spans) + 1 > vocab.sentinel_count:
+def _serialize(ids, spans, vocab, objective):
+    """Replace each sorted, disjoint (start, length) span of ids with the
+    next sentinel, numbered left to right; the target lists each sentinel
+    with the tokens it replaced, then a closing sentinel and EOS."""
+    if len(spans) + 1 > vocab.sentinel_count:
         raise NoisingError(
-            f"{len(plan.spans)} spans need {len(plan.spans) + 1} sentinels, "
+            f"{len(spans)} spans need {len(spans) + 1} sentinels, "
             f"vocabulary reserves {vocab.sentinel_count}"
         )
     input_ids = []
     target_ids = []
     pos = 0
-    for k, (start, span_len) in enumerate(plan.spans):
+    for k, (start, span_len) in enumerate(spans):
         input_ids.extend(ids[pos:start])
         input_ids.append(vocab.sentinel_id(k))
         target_ids.append(vocab.sentinel_id(k))
         target_ids.extend(ids[start : start + span_len])
         pos = start + span_len
     input_ids.extend(ids[pos:])
-    target_ids.append(vocab.sentinel_id(len(plan.spans)))
+    target_ids.append(vocab.sentinel_id(len(spans)))
     target_ids.append(vocab.eos_id)
-    return NoisedPair(input_ids, target_ids, objective="span")
+    return NoisedPair(input_ids, target_ids, objective=objective)
+
+
+def span_corrupt(ids, plan, vocab):
+    """Apply a NoisePlan: one sentinel per span."""
+    if plan.length != len(ids):
+        raise NoisingError(f"plan length {plan.length} does not match sequence length {len(ids)}")
+    return _serialize(ids, plan.spans, vocab, "span")
 
 
 def iid_denoise(ids, rng, vocab, corrupt_prob=0.15):
-    """Corrupt each token independently; every corrupted token gets its own
-    sentinel, even inside runs of adjacent corruptions."""
+    """Corrupt each token independently; every corrupted token is a span of
+    its own, so runs of adjacent corruptions get one sentinel per token."""
     if len(ids) < 1:
         raise NoisingError("cannot noise an empty sequence")
     mask = rng.random(len(ids)) < corrupt_prob
-    n_corrupt = int(mask.sum())
-    if n_corrupt + 1 > vocab.sentinel_count:
-        raise NoisingError(
-            f"{n_corrupt} corruptions need {n_corrupt + 1} sentinels, "
-            f"vocabulary reserves {vocab.sentinel_count}"
-        )
-    input_ids = []
-    target_ids = []
-    k = 0
-    for tok, corrupt in zip(ids, mask):
-        if corrupt:
-            sid = vocab.sentinel_id(k)
-            input_ids.append(sid)
-            target_ids.append(sid)
-            target_ids.append(tok)
-            k += 1
-        else:
-            input_ids.append(tok)
-    target_ids.append(vocab.sentinel_id(k))
-    target_ids.append(vocab.eos_id)
-    return NoisedPair(input_ids, target_ids, objective="iid")
+    return _serialize(ids, [(i, 1) for i in np.flatnonzero(mask).tolist()], vocab, "iid")
 
 
 def mixture_sample(ids, vocab, rng, mix=0.5, noise_density=0.15, mean_span=3.0, iid_prob=0.15):

@@ -1,16 +1,23 @@
-"""Task datasets as text-to-text string pairs.
+"""Task datasets as text-to-text string pairs, and the one table of task facts.
+
+`TASKS` holds one row per task tag: the metric it is scored by, its
+greedy-decode output budget, its default fine-tuning epochs and, for a
+classification task, the verbalizer from each source label to the exact
+string the model must generate. No other table repeats these facts.
 
 Formatters turn structured records into the pinned Slovene templates:
 attribute values prefixed with their keys for the sentence-pair tasks, NE
 retrieval prompts for NER (one example per entity category, "brez" when the
-sentence has none), asterisk/hash span marking for WSC. Generative tasks
-(lemmatization, summarization) pass through untemplated.
+sentence has none), asterisk/hash span marking for WSC. Classification
+targets come from the task's verbalizer. Generative tasks (lemmatization,
+summarization) pass through untemplated.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fileio import atomic_write, open_text
 
@@ -35,22 +42,39 @@ class TaskExample:
             raise TaskFormatError("TaskExample.input_text is empty")
 
 
-# verbalized label sets, exact strings the model must generate
-TASK_LABELS = {
-    "boolq": ("Pravilno.", "Napačno."),
-    "cb": ("implikacija", "protislovje", "nevtralno"),
-    "rte": ("implikacija", "ni implikacija"),
-    "copa": ("prva", "druga"),
-    "wsc": ("Pravilno.", "Napačno."),
-    "sa": ("pozitivno", "negativno", "nevtralno"),
+class Task(NamedTuple):
+    """A task's facts. The verbalizer maps each source label to the exact
+    string the model must generate; it is empty for a generative task."""
+
+    metric: str
+    decode_limit: int  # greedy-decode output budget, in tokens
+    epochs: int  # default fine-tuning epochs
+    verbalizer: dict = {}
+
+
+_BOOLEAN = {True: "Pravilno.", False: "Napačno."}
+
+TASKS = {
+    "boolq": Task("accuracy", 4, 10, _BOOLEAN),
+    "cb": Task("macro_f1", 6, 15, {"entailment": "implikacija", "contradiction": "protislovje",
+                                   "neutral": "nevtralno"}),
+    "rte": Task("accuracy", 6, 15, {"entailment": "implikacija", "not_entailment": "ni implikacija"}),
+    "copa": Task("accuracy", 6, 15, {0: "prva", 1: "druga"}),
+    "wsc": Task("accuracy", 6, 20, _BOOLEAN),
+    "sa": Task("macro_f1", 5, 10, {"positive": "pozitivno", "negative": "negativno", "neutral": "nevtralno"}),
+    "ner": Task("entity_f1", 64, 20),
+    "lemmatization": Task("word_accuracy", 512, 15),
+    "summarization": Task("rouge_l", 512, 5),
+    "simplification": Task("rouge_l", 256, 64),
 }
+
+# a view of TASKS kept because perfbench/workloads.py reads it by name
+TASK_LABELS = {tag: tuple(task.verbalizer.values()) for tag, task in TASKS.items() if task.verbalizer}
 
 NER_CATEGORIES = ("persons", "locations", "organizations")
 NER_PREFIX = {"persons": "osebe", "locations": "lokacije", "organizations": "organizacije"}
 NER_EMPTY = "brez"
 _NER_TAG_TO_CATEGORY = {"PER": "persons", "LOC": "locations", "ORG": "organizations"}
-
-SENTIMENT_LABELS = {"positive": "pozitivno", "negative": "negativno", "neutral": "nevtralno"}
 
 
 @dataclass
@@ -136,49 +160,48 @@ def _require(record, task, *names):
     return [record[name] for name in names]
 
 
+def _verbalize(task, label):
+    """The string the model must generate for a source label of the task."""
+    verbalizer = TASKS[task].verbalizer
+    try:
+        return verbalizer[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        raise TaskFormatError(f"{task} label {label!r} not in {sorted(verbalizer)}") from None
+
+
 def _bool_label(value, task):
+    """The strings "true" and "false" in any case, after stripping; any
+    other string is refused, and any other value judged by its truthiness."""
     if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("true", "false"):
-            value = lowered == "true"
-        else:
-            raise TaskFormatError(f"{task} label {value!r} is not a boolean")
-    return "Pravilno." if value else "Napačno."
+        value = {"true": True, "false": False}.get(value.strip().lower(), value)
+    else:
+        value = bool(value)
+    return _verbalize(task, value)
 
 
 def format_boolq(record):
     passage, question, label = _require(record, "BoolQ", "passage", "question", "label")
     return TaskExample(
         input_text=f"Sestavek: {passage} Vprašanje: {question}",
-        target_text=_bool_label(label, "BoolQ"),
+        target_text=_bool_label(label, "boolq"),
         task="boolq",
     )
 
 
-_CB_LABELS = {"entailment": "implikacija", "contradiction": "protislovje", "neutral": "nevtralno"}
-
-
 def format_cb(record):
     premise, hypothesis, label = _require(record, "CB", "premise", "hypothesis", "label")
-    if label not in _CB_LABELS:
-        raise TaskFormatError(f"CB label {label!r} not in {sorted(_CB_LABELS)}")
     return TaskExample(
         input_text=f"premisa: {premise} hipoteza: {hypothesis}",
-        target_text=_CB_LABELS[label],
+        target_text=_verbalize("cb", label),
         task="cb",
     )
 
 
-_RTE_LABELS = {"entailment": "implikacija", "not_entailment": "ni implikacija"}
-
-
 def format_rte(record):
     premise, hypothesis, label = _require(record, "RTE", "premise", "hypothesis", "label")
-    if label not in _RTE_LABELS:
-        raise TaskFormatError(f"RTE label {label!r} not in {sorted(_RTE_LABELS)}")
     return TaskExample(
         input_text=f"premisa: {premise} hipoteza: {hypothesis}",
-        target_text=_RTE_LABELS[label],
+        target_text=_verbalize("rte", label),
         task="rte",
     )
 
@@ -189,15 +212,13 @@ def format_copa(record):
     )
     if question not in ("cause", "effect"):
         raise TaskFormatError(f"COPA question {question!r} must be 'cause' or 'effect'")
-    if label not in (0, 1):
-        raise TaskFormatError(f"COPA label {label!r} must be 0 or 1")
     relation = "vzrok" if question == "cause" else "posledica"
     return TaskExample(
         input_text=(
             f"Premisa: {premise} Prva možnost: {choice1} "
             f"Druga možnost: {choice2} Kaj je {relation}?"
         ),
-        target_text="prva" if label == 0 else "druga",
+        target_text=_verbalize("copa", label),
         task="copa",
     )
 
@@ -244,7 +265,7 @@ def format_wsc(record):
     )
     return TaskExample(
         input_text=f"WSC: {marked}",
-        target_text=_bool_label(label, "WSC"),
+        target_text=_bool_label(label, "wsc"),
         task="wsc",
     )
 
@@ -266,11 +287,10 @@ def format_superglue(record, task):
 
 
 def format_sentiment(text, label):
-    """Tweet text in, single-word Slovene class label out."""
-    if label in SENTIMENT_LABELS:
-        label = SENTIMENT_LABELS[label]
-    elif label not in SENTIMENT_LABELS.values():
-        raise TaskFormatError(f"unknown sentiment label {label!r}")
+    """Tweet text in, single-word Slovene class label out; the label may be
+    given in English or already in Slovene."""
+    if label not in TASKS["sa"].verbalizer.values():
+        label = _verbalize("sa", label)
     return TaskExample(input_text=text, target_text=label, task="sa")
 
 

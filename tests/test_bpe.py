@@ -282,6 +282,10 @@ class TestSentinels:
         with pytest.raises(TokenizerError, match=rf"sentinel_count {count} out of range \[0, 17\]"):
             Vocabulary(tokens, [], count)
 
+    def test_duplicate_token_strings_rejected(self):
+        with pytest.raises(TokenizerError, match="duplicate token strings"):
+            Vocabulary(["<pad>", "</s>", "<unk>", "t0", "t1", "t0"], [], 0)
+
     def test_sentinel_token_strings(self):
         assert sentinel_token(0) == "<extra_id_0>"
         assert sentinel_token(17) == "<extra_id_17>"

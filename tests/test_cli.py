@@ -14,6 +14,7 @@ import minit5
 from minit5.bpe import load_vocab, save_vocab, train_bpe
 from minit5.cli import main
 from minit5.model import ModelConfig, init_params
+from minit5.tasks import TASKS
 from minit5.training import Checkpoint, load_checkpoint, save_checkpoint
 
 CORPUS = """kje gori na hribu danes zjutraj
@@ -692,6 +693,30 @@ class TestFinetuneAndEvaluate:
         assert main(["evaluate", "--dataset", "x.csv", "--vocab", str(vocab_file),
                      "--checkpoint", "c.bin", "--task", "nope",
                      "--output-dir", str(tmp_path)]) == 1
+
+    def test_unknown_finetune_task_exits_1_listing_the_tasks(self, tmp_path, vocab_file, capsys):
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"]])
+        rc = main(["finetune", "--train", str(dataset), "--validation", str(dataset),
+                   "--vocab", str(vocab_file), "--task", "nope", "--output-dir", str(tmp_path / "ft")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unknown task 'nope'; choose from {sorted(TASKS)}\n"
+        assert not (tmp_path / "ft").exists()
+
+    def test_finetune_runs_the_epochs_of_the_task_row_by_default(self, tmp_path, vocab_file):
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"], ["voda teče", "teče"]])
+        out_dir = tmp_path / "ft"
+        rc = main(["finetune", "--train", str(dataset), "--validation", str(dataset),
+                   "--vocab", str(vocab_file), "--task", "summarization",
+                   "--output-dir", str(out_dir), "--max-output-tokens", "2"])
+        assert rc == 0
+        epochs = TASKS["summarization"].epochs
+        assert sorted(p.name for p in out_dir.glob("epoch-*.bin")) == [
+            f"epoch-{e:03d}.bin" for e in range(1, epochs + 1)]
+        lines = (out_dir / "selection.txt").read_text(encoding="utf-8").splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == [f"epoch-{e:03d}" for e in range(1, epochs + 1)]
+        assert lines[-1].startswith("selected=epoch-")
 
 
 class TestExitCodes:

@@ -4,7 +4,6 @@ import pytest
 from minit5.bpe import train_bpe
 from minit5.dedup import (
     Paragraph,
-    corpus_stats,
     deduplicate_stream,
     read_paragraphs,
     shingle_set,
@@ -124,19 +123,22 @@ class TestDedup:
 
 class TestStats:
     def test_word_count(self):
-        assert corpus_stats([Paragraph("d", "a b c")])["words"] == 3
+        kept, stats = deduplicate_stream([Paragraph("d", "a b c")])
+        list(kept)
+        assert (stats.words_in, stats.words_kept) == (3, 3)
 
     def test_empty_stream(self):
-        assert corpus_stats([]) == {"words": 0, "tokens": None}
+        kept, stats = deduplicate_stream([])
+        assert list(kept) == []
+        assert (stats.words_in, stats.words_kept, stats.tokens_in, stats.tokens_kept) == (0, 0, None, None)
 
     def test_thousandfold_duplication_collapses(self):
         sentence = "ta stavek se ponavlja brez konca in kraja deset besed"
         paras = [Paragraph(f"p{i}", sentence) for i in range(1000)]
-        before = corpus_stats(paras)
-        kept, _ = deduplicate_stream(paras)
-        after = corpus_stats(kept)
-        assert before["words"] == 1000 * 10
-        assert after["words"] == before["words"] / 1000
+        kept, stats = deduplicate_stream(paras)
+        assert sum(p.word_count for p in kept) == stats.words_kept
+        assert stats.words_in == 1000 * 10
+        assert stats.words_kept == stats.words_in / 1000
 
     def test_render_table_mentions_after_dedup(self):
         kept, stats = deduplicate_stream([Paragraph("a", _words(12))])

@@ -6,7 +6,6 @@ import pytest
 
 from minit5.evaluation import (
     DECODE_LIMITS,
-    FINETUNE_EPOCHS,
     EvalError,
     EvalReport,
     classification_scores,
@@ -22,6 +21,7 @@ from minit5.evaluation import (
     write_report,
 )
 from minit5.model import ModelConfig, decode_logits, encode, init_params
+from minit5.tasks import TASKS
 from minit5.tensor import Tensor
 
 
@@ -48,7 +48,7 @@ class TestDecodeTables:
         }
 
     def test_epochs_table(self):
-        assert FINETUNE_EPOCHS == {
+        assert {tag: task.epochs for tag, task in TASKS.items()} == {
             "boolq": 10, "cb": 15, "copa": 15, "rte": 15, "wsc": 20, "ner": 20,
             "sa": 10, "lemmatization": 15, "summarization": 5, "simplification": 64,
         }

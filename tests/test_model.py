@@ -402,14 +402,14 @@ class _JoinedState:
             if i in self.kv:
                 kv = tuple(Tensor(_join_rows(old.data, new.data, b)) for old, new in zip(self.kv[i], kv))
             self.kv[i] = kv
-            x = add(x, model._attention(params, f"{base}.self", h, kv, self_grids, True, bias, cfg, False, None))
+            x = add(x, model._attention(params, f"{base}.self", h, kv, self_grids, True, bias, cfg, 0.0, None))
             h = rms_norm(x, params[f"{base}.cross_norm"])
             if i not in self.cross:
                 self.cross[i] = model._project_kv(params, f"{base}.cross", enc_out)
             x = add(x, model._attention(params, f"{base}.cross", h, self.cross[i], cross_grids, False, None,
-                                        cfg, False, None))
+                                        cfg, 0.0, None))
             h = rms_norm(x, params[f"{base}.ffn_norm"])
-            x = add(x, model._ffn(params, f"{base}.ffn", h, cfg, False, None))
+            x = add(x, model._ffn(params, f"{base}.ffn", h, 0.0, None))
         self.length = n_keys
         x = rms_norm(x, params["decoder.final_norm"])
         logits = mul(matmul(x, transpose(params["embedding"])), cfg.d_model**-0.5)

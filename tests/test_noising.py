@@ -117,15 +117,15 @@ class TestPlanSpans:
 
     def test_plan_validation(self):
         with pytest.raises(NoisingError):
-            NoisePlan(10, 0.3, 3.0, [(0, 2), (2, 2)])  # adjacent
+            NoisePlan(10, [(0, 2), (2, 2)])  # adjacent
         with pytest.raises(NoisingError):
-            NoisePlan(10, 0.3, 3.0, [(8, 5)])  # out of bounds
+            NoisePlan(10, [(8, 5)])  # out of bounds
 
 
 class TestSpanCorrupt:
     def test_declared_convention(self):
         ids = _token_ids(np.random.default_rng(4), 10)
-        plan = NoisePlan(10, 0.3, 3.0, [(2, 3)])
+        plan = NoisePlan(10, [(2, 3)])
         pair = span_corrupt(ids, plan, VOCAB)
         s0, s1 = VOCAB.sentinel_id(0), VOCAB.sentinel_id(1)
         assert pair.input_ids == ids[:2] + [s0] + ids[5:]
@@ -133,14 +133,14 @@ class TestSpanCorrupt:
 
     def test_two_spans_sentinel_order(self):
         ids = _token_ids(np.random.default_rng(5), 12)
-        plan = NoisePlan(12, 0.3, 2.0, [(1, 2), (6, 2)])
+        plan = NoisePlan(12, [(1, 2), (6, 2)])
         pair = span_corrupt(ids, plan, VOCAB)
         s = [VOCAB.sentinel_id(k) for k in range(3)]
         assert pair.input_ids == [ids[0], s[0]] + ids[3:6] + [s[1]] + ids[8:]
         assert pair.target_ids == [s[0]] + ids[1:3] + [s[1]] + ids[6:8] + [s[2], VOCAB.eos_id]
 
     def test_length_mismatch(self):
-        plan = NoisePlan(10, 0.3, 3.0, [(2, 3)])
+        plan = NoisePlan(10, [(2, 3)])
         with pytest.raises(NoisingError):
             span_corrupt([5, 6, 7], plan, VOCAB)
 
@@ -153,6 +153,22 @@ class TestSpanCorrupt:
             pair = span_corrupt(ids, plan_spans(n, num_noise, num_spans, rng), VOCAB)
             assert _splice_oracle(pair, VOCAB) == ids
             assert reconstruct(pair, VOCAB) == ids
+
+
+class TestSentinelBudget:
+    @pytest.mark.parametrize("objective", ["span", "iid"])
+    def test_one_sentinel_per_span_plus_the_closing_one(self, objective):
+        vocab = _vocab(sentinels=4)
+        ids = _token_ids(np.random.default_rng(12), 12)
+
+        def noise(spans):
+            if objective == "span":
+                return span_corrupt(ids, NoisePlan(12, [(2 * k, 1) for k in range(spans)]), vocab)
+            return iid_denoise(ids[:spans], np.random.default_rng(0), vocab, corrupt_prob=1.0)
+
+        assert reconstruct(noise(3), vocab) == (ids if objective == "span" else ids[:3])
+        with pytest.raises(NoisingError, match="4 spans need 5 sentinels, vocabulary reserves 4"):
+            noise(4)
 
 
 class TestIidDenoise:

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from minit5.evaluation import score_predictions
 from minit5.tasks import (
+    TASK_LABELS,
+    TASKS,
     DatasetError,
     NerSentence,
     TaskExample,
@@ -58,6 +63,75 @@ WSC_RECORD = {
     "text": "Iz steklenice sem v skodelico nalival vodo, dokler ni bila polna.",
     "label": True,
 }
+
+
+SUPERGLUE_RECORDS = {"boolq": BOOLQ_RECORD, "cb": CB_RECORD, "copa": COPA_RECORD, "rte": RTE_RECORD,
+                     "wsc": WSC_RECORD}
+
+
+def _format_label(task, label):
+    """The example a task's formatter makes from a record with this source label."""
+    if task == "sa":
+        return format_sentiment("danes je lep dan", label)
+    return format_superglue(dict(SUPERGLUE_RECORDS[task], label=label), task)
+
+
+class TestTaskTable:
+    def test_classification_tasks_are_the_rows_with_a_verbalizer(self):
+        assert {tag for tag, task in TASKS.items() if task.verbalizer} == set(SUPERGLUE_RECORDS) | {"sa"}
+        assert {task.metric for task in TASKS.values() if not task.verbalizer} == {
+            "entity_f1", "word_accuracy", "rouge_l"}
+
+    @pytest.mark.parametrize("task,label", [(tag, label) for tag, task in TASKS.items() for label in task.verbalizer])
+    def test_formatter_target_is_a_label_the_scorer_accepts(self, task, label):
+        target = _format_label(task, label).target_text
+        assert target in TASK_LABELS[task]
+        report = score_predictions(task, [target], [target])
+        assert report.metrics == {TASKS[task].metric: 1.0}
+        assert report.invalid_rate == 0.0
+
+    def test_label_views_keep_their_order(self):
+        assert TASK_LABELS == {
+            "boolq": ("Pravilno.", "Napačno."),
+            "cb": ("implikacija", "protislovje", "nevtralno"),
+            "rte": ("implikacija", "ni implikacija"),
+            "copa": ("prva", "druga"),
+            "wsc": ("Pravilno.", "Napačno."),
+            "sa": ("pozitivno", "negativno", "nevtralno"),
+        }
+
+    @pytest.mark.parametrize("task", ["boolq", "wsc"])
+    @pytest.mark.parametrize("label,target", [
+        (" TRUE ", "Pravilno."), ("False", "Napačno."), (True, "Pravilno."), (0, "Napačno."),
+        (2, "Pravilno."), (None, "Napačno."), ([], "Napačno."), ("x", None), ("1", None),
+    ])
+    def test_boolean_labels(self, task, label, target):
+        if target is None:
+            with pytest.raises(TaskFormatError, match=re.escape(f"{task} label {label!r}")):
+                _format_label(task, label)
+        else:
+            assert _format_label(task, label).target_text == target
+
+    @pytest.mark.parametrize("label,target", [
+        (0, "prva"), (1, "druga"), (False, "prva"), (True, "druga"), (0.0, "prva"),
+        (2, None), ("0", None), (0.5, None), ([0], None),
+    ])
+    def test_copa_labels(self, label, target):
+        if target is None:
+            with pytest.raises(TaskFormatError, match=re.escape(f"copa label {label!r}")):
+                _format_label("copa", label)
+        else:
+            assert _format_label("copa", label).target_text == target
+
+    @pytest.mark.parametrize("task,label", [("cb", "not_entailment"), ("rte", "neutral"), ("cb", {}),
+                                            ("sa", "Positive"), ("sa", "prva")])
+    def test_a_label_outside_the_verbalizer_is_named(self, task, label):
+        with pytest.raises(TaskFormatError, match=re.escape(f"{task} label {label!r}")):
+            _format_label(task, label)
+
+    @pytest.mark.parametrize("label", TASK_LABELS["sa"])
+    def test_sentiment_takes_the_slovene_labels_as_they_are(self, label):
+        assert _format_label("sa", label).target_text == label
 
 
 class TestNerFormatting:
