@@ -1,5 +1,6 @@
 """Fine-tune a tiny model on a toy echo task, keep the checkpoint that
-scores best on validation ROUGE-L, and run the evaluation report.
+scores best on the validation metric of the task's `TASKS` row, and run
+the evaluation report.
 
 The flow matches the `finetune` + `evaluate` commands: per-epoch
 checkpoints, greedy decoding with the task's output budget, exact-match
@@ -12,7 +13,7 @@ from minit5.bpe import encode, train_bpe
 from minit5.evaluation import evaluate_examples
 from minit5.model import ModelConfig, init_params
 from minit5.noising import NoisedPair
-from minit5.tasks import TaskExample
+from minit5.tasks import TASKS, TaskExample
 from minit5.tensor import Tape, backward
 from minit5.training import AdamW, Checkpoint, select_best_checkpoint, teacher_forced_loss
 
@@ -53,7 +54,7 @@ for epoch in range(1, 9):
     print(f"epoch {epoch}: loss {loss.item():.4f}")
 
 best, scores = select_best_checkpoint(checkpoints, validation, vocab, max_output_tokens=8)
-print(f"\nvalidation ROUGE-L per epoch: {[f'{s:.3f}' for s in scores]}")
+print(f"\nvalidation {TASKS['summarization'].metric} per epoch: {[f'{s:.3f}' for s in scores]}")
 print(f"selected epoch {checkpoints.index(best) + 1}")
 
 report = evaluate_examples(best.config, best.to_params(), vocab, validation,

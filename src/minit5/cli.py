@@ -308,7 +308,6 @@ def _cmd_finetune(cfg):
     task = cfg["task"]
     vocab = bpe.load_vocab(cfg["vocab"])
     epochs = cfg["epochs"] if cfg["epochs"] is not None else tasks.TASKS[task].epochs
-    max_out = cfg["max_output_tokens"] if cfg["max_output_tokens"] is not None else tasks.TASKS[task].decode_limit
     train_examples = tasks.load_csv_dataset(cfg["train"], task)
     val_examples = tasks.load_csv_dataset(cfg["validation"], task)
     if not train_examples:
@@ -340,13 +339,14 @@ def _cmd_finetune(cfg):
             yield ck
 
     best, scores = training.select_best_checkpoint(trained_epochs(), val_examples, vocab,
-                                                   max_output_tokens=max_out)
+                                                   max_output_tokens=cfg["max_output_tokens"])
     best_epoch = best.step
+    metric = tasks.TASKS[task].metric
     training.save_checkpoint(os.path.join(cfg["output_dir"], "best.bin"), best)
-    lines = [f"epoch-{i + 1:03d} rouge_l={s:.6f}" for i, s in enumerate(scores)]
+    lines = [f"epoch-{i + 1:03d} {metric}={s:.6f}" for i, s in enumerate(scores)]
     lines.append(f"selected=epoch-{best_epoch:03d}")
     atomic_write_text(os.path.join(cfg["output_dir"], "selection.txt"), "\n".join(lines) + "\n")
-    print(f"selected epoch {best_epoch} (validation ROUGE-L {scores[best_epoch - 1]:.4f})")
+    print(f"selected epoch {best_epoch} (validation {metric} {scores[best_epoch - 1]:.4f})")
     return 0
 
 

@@ -6,7 +6,8 @@ string match against the verbalized labels after stripping special
 tokens, and one matching no label is INVALID and counts as wrong. The
 other rows name their metric: ROUGE-L (lowercased whitespace tokens, F
 measure over the LCS), list-level multiset entity F1, or punctuation-blind
-word (and sentence) accuracy.
+word (and sentence) accuracy. One path decodes and scores a task,
+`evaluate_examples`: both `minit5 evaluate` and fine-tuning selection use it.
 """
 
 from __future__ import annotations
@@ -210,23 +211,20 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def decode_examples(config, params, vocab, examples, max_len):
-    """Greedy-decode every example's input; returns special-stripped strings."""
-    outputs = []
-    for ex in examples:
-        input_ids = bpe.encode(ex.input_text, vocab, append_eos=True)
-        out_ids = greedy_decode(config, params, input_ids, max_len)
-        outputs.append(bpe.decode(out_ids, vocab, strip_specials=True))
-    return outputs
+def task_row(task):
+    """The task's `tasks.TASKS` row; an unknown tag raises EvalError."""
+    if task not in TASKS:
+        raise EvalError(f"unknown task {task!r}; choose from {sorted(TASKS)}")
+    return TASKS[task]
 
 
 def score_predictions(task, generated, golds):
     """EvalReport from raw generated strings and gold target strings, scored
-    by the metric of the task's row."""
-    if task not in TASKS:
-        raise EvalError(f"unknown task {task!r}; choose from {sorted(TASKS)}")
-    row = TASKS[task]
+    by the metric of the task's row. An empty set raises EvalError."""
+    row = task_row(task)
     golds = list(golds)
+    if not golds:
+        raise EvalError("empty evaluation set")
     predictions = list(zip(generated, golds))
     if row.verbalizer:
         matched = [postfilter_and_match(g, row.verbalizer.values()) for g in generated]
@@ -245,16 +243,14 @@ def score_predictions(task, generated, golds):
 
 
 def evaluate_examples(config, params, vocab, examples, task, *, max_output_tokens=None):
-    """Decode and score a task dataset with its output budget from TASKS."""
+    """Decode and score a task dataset; the output budget defaults to the row's in TASKS."""
+    row = task_row(task)  # an unknown task fails before any decoding
+    limit = row.decode_limit if max_output_tokens is None else max_output_tokens
     examples = list(examples)
-    if not examples:
-        raise EvalError("empty evaluation set")
-    if task not in TASKS:
-        raise EvalError(f"unknown task {task!r}; choose from {sorted(TASKS)}")
-    limit = max_output_tokens if max_output_tokens is not None else TASKS[task].decode_limit
-    generated = decode_examples(config, params, vocab, examples, limit)
-    golds = [ex.target_text for ex in examples]
-    return score_predictions(task, generated, golds)
+    outputs = (greedy_decode(config, params, bpe.encode(ex.input_text, vocab, append_eos=True), limit)
+               for ex in examples)
+    generated = [bpe.decode(out_ids, vocab, strip_specials=True) for out_ids in outputs]
+    return score_predictions(task, generated, [ex.target_text for ex in examples])
 
 
 def write_report(report, directory):

@@ -1,5 +1,5 @@
 """Teacher-forced loss, AdamW, LR schedule, token-budget batch packing,
-binary checkpoints and best-checkpoint selection.
+binary checkpoints and best-checkpoint selection by the task's own metric.
 
 A checkpoint (format version 2) is `MNT5CKPT`, a u32 version, a u32 header
 size, a JSON header (step, config, RNG state, optimizer step and hyper, and
@@ -346,18 +346,22 @@ def load_checkpoint(path):
     return Checkpoint(config, dict(zip(names, arrays)), step=step, optimizer=opt, rng_state=rng_state)
 
 
-def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens):
-    """Decode the validation set with each checkpoint as the iterable yields
-    it, keeping only the one with the highest mean ROUGE-L; ties go to the
-    earliest. Returns (best checkpoint, scores)."""
+def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens=None):
+    """Score each checkpoint with `evaluation.evaluate_examples` as the iterable yields it, by
+    the metric of the validation examples' one task (checked before the first is drawn), keeping
+    only the best so far; ties go to the earliest. Returns (best checkpoint, scores)."""
     validation = list(validation)
     if not validation:
         raise TrainingError("empty validation set")
+    task = validation[0].task
+    if any(ex.task != task for ex in validation):
+        raise TrainingError(f"validation set mixes tasks {sorted({ex.task for ex in validation})}")
+    metric = evaluation.task_row(task).metric
     best, scores = None, []
     for ck in checkpoints:
-        outputs = evaluation.decode_examples(ck.config, ck.to_params(), vocab, validation, max_output_tokens)
-        scores.append(sum(evaluation.rouge_l(out, ex.target_text) for out, ex in zip(outputs, validation))
-                      / len(validation))
+        report = evaluation.evaluate_examples(ck.config, ck.to_params(), vocab, validation, task,
+                                              max_output_tokens=max_output_tokens)
+        scores.append(report.metrics[metric])
         if scores[-1] > max(scores[:-1], default=-math.inf):
             best = ck
     if not scores:

@@ -629,6 +629,33 @@ class TestFinetuneAndEvaluate:
         assert (eval_dir / "predictions.csv").exists()
         assert (eval_dir / "report.txt").exists()
 
+    @pytest.mark.parametrize("task, rows", [
+        ("boolq", [["Sestavek: kje gori Vprašanje: gori", "Pravilno."],
+                   ["Sestavek: voda teče Vprašanje: melje", "Napačno."]]),
+        ("ner", [["osebe: voda teče mimo mlina", "brez"], ["lokacije: kje gori na hribu", "hribu"]]),
+    ])
+    def test_finetune_selects_by_the_metric_evaluate_reports(self, tmp_path, vocab_file, capsys, task, rows):
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, rows)
+        out_dir = tmp_path / "ft"
+        rc = main(["finetune", "--train", str(dataset), "--validation", str(dataset),
+                   "--vocab", str(vocab_file), "--task", task, "--output-dir", str(out_dir),
+                   "--epochs", "2", "--seed", "3"])
+        assert rc == 0
+        metric = TASKS[task].metric
+        *scored, selected = (out_dir / "selection.txt").read_text(encoding="utf-8").splitlines()
+        for epoch, line in enumerate(scored, start=1):
+            eval_dir = tmp_path / f"eval-{epoch}"
+            assert main(["evaluate", "--dataset", str(dataset), "--vocab", str(vocab_file),
+                         "--checkpoint", str(out_dir / f"epoch-{epoch:03d}.bin"), "--task", task,
+                         "--output-dir", str(eval_dir)]) == 0
+            headline = next(kv for kv in (eval_dir / "report.kv").read_text(encoding="utf-8").splitlines()
+                            if kv.startswith(f"{metric}="))
+            assert line == f"epoch-{epoch:03d} {headline}"
+        best = int(selected.removeprefix("selected=epoch-"))
+        value = float(scored[best - 1].split("=")[1])
+        assert f"selected epoch {best} (validation {metric} {value:.4f})\n" in capsys.readouterr().out
+
     def test_evaluate_with_rigged_zero_model_formats_report_exactly(self, tmp_path, vocab_file):
         # a zero checkpoint decodes pads everywhere -> every generation is
         # invalid -> pinned report contents

@@ -338,6 +338,11 @@ class TestReports:
         assert report.metrics["rouge_l"] == 1.0
         assert report.invalid_rate is None
 
+    @pytest.mark.parametrize("task", ["boolq", "ner", "lemmatization", "summarization"])
+    def test_score_predictions_refuses_an_empty_set(self, task):
+        with pytest.raises(EvalError, match="empty evaluation set"):
+            score_predictions(task, [], [])
+
     def test_write_report_files(self, tmp_path):
         report = EvalReport("boolq", {"accuracy": 0.5}, invalid_rate=0.0,
                             predictions=[("Pravilno.", "Pravilno."), ("x", "Napačno.")])

@@ -461,7 +461,7 @@ class TestSelectBestCheckpoint:
         monkeypatch.setattr(
             "minit5.evaluation.rouge_l", lambda c, r, _s=fake_scores: next(_s)
         )
-        val = [TaskExample("a b", "a b")]
+        val = [TaskExample("a b", "a b", "summarization")]
         best, scores = select_best_checkpoint(cks, val, vocab, max_output_tokens=2)
         assert best is cks[1]
         assert scores == [0.20, 0.35, 0.30]
@@ -471,7 +471,8 @@ class TestSelectBestCheckpoint:
 
         vocab = self._vocab()
         cks = self._checkpoints(1, vocab)
-        best, _ = select_best_checkpoint(cks, [TaskExample("a", "a")], vocab, max_output_tokens=2)
+        val = [TaskExample("a", "a", "summarization")]
+        best, _ = select_best_checkpoint(cks, val, vocab, max_output_tokens=2)
         assert best is cks[0]
 
     def test_tie_prefers_earliest(self, monkeypatch):
@@ -480,7 +481,8 @@ class TestSelectBestCheckpoint:
         monkeypatch.setattr("minit5.evaluation.rouge_l", lambda c, r: 0.3)
         vocab = self._vocab()
         cks = self._checkpoints(2, vocab)
-        best, scores = select_best_checkpoint(cks, [TaskExample("a", "a")], vocab, max_output_tokens=2)
+        val = [TaskExample("a", "a", "summarization")]
+        best, scores = select_best_checkpoint(cks, val, vocab, max_output_tokens=2)
         assert best is cks[0]
         assert scores == [0.3, 0.3]
 
@@ -501,12 +503,55 @@ class TestSelectBestCheckpoint:
                 refs.append(weakref.ref(ck))
                 yield ck
 
-        best, scores = select_best_checkpoint(stream(), [TaskExample("a", "a")], vocab, max_output_tokens=2)
+        val = [TaskExample("a", "a", "summarization")]
+        best, scores = select_best_checkpoint(stream(), val, vocab, max_output_tokens=2)
         assert best.step == 1
         assert scores == [0.2, 0.5, 0.1, 0.5]
         # at most the best so far and the one just scored
         assert alive_before_each == [0, 1, 1, 2]
         assert [r() is not None for r in refs] == [False, True, False, False]
+
+    def test_ranks_by_the_task_rows_metric_not_rouge_l(self, monkeypatch):
+        from minit5.bpe import encode, train_bpe
+        from minit5.tasks import TaskExample
+
+        vocab = train_bpe("Pravilno. Napačno.", vocab_size=33, sentinel_count=2)
+        # near-misses score ROUGE-L 2/3 each but are INVALID under accuracy;
+        # the second checkpoint has ROUGE-L 1/2 and accuracy 1/2
+        outputs = iter(["Pravilno. Pravilno.", "Napačno. Napačno.", "Pravilno.", "Pravilno."])
+        monkeypatch.setattr("minit5.evaluation.greedy_decode", lambda *a, **k: encode(next(outputs), vocab))
+        cks = self._checkpoints(2, vocab)
+        val = [TaskExample("v", "Pravilno.", "boolq"), TaskExample("w", "Napačno.", "boolq")]
+        best, scores = select_best_checkpoint(cks, val, vocab, max_output_tokens=4)
+        assert best is cks[1]
+        assert scores == [0.0, 0.5]
+
+    @pytest.mark.parametrize("tags, error", [
+        ((), "empty validation set"),
+        (("boolq", "cb"), r"validation set mixes tasks \['boolq', 'cb'\]"),
+        (("",), "unknown task ''"),
+        (("nope", "nope"), "unknown task 'nope'"),
+    ], ids=["empty", "mixed", "untagged", "unknown"])
+    def test_bad_validation_set_raises_before_a_checkpoint_is_drawn(self, tags, error):
+        from minit5.evaluation import EvalError
+        from minit5.tasks import TaskExample
+
+        vocab = self._vocab()
+        drawn = []
+
+        def stream():
+            drawn.append(True)
+            yield from self._checkpoints(1, vocab)
+
+        with pytest.raises((TrainingError, EvalError), match=error):
+            select_best_checkpoint(stream(), [TaskExample("a", "a", tag) for tag in tags], vocab)
+        assert drawn == []
+
+    def test_no_checkpoints_to_select_from(self):
+        from minit5.tasks import TaskExample
+
+        with pytest.raises(TrainingError, match="no checkpoints to select from"):
+            select_best_checkpoint([], [TaskExample("a", "a", "summarization")], self._vocab())
 
 
 class TestOverfitSmoke:
