@@ -220,11 +220,14 @@ def task_row(task):
 
 def score_predictions(task, generated, golds):
     """EvalReport from raw generated strings and gold target strings, scored
-    by the metric of the task's row. An empty set raises EvalError."""
+    by the metric of the task's row. An empty set, or generations and golds
+    of unequal length, raise EvalError."""
     row = task_row(task)
-    golds = list(golds)
+    generated, golds = list(generated), list(golds)
     if not golds:
         raise EvalError("empty evaluation set")
+    if len(generated) != len(golds):
+        raise EvalError(f"{len(generated)} generations vs {len(golds)} golds")
     predictions = list(zip(generated, golds))
     if row.verbalizer:
         matched = [postfilter_and_match(g, row.verbalizer.values()) for g in generated]

@@ -1,18 +1,25 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy.
 
 Ops run eagerly. While a Tape is active (``with Tape() as tape:``), every
-op whose inputs require gradients records a backward rule on the tape;
-``backward(loss, tape)`` then replays the tape in reverse and accumulates
-gradients into ``Tensor.grad`` of the leaves only: tensors that require
-gradients and are no op's output on that tape (parameters, probes).
-Intermediate outputs never get a ``.grad``. With no tape active, ops are
-plain forward computations (used for decoding and finite-difference probes).
+op whose inputs require gradients records a node on the tape: its backward
+rule and the keys of its output and inputs. A node holds no output
+tensor, and holds an input itself only when the input is a leaf: a tensor
+that requires gradients and is no op's output on that tape (parameters,
+probes). Each backward rule keeps only the arrays, shapes and flags it
+reads, so an output that no rule reads is freed as soon as forward drops
+it. ``backward(loss, tape)`` replays the tape once, in reverse, popping
+each node as it runs its rule, so the tape's memory goes back as the
+gradients come in; it accumulates gradients into ``Tensor.grad`` of the
+leaves only. Intermediate outputs never get a ``.grad``, and a replayed
+tape cannot be replayed again. With no tape active, ops are plain forward
+computations (used for decoding and finite-difference probes).
 
 Backward rules skip the work for operands that do not require gradients
-(constants such as scales). Besides the primitives there are fused ops that
-keep only what their backward rule needs, and rebuild in backward what is
-cheap to rebuild:
-- ``dropout``, and ``residual`` (x + dropout(a)), keep their mask;
+(constants such as scales). Besides the primitives there are fused ops
+that keep only what their backward rule needs, and rebuild in backward what
+is cheap to rebuild. A dropout mask is kept as bits, packed along its last
+axis:
+- ``dropout``, and ``residual`` (x + dropout(a)), keep only their mask;
 - multi-head ``attention`` keeps its softmax weights and dropout mask, and
   lays its q, k and v rows out on their grids again;
 - the gated-GELU feed-forward ``gated_gelu_ffn``, with T5 v1.1's tanh GELU,
@@ -34,6 +41,7 @@ when gradient-checking; ops follow the dtype of their inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -47,10 +55,15 @@ class LossError(ValueError):
     """No loss can be formed (e.g. every target position is ignored)."""
 
 
-class Tensor:
-    """A dense real-valued array plus an optional accumulated gradient."""
+class TapeError(RuntimeError):
+    """backward over a tape that an earlier backward already replayed."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+
+class Tensor:
+    """A dense real-valued array plus an optional accumulated gradient. An
+    op's output recorded on a tape carries the key its node names it by."""
+
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -59,6 +72,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.key = None
 
     @property
     def shape(self):
@@ -76,7 +90,10 @@ class Tensor:
 
 
 class Node:
-    """One recorded primitive application: output, inputs, backward rule."""
+    """One recorded primitive application: its output's key, its inputs and
+    its backward rule. An input is named by its key when this tape produced
+    it, is the leaf Tensor itself when it needs a gradient but no node on
+    this tape produced it, and is None when it needs no gradient."""
 
     __slots__ = ("out", "inputs", "vjp")
 
@@ -90,11 +107,13 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Nodes are appended in execution order, so the list is topologically
-    sorted by construction; ``backward`` walks it once in reverse.
+    sorted by construction; ``backward`` pops it once, in reverse.
     """
 
     def __init__(self):
         self.nodes = []
+        self.keys = set()  # keys of the outputs recorded here
+        self.replayed = False
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -120,12 +139,26 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+# One counter for every tape, so that a tensor produced on another tape never
+# carries a key of this one.
+_KEYS = itertools.count()
+
+
 def _record(out, inputs, vjp):
     tape = Tape.active()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append(Node(out, inputs, vjp))
+        out.key = next(_KEYS)
+        tape.keys.add(out.key)
+        tape.nodes.append(Node(out.key, tuple(_input_name(t, tape) for t in inputs), vjp))
     return out
+
+
+def _input_name(t, tape):
+    """How a node on tape names its input t (see Node)."""
+    if not t.requires_grad:
+        return None
+    return t.key if t.key in tape.keys else t
 
 
 def _accumulate(t, g):
@@ -138,38 +171,44 @@ def backward(loss, tape):
     """Populate .grad on every leaf reachable from loss: a tensor that
     requires gradients and is not the output of a node on this tape.
 
-    Gradients accumulate additively: across fan-out within this call, and
-    across repeated calls into pre-existing .grad arrays. A leaf's .grad is
-    the array its backward rule returned, not a copy, so it may share memory
+    A tape is replayed once. backward pops each node as it replays it, so
+    the arrays a backward rule keeps are freed as soon as the rule has run,
+    and a second backward over the same tape raises TapeError. Gradients
+    accumulate additively: across fan-out within this call, and across calls
+    on other tapes into pre-existing .grad arrays. A leaf's .grad is the
+    array its backward rule returned, not a copy, so it may share memory
     with another leaf's .grad: replace .grad, never write into it.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    produced = {id(node.out) for node in tape.nodes}
-    grads = {id(loss): np.ones_like(loss.data)}
-    leaves = {} if id(loss) in produced else {id(loss): loss}
-    # keys whose gradient buffer this call allocated; only those are added
+    if tape.replayed:
+        raise TapeError("backward over a tape that was already replayed")
+    tape.replayed = True
+    # gradients by the name a node gives its input: a key while the node
+    # that produced it is still to be replayed, the leaf Tensor itself
+    grads = {loss.key if loss.key in tape.keys else loss: np.ones_like(loss.data)}
+    # names whose gradient buffer this call allocated; only those are added
     # into in place, since add and reshape rules return aliases of g
     owned = set()
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
+        g = grads.pop(node.out, None)
         if g is None:
             continue
-        for inp, ig in zip(node.inputs, node.vjp(g)):
-            if ig is None or not inp.requires_grad:
+        for name, ig in zip(node.inputs, node.vjp(g)):
+            if name is None or ig is None:
                 continue
-            key = id(inp)
-            if key not in grads:
-                grads[key] = ig
-                if key not in produced:
-                    leaves[key] = inp
-            elif key in owned:
-                grads[key] += ig
+            if name not in grads:
+                grads[name] = ig
+            elif name in owned:
+                grads[name] += ig
             else:
-                grads[key] = grads[key] + ig
-                owned.add(key)
-    for key, t in leaves.items():
-        _accumulate(t, grads[key])
+                grads[name] = grads[name] + ig
+                owned.add(name)
+    # every node is replayed, so what is left is the leaves' gradients
+    for leaf, g in grads.items():
+        _accumulate(leaf, g)
 
 
 def _unbroadcast(g, shape):
@@ -189,10 +228,12 @@ def add(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = Tensor(a.data + b.data)
+    a_shape = a.data.shape if a.requires_grad else None
+    b_shape = b.data.shape if b.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(g, b_shape))
 
     return _record(out, (a, b), vjp)
 
@@ -201,10 +242,13 @@ def mul(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = Tensor(a.data * b.data)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    ad = a.data if b.requires_grad else None  # each operand's gradient reads the other one
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+        return (None if bd is None else _unbroadcast(g * bd, a_shape),
+                None if ad is None else _unbroadcast(g * ad, b_shape))
 
     return _record(out, (a, b), vjp)
 
@@ -229,15 +273,18 @@ def matmul(a, b):
     if b.data.ndim != 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
+    ad = a.data if b.requires_grad else None  # each operand's gradient reads the other one
+    bd = b.data if a.requires_grad else None
+    weight = b.data.ndim == 2
 
     def vjp(g):
-        ga = g @ _swap_last(b.data) if a.requires_grad else None
-        if not b.requires_grad:
+        ga = None if bd is None else g @ _swap_last(bd)
+        if ad is None:
             gb = None
-        elif b.data.ndim == 2:
-            gb = _rows(a.data).T @ _rows(g)
+        elif weight:
+            gb = _rows(ad).T @ _rows(g)
         else:
-            gb = _swap_last(a.data) @ g
+            gb = _swap_last(ad) @ g
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -254,10 +301,11 @@ def embedding(table, ids):
             f"min={ids.min()}, max={ids.max()}"
         )
     out = Tensor(table.data[ids])
+    shape, dtype = table.data.shape, table.data.dtype
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        gt = np.zeros(shape, dtype=dtype)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, shape[-1]))
         return (gt,)
 
     return _record(out, (table,), vjp)
@@ -306,13 +354,14 @@ def rms_norm(x, gain, eps=1e-6):
     # np.mean's result, bit for bit, without its Python-level wrapper
     ms = np.add.reduce(np.square(x.data), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(ms + eps)
-    out = Tensor(x.data * inv * gain.data)
+    xd, gd = x.data, gain.data
+    out = Tensor(xd * inv * gd)
 
     def vjp(g):
-        u = g * gain.data
-        ux = (u * x.data).sum(axis=-1, keepdims=True)
-        gx = u * inv - x.data * inv**3 * ux / d
-        ggain = (g * x.data * inv).reshape(-1, d).sum(axis=0)
+        u = g * gd
+        ux = (u * xd).sum(axis=-1, keepdims=True)
+        gx = u * inv - xd * inv**3 * ux / d
+        ggain = (g * xd * inv).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
     return _record(out, (x, gain), vjp)
@@ -334,11 +383,14 @@ _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _normal_cdf(x):
+def _normal_cdf(x, x2=None):
     """0.5 * (1 + tanh(k * (x + a x^3))), the tanh-form normal CDF, in one
-    new array of x's dtype."""
-    cdf = np.square(x)
-    cdf *= _GELU_A * _GELU_K
+    new array of x's dtype. x2, when given, is np.square(x), left as it is."""
+    if x2 is None:
+        cdf = np.square(x)
+        cdf *= _GELU_A * _GELU_K
+    else:
+        cdf = x2 * (_GELU_A * _GELU_K)
     cdf += _GELU_K
     cdf *= x
     np.tanh(cdf, out=cdf)
@@ -347,10 +399,11 @@ def _normal_cdf(x):
     return cdf
 
 
-def _gelu_slope(x, cdf):
+def _gelu_slope(x, cdf, x2=None):
     """d/dx of x * cdf(x), exactly: cdf + x * 2k (1 + 3a x^2) * cdf * (1 - cdf),
-    since 1 - tanh^2 = 4 cdf (1 - cdf)."""
-    d = np.square(x)
+    since 1 - tanh^2 = 4 cdf (1 - cdf). x2, when given, is np.square(x), and
+    the slope is written over it."""
+    d = np.square(x) if x2 is None else x2
     d *= 6.0 * _GELU_A * _GELU_K
     d += 2.0 * _GELU_K
     d *= x
@@ -384,9 +437,10 @@ def cross_entropy(logits, targets, ignore_id=0):
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     nll = -logp[keep, t[keep]]
     out = Tensor(np.asarray(nll.mean(), dtype=logits.data.dtype))
+    shape, dtype = logits.data.shape, logits.data.dtype
 
     def vjp(g):
-        gl = np.zeros_like(logits.data)
+        gl = np.zeros(shape, dtype=dtype)
         gl[keep] = np.exp(logp[keep])
         gl[keep, t[keep]] -= 1.0
         return (gl * (g / keep.size),)
@@ -397,9 +451,10 @@ def cross_entropy(logits, targets, ignore_id=0):
 def reshape(x, shape):
     x = _as_tensor(x)
     out = Tensor(x.data.reshape(shape))
+    x_shape = x.data.shape
 
     def vjp(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(x_shape),)
 
     return _record(out, (x,), vjp)
 
@@ -418,9 +473,10 @@ def transpose(x, axes=None):
 def sum_all(x):
     x = _as_tensor(x)
     out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        return (np.full_like(x.data, g.item()),)
+        return (np.full(shape, g.item(), dtype=dtype),)
 
     return _record(out, (x,), vjp)
 
@@ -429,24 +485,25 @@ _DROP_LEVELS = 1 << 16  # dropout masks compare 16-bit draws: p is quantized to 
 
 
 def _dropout_mask(shape, p, rng):
-    """Boolean keep-mask of inverted dropout and the scale of the kept
-    elements; (None, 1.0) when p <= 0. An element is dropped when a uniform
-    16-bit draw is below round(p * 65536), so the drop rate is p quantized
-    to 1/65536 (at most 65535/65536), and the scale is the inverse of the
-    quantized keep rate."""
+    """Keep-mask of inverted dropout, one bit per element packed along the
+    last axis (np.packbits), and the scale of the kept elements; (None, 1.0)
+    when p <= 0. An element is dropped when a uniform 16-bit draw is below
+    round(p * 65536), so the drop rate is p quantized to 1/65536 (at most
+    65535/65536), and the scale is the inverse of the quantized keep rate."""
     if p <= 0:
         return None, 1.0
     cut = min(round(p * _DROP_LEVELS), _DROP_LEVELS - 1)
     keep = rng.integers(0, _DROP_LEVELS, size=shape, dtype=np.uint16) >= cut
-    return keep, _DROP_LEVELS / (_DROP_LEVELS - cut)
+    return np.packbits(keep, axis=-1), _DROP_LEVELS / (_DROP_LEVELS - cut)
 
 
 def _apply_mask(a, keep, scale, out=None):
     """a with the dropped elements zeroed and the kept ones scaled, written
-    to out (a new array when None); a itself when there is no mask."""
+    to out (a new array when None); a itself when there is no mask. keep is
+    packed as _dropout_mask packs it, for a's shape or a block of its rows."""
     if keep is None:
         return a
-    out = np.multiply(a, keep, out=out)
+    out = np.multiply(a, np.unpackbits(keep, axis=-1, count=a.shape[-1]).view(np.bool_), out=out)
     out *= scale
     return out
 
@@ -476,9 +533,10 @@ def residual(x, a, p, rng):
     keep, scale = _dropout_mask(a.data.shape, p, rng)
     out = _apply_mask(a.data, keep, scale)
     out += x.data
+    a_grad = a.requires_grad
 
     def vjp(g):
-        return g, _apply_mask(g, keep, scale) if a.requires_grad else None
+        return g, _apply_mask(g, keep, scale) if a_grad else None
 
     return _record(Tensor(out), (x, a), vjp)
 
@@ -520,10 +578,10 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     (broadcastable to [batch, heads, queries, keys]) is added and the hidden
     keys get MASKED; the softmax weights take inverted dropout with
     probability p and weight the values. Returns the context rows of the
-    query grid. The backward rule keeps only the softmax weights and the
-    dropout mask: when a grid has positions that are not rows, its
-    zero-filled copies of q, k and v are temporaries, and backward lays the
-    rows out again.
+    query grid. The backward rule keeps the softmax weights, the dropout
+    mask and the q, k and v rows: when a grid has positions that are not
+    rows, its zero-filled copies of q, k and v are temporaries, and backward
+    lays the rows out again.
     """
     inner = q.data.shape[-1]
     if inner % n_heads or k.data.shape[-1] != inner or v.data.shape != k.data.shape:
@@ -544,13 +602,15 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
             a = full
         return a.reshape(b, n, n_heads, d).transpose(0, 2, 1, 3)
 
-    def merge(a, grid, like):
-        """Per-head a [batch, heads, len, d] back in the layout of `like`."""
+    def merge(a, grid, shape):
+        """Per-head a [batch, heads, len, d] back as rows, or in `shape` when
+        the grid has no index."""
         index = grid[0]
-        a = a.transpose(0, 2, 1, 3).reshape(like.shape if index is None else (-1, inner))
+        a = a.transpose(0, 2, 1, 3).reshape(shape if index is None else (-1, inner))
         return a if index is None else a[index]
 
-    qh, kh, vh = heads(q.data, q_grid), heads(k.data, kv_grid), heads(v.data, kv_grid)
+    qd, kd, vd = q.data, k.data, v.data
+    qh, kh, vh = heads(qd, q_grid), heads(kd, kv_grid), heads(vd, kv_grid)
     w = qh @ _swap_last(kh)
     w *= scale
     if bias is not None:
@@ -560,17 +620,21 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
         w += mask
     w = _softmax_inplace(w)
     keep, drop_scale = _dropout_mask(w.shape, p, rng)
-    out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh, q_grid, q.data))
+    out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh, q_grid, qd.shape))
+    q_shape, kv_shape = qd.shape, kd.shape
+    need_v = v.requires_grad
+    bias_shape = bias.data.shape if bias is not None and bias.requires_grad else None
+    kd = kd if q.requires_grad else None  # only the query gradient reads k
+    qd = qd if k.requires_grad else None  # only the key gradient reads q
 
     def vjp(g):
         gh = heads(g, q_grid)
-        gv = (merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_grid, v.data)
-              if v.requires_grad else None)
-        gw = gh @ _swap_last(heads(v.data, kv_grid))
+        gv = merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_grid, kv_shape) if need_v else None
+        gw = gh @ _swap_last(heads(vd, kv_grid))
         gw = _softmax_grad_inplace(_apply_mask(gw, keep, drop_scale, out=gw), w)
-        gbias = _unbroadcast(gw, bias.data.shape) if bias is not None and bias.requires_grad else None
-        gq = merge(gw @ heads(k.data, kv_grid), q_grid, q.data) * scale if q.requires_grad else None
-        gk = merge(_swap_last(gw) @ heads(q.data, q_grid), kv_grid, k.data) * scale if k.requires_grad else None
+        gbias = None if bias_shape is None else _unbroadcast(gw, bias_shape)
+        gq = None if kd is None else merge(gw @ heads(kd, kv_grid), q_grid, q_shape) * scale
+        gk = None if qd is None else merge(_swap_last(gw) @ heads(qd, q_grid), kv_grid, kv_shape) * scale
         return gq, gk, gv, gbias
 
     return _record(out, (q, k, v) if bias is None else (q, k, v, bias), vjp)
@@ -604,13 +668,16 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     backward rule keeps both input projections and the dropout mask: the
     normal CDF lives only inside a block, and backward rebuilds it and the
     hidden activations block by block, with the forward's own ops."""
-    h0 = x.data @ wi_0.data
-    h1 = x.data @ wi_1.data
+    xd, wi_0d, wi_1d, wod = x.data, wi_0.data, wi_1.data, wo.data
+    need_x, need_wi_0, need_wi_1, need_wo = x.requires_grad, wi_0.requires_grad, wi_1.requires_grad, wo.requires_grad
+    h0 = xd @ wi_0d
+    h1 = xd @ wi_1d
     keep, scale = _dropout_mask(h0.shape, p, rng)
 
-    def hidden(h0, h1, keep, h):
-        """h = dropout(gelu(h0) * h1), written to h; returns the CDF of h0."""
-        cdf = _normal_cdf(h0)
+    def hidden(h0, h1, keep, h, x2=None):
+        """h = dropout(gelu(h0) * h1), written to h; returns the CDF of h0.
+        x2, when given, is np.square(h0)."""
+        cdf = _normal_cdf(h0, x2)
         np.multiply(h0, cdf, out=h)
         h *= h1
         _apply_mask(h, keep, scale, out=h)
@@ -618,33 +685,35 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
 
     h = np.empty_like(h0)
     _by_row_blocks(hidden, h0, h1, keep, h)
-    out = Tensor(h @ wo.data)
+    out = Tensor(h @ wod)
 
     def vjp(g):
-        gh = g @ wo.data.T
+        gh = g @ wod.T
         gh1 = np.empty_like(gh)
         h = np.empty_like(gh)
 
         def hidden_grad(h0, h1, keep, h, gh, gh1):
             """h rebuilt as the forward made it; gh1 = gelu(h0) * gh and, in
-            gh's place, gh0 = slope * gh * h1, gh taken after the dropout mask."""
-            cdf = hidden(h0, h1, keep, h)
+            gh's place, gh0 = slope * gh * h1, gh taken after the dropout mask.
+            The CDF and the slope share one square of h0."""
+            x2 = np.square(h0)
+            cdf = hidden(h0, h1, keep, h, x2)
             _apply_mask(gh, keep, scale, out=gh)
             np.multiply(h0, cdf, out=gh1)
             gh1 *= gh
-            gh *= _gelu_slope(h0, cdf)
+            gh *= _gelu_slope(h0, cdf, x2)
             gh *= h1
 
         _by_row_blocks(hidden_grad, h0, h1, keep, h, gh, gh1)
-        gwo = _rows(h).T @ _rows(g) if wo.requires_grad else None
+        gwo = _rows(h).T @ _rows(g) if need_wo else None
         del h
         gh0 = gh
         gx = None
-        if x.requires_grad:
-            gx = gh0 @ wi_0.data.T
-            gx += gh1 @ wi_1.data.T
-        xt = _rows(x.data).T
-        return (gx, xt @ _rows(gh0) if wi_0.requires_grad else None,
-                xt @ _rows(gh1) if wi_1.requires_grad else None, gwo)
+        if need_x:
+            gx = gh0 @ wi_0d.T
+            gx += gh1 @ wi_1d.T
+        xt = _rows(xd).T
+        return (gx, xt @ _rows(gh0) if need_wi_0 else None,
+                xt @ _rows(gh1) if need_wi_1 else None, gwo)
 
     return _record(out, (x, wi_0, wi_1, wo), vjp)

@@ -343,6 +343,16 @@ class TestReports:
         with pytest.raises(EvalError, match="empty evaluation set"):
             score_predictions(task, [], [])
 
+    @pytest.mark.parametrize("task, generated, golds", [
+        ("boolq", [], ["Pravilno."]),
+        ("ner", ["Ana Novak"], ["Ana Novak", "Ljubljana"]),
+        ("lemmatization", ["hiša", "mačka"], ["hiša"]),
+        ("summarization", ["a"], ["a", "b"]),
+    ])
+    def test_score_predictions_refuses_unequal_lengths(self, task, generated, golds):
+        with pytest.raises(EvalError, match=f"{len(generated)} generations vs {len(golds)} golds"):
+            score_predictions(task, generated, golds)
+
     def test_write_report_files(self, tmp_path):
         report = EvalReport("boolq", {"accuracy": 0.5}, invalid_rate=0.0,
                             predictions=[("Pravilno.", "Pravilno."), ("x", "Napačno.")])

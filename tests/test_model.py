@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from minit5 import tensor
 from minit5.gradcheck import finite_diff_check
 from minit5.model import (
     ModelConfig,
@@ -277,7 +280,7 @@ class TestFusedOps:
             logits = forward(cfg, params, enc_in, dec_in, train=True, rng=np.random.default_rng(0))
             loss = cross_entropy(reshape(logits, (-1, cfg.vocab_size)), targets.reshape(-1), ignore_id=0)
             backward(loss, tape)
-        return loss.item(), {k: p.grad for k, p in params.items()}, tape
+        return loss.item(), {k: p.grad for k, p in params.items()}
 
     def test_training_step_matches_composition_float64(self, monkeypatch):
         # dropout on: the fused ops draw their masks in the composition's order
@@ -286,11 +289,19 @@ class TestFusedOps:
         enc_in = np.concatenate([rng.integers(3, 60, size=(2, 7)), np.zeros((2, 2), dtype=int)], axis=1)
         dec_in = rng.integers(3, 60, size=(2, 6))
         targets = rng.integers(3, 60, size=(2, 6))
-        loss, grads, tape = self._step(cfg, params, enc_in, dec_in, targets)
-        assert all(node.out.grad is None for node in tape.nodes)  # intermediates get no .grad
+        outputs = []  # every op output the tape records, collected as forward makes them
+
+        def record(out, inputs, vjp):
+            outputs.append(tensor_record(out, inputs, vjp))
+            return outputs[-1]
+
+        tensor_record = tensor._record
+        monkeypatch.setattr(tensor, "_record", record)
+        loss, grads = self._step(cfg, params, enc_in, dec_in, targets)
+        assert outputs and all(t.grad is None for t in outputs if t.requires_grad)  # intermediates get no .grad
         assert all(g is not None for g in grads.values())
         self._compose(monkeypatch)
-        ref_loss, ref_grads, _ = self._step(cfg, params, enc_in, dec_in, targets)
+        ref_loss, ref_grads = self._step(cfg, params, enc_in, dec_in, targets)
         assert abs(loss - ref_loss) < 1e-12
         for name, g in grads.items():
             np.testing.assert_allclose(g, ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
@@ -601,13 +612,62 @@ class TestTapeMemory:
     # with its reason written in CHANGES.md.
     HELD_BOUND = 7_660_000
 
-    def test_bytes_held_after_a_training_forward_stay_under_the_bound(self):
+    @staticmethod
+    def _padded_d64_step():
+        """A d64 model at dropout 0.1 and a batch of 8 pairs of unequal lengths."""
         cfg = ModelConfig(vocab_size=256, d_model=64, d_ff=256, n_heads=4, d_kv=16, enc_layers=2,
                           dec_layers=2, rel_buckets=8, rel_max_distance=32, dropout=0.1)
         params = init_params(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         pairs = [NoisedPair(rng.integers(3, 256, size=int(rng.integers(24, 64))).tolist(),
                             rng.integers(3, 256, size=int(rng.integers(4, 16))).tolist()) for _ in range(8)]
+        return cfg, params, pairs
+
+    def test_bytes_held_after_a_training_forward_stay_under_the_bound(self):
+        cfg, params, pairs = self._padded_d64_step()
         held, _ = held_after_forward(
             lambda: teacher_forced_loss(cfg, params, pairs, train=True, rng=np.random.default_rng(2)))
         assert held < self.HELD_BOUND, held
+
+    def test_backward_lets_each_node_go_as_it_replays_it(self):
+        # backward must hand back every parameter's gradient, and its largest
+        # op, the encoder feed-forward, works in three [rows, d_ff] buffers;
+        # past that, the peak stays under what forward held only when the
+        # replayed nodes' arrays are freed as the gradients arrive
+        cfg, params, pairs = self._padded_d64_step()
+        grads = sum(p.data.nbytes for p in params.values())
+        ffn = 3 * sum(len(p.input_ids) for p in pairs) * cfg.d_ff * 4
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                loss = teacher_forced_loss(cfg, params, pairs, train=True, rng=np.random.default_rng(2))
+                held = tracemalloc.get_traced_memory()[0] - before
+                tracemalloc.reset_peak()
+                backward(loss, tape)
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < held + grads + ffn, (peak, held, grads, ffn)
+
+    def test_an_o_projection_output_is_freed_by_the_end_of_forward(self, monkeypatch):
+        # attention's output projection feeds only the residual add, whose
+        # backward rule reads neither operand
+        import minit5.model as model
+
+        cfg, params, pairs = self._padded_d64_step()
+        o = params["encoder.layers.0.attn.o"]
+        refs = []
+
+        def matmul(a, b):
+            out = model_matmul(a, b)
+            if b is o:
+                refs.append(weakref.ref(out.data))
+            return out
+
+        model_matmul = model.matmul
+        monkeypatch.setattr(model, "matmul", matmul)
+        with Tape() as tape:
+            loss = teacher_forced_loss(cfg, params, pairs, train=True, rng=np.random.default_rng(2))
+            assert len(refs) == 1 and refs[0]() is None
+            backward(loss, tape)

@@ -8,11 +8,13 @@ from minit5.tensor import (
     LossError,
     ShapeError,
     Tape,
+    TapeError,
     Tensor,
     add,
     attention,
     backward,
     cross_entropy,
+    dropout,
     embedding,
     gated_gelu_ffn,
     gelu,
@@ -229,12 +231,29 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([1.0], requires_grad=True)
-        with Tape() as tape:
-            loss = sum_all(x)
-            backward(loss, tape)
-            backward(loss, tape)
+        for _ in range(2):
+            with Tape() as tape:
+                backward(sum_all(x), tape)
         np.testing.assert_array_equal(x.grad, [2.0])
 
+    def test_a_replayed_tape_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul(x, 3.0))
+            backward(loss, tape)
+            assert tape.nodes == []  # each node is let go as it is replayed
+            with pytest.raises(TapeError):
+                backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_an_output_of_another_tape_is_a_leaf(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape():
+            y = mul(x, 2.0)
+            with Tape() as inner:
+                backward(sum_all(mul(y, y)), inner)
+        np.testing.assert_array_equal(y.grad, [4.0, 8.0])
+        assert x.grad is None
 
     def test_only_leaves_get_gradients(self):
         w = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
@@ -264,10 +283,9 @@ class TestBackward:
     def test_leaves_sharing_a_gradient_accumulate_apart(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
-        with Tape() as tape:
-            loss = sum_all(add(a, b))
-            backward(loss, tape)
-            backward(loss, tape)
+        for _ in range(2):
+            with Tape() as tape:
+                backward(sum_all(add(a, b)), tape)
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
         np.testing.assert_array_equal(b.grad, [2.0, 2.0])
 
@@ -275,7 +293,7 @@ class TestBackward:
         x = Tensor(3.0, requires_grad=True)
         with Tape() as tape:
             backward(x, tape)
-        assert x.grad == 1.0
+        assert tape.replayed and x.grad == 1.0
 
 
 class TestEmbeddingAndShapes:
@@ -408,8 +426,9 @@ class TestTapeMemory:
         x, wi_0, wi_1, wo = param(rows, d), param(d, d_ff), param(d, d_ff), param(d_ff, d)
         held, out = held_after_forward(lambda: gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.1, rng=rng))
         h0 = h1 = rows * d_ff * 4
-        mask = rows * d_ff  # one bool per hidden unit
-        assert h0 + h1 + mask <= held <= out.data.nbytes + h0 + h1 + mask + self.SLACK, held
+        mask = rows * math.ceil(d_ff / 8)  # one bit per hidden unit
+        kept = out.data.nbytes + h0 + h1 + mask
+        assert kept <= held <= kept + self.SLACK, held
 
     def test_padded_attention_keeps_no_grid_copy(self):
         # one zero-filled [8 * 16, 256] float32 grid copy of q, k or v is 128 KiB
@@ -422,5 +441,14 @@ class TestTapeMemory:
         held, out = held_after_forward(
             lambda: attention(q, k, v, n_heads, d**-0.5, (grid, grid), causal=True, p=0.1, rng=rng))
         weights = b * n_heads * n * n * 4
-        mask = b * n_heads * n * n
-        assert weights + mask <= held <= out.data.nbytes + weights + mask + self.SLACK, held
+        mask = b * n_heads * n * math.ceil(n / 8)
+        kept = out.data.nbytes + weights + mask
+        assert kept <= held <= kept + self.SLACK, held
+
+    def test_dropout_keeps_its_mask_as_bits(self):
+        rows, width = 512, 250
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.normal(size=(rows, width)).astype(np.float32), requires_grad=True)
+        held, out = held_after_forward(lambda: dropout(x, 0.1, rng))
+        kept = out.data.nbytes + rows * math.ceil(width / 8)
+        assert kept <= held <= kept + self.SLACK, held
