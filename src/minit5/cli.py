@@ -223,14 +223,15 @@ def _sequence_stream(ids, seq_len):
 def _check_sentinels(cfg, vocab):
     """Refuse noising settings whose full-length sequences need more
     sentinels than the vocabulary reserves, before anything is written: one
-    per span plus the closing one. For i.i.d. denoising this is the expected
-    count; a random excess can still fail later, at its batch."""
+    per span plus the closing one. For i.i.d. denoising the spans are the
+    expected count (noising.iid_spans); noising draws again a mask that
+    needs more."""
     n = cfg["seq_len"]
     needs = []
     if cfg["mix"] > 0:
         needs.append(("span corruption", noising.noise_counts(n, cfg["noise_density"], cfg["mean_span"])[1] + 1))
     if cfg["mix"] < 1:
-        needs.append(("i.i.d. denoising", round(cfg["iid_rate"] * n) + 1))
+        needs.append(("i.i.d. denoising", noising.iid_spans(n, cfg["iid_rate"]) + 1))
     for what, count in needs:
         if count > vocab.sentinel_count:
             raise noising.NoisingError(f"{what} of {n}-token sequences needs {count} sentinels, "

@@ -95,15 +95,21 @@ def plan_spans(n, num_noise, num_spans, rng):
     return NoisePlan(n, spans)
 
 
+def _sentinel_shortage(num_spans, vocab):
+    """Why num_spans spans do not fit vocab's sentinels (one per span plus
+    the closing one), or None when they fit."""
+    if num_spans + 1 <= vocab.sentinel_count:
+        return None
+    return f"{num_spans} spans need {num_spans + 1} sentinels, vocabulary reserves {vocab.sentinel_count}"
+
+
 def _serialize(ids, spans, vocab, objective):
     """Replace each sorted, disjoint (start, length) span of ids with the
     next sentinel, numbered left to right; the target lists each sentinel
     with the tokens it replaced, then a closing sentinel and EOS."""
-    if len(spans) + 1 > vocab.sentinel_count:
-        raise NoisingError(
-            f"{len(spans)} spans need {len(spans) + 1} sentinels, "
-            f"vocabulary reserves {vocab.sentinel_count}"
-        )
+    shortage = _sentinel_shortage(len(spans), vocab)
+    if shortage:
+        raise NoisingError(shortage)
     input_ids = []
     target_ids = []
     pos = 0
@@ -126,13 +132,32 @@ def span_corrupt(ids, plan, vocab):
     return _serialize(ids, plan.spans, vocab, "span")
 
 
+def iid_spans(n, corrupt_prob):
+    """The number of spans i.i.d. denoising makes in n tokens on average,
+    round(corrupt_prob * n): one per corrupted token. A setting is admitted
+    when these spans fit the vocabulary's sentinels; a draw that does not
+    fit is then drawn again (see iid_denoise)."""
+    return round(corrupt_prob * n)
+
+
 def iid_denoise(ids, rng, vocab, corrupt_prob=0.15):
     """Corrupt each token independently; every corrupted token is a span of
-    its own, so runs of adjacent corruptions get one sentinel per token."""
+    its own, so runs of adjacent corruptions get one sentinel per token.
+    Refuses a setting whose expected spans (iid_spans) need more sentinels
+    than vocab reserves; otherwise a draw that needs more is drawn again, so
+    every admitted setting yields a pair. When the first draw fits, it is
+    the only one taken from rng."""
     if len(ids) < 1:
         raise NoisingError("cannot noise an empty sequence")
-    mask = rng.random(len(ids)) < corrupt_prob
-    return _serialize(ids, [(i, 1) for i in np.flatnonzero(mask).tolist()], vocab, "iid")
+    expected = iid_spans(len(ids), corrupt_prob)
+    shortage = _sentinel_shortage(expected, vocab)
+    if shortage:
+        raise NoisingError(f"i.i.d. denoising of {len(ids)} tokens at rate {corrupt_prob} expects "
+                           f"{expected} spans: {shortage}")
+    while True:
+        corrupted = np.flatnonzero(rng.random(len(ids)) < corrupt_prob)
+        if not _sentinel_shortage(len(corrupted), vocab):
+            return _serialize(ids, [(i, 1) for i in corrupted.tolist()], vocab, "iid")
 
 
 def mixture_sample(ids, vocab, rng, mix=0.5, noise_density=0.15, mean_span=3.0, iid_prob=0.15):

@@ -17,11 +17,14 @@ computations (used for decoding and finite-difference probes).
 Backward rules skip the work for operands that do not require gradients
 (constants such as scales). Besides the primitives there are fused ops
 that keep only what their backward rule needs, and rebuild in backward what
-is cheap to rebuild. A dropout mask is kept as bits, packed along its last
-axis:
+is cheap to rebuild. A dropout mask is applied as booleans in forward and
+kept as bits, packed along its last axis, which backward unpacks once (per
+block, in the blocked ops):
 - ``dropout``, and ``residual`` (x + dropout(a)), keep only their mask;
-- multi-head ``attention`` keeps its softmax weights and dropout mask, and
-  lays its q, k and v rows out on their grids again;
+- multi-head ``attention`` runs over blocks of batch rows and keeps its q,
+  k and v rows, its dropout mask and each query row's softmax max and sum;
+  backward rebuilds the softmax weights block by block, so no
+  ``[batch, heads, queries, keys]`` array of floats is ever whole;
 - the gated-GELU feed-forward ``gated_gelu_ffn``, with T5 v1.1's tanh GELU,
   keeps its two input projections and dropout mask, and rebuilds the GELU
   and the hidden activations block by block.
@@ -30,10 +33,11 @@ Ragged batches travel as rows: a 2-D ``[real positions, features]`` array
 holding only the positions that are not padding, so every position-wise op
 (``matmul`` by a weight, ``rms_norm``, ``gated_gelu_ffn``, ``dropout``,
 ``residual``, ``cross_entropy``) is one 2-D computation over real tokens.
-``attention`` alone lays its rows out on the zero-filled
-``[batch, len, features]`` grid they came from, and returns its context as
-rows again. It also builds every attention mask, from the grid and a causal
-flag: a grid position that is not a row is never a key.
+``attention`` alone lays its rows out, one block of batch rows at a time,
+on the zero-filled ``[batch, len, features]`` grid they came from, and
+returns its context as rows again. It also builds every attention mask,
+from the grid and a causal flag: a grid position that is not a row is never
+a key.
 
 float32 is the working precision for training. Build parameters as float64
 when gradient-checking; ops follow the dtype of their inputs.
@@ -316,7 +320,7 @@ def softmax_lastdim(x):
     x = _as_tensor(x)
     if x.data.ndim == 0 or x.data.shape[-1] < 1 or x.data.size == 0:
         raise ShapeError(f"softmax needs a non-empty trailing dimension, got {x.shape}")
-    s = _softmax_inplace(x.data.copy())
+    s = _softmax_inplace(x.data.copy())[0]
     out = Tensor(s)
 
     def vjp(g):
@@ -325,12 +329,20 @@ def softmax_lastdim(x):
     return _record(out, (x,), vjp)
 
 
-def _softmax_inplace(z):
-    """Softmax over the trailing dimension of z, overwriting z."""
-    z -= z.max(axis=-1, keepdims=True)
+def _softmax_inplace(z, m=None, s=None):
+    """Softmax over the trailing dimension of z, overwriting z; returns it
+    with the row max m it subtracted and the row sum s of exponentials it
+    divided by, both [..., 1]. Given the m and s of an earlier call on the
+    same z, it rebuilds that call's result with the same ops, reducing
+    nothing."""
+    if m is None:
+        m = z.max(axis=-1, keepdims=True)
+    z -= m
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    if s is None:
+        s = z.sum(axis=-1, keepdims=True)
+    z /= s
+    return z, m, s
 
 
 def _softmax_grad_inplace(g, s):
@@ -485,25 +497,38 @@ _DROP_LEVELS = 1 << 16  # dropout masks compare 16-bit draws: p is quantized to 
 
 
 def _dropout_mask(shape, p, rng):
-    """Keep-mask of inverted dropout, one bit per element packed along the
-    last axis (np.packbits), and the scale of the kept elements; (None, 1.0)
-    when p <= 0. An element is dropped when a uniform 16-bit draw is below
-    round(p * 65536), so the drop rate is p quantized to 1/65536 (at most
-    65535/65536), and the scale is the inverse of the quantized keep rate."""
+    """Boolean keep-mask of inverted dropout and the scale of the kept
+    elements; (None, 1.0) when p <= 0. An element is dropped when a uniform
+    16-bit draw is below round(p * 65536), so the drop rate is p quantized
+    to 1/65536 (at most 65535/65536), and the scale is the inverse of the
+    quantized keep rate. An op applies the mask in forward and keeps it
+    packed for backward (_pack)."""
     if p <= 0:
         return None, 1.0
     cut = min(round(p * _DROP_LEVELS), _DROP_LEVELS - 1)
     keep = rng.integers(0, _DROP_LEVELS, size=shape, dtype=np.uint16) >= cut
-    return np.packbits(keep, axis=-1), _DROP_LEVELS / (_DROP_LEVELS - cut)
+    return keep, _DROP_LEVELS / (_DROP_LEVELS - cut)
+
+
+def _pack(keep):
+    """A keep-mask as one bit per element, packed along its last axis; None
+    stays None."""
+    return None if keep is None else np.packbits(keep, axis=-1)
+
+
+def _unpack(bits, width):
+    """The boolean keep-mask [..., width] that _pack packed into bits (or a
+    block of bits' rows); None stays None."""
+    return None if bits is None else np.unpackbits(bits, axis=-1, count=width).view(np.bool_)
 
 
 def _apply_mask(a, keep, scale, out=None):
     """a with the dropped elements zeroed and the kept ones scaled, written
     to out (a new array when None); a itself when there is no mask. keep is
-    packed as _dropout_mask packs it, for a's shape or a block of its rows."""
+    a boolean keep-mask broadcastable to a."""
     if keep is None:
         return a
-    out = np.multiply(a, np.unpackbits(keep, axis=-1, count=a.shape[-1]).view(np.bool_), out=out)
+    out = np.multiply(a, keep, out=out)
     out *= scale
     return out
 
@@ -516,9 +541,10 @@ def dropout(x, p, rng):
     x = _as_tensor(x)
     keep, scale = _dropout_mask(x.data.shape, p, rng)
     out = Tensor(_apply_mask(x.data, keep, scale))
+    bits, width = _pack(keep), x.data.shape[-1]
 
     def vjp(g):
-        return (_apply_mask(g, keep, scale),)
+        return (_apply_mask(g, _unpack(bits, width), scale),)
 
     return _record(out, (x,), vjp)
 
@@ -533,10 +559,11 @@ def residual(x, a, p, rng):
     keep, scale = _dropout_mask(a.data.shape, p, rng)
     out = _apply_mask(a.data, keep, scale)
     out += x.data
+    bits, width = _pack(keep), a.data.shape[-1]
     a_grad = a.requires_grad
 
     def vjp(g):
-        return g, _apply_mask(g, keep, scale) if a_grad else None
+        return g, _apply_mask(g, _unpack(bits, width), scale) if a_grad else None
 
     return _record(Tensor(out), (x, a), vjp)
 
@@ -544,119 +571,216 @@ def residual(x, a, p, rng):
 MASKED = -1e9  # additive attention-logit mask; underflows to weight 0 after softmax
 
 
-def _key_mask(kv_grid, n_queries, causal, dtype):
+def _later_keys(n_queries, n_keys, causal, dtype):
+    """Additive mask [queries, keys] hiding from each query the keys after
+    its position, or None when not causal or when there is a single query.
+    Query i of n sits at key position n_keys - n + i, so a single query sees
+    every key."""
+    if not causal or n_queries <= 1:
+        return None
+    later = np.arange(n_keys) > np.arange(n_keys - n_queries, n_keys)[:, None]
+    return np.where(later, MASKED, 0.0).astype(dtype)
+
+
+def _key_mask(kv_grid, later, dtype):
     """Additive mask [.., queries, keys] hiding the keys a query may not see,
     or None when every query sees every key: the key grid positions that are
-    not rows and, when causal, the keys after the query's position. Query i
-    of n sits at key position len - n + i, so a single query sees every key."""
+    not rows, and the keys that later (from _later_keys, or None) hides."""
     index, (b, n_keys) = kv_grid
-    mask = None
+    if index is None:
+        return later
+    mask = np.full(b * n_keys, MASKED, dtype=dtype)
+    mask[index] = 0.0
+    mask = mask.reshape(b, 1, 1, n_keys)
+    return mask if later is None else np.minimum(mask, later)
+
+
+_BLOCK_ELEMENTS = 1 << 16  # blocked work runs over row blocks of about this many elements
+
+
+def _row_blocks(n, width):
+    """Slices of n rows of width elements each, in blocks of
+    max(1, _BLOCK_ELEMENTS // width) rows, so a block's temporaries stay in
+    cache."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, width))
+    if n <= step:
+        return [slice(0, n)]
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _grid_block(grid, blk, *arrays):
+    """The grid of batch rows blk, then the rows of each array that lie on
+    them; the grid and the arrays themselves when blk is the whole batch.
+    The rows of a grid without index come as [batch, len, features] or
+    [batch * len, features]; those of a grid with index as [n, features],
+    index increasing."""
+    index, (b, n) = grid
+    if blk.stop - blk.start == b:
+        return (grid, *arrays)
+    if index is None:
+        return ((None, (blk.stop - blk.start, n)), *(a.reshape(b, n, a.shape[-1])[blk] for a in arrays))
+    lo, hi = np.searchsorted(index, (blk.start * n, blk.stop * n))
+    return ((index[lo:hi] - blk.start * n, (blk.stop - blk.start, n)), *(a[lo:hi] for a in arrays))
+
+
+def _heads(a, grid, n_heads, d):
+    """The rows a of a grid (block) as [batch, heads, len, d], zero-filled
+    where the grid has no row."""
+    index, (b, n) = grid
     if index is not None:
-        mask = np.full(b * n_keys, MASKED, dtype=dtype)
-        mask[index] = 0.0
-        mask = mask.reshape(b, 1, 1, n_keys)
-    if causal and n_queries > 1:
-        later = np.arange(n_keys) > np.arange(n_keys - n_queries, n_keys)[:, None]
-        later = np.where(later, MASKED, 0.0).astype(dtype)
-        mask = later if mask is None else np.minimum(mask, later)
-    return mask
+        full = np.zeros((b * n, n_heads * d), dtype=a.dtype)
+        full[index] = a
+        a = full
+    return a.reshape(b, n, n_heads, d).transpose(0, 2, 1, 3)
+
+
+def _merge(a, grid):
+    """Per-head a [batch, heads, len, d] of a grid (block) as its rows:
+    [batch, len, heads * d] when the grid has no index, else [n, heads * d]."""
+    index, (b, n) = grid
+    inner = a.shape[1] * a.shape[3]
+    a = a.transpose(0, 2, 1, 3)
+    return a.reshape(b, n, inner) if index is None else a.reshape(b * n, inner)[index]
+
+
+def _joined(pieces, shape):
+    """The blocks' pieces of rows, in order, as one array of shape."""
+    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(shape)
+
+
+def _attention_weights(qh, kh, scale, bias, kv_grid, later, m=None, s=None):
+    """A block's softmax weights [batch, heads, queries, keys] with their row
+    max and sum (see _softmax_inplace): the scaled scores plus the bias
+    array (or None) and the key mask."""
+    w = qh @ _swap_last(kh)
+    w *= scale
+    if bias is not None:
+        w += bias
+    mask = _key_mask(kv_grid, later, w.dtype)
+    if mask is not None:
+        w += mask
+    return _softmax_inplace(w, m, s)
 
 
 def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rng=None):
     """Multi-head scaled dot-product attention as one op, on rows.
 
-    grids = (query grid, key grid), each (index, (batch, len)). q holds the
-    rows [n, heads * d] of the query grid's real positions, k and v those of
-    the key grid: row i is the row-major flat position index[i], or position
-    i when index is None (every position is real; k and v may then also come
-    as [batch, len, heads * d]). Attention runs on the grids, zero-filled
+    grids = (query grid, key grid), each (index, (batch, len)), with the
+    same batch. q holds the rows [n, heads * d] of the query grid's real
+    positions, k and v those of the key grid: row i is the row-major flat
+    position index[i], index increasing, or position i when index is None
+    (every position is real; k and v may then also come as
+    [batch, len, heads * d]). Attention runs on the grids, zero-filled
     elsewhere, and decides itself which keys a query sees: no key position
     that is not a row, and with causal=True no key after the query's own
     position, query i of len_q sitting at key position len_k - len_q + i
     (the queries are the keys, or the last of them in a cached decoding step).
-    Per head, the scores q.k^T are multiplied by scale, then the Tensor bias
-    (broadcastable to [batch, heads, queries, keys]) is added and the hidden
-    keys get MASKED; the softmax weights take inverted dropout with
-    probability p and weight the values. Returns the context rows of the
-    query grid. The backward rule keeps the softmax weights, the dropout
-    mask and the q, k and v rows: when a grid has positions that are not
-    rows, its zero-filled copies of q, k and v are temporaries, and backward
-    lays the rows out again.
+    Per head, the scores q.k^T are multiplied by scale, then the Tensor bias,
+    shared by the batch rows (broadcastable to [1, heads, queries, keys]),
+    is added and the hidden keys get MASKED; the softmax weights take
+    inverted dropout with probability p and weight the values. Returns the
+    context rows of the query grid.
+
+    The work runs over blocks of batch rows, each holding about
+    _BLOCK_ELEMENTS softmax weights (see _row_blocks), and lays out on the
+    zero-filled grid only its own rows; the dropout mask is drawn at full
+    shape first. No [batch, heads, queries, keys] array of floats outlives
+    its block: the backward rule keeps the q, k and v rows, the dropout mask
+    and each query row's softmax max and sum, and rebuilds the weights block
+    by block with the forward's own ops.
     """
     inner = q.data.shape[-1]
     if inner % n_heads or k.data.shape[-1] != inner or v.data.shape != k.data.shape:
         raise ShapeError(f"attention over {n_heads} heads: q {q.shape}, k {k.shape}, v {v.shape}")
     q_grid, kv_grid = grids
-    n_q, n_k = q_grid[1][1], kv_grid[1][1]
+    (b, n_q), (b_kv, n_k) = q_grid[1], kv_grid[1]
+    if b_kv != b:
+        raise ShapeError(f"attention of a batch of {b} queries over a batch of {b_kv} keys")
     if causal and n_q > n_k:
         raise ShapeError(f"causal attention of {n_q} queries over {n_k} keys")
+    if bias is not None and bias.data.ndim == 4 and bias.data.shape[0] != 1:
+        raise ShapeError(f"attention bias {bias.shape} is not shared by the batch rows")
     d = inner // n_heads
-
-    def heads(a, grid):
-        index, (b, n) = grid
-        if a.size != inner * (b * n if index is None else len(index)):
-            raise ShapeError(f"attention: {a.shape} does not fill the grid {(b, n)} with index {index}")
-        if index is not None:  # rows at their grid positions, zeros elsewhere
-            full = np.zeros((b * n, inner), dtype=a.dtype)
-            full[index] = a
-            a = full
-        return a.reshape(b, n, n_heads, d).transpose(0, 2, 1, 3)
-
-    def merge(a, grid, shape):
-        """Per-head a [batch, heads, len, d] back as rows, or in `shape` when
-        the grid has no index."""
-        index = grid[0]
-        a = a.transpose(0, 2, 1, 3).reshape(shape if index is None else (-1, inner))
-        return a if index is None else a[index]
-
     qd, kd, vd = q.data, k.data, v.data
-    qh, kh, vh = heads(qd, q_grid), heads(kd, kv_grid), heads(vd, kv_grid)
-    w = qh @ _swap_last(kh)
-    w *= scale
-    if bias is not None:
-        w += bias.data
-    mask = _key_mask(kv_grid, n_q, causal, w.dtype)
-    if mask is not None:
-        w += mask
-    w = _softmax_inplace(w)
-    keep, drop_scale = _dropout_mask(w.shape, p, rng)
-    out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh, q_grid, qd.shape))
+    for a, (index, shape) in ((qd, q_grid), (kd, kv_grid), (vd, kv_grid)):
+        if a.size != inner * (shape[0] * shape[1] if index is None else len(index)):
+            raise ShapeError(f"attention: {a.shape} does not fill the grid {shape} with index {index}")
+        if index is not None and len(index) > 1 and (index[1:] <= index[:-1]).any():
+            raise ShapeError("attention: a grid index must increase")
+    bias_d = None if bias is None else bias.data
+    blocks = _row_blocks(b, n_heads * n_q * n_k)
+    later = _later_keys(n_q, n_k, causal, qd.dtype)
+    keep, drop_scale = _dropout_mask((b, n_heads, n_q, n_k), p, rng)
+    ctx, stats = [], []
+    for blk in blocks:
+        (q_part, qb), (kv_part, kb, vb) = _grid_block(q_grid, blk, qd), _grid_block(kv_grid, blk, kd, vd)
+        w, m, s = _attention_weights(_heads(qb, q_part, n_heads, d), _heads(kb, kv_part, n_heads, d),
+                                     scale, bias_d, kv_part, later)
+        w = _apply_mask(w, None if keep is None else keep[blk], drop_scale, out=w)
+        ctx.append(_merge(w @ _heads(vb, kv_part, n_heads, d), q_part))
+        stats.append((m, s))
+    out = _joined(ctx, qd.shape)
+    bits = _pack(keep)
     q_shape, kv_shape = qd.shape, kd.shape
-    need_v = v.requires_grad
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
     bias_shape = bias.data.shape if bias is not None and bias.requires_grad else None
-    kd = kd if q.requires_grad else None  # only the query gradient reads k
-    qd = qd if k.requires_grad else None  # only the key gradient reads q
 
     def vjp(g):
-        gh = heads(g, q_grid)
-        gv = merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_grid, kv_shape) if need_v else None
-        gw = gh @ _swap_last(heads(vd, kv_grid))
-        gw = _softmax_grad_inplace(_apply_mask(gw, keep, drop_scale, out=gw), w)
-        gbias = None if bias_shape is None else _unbroadcast(gw, bias_shape)
-        gq = None if kd is None else merge(gw @ heads(kd, kv_grid), q_grid, q_shape) * scale
-        gk = None if qd is None else merge(_swap_last(gw) @ heads(qd, q_grid), kv_grid, kv_shape) * scale
-        return gq, gk, gv, gbias
+        gq, gk, gv = [], [], []
+        gbias = None
+        if bias_shape is not None:
+            gbias = np.empty((1, n_heads, n_q, n_k), np.promote_types(g.dtype, vd.dtype))
+        later = _later_keys(n_q, n_k, causal, qd.dtype)
 
-    return _record(out, (q, k, v) if bias is None else (q, k, v, bias), vjp)
+        def block_grads(blk, m, s):
+            """One block's gradients; its temporaries go when it returns."""
+            q_part, qb, gb = _grid_block(q_grid, blk, qd, g)
+            kv_part, kb, vb = _grid_block(kv_grid, blk, kd, vd)
+            qh, kh = _heads(qb, q_part, n_heads, d), _heads(kb, kv_part, n_heads, d)
+            w = _attention_weights(qh, kh, scale, bias_d, kv_part, later, m, s)[0]
+            keep = _unpack(None if bits is None else bits[blk], n_k)
+            gh = _heads(gb, q_part, n_heads, d)
+            if need_v:
+                gv.append(_merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_part))
+            gw = gh @ _swap_last(_heads(vb, kv_part, n_heads, d))
+            _apply_mask(gw, keep, drop_scale, out=gw)
+            del keep, gh
+            gw = _softmax_grad_inplace(gw, w)
+            del w
+            if gbias is not None:
+                # one batch row at a time, in batch order, as a sum over the batch axis adds
+                for row in range(len(gw)):
+                    if blk.start + row == 0:
+                        gbias[...] = gw[:1]
+                    else:
+                        np.add(gbias, gw[row:row + 1], out=gbias)
+            if need_q:
+                gq.append(_merge(gw @ kh, q_part) * scale)
+            if need_k:
+                gk.append(_merge(_swap_last(gw) @ qh, kv_part) * scale)
 
+        for blk, (m, s) in zip(blocks, stats):
+            block_grads(blk, m, s)
+        gq = _joined(gq, q_shape) if need_q else None
+        gk = _joined(gk, kv_shape) if need_k else None
+        gv = _joined(gv, kv_shape) if need_v else None
+        return gq, gk, gv, None if gbias is None else _unbroadcast(gbias, bias_shape)
 
-_BLOCK_ELEMENTS = 1 << 16  # elementwise FFN work runs over row blocks of about this many elements
+    return _record(Tensor(out), (q, k, v) if bias is None else (q, k, v, bias), vjp)
 
 
 def _by_row_blocks(body, *arrays):
-    """body(*blocks) over blocks of max(1, _BLOCK_ELEMENTS // width) rows of
-    the [..., width] arrays, so each block's temporaries stay in cache; None
-    passes through as None. A call that fits in one block gets the arrays
-    themselves."""
+    """body(*blocks) over the _row_blocks of the rows of the [..., width]
+    arrays; None passes through as None. A call that fits in one block gets
+    the arrays themselves."""
     width = arrays[0].shape[-1]
-    step = max(1, _BLOCK_ELEMENTS // width)
-    n = arrays[0].size // width
-    if n <= step:
+    blocks = _row_blocks(arrays[0].size // width, width)
+    if len(blocks) == 1:
         body(*arrays)
         return
     rows = [None if a is None else _rows(a) for a in arrays]
-    for i in range(0, n, step):
-        body(*(None if a is None else a[i:i + step] for a in rows))
+    for blk in blocks:
+        body(*(None if a is None else a[blk] for a in rows))
 
 
 def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
@@ -675,8 +799,8 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     keep, scale = _dropout_mask(h0.shape, p, rng)
 
     def hidden(h0, h1, keep, h, x2=None):
-        """h = dropout(gelu(h0) * h1), written to h; returns the CDF of h0.
-        x2, when given, is np.square(h0)."""
+        """h = dropout(gelu(h0) * h1) under the boolean keep-mask, written to
+        h; returns the CDF of h0. x2, when given, is np.square(h0)."""
         cdf = _normal_cdf(h0, x2)
         np.multiply(h0, cdf, out=h)
         h *= h1
@@ -686,16 +810,19 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     h = np.empty_like(h0)
     _by_row_blocks(hidden, h0, h1, keep, h)
     out = Tensor(h @ wod)
+    bits, width = _pack(keep), h0.shape[-1]
 
     def vjp(g):
         gh = g @ wod.T
         gh1 = np.empty_like(gh)
         h = np.empty_like(gh)
 
-        def hidden_grad(h0, h1, keep, h, gh, gh1):
+        def hidden_grad(h0, h1, bits, h, gh, gh1):
             """h rebuilt as the forward made it; gh1 = gelu(h0) * gh and, in
             gh's place, gh0 = slope * gh * h1, gh taken after the dropout mask.
-            The CDF and the slope share one square of h0."""
+            The block's bits are unpacked once, and the CDF and the slope
+            share one square of h0."""
+            keep = _unpack(bits, width)
             x2 = np.square(h0)
             cdf = hidden(h0, h1, keep, h, x2)
             _apply_mask(gh, keep, scale, out=gh)
@@ -704,7 +831,7 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
             gh *= _gelu_slope(h0, cdf, x2)
             gh *= h1
 
-        _by_row_blocks(hidden_grad, h0, h1, keep, h, gh, gh1)
+        _by_row_blocks(hidden_grad, h0, h1, bits, h, gh, gh1)
         gwo = _rows(h).T @ _rows(g) if need_wo else None
         del h
         gh0 = gh

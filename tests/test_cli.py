@@ -550,6 +550,13 @@ class TestPretrain:
         assert self._pretrain_32(tmp_path, sentinel_vocab, options) == 0
         assert (tmp_path / "run" / "ckpt-00000001.bin").exists()
 
+    def test_iid_draws_beyond_the_sentinels_do_not_stop_a_run(self, tmp_path, sentinel_vocab):
+        # 8 corruptions expected, 9 sentinels fit: about one 32-token draw in
+        # four corrupts 10 or more tokens, and step 2's batch holds one; such
+        # a draw is drawn again rather than ending the run with exit 2
+        assert self._pretrain_32(tmp_path, sentinel_vocab, ["--iid-rate", "0.25", "--mix", "0", "--steps", "4"]) == 0
+        assert (tmp_path / "run" / "ckpt-00000004.bin").exists()
+
     def test_finetune_resumes_from_pretrained_checkpoint(self, tmp_path, corpus_file, vocab_file):
         import csv
 

@@ -32,8 +32,10 @@ from minit5.tensor import (
     _dropout_mask,
     _gelu_slope,
     _key_mask,
+    _later_keys,
     _normal_cdf,
     _record,
+    _row_blocks,
     _rows,
     _softmax_grad_inplace,
     _softmax_inplace,
@@ -213,10 +215,10 @@ def attention_keeping_grids(q, k, v, n_heads, scale, grids, bias=None, causal=Fa
     w *= scale
     if bias is not None:
         w += bias.data
-    mask = _key_mask(kv_grid, n_q, causal, w.dtype)
+    mask = _key_mask(kv_grid, _later_keys(n_q, kv_grid[1][1], causal, w.dtype), w.dtype)
     if mask is not None:
         w += mask
-    w = _softmax_inplace(w)
+    w = _softmax_inplace(w)[0]
     keep, drop_scale = _dropout_mask(w.shape, p, rng)
     out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh, q_grid, q.data))
 
@@ -503,6 +505,57 @@ def test_attention_on_rows_is_bitwise_the_one_that_keeps_its_grids(p):
     assert np.array_equal(out, ref)
     for name in inputs:
         assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def _multi_block_case(rng, dtype, b, n_q, n_k, n_heads, d):
+    """Rows of padded [b, n_q] query and [b, n_k] key grids (the same grid
+    when n_q == n_k) and a bias that needs its gradient."""
+    def param(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+
+    def grid(n):
+        real = np.arange(n)[None, :] < np.r_[n, rng.integers(n // 2, n, size=b - 1)][:, None]
+        return np.flatnonzero(real), real.shape
+
+    kv_grid = grid(n_k)
+    q_grid = kv_grid if n_q == n_k else grid(n_q)
+    inputs = {"q": param(len(q_grid[0]), n_heads * d), "k": param(len(kv_grid[0]), n_heads * d),
+              "v": param(len(kv_grid[0]), n_heads * d), "bias": param(1, n_heads, n_q, n_k)}
+    return inputs, (q_grid, kv_grid)
+
+
+def _run_multi_block(op, inputs, grids, n_heads, d, causal, p, seed):
+    i = inputs
+    return op(i["q"], i["k"], i["v"], n_heads, d**-0.5, grids, bias=i["bias"], causal=causal, p=p,
+              rng=np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n_q, causal", [(128, False), (128, True), (64, False)])
+def test_attention_over_several_blocks_is_bitwise_the_one_that_keeps_its_grids(n_q, causal):
+    # 4 heads x 128 keys: one batch row per block of self-attention weights,
+    # two per block of 64 queries
+    b, n_k, n_heads, d = 6, 128, 4, 16
+    assert len(_row_blocks(b, n_heads * n_q * n_k)) == b * n_q // 128
+    inputs, grids = _multi_block_case(np.random.default_rng(35), np.float32, b, n_q, n_k, n_heads, d)
+    out, grads = _forward_and_grads(
+        lambda: _run_multi_block(attention, inputs, grids, n_heads, d, causal, 0.1, 14), inputs)
+    ref, ref_grads = _forward_and_grads(
+        lambda: _run_multi_block(attention_keeping_grids, inputs, grids, n_heads, d, causal, 0.1, 14), inputs)
+    assert np.array_equal(out, ref)
+    for name in inputs:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_gradients_over_several_blocks(causal):
+    # 2 heads x 130 x 130 weights exceed half a block: three batch rows, three blocks
+    b, n, n_heads, d = 3, 130, 2, 2
+    assert len(_row_blocks(b, n_heads * n * n)) == b
+    rng = np.random.default_rng(36)
+    inputs, grids = _multi_block_case(rng, np.float64, b, n, n, n_heads, d)
+    w = Tensor(rng.normal(size=inputs["q"].shape), dtype=np.float64)
+    f = lambda: sum_all(mul(_run_multi_block(attention, inputs, grids, n_heads, d, causal, 0.1, 15), w))
+    assert finite_diff_check(f, inputs, max_coords_per_param=24) < 1e-6
 
 
 def test_attention_on_rows_rejects_a_row_count_its_grid_does_not_hold():

@@ -185,6 +185,28 @@ class TestIidDenoise:
         assert pair.input_ids == [s[0], s[1]]
         assert pair.target_ids == [s[0], ids[0], s[1], ids[1], s[2], VOCAB.eos_id]
 
+    def test_a_draw_beyond_the_sentinels_is_drawn_again(self):
+        # 4 sentinels hold 3 spans; 10 tokens at rate 0.25 expect 2 of them
+        vocab = _vocab(sentinels=4)
+        ids = _token_ids(np.random.default_rng(13), 10)
+        redrawn = 0
+        for seed in range(40):
+            twin = np.random.default_rng(seed)
+            draws = 1
+            while (twin.random(10) < 0.25).sum() > 3:
+                draws += 1
+            rng = np.random.default_rng(seed)
+            pair = iid_denoise(ids, rng, vocab, corrupt_prob=0.25)
+            assert reconstruct(pair, vocab) == ids
+            assert rng.random() == twin.random()  # one draw per try, none after the first that fits
+            redrawn += draws > 1
+        assert redrawn
+
+    def test_refuses_a_rate_whose_expected_spans_do_not_fit(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(NoisingError, match="of 10 tokens at rate 0.4 expects 4 spans: 4 spans need 5 sentinels"):
+            iid_denoise(_token_ids(rng, 10), rng, _vocab(sentinels=4), corrupt_prob=0.4)
+
     def test_corruption_rate_monte_carlo(self):
         rng = np.random.default_rng(11)
         corrupted = 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from minit5.tensor import (
+    _BLOCK_ELEMENTS,
     LossError,
     ShapeError,
     Tape,
@@ -394,6 +395,18 @@ class TestAttentionMasking:
         with pytest.raises(ShapeError):
             attention(q, kv, kv, self.H, 0.5, ((None, (1, 3)), (None, (1, 2))), causal=True)
 
+    def test_refuses_grids_and_biases_it_cannot_block(self):
+        rng = np.random.default_rng(34)
+        inner = self.H * self.D
+        q, kv = self._tensor(rng, 4, inner), self._tensor(rng, 3, inner)
+        grid = (None, (2, 2))
+        with pytest.raises(ShapeError, match="batch of 2 queries over a batch of 1"):
+            attention(q, kv, kv, self.H, 0.5, (grid, (None, (1, 3))))
+        with pytest.raises(ShapeError, match="not shared by the batch rows"):
+            attention(q, q, q, self.H, 0.5, (grid, grid), bias=self._tensor(rng, 2, self.H, 2, 2))
+        with pytest.raises(ShapeError, match="index must increase"):
+            attention(q, kv, kv, self.H, 0.5, (grid, (np.array([0, 3, 2]), (2, 2))))
+
 
 def held_after_forward(run):
     """(bytes that stay allocated after run() under a Tape, its output): the
@@ -431,8 +444,9 @@ class TestTapeMemory:
         assert kept <= held <= kept + self.SLACK, held
 
     def test_padded_attention_keeps_no_grid_copy(self):
-        # one zero-filled [8 * 16, 256] float32 grid copy of q, k or v is 128 KiB
-        b, n, n_heads, d = 8, 16, 2, 128
+        # one zero-filled [8 * 32, 256] float32 grid copy of q, k or v is 256 KiB,
+        # the [8, 2, 32, 32] softmax weights 64 KiB
+        b, n, n_heads, d = 8, 32, 2, 128
         rng = np.random.default_rng(42)
         real = np.arange(n)[None, :] < rng.integers(4, n, size=b)[:, None]
         grid = (np.flatnonzero(real), real.shape)
@@ -440,10 +454,55 @@ class TestTapeMemory:
                    for _ in range(3))
         held, out = held_after_forward(
             lambda: attention(q, k, v, n_heads, d**-0.5, (grid, grid), causal=True, p=0.1, rng=rng))
-        weights = b * n_heads * n * n * 4
         mask = b * n_heads * n * math.ceil(n / 8)
-        kept = out.data.nbytes + weights + mask
+        stats = 2 * b * n_heads * n * 4  # each query row's softmax max and sum, no weights
+        kept = out.data.nbytes + mask + stats
         assert kept <= held <= kept + self.SLACK, held
+
+    @staticmethod
+    def _attention_case(n, rng):
+        """Self-attention inputs over a padded [8, n] grid (4 heads, d 16) with
+        a bias that needs its gradient; row i holds n * (16 - i) / 16 tokens."""
+        b, n_heads, d = 8, 4, 16
+        real = np.arange(n)[None, :] < (n * (16 - np.arange(b)) // 16)[:, None]
+        grid = (np.flatnonzero(real), real.shape)
+
+        def param(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        q, k, v = (param(int(real.sum()), n_heads * d) for _ in range(3))
+        return (q, k, v, n_heads, d**-0.5, (grid, grid)), param(1, n_heads, n, n)
+
+    def test_attention_holds_bytes_linear_in_sequence_length(self):
+        # no dropout, whose packed mask is the one [batch, heads, n, n] array
+        # kept (1/32 of the weights); keeping the weights would make the ratio
+        # about 4
+        held = []
+        for n in (128, 256):
+            args, bias = self._attention_case(n, np.random.default_rng(44))
+            held.append(held_after_forward(lambda: attention(*args, bias=bias, causal=True))[0])
+        assert 1.9 < held[1] / held[0] < 2.1, held
+
+    def test_attention_backward_peaks_within_a_few_blocks(self):
+        # 4 heads x 128 x 128 weights are one block per batch row; all eight
+        # rows' weights would be 2 MiB, and a backward that kept them would
+        # build two more arrays of that size
+        rng = np.random.default_rng(45)
+        args, bias = self._attention_case(128, rng)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = attention(*args, bias=bias, causal=True, p=0.1, rng=rng)
+            g = np.ones_like(out.data)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = tape.nodes[-1].vjp(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in grads)
+        blocks = 4 * _BLOCK_ELEMENTS * 4  # four blocks of float32 weights
+        assert outputs <= peak <= outputs + blocks, (peak, outputs)
 
     def test_dropout_keeps_its_mask_as_bits(self):
         rows, width = 512, 250
