@@ -27,7 +27,7 @@ import numpy as np
 from . import bpe, dedup, evaluation, noising, tasks, training
 from .fileio import atomic_write_text, open_text
 from .model import PRESETS, budget_table, init_params, preset, training_budget_ratio
-from .tensor import LossError, ShapeError
+from .tensor import ShapeError
 
 
 class UsageError(ValueError):
@@ -43,7 +43,6 @@ _DATA_ERRORS = (
     training.CheckpointError,
     evaluation.EvalError,
     ShapeError,
-    LossError,
     OSError,
     UnicodeDecodeError,
     json.JSONDecodeError,

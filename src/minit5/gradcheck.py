@@ -19,18 +19,14 @@ def finite_diff_check(f, params, h=1e-4, max_coords_per_param=None, rng=None):
 
     f: nullary callable returning a scalar Tensor; it must re-read the
     current contents of `params` on every call (and be deterministic).
-    params: dict name -> Tensor, or iterable of Tensors.
+    params: dict name -> Tensor.
     max_coords_per_param: when set, check only this many sampled
     coordinates per parameter instead of all of them.
 
     Relative error per coordinate is
     |analytic - central| / (|analytic| + |central| + 1e-12).
     """
-    if isinstance(params, dict):
-        items = list(params.items())
-    else:
-        items = [(str(i), p) for i, p in enumerate(params)]
-    for name, p in items:
+    for name, p in params.items():
         if p.data.dtype != np.float64:
             raise ValueError(f"gradient checking requires float64 parameters ('{name}' is {p.data.dtype})")
         p.grad = None
@@ -44,7 +40,7 @@ def finite_diff_check(f, params, h=1e-4, max_coords_per_param=None, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
     worst = 0.0
-    for name, p in items:
+    for name, p in params.items():
         flat = p.data.reshape(-1)
         analytic = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
         n = flat.size

@@ -32,7 +32,8 @@ block, in the blocked ops):
 Ragged batches travel as rows: a 2-D ``[real positions, features]`` array
 holding only the positions that are not padding, so every position-wise op
 (``matmul`` by a weight, ``rms_norm``, ``gated_gelu_ffn``, ``dropout``,
-``residual``, ``cross_entropy``) is one 2-D computation over real tokens.
+``residual``, ``cross_entropy``) is one 2-D computation over real tokens;
+``cross_entropy`` has no ignore index and averages over all its rows.
 ``attention`` alone lays its rows out, one block of batch rows at a time,
 on the zero-filled ``[batch, len, features]`` grid they came from, and
 returns its context as rows again. It also builds every attention mask,
@@ -53,10 +54,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes or index ranges are incompatible with the op."""
-
-
-class LossError(ValueError):
-    """No loss can be formed (e.g. every target position is ignored)."""
 
 
 class TapeError(RuntimeError):
@@ -352,8 +349,11 @@ def _softmax_grad_inplace(g, s):
     return g
 
 
-def rms_norm(x, gain, eps=1e-6):
-    """Scale each trailing-dim vector by 1/sqrt(mean(x^2)+eps), then by gain.
+_RMS_EPS = 1e-6
+
+
+def rms_norm(x, gain):
+    """Scale each trailing-dim vector by 1/sqrt(mean(x^2) + _RMS_EPS), then by gain.
 
     No mean subtraction and no bias (simplified layer normalization).
     """
@@ -365,7 +365,7 @@ def rms_norm(x, gain, eps=1e-6):
         raise ShapeError(f"gain shape {gain.data.shape} does not match trailing dimension {d}")
     # np.mean's result, bit for bit, without its Python-level wrapper
     ms = np.add.reduce(np.square(x.data), axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(ms + eps)
+    inv = 1.0 / np.sqrt(ms + _RMS_EPS)
     xd, gd = x.data, gain.data
     out = Tensor(xd * inv * gd)
 
@@ -425,37 +425,33 @@ def _gelu_slope(x, cdf, x2=None):
     return d
 
 
-def cross_entropy(logits, targets, ignore_id=0):
+def cross_entropy(logits, targets):
     """Mean negative log-softmax probability of the target ids.
 
-    logits: [positions, vocab]; targets: int sequence of the same length.
-    Positions whose target equals ignore_id contribute nothing to the value
-    or the gradient.
+    logits: [positions, vocab], one row per position that counts (the
+    decoder emits only real target positions); targets: int sequence of the
+    same length. Every row is in the mean.
     """
     logits = _as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy expects [positions, vocab] logits, got {logits.shape}")
+    if logits.data.ndim != 2 or logits.data.shape[0] == 0:
+        raise ShapeError(f"cross_entropy expects [positions, vocab] logits with at least one row, "
+                         f"got {logits.shape}")
     t = np.asarray(targets)
     if t.ndim != 1 or t.shape[0] != logits.data.shape[0]:
         raise ShapeError(f"targets shape {t.shape} does not match logits {logits.shape}")
     vocab = logits.data.shape[1]
-    bad = (t != ignore_id) & ((t < 0) | (t >= vocab))
+    bad = (t < 0) | (t >= vocab)
     if bad.any():
         raise ShapeError(f"target id out of range [0, {vocab}) at position {int(np.argmax(bad))}")
-    keep = np.where(t != ignore_id)[0]
-    if keep.size == 0:
-        raise LossError("empty loss: every target position is ignored")
+    rows = np.arange(t.shape[0])
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    nll = -logp[keep, t[keep]]
-    out = Tensor(np.asarray(nll.mean(), dtype=logits.data.dtype))
-    shape, dtype = logits.data.shape, logits.data.dtype
+    out = Tensor(np.asarray((-logp[rows, t]).mean(), dtype=logits.data.dtype))
 
     def vjp(g):
-        gl = np.zeros(shape, dtype=dtype)
-        gl[keep] = np.exp(logp[keep])
-        gl[keep, t[keep]] -= 1.0
-        return (gl * (g / keep.size),)
+        gl = np.exp(logp)
+        gl[rows, t] -= 1.0
+        return (gl * (g / rows.size),)
 
     return _record(out, (logits,), vjp)
 

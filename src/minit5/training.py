@@ -58,20 +58,24 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     pairs: objects with input_ids / target_ids (noised pairs or encoded
     task examples). The decoder consumes [start, target[:-1]] with the pad
     id as the start symbol. Only real positions are computed: the encoder
-    skips pad inputs and the decoder stops each row at its target's length.
+    skips pad inputs and the decoder stops each row at its target's length,
+    so its rows are the target positions that count, every one in the mean.
+    A target may not hold the pad id.
     """
     pairs = list(pairs)
     if not pairs:
         raise TrainingError("empty batch")
     if any(len(p.target_ids) == 0 for p in pairs):
         raise TrainingError("empty target sequence in batch")
+    if any(PAD_ID in p.target_ids for p in pairs):
+        raise TrainingError(f"target sequence in batch holds the pad id {PAD_ID}")
     enc_in = _pad_batch([p.input_ids for p in pairs])
     targets = _pad_batch([p.target_ids for p in pairs])
     dec_in = np.concatenate([np.full((len(pairs), 1), PAD_ID, dtype=np.int64), targets[:, :-1]], axis=1)
     enc_out, enc_grid = encode(config, params, enc_in, train=train, rng=rng)
     logits = decode_logits(config, params, enc_out, enc_grid, dec_in, train=train, rng=rng,
                            lengths=[len(p.target_ids) for p in pairs])
-    return cross_entropy(logits, np.concatenate([p.target_ids for p in pairs]), ignore_id=PAD_ID)
+    return cross_entropy(logits, np.concatenate([p.target_ids for p in pairs]))
 
 
 def train_step(config, params, optimizer, batch, rng, where, lr=None):

@@ -179,7 +179,7 @@ def test_criterion_4_gradient_correctness():
         assert finite_diff_check(lambda: sum_all(mul(rms_norm(y, g), wy)), {"y": y, "g": g}) < 1e-6
         z = p(5, 7)
         targets = np.array([1, 3, 0, 6, 2])
-        assert finite_diff_check(lambda: cross_entropy(z, targets, ignore_id=0), {"z": z}) < 1e-6
+        assert finite_diff_check(lambda: cross_entropy(z, targets), {"z": z}) < 1e-6
         u = p(4, 3)
         assert finite_diff_check(lambda: sum_all(mul(gelu(u), gelu(u))), {"u": u}) < 1e-6
         table = p(6, 4)
@@ -200,7 +200,7 @@ def test_criterion_4_gradient_correctness():
 
         def model_loss():
             logits = forward(cfg, params, enc_in, dec_in)
-            return cross_entropy(reshape(logits, (4, 20)), tgt, ignore_id=0)
+            return cross_entropy(reshape(logits, (4, 20)), tgt)
 
         err = finite_diff_check(model_loss, params, max_coords_per_param=4,
                                 rng=np.random.default_rng(3))
@@ -219,14 +219,13 @@ def test_criterion_5_causality_and_pad_invariance():
         enc_in = rng.integers(3, 30, size=(1, 6))
         dec_in = rng.integers(3, 30, size=(1, 6))
         t = 2
-        targets = np.zeros(6, dtype=int)
-        targets[t] = 9
         probe = Tensor(np.zeros((1, 6, cfg.d_model)), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
             enc_out, enc_grid = encode(cfg, params, enc_in)
             embeds = add(embedding(params["embedding"], dec_in), probe)
             logits = decode_logits(cfg, params, enc_out, enc_grid, dec_in, inputs_embeds=embeds)
-            loss = cross_entropy(reshape(logits, (6, cfg.vocab_size)), targets, ignore_id=0)
+            # the loss reads position t alone
+            loss = cross_entropy(embedding(reshape(logits, (6, cfg.vocab_size)), [t]), [9])
             backward(loss, tape)
         assert (probe.grad[0, t + 1 :] == 0.0).all()  # exactly zero
         assert np.abs(probe.grad[0, : t + 1]).max() > 0

@@ -337,6 +337,11 @@ class TestReports:
         report = score_predictions("summarization", ["a b", "c"], ["a b", "c"])
         assert report.metrics["rouge_l"] == 1.0
         assert report.invalid_rate is None
+        # lemmatization: 4 of 5 gold words and 1 of 2 sentences
+        report = score_predictions("lemmatization", ["mačka biti lep .", "pes"],
+                                   ["mačka biti lep .", "pes teči"])
+        assert report.metrics == {"word_accuracy": 0.8, "sentence_accuracy": 0.5}
+        assert report.invalid_rate is None
 
     @pytest.mark.parametrize("task", ["boolq", "ner", "lemmatization", "summarization"])
     def test_score_predictions_refuses_an_empty_set(self, task):

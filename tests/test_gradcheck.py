@@ -102,7 +102,7 @@ def test_primitive_gradients(name):
         x = _param(rng, 5, 7)
         t = np.array([1, 3, 0, 6, 2])
         params = {"x": x}
-        f = lambda: cross_entropy(x, t, ignore_id=0)
+        f = lambda: cross_entropy(x, t)
     elif name == "gelu":
         x = _param(rng, 4, 3)
         params = {"x": x}
@@ -507,20 +507,31 @@ def test_attention_on_rows_is_bitwise_the_one_that_keeps_its_grids(p):
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
-def _multi_block_case(rng, dtype, b, n_q, n_k, n_heads, d):
-    """Rows of padded [b, n_q] query and [b, n_k] key grids (the same grid
-    when n_q == n_k) and a bias that needs its gradient."""
+def _multi_block_case(rng, dtype, b, n_q, n_k, n_heads, d, layout="padded"):
+    """Rows of [b, n_q] query and [b, n_k] key grids (the same grid when
+    n_q == n_k) and a bias that needs its gradient. layout "padded" pads
+    every batch row but the first; "rows" and "grid" pad none, so the grids
+    have no index (as in `pretrain --mix 1`), and pass k and v as rows
+    [b * n_k, inner] or as [b, n_k, inner]."""
     def param(*shape):
         return Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
 
     def grid(n):
+        if layout != "padded":
+            return None, (b, n)
         real = np.arange(n)[None, :] < np.r_[n, rng.integers(n // 2, n, size=b - 1)][:, None]
         return np.flatnonzero(real), real.shape
 
+    def n_rows(grid):
+        index, (_, n) = grid
+        return b * n if index is None else len(index)
+
     kv_grid = grid(n_k)
     q_grid = kv_grid if n_q == n_k else grid(n_q)
-    inputs = {"q": param(len(q_grid[0]), n_heads * d), "k": param(len(kv_grid[0]), n_heads * d),
-              "v": param(len(kv_grid[0]), n_heads * d), "bias": param(1, n_heads, n_q, n_k)}
+    inner = n_heads * d
+    kv_shape = (b, n_k, inner) if layout == "grid" else (n_rows(kv_grid), inner)
+    inputs = {"q": param(n_rows(q_grid), inner), "k": param(*kv_shape), "v": param(*kv_shape),
+              "bias": param(1, n_heads, n_q, n_k)}
     return inputs, (q_grid, kv_grid)
 
 
@@ -530,13 +541,16 @@ def _run_multi_block(op, inputs, grids, n_heads, d, causal, p, seed):
               rng=np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("n_q, causal", [(128, False), (128, True), (64, False)])
-def test_attention_over_several_blocks_is_bitwise_the_one_that_keeps_its_grids(n_q, causal):
+@pytest.mark.parametrize("n_q, causal, layout", [
+    (128, False, "padded"), (128, True, "padded"), (64, False, "padded"),
+    (128, False, "rows"), (128, True, "rows"), (128, True, "grid"), (64, False, "grid"),
+], ids=["128-False", "128-True", "64-False", "128-False-rows", "128-True-rows", "128-True-grid", "64-False-grid"])
+def test_attention_over_several_blocks_is_bitwise_the_one_that_keeps_its_grids(n_q, causal, layout):
     # 4 heads x 128 keys: one batch row per block of self-attention weights,
     # two per block of 64 queries
     b, n_k, n_heads, d = 6, 128, 4, 16
     assert len(_row_blocks(b, n_heads * n_q * n_k)) == b * n_q // 128
-    inputs, grids = _multi_block_case(np.random.default_rng(35), np.float32, b, n_q, n_k, n_heads, d)
+    inputs, grids = _multi_block_case(np.random.default_rng(35), np.float32, b, n_q, n_k, n_heads, d, layout)
     out, grads = _forward_and_grads(
         lambda: _run_multi_block(attention, inputs, grids, n_heads, d, causal, 0.1, 14), inputs)
     ref, ref_grads = _forward_and_grads(
@@ -546,13 +560,14 @@ def test_attention_over_several_blocks_is_bitwise_the_one_that_keeps_its_grids(n
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
-@pytest.mark.parametrize("causal", [False, True])
-def test_attention_gradients_over_several_blocks(causal):
+@pytest.mark.parametrize("causal, layout", [(False, "padded"), (True, "padded"), (False, "rows"), (True, "grid")],
+                         ids=["False", "True", "False-rows", "True-grid"])
+def test_attention_gradients_over_several_blocks(causal, layout):
     # 2 heads x 130 x 130 weights exceed half a block: three batch rows, three blocks
     b, n, n_heads, d = 3, 130, 2, 2
     assert len(_row_blocks(b, n_heads * n * n)) == b
     rng = np.random.default_rng(36)
-    inputs, grids = _multi_block_case(rng, np.float64, b, n, n, n_heads, d)
+    inputs, grids = _multi_block_case(rng, np.float64, b, n, n, n_heads, d, layout)
     w = Tensor(rng.normal(size=inputs["q"].shape), dtype=np.float64)
     f = lambda: sum_all(mul(_run_multi_block(attention, inputs, grids, n_heads, d, causal, 0.1, 15), w))
     assert finite_diff_check(f, inputs, max_coords_per_param=24) < 1e-6

@@ -19,7 +19,7 @@ from minit5.model import (
     training_budget_ratio,
 )
 from minit5.noising import NoisedPair
-from minit5.tensor import Tape, backward, cross_entropy, reshape
+from minit5.tensor import Tape, backward, cross_entropy, embedding, reshape
 from minit5.training import teacher_forced_loss
 from test_gradcheck import attention_composition, gated_gelu_ffn_composition, residual_composition
 from test_tensor import held_after_forward
@@ -160,7 +160,7 @@ class TestForward:
 
     def test_future_gradient_exactly_zero(self):
         from minit5.model import decode_logits, encode
-        from minit5.tensor import Tensor, add, embedding
+        from minit5.tensor import Tensor, add
 
         cfg = _tiny()
         params = init_params(cfg, np.random.default_rng(5), dtype=np.float64)
@@ -168,13 +168,13 @@ class TestForward:
         enc_in = rng.integers(3, 60, size=(1, 5))
         dec_in = rng.integers(3, 60, size=(1, 6))
         t = 2
-        targets = np.array([0, 0, 7, 0, 0, 0])  # loss reads only position t
         probe = Tensor(np.zeros((1, 6, cfg.d_model)), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
             enc_out, enc_grid = encode(cfg, params, enc_in)
             embeds = add(embedding(params["embedding"], dec_in), probe)
             logits = decode_logits(cfg, params, enc_out, enc_grid, dec_in, inputs_embeds=embeds)
-            loss = cross_entropy(reshape(logits, (6, cfg.vocab_size)), targets, ignore_id=0)
+            # the loss reads only position t
+            loss = cross_entropy(embedding(reshape(logits, (6, cfg.vocab_size)), [t]), [7])
             backward(loss, tape)
         # gradient w.r.t. embedded decoder inputs: zero (exactly) after t
         assert (probe.grad[0, t + 1 :] == 0.0).all()
@@ -187,18 +187,16 @@ class TestForward:
         enc_in = rng.integers(3, 60, size=(1, 5))
         dec_in = rng.integers(3, 60, size=(1, 6))
         t = 2
-        targets = np.array([0, 0, 7, 0, 0, 0])
-        base = cross_entropy(
-            reshape(forward(cfg, params, enc_in, dec_in), (6, cfg.vocab_size)), targets, ignore_id=0
-        ).item()
+
+        def loss_at_t(ids):
+            logits = reshape(forward(cfg, params, enc_in, ids), (6, cfg.vocab_size))
+            return cross_entropy(embedding(logits, [t]), [7]).item()
+
+        base = loss_at_t(dec_in)
         for future in range(t + 1, 6):
             perturbed = dec_in.copy()
             perturbed[0, future] = (perturbed[0, future] + 11) % 57 + 3
-            other = cross_entropy(
-                reshape(forward(cfg, params, enc_in, perturbed), (6, cfg.vocab_size)),
-                targets,
-                ignore_id=0,
-            ).item()
+            other = loss_at_t(perturbed)
             assert other == base  # bitwise: future tokens cannot leak backward
 
     def test_pad_append_invariance(self):
@@ -244,7 +242,7 @@ class TestForward:
 
         def f():
             logits = forward(cfg, params, enc_in, dec_in)
-            return cross_entropy(reshape(logits, (4, 20)), targets, ignore_id=0)
+            return cross_entropy(reshape(logits, (4, 20)), targets)
 
         err = finite_diff_check(f, params, max_coords_per_param=4,
                                 rng=np.random.default_rng(13))
@@ -278,7 +276,7 @@ class TestFusedOps:
             p.grad = None
         with Tape() as tape:
             logits = forward(cfg, params, enc_in, dec_in, train=True, rng=np.random.default_rng(0))
-            loss = cross_entropy(reshape(logits, (-1, cfg.vocab_size)), targets.reshape(-1), ignore_id=0)
+            loss = cross_entropy(reshape(logits, (-1, cfg.vocab_size)), targets.reshape(-1))
             backward(loss, tape)
         return loss.item(), {k: p.grad for k, p in params.items()}
 
@@ -397,7 +395,7 @@ class _JoinedState:
 
     def logits(self, cfg, params, enc_out, enc_grid, ids):
         import minit5.model as model
-        from minit5.tensor import Tensor, add, embedding, matmul, mul, rms_norm, transpose
+        from minit5.tensor import Tensor, add, matmul, mul, rms_norm, transpose
 
         b, n = ids.shape
         positions = np.arange(self.length, self.length + n)

@@ -164,6 +164,13 @@ class TestNerFormatting:
         )
         assert format_ner(sent, "persons").target_text == "Ana, Bojan"
 
+    def test_entity_ending_the_sentence(self):
+        sent = NerSentence(tokens="Janez živi v Novem mestu".split(),
+                           labels=["B-PER", "O", "O", "B-LOC", "I-LOC"])
+        ex = format_ner(sent, "locations")
+        assert ex.input_text == "lokacije: Janez živi v Novem mestu"
+        assert ex.target_text == "Novem mestu"
+
     def test_malformed_bio_rejected(self):
         sent = NerSentence(tokens=["a", "b"], labels=["O", "I-PER"])
         with pytest.raises(TaskFormatError):

@@ -6,7 +6,6 @@ import pytest
 
 from minit5.tensor import (
     _BLOCK_ELEMENTS,
-    LossError,
     ShapeError,
     Tape,
     TapeError,
@@ -150,7 +149,7 @@ class TestRmsNorm:
         gain = rng.normal(size=width).astype(dtype)
         eps = 1e-6
         want = x * (1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)) * gain
-        got = rms_norm(Tensor(x), Tensor(gain), eps).data
+        got = rms_norm(Tensor(x), Tensor(gain)).data
         assert got.dtype == dtype
         assert np.array_equal(got, want)
 
@@ -158,37 +157,36 @@ class TestRmsNorm:
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((3, 4)), dtype=np.float64)
-        loss = cross_entropy(logits, [1, 2, 3], ignore_id=0)
+        loss = cross_entropy(logits, [1, 2, 3])
         assert abs(loss.item() - math.log(4.0)) < 1e-9
 
     def test_near_certain(self):
         logits = np.zeros((2, 5))
         logits[0, 3] = 20.0
         logits[1, 1] = 20.0
-        loss = cross_entropy(Tensor(logits), [3, 1], ignore_id=0)
+        loss = cross_entropy(Tensor(logits), [3, 1])
         assert loss.item() < 1e-6
 
-    def test_ignored_position(self):
-        rng = np.random.default_rng(5)
-        logits = rng.normal(size=(2, 6))
-        both = cross_entropy(Tensor(logits, dtype=np.float64), [3, 0], ignore_id=0)
-        single = cross_entropy(Tensor(logits[:1], dtype=np.float64), [3], ignore_id=0)
-        assert abs(both.item() - single.item()) < 1e-12
+    def test_every_row_counts_id_0_too(self):
+        logits = np.random.default_rng(5).normal(size=(2, 6))
+        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        loss = cross_entropy(Tensor(logits, dtype=np.float64), [3, 0])
+        assert abs(loss.item() + (logp[0, 3] + logp[1, 0]) / 2) < 1e-12
 
-    def test_all_ignored(self):
-        with pytest.raises(LossError, match="empty loss"):
-            cross_entropy(Tensor(np.zeros((2, 4))), [0, 0], ignore_id=0)
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ShapeError, match="at least one row"):
+            cross_entropy(Tensor(np.zeros((0, 4))), [])
 
     def test_target_out_of_range(self):
         with pytest.raises(ShapeError):
-            cross_entropy(Tensor(np.zeros((1, 4))), [4], ignore_id=0)
+            cross_entropy(Tensor(np.zeros((1, 4))), [4])
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             logits = rng.normal(size=(4, 8)) * 5
             t = rng.integers(1, 8, size=4)
-            assert cross_entropy(Tensor(logits), t, ignore_id=0).item() >= 0.0
+            assert cross_entropy(Tensor(logits), t).item() >= 0.0
 
 
 class TestBackward:

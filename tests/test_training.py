@@ -54,6 +54,14 @@ class TestTeacherForcedLoss:
         with pytest.raises(TrainingError):
             teacher_forced_loss(cfg, params, [NoisedPair([3], [])])
 
+    @pytest.mark.parametrize("target", [[0], [7, 0, 8], np.array([7, 8, 0])])
+    def test_target_holding_the_pad_id_rejected(self, target):
+        # a pad id inside a target would be scored as class 0, not dropped
+        cfg = _tiny()
+        params = init_params(cfg, np.random.default_rng(2))
+        with pytest.raises(TrainingError, match="pad id 0"):
+            teacher_forced_loss(cfg, params, [NoisedPair([3, 4], [7]), NoisedPair([3], target)])
+
     def test_empty_batch_rejected(self):
         cfg = _tiny()
         params = init_params(cfg, np.random.default_rng(2))
