@@ -256,9 +256,8 @@ def _cmd_pretrain(cfg):
         training.save_checkpoint(os.path.join(cfg["output_dir"], f"ckpt-{step:08d}.bin"), ck)
         saved_steps.add(step)
 
-    stats = noising.StreamStats()
     pairs = noising.noise_stream(
-        _sequence_stream(ids, cfg["seq_len"]), vocab, rng, stats=stats,
+        _sequence_stream(ids, cfg["seq_len"]), vocab, rng,
         mix=cfg["mix"], noise_density=cfg["noise_density"], mean_span=cfg["mean_span"],
         iid_prob=cfg["iid_rate"],
     )
@@ -278,8 +277,6 @@ def _cmd_pretrain(cfg):
                 save(step)
     if cfg["steps"] not in saved_steps:
         save(cfg["steps"])
-    if stats.skipped_short:
-        print(f"skipped {stats.skipped_short} sequences too short to noise")
     print(f"done: {cfg['steps']} steps, {tokens_seen} tokens")
     return 0
 

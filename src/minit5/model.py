@@ -22,15 +22,16 @@ place, the decoder bias row of its last position).
 Uncached calls, training among them, build the bias with `_rel_bias`, so
 its gradient flows.
 
-Parameters live in a flat dict keyed by path; `count_parameters` computes
-the same total analytically, and `training_budget_ratio` is the
-tokens-seen over parameter-count diagnostic.
+Parameters live in a flat dict keyed by path. `param_shapes` declares each
+path and shape once; `init_params`, `count_parameters` and the checkpoint
+check (`training.Checkpoint.to_params`) all read it. `training_budget_ratio`
+is the tokens-seen over parameter-count diagnostic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,9 +74,9 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "d_ff", "n_heads", "d_kv", "enc_layers", "dec_layers", "rel_buckets", "rel_max_distance"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be positive")
+        for field in fields(self):
+            if field.name != "dropout" and getattr(self, field.name) < 1:
+                raise ValueError(f"ModelConfig.{field.name} must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"ModelConfig.dropout must be in [0, 1), got {self.dropout}")
 
@@ -127,6 +128,26 @@ def relative_bucket(relative_position, bidirectional, num_buckets=32, max_distan
     return int(bucket[0]) if scalar else bucket
 
 
+def param_shapes(config):
+    """Each parameter's path and shape, in the order `init_params` draws
+    them: the one place the parameter layout is written."""
+    c = config
+    d, inner, ff = c.d_model, c.inner_dim, c.d_ff
+    attn = {"q": (d, inner), "k": (d, inner), "v": (d, inner), "o": (inner, d)}
+    ffn = {"wi_0": (d, ff), "wi_1": (d, ff), "wo": (ff, d)}
+    shapes = {"embedding": (c.vocab_size, d)}
+    for stack, layers, blocks in (("encoder", c.enc_layers, ("attn", "ffn")),
+                                  ("decoder", c.dec_layers, ("self", "cross", "ffn"))):
+        shapes[f"{stack}.rel_bias"] = (c.rel_buckets, c.n_heads)
+        for i in range(layers):
+            for block in blocks:
+                base = f"{stack}.layers.{i}.{block}"
+                shapes[f"{base}_norm"] = (d,)
+                shapes.update({f"{base}.{w}": shape for w, shape in (ffn if block == "ffn" else attn).items()})
+        shapes[f"{stack}.final_norm"] = (d,)
+    return shapes
+
+
 def init_params(config, rng, dtype=np.float32):
     """Allocate the full parameter dict for a config.
 
@@ -134,63 +155,22 @@ def init_params(config, rng, dtype=np.float32):
     and the relative-bias tables start at zero. The embedding is shared
     between input lookup and output projection.
     """
-    c = config
     params = {}
-
-    def normal(shape, std):
-        return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def attn_block(prefix):
-        params[f"{prefix}.q"] = normal((c.d_model, c.inner_dim), c.d_model**-0.5)
-        params[f"{prefix}.k"] = normal((c.d_model, c.inner_dim), c.d_model**-0.5)
-        params[f"{prefix}.v"] = normal((c.d_model, c.inner_dim), c.d_model**-0.5)
-        params[f"{prefix}.o"] = normal((c.inner_dim, c.d_model), c.inner_dim**-0.5)
-
-    def ffn_block(prefix):
-        params[f"{prefix}.wi_0"] = normal((c.d_model, c.d_ff), c.d_model**-0.5)
-        params[f"{prefix}.wi_1"] = normal((c.d_model, c.d_ff), c.d_model**-0.5)
-        params[f"{prefix}.wo"] = normal((c.d_ff, c.d_model), c.d_ff**-0.5)
-
-    params["embedding"] = normal((c.vocab_size, c.d_model), 1.0)
-    params["encoder.rel_bias"] = zeros((c.rel_buckets, c.n_heads))
-    for i in range(c.enc_layers):
-        base = f"encoder.layers.{i}"
-        params[f"{base}.attn_norm"] = ones(c.d_model)
-        attn_block(f"{base}.attn")
-        params[f"{base}.ffn_norm"] = ones(c.d_model)
-        ffn_block(f"{base}.ffn")
-    params["encoder.final_norm"] = ones(c.d_model)
-
-    params["decoder.rel_bias"] = zeros((c.rel_buckets, c.n_heads))
-    for i in range(c.dec_layers):
-        base = f"decoder.layers.{i}"
-        params[f"{base}.self_norm"] = ones(c.d_model)
-        attn_block(f"{base}.self")
-        params[f"{base}.cross_norm"] = ones(c.d_model)
-        attn_block(f"{base}.cross")
-        params[f"{base}.ffn_norm"] = ones(c.d_model)
-        ffn_block(f"{base}.ffn")
-    params["decoder.final_norm"] = ones(c.d_model)
+    for name, shape in param_shapes(config).items():
+        if name.endswith("rel_bias"):
+            data = np.zeros(shape, dtype=dtype)
+        elif len(shape) == 1:
+            data = np.ones(shape, dtype=dtype)
+        else:
+            std = 1.0 if name == "embedding" else shape[0] ** -0.5
+            data = rng.normal(0.0, std, size=shape).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
 def count_parameters(config):
-    """Analytic parameter count; equals the allocated element total exactly."""
-    c = config
-    attn = 3 * c.d_model * c.inner_dim + c.inner_dim * c.d_model
-    ffn = 3 * c.d_model * c.d_ff
-    enc_layer = attn + ffn + 2 * c.d_model
-    dec_layer = 2 * attn + ffn + 3 * c.d_model
-    total = c.vocab_size * c.d_model
-    total += c.enc_layers * enc_layer + c.d_model + c.rel_buckets * c.n_heads
-    total += c.dec_layers * dec_layer + c.d_model + c.rel_buckets * c.n_heads
-    return total
+    """Parameter count of a config; equals the allocated element total."""
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 def _check_ids(ids, vocab_size, what):

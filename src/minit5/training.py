@@ -6,7 +6,9 @@ size, a JSON header (step, config, RNG state, optimizer step and hyper, and
 a table of each array's name, dtype, shape and CRC32), the header's CRC32,
 then the raw little-endian arrays in table order. It round-trips bit-exactly
 and is streamed through `fileio.atomic_write`, so a failed save never leaves
-a partial artifact. Damage, or another version, raises CheckpointError.
+a partial artifact. Damage, or another version, raises CheckpointError;
+so do arrays that are not the parameters of the stored config, when
+`Checkpoint.to_params` turns them into a model.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import evaluation
 from .bpe import PAD_ID
 from .fileio import atomic_write
-from .model import ModelConfig, decode_logits, encode
+from .model import ModelConfig, decode_logits, encode, param_shapes
 from .tensor import Tape, Tensor, backward, cross_entropy
 
 CHECKPOINT_MAGIC = b"MNT5CKPT"
@@ -227,7 +229,18 @@ class Checkpoint:
     def to_params(self):
         """Parameter dict of gradient-tracking tensors over the stored arrays
         themselves, not copies: an update to the parameters changes the
-        checkpoint's arrays too."""
+        checkpoint's arrays too. The arrays must be the config's parameters
+        (`model.param_shapes`); CheckpointError names the first, in path
+        order, that is missing, extra or of another shape."""
+        shapes = param_shapes(self.config)
+        for name in sorted(shapes.keys() | self.params.keys()):
+            if name not in self.params:
+                raise CheckpointError(f"checkpoint lacks parameter '{name}' of its config")
+            if name not in shapes:
+                raise CheckpointError(f"checkpoint array '{name}' is not a parameter of its config")
+            if self.params[name].shape != shapes[name]:
+                raise CheckpointError(f"checkpoint array '{name}' has shape {list(self.params[name].shape)}, "
+                                      f"its config needs {list(shapes[name])}")
         return {k: Tensor(a, requires_grad=True) for k, a in self.params.items()}
 
     def make_rng(self):

@@ -1,4 +1,7 @@
+import ast
+import itertools
 import json
+import math
 import os
 import platform
 import re
@@ -12,7 +15,7 @@ import pytest
 
 import minit5
 from minit5.bpe import load_vocab, save_vocab, train_bpe
-from minit5.cli import main
+from minit5.cli import _sequence_stream, main
 from minit5.model import ModelConfig, init_params
 from minit5.tasks import TASKS
 from minit5.training import Checkpoint, load_checkpoint, save_checkpoint
@@ -189,15 +192,27 @@ class TestNumpyOnly:
             assert done.returncode == 0, f"{argv[0]}: {done.stderr}"
 
     def test_scipy_is_no_dependency(self):
+        # numpy is the only dependency: every import in the package, those
+        # inside functions too, is of the standard library, numpy or minit5
         tomllib = pytest.importorskip("tomllib")
         package = os.path.dirname(os.path.abspath(minit5.__file__))
-        for name in os.listdir(package):
-            if name.endswith(".py"):
-                with open(os.path.join(package, name), encoding="utf-8") as f:
-                    assert "scipy" not in f.read(), name
+        allowed = set(sys.stdlib_module_names) | {"numpy", "minit5"}
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                assert {m.split(".")[0] for m in modules} <= allowed, f"{name}:{node.lineno} imports {modules}"
         with open(os.path.join(os.path.dirname(os.path.dirname(package)), "pyproject.toml"), "rb") as f:
             dependencies = tomllib.load(f)["project"]["dependencies"]
-        assert not [d for d in dependencies if d.startswith("scipy")]
+        assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
 class TestBudget:
@@ -461,6 +476,19 @@ class TestConfigHandling:
 
 
 class TestPretrain:
+    def test_sequence_stream_pieces_hold_two_ids_or_more(self):
+        # so noise_stream never skips a piece as too short to noise
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            ids = list(range(int(rng.integers(2, 80))))
+            seq_len = int(rng.integers(2, 24))
+            per_pass = math.ceil((len(ids) - 1) / seq_len)
+            pieces = list(itertools.islice(_sequence_stream(ids, seq_len), 2 * per_pass))
+            assert all(2 <= len(p) <= seq_len for p in pieces), (len(ids), seq_len)
+            assert pieces[:per_pass] == pieces[per_pass:]
+            # only a last piece of one id is left out
+            assert sum(pieces[:per_pass], []) == (ids[:-1] if len(ids) % seq_len == 1 else ids)
+
     def test_zero_steps_writes_valid_checkpoint(self, tmp_path, corpus_file, vocab_file):
         out_dir = tmp_path / "run"
         rc = main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
@@ -940,6 +968,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "malformed header" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("defect, message", [
+        ("missing", "checkpoint lacks parameter 'decoder.layers.1.ffn.wo' of its config"),
+        ("shape", "checkpoint array 'encoder.rel_bias' has shape [64, 2], its config needs [32, 2]"),
+        ("extra", "checkpoint array 'decoder.layers.2.ffn.wo' is not a parameter of its config"),
+    ])
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_checkpoint_that_does_not_fit_its_config_exits_2_naming_the_array(self, tmp_path, vocab_file, capsys,
+                                                                             command, defect, message):
+        # well-formed files, each with one array that its config does not describe
+        cfg = ModelConfig(vocab_size=len(load_vocab(vocab_file)), d_model=8, d_ff=16, n_heads=2, d_kv=4,
+                          enc_layers=1, dec_layers=2)
+        ck = Checkpoint.from_model(cfg, init_params(cfg, np.random.default_rng(0)))
+        if defect == "missing":
+            del ck.params["decoder.layers.1.ffn.wo"]
+        elif defect == "shape":
+            ck.params["encoder.rel_bias"] = np.zeros((64, cfg.n_heads), np.float32)
+        else:
+            ck.params["decoder.layers.2.ffn.wo"] = np.zeros((cfg.d_ff, cfg.d_model), np.float32)
+        checkpoint = tmp_path / "model.bin"
+        save_checkpoint(checkpoint, ck)
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"], ["voda teče", "teče"]])
+        argv = [command, "--vocab", str(vocab_file), "--task", "summarization", "--output-dir", str(tmp_path / "out"),
+                "--max-output-tokens", "2"]
+        if command == "evaluate":
+            argv += ["--dataset", str(dataset), "--checkpoint", str(checkpoint)]
+        else:
+            argv += ["--train", str(dataset), "--validation", str(dataset), "--init", str(checkpoint), "--epochs", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def _evaluate_argv(tmp_path, vocab_file, dataset):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 import weakref
@@ -14,6 +16,7 @@ from minit5.model import (
     count_parameters,
     forward,
     init_params,
+    param_shapes,
     preset,
     relative_bucket,
     training_budget_ratio,
@@ -114,6 +117,35 @@ class TestParameterCount:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             _tiny(d_model=0)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelConfig) if f.name != "dropout"])
+    def test_every_size_field_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=f"ModelConfig.{name} must be positive"):
+            _tiny(**{name: 0})
+
+    def test_exact_preset_counts(self):
+        counts = {name: count_parameters(preset(name)) for name in ("tiny", "small", "large")}
+        assert counts == {"tiny": 230_208, "small": 60_446_080, "large": 750_119_936}
+
+    # sha256 over each parameter's path and bytes, in path order: a change to
+    # a name, a shape, the order of the draws or a start value changes it,
+    # and with it every loss, training.log and checkpoint
+    @pytest.mark.parametrize("cfg, seed, dtype, digest", [
+        pytest.param(preset("tiny"), 0, np.float32,
+                     "b0b845fc3cd56d18544522f6db013ac560218678bdfe32df939a0aa9ec46d539", id="tiny-float32"),
+        pytest.param(ModelConfig(vocab_size=97, d_model=24, d_ff=40, n_heads=3, d_kv=5, enc_layers=1,
+                                 dec_layers=2, rel_buckets=6, rel_max_distance=20, dropout=0.0), 3, np.float64,
+                     "e43523c9da72526facbaa6de5238d9a77afb9e7a002d35b27c3fece37cf625e3", id="d24-float64"),
+    ])
+    def test_init_params_draws_the_pinned_bytes(self, cfg, seed, dtype, digest):
+        params = init_params(cfg, np.random.default_rng(seed), dtype)
+        assert list(params) == list(param_shapes(cfg))
+        h = hashlib.sha256()
+        for name in sorted(params):
+            assert params[name].data.dtype == dtype
+            h.update(name.encode())
+            h.update(params[name].data.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestBudget:
