@@ -221,17 +221,18 @@ def _sequence_stream(ids, seq_len):
 
 def _check_sentinels(cfg, vocab):
     """Refuse noising settings whose full-length sequences need more
-    sentinels than the vocabulary reserves, before anything is written: one
-    per span plus the closing one. For i.i.d. denoising the spans are the
+    sentinels than the vocabulary reserves, before anything is written
+    (noising.sentinels_needed). For i.i.d. denoising the spans are the
     expected count (noising.iid_spans); noising draws again a mask that
     needs more."""
     n = cfg["seq_len"]
-    needs = []
+    spans = []
     if cfg["mix"] > 0:
-        needs.append(("span corruption", noising.noise_counts(n, cfg["noise_density"], cfg["mean_span"])[1] + 1))
+        spans.append(("span corruption", noising.noise_counts(n, cfg["noise_density"], cfg["mean_span"])[1]))
     if cfg["mix"] < 1:
-        needs.append(("i.i.d. denoising", noising.iid_spans(n, cfg["iid_rate"]) + 1))
-    for what, count in needs:
+        spans.append(("i.i.d. denoising", noising.iid_spans(n, cfg["iid_rate"])))
+    for what, num_spans in spans:
+        count = noising.sentinels_needed(num_spans)
         if count > vocab.sentinel_count:
             raise noising.NoisingError(f"{what} of {n}-token sequences needs {count} sentinels, "
                                        f"vocabulary reserves {vocab.sentinel_count}")

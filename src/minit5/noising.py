@@ -95,12 +95,19 @@ def plan_spans(n, num_noise, num_spans, rng):
     return NoisePlan(n, spans)
 
 
+def sentinels_needed(num_spans):
+    """The sentinels a pair with num_spans spans holds: one per span, plus
+    the one that closes its target."""
+    return num_spans + 1
+
+
 def _sentinel_shortage(num_spans, vocab):
-    """Why num_spans spans do not fit vocab's sentinels (one per span plus
-    the closing one), or None when they fit."""
-    if num_spans + 1 <= vocab.sentinel_count:
+    """Why num_spans spans do not fit vocab's sentinels, or None when they
+    fit."""
+    needed = sentinels_needed(num_spans)
+    if needed <= vocab.sentinel_count:
         return None
-    return f"{num_spans} spans need {num_spans + 1} sentinels, vocabulary reserves {vocab.sentinel_count}"
+    return f"{num_spans} spans need {needed} sentinels, vocabulary reserves {vocab.sentinel_count}"
 
 
 def _serialize(ids, spans, vocab, objective):

@@ -26,8 +26,10 @@ block, in the blocked ops):
   backward rebuilds the softmax weights block by block, so no
   ``[batch, heads, queries, keys]`` array of floats is ever whole;
 - the gated-GELU feed-forward ``gated_gelu_ffn``, with T5 v1.1's tanh GELU,
-  keeps its two input projections and dropout mask, and rebuilds the GELU
-  and the hidden activations block by block.
+  keeps only its dropout mask besides its input and weights; backward
+  rebuilds both input projections with the forward's products, and the
+  GELU and the hidden activations block by block, in place, so no
+  ``[rows, d_ff]`` array of floats outlives the op's forward.
 
 Ragged batches travel as rows: a 2-D ``[real positions, features]`` array
 holding only the positions that are not padding, so every position-wise op
@@ -785,52 +787,61 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     [d_model, d_ff]; wo: [d_ff, d_model]. The matrix products run whole;
     the elementwise work between them runs over blocks of rows (see
     _by_row_blocks), and the dropout mask is drawn at full shape first. The
-    backward rule keeps both input projections and the dropout mask: the
-    normal CDF lives only inside a block, and backward rebuilds it and the
-    hidden activations block by block, with the forward's own ops."""
+    hidden activations are written over x.wi_1, and both projections go
+    once the output is formed: the backward rule keeps only x, the weights
+    and the dropout mask. It rebuilds x.wi_0 and x.wi_1 with the forward's
+    own products, and the GELU and the hidden activations block by block
+    with the forward's own ops, so its gradients are bitwise those that
+    kept copies would give. It works in three [rows, d_ff] buffers: the
+    gradient at the hidden activations, and the two projections, which
+    become the gradient at x.wi_1 and the hidden activations in place."""
     xd, wi_0d, wi_1d, wod = x.data, wi_0.data, wi_1.data, wo.data
     need_x, need_wi_0, need_wi_1, need_wo = x.requires_grad, wi_0.requires_grad, wi_1.requires_grad, wo.requires_grad
     h0 = xd @ wi_0d
-    h1 = xd @ wi_1d
+    h = xd @ wi_1d
     keep, scale = _dropout_mask(h0.shape, p, rng)
 
-    def hidden(h0, h1, keep, h, x2=None):
-        """h = dropout(gelu(h0) * h1) under the boolean keep-mask, written to
-        h; returns the CDF of h0. x2, when given, is np.square(h0)."""
-        cdf = _normal_cdf(h0, x2)
-        np.multiply(h0, cdf, out=h)
-        h *= h1
-        _apply_mask(h, keep, scale, out=h)
-        return cdf
+    def gate(gelu, h1, keep):
+        """The hidden activations, h1 * gelu under the keep-mask, over h1."""
+        h1 *= gelu
+        _apply_mask(h1, keep, scale, out=h1)
 
-    h = np.empty_like(h0)
-    _by_row_blocks(hidden, h0, h1, keep, h)
+    def hidden(h0, h1, keep):
+        gelu = _normal_cdf(h0)
+        gelu *= h0
+        gate(gelu, h1, keep)
+
+    _by_row_blocks(hidden, h0, h, keep)
+    del h0
     out = Tensor(h @ wod)
-    bits, width = _pack(keep), h0.shape[-1]
+    bits, width = _pack(keep), wi_0d.shape[-1]
 
     def vjp(g):
         gh = g @ wod.T
-        gh1 = np.empty_like(gh)
-        h = np.empty_like(gh)
+        h0 = xd @ wi_0d
+        h1 = xd @ wi_1d
 
-        def hidden_grad(h0, h1, bits, h, gh, gh1):
-            """h rebuilt as the forward made it; gh1 = gelu(h0) * gh and, in
-            gh's place, gh0 = slope * gh * h1, gh taken after the dropout mask.
-            The block's bits are unpacked once, and the CDF and the slope
-            share one square of h0."""
+        def hidden_grad(h0, h1, bits, gh):
+            """In place: h0 becomes gh1 = gelu(h0) * gh, gh becomes
+            gh0 = slope * gh * h1, gh taken after the dropout mask, and h1
+            the hidden activations as the forward made them. The block's
+            bits are unpacked once, the CDF and the slope share one square
+            of h0, and the GELU is formed over the CDF."""
             keep = _unpack(bits, width)
             x2 = np.square(h0)
-            cdf = hidden(h0, h1, keep, h, x2)
+            gelu = _normal_cdf(h0, x2)
+            slope = _gelu_slope(h0, gelu, x2)
+            gelu *= h0
             _apply_mask(gh, keep, scale, out=gh)
-            np.multiply(h0, cdf, out=gh1)
-            gh1 *= gh
-            gh *= _gelu_slope(h0, cdf, x2)
+            np.multiply(gelu, gh, out=h0)
+            gh *= slope
             gh *= h1
+            gate(gelu, h1, keep)
 
-        _by_row_blocks(hidden_grad, h0, h1, bits, h, gh, gh1)
-        gwo = _rows(h).T @ _rows(g) if need_wo else None
-        del h
-        gh0 = gh
+        _by_row_blocks(hidden_grad, h0, h1, bits, gh)
+        gwo = _rows(h1).T @ _rows(g) if need_wo else None
+        del h1
+        gh0, gh1 = gh, h0
         gx = None
         if need_x:
             gx = gh0 @ wi_0d.T

@@ -7,8 +7,9 @@ a table of each array's name, dtype, shape and CRC32), the header's CRC32,
 then the raw little-endian arrays in table order. It round-trips bit-exactly
 and is streamed through `fileio.atomic_write`, so a failed save never leaves
 a partial artifact. Damage, or another version, raises CheckpointError;
-so do arrays that are not the parameters of the stored config, when
-`Checkpoint.to_params` turns them into a model.
+so do arrays that are not the parameters of the stored config, or not
+all float32 or all float64, when `Checkpoint.to_params` turns them into a
+model.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from .tensor import Tape, Tensor, backward, cross_entropy
 CHECKPOINT_MAGIC = b"MNT5CKPT"
 CHECKPOINT_VERSION = 2
 _PREFIX = struct.Struct("<8sII")  # magic, version, header size in bytes
+_PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class TrainingError(ValueError):
@@ -230,17 +233,28 @@ class Checkpoint:
         """Parameter dict of gradient-tracking tensors over the stored arrays
         themselves, not copies: an update to the parameters changes the
         checkpoint's arrays too. The arrays must be the config's parameters
-        (`model.param_shapes`); CheckpointError names the first, in path
-        order, that is missing, extra or of another shape."""
+        (`model.param_shapes`), all float32 or all float64; CheckpointError
+        names the first, in path order, that is missing, extra, of another
+        shape, not of a float dtype, or of another dtype than most of the
+        float arrays (the first of them in path order on a tie)."""
         shapes = param_shapes(self.config)
+        floats = Counter(a.dtype for _, a in sorted(self.params.items()) if a.dtype in _PARAM_DTYPES)
+        common = floats.most_common(1)[0][0] if floats else None
         for name in sorted(shapes.keys() | self.params.keys()):
             if name not in self.params:
                 raise CheckpointError(f"checkpoint lacks parameter '{name}' of its config")
             if name not in shapes:
                 raise CheckpointError(f"checkpoint array '{name}' is not a parameter of its config")
-            if self.params[name].shape != shapes[name]:
-                raise CheckpointError(f"checkpoint array '{name}' has shape {list(self.params[name].shape)}, "
+            a = self.params[name]
+            if a.shape != shapes[name]:
+                raise CheckpointError(f"checkpoint array '{name}' has shape {list(a.shape)}, "
                                       f"its config needs {list(shapes[name])}")
+            if a.dtype not in _PARAM_DTYPES:
+                raise CheckpointError(f"checkpoint array '{name}' has dtype {a.dtype}, "
+                                      f"parameters are float32 or float64")
+            if a.dtype != common:
+                raise CheckpointError(f"checkpoint array '{name}' has dtype {a.dtype}, "
+                                      f"most parameters are {common}")
         return {k: Tensor(a, requires_grad=True) for k, a in self.params.items()}
 
     def make_rng(self):

@@ -973,6 +973,11 @@ class TestExitCodes:
         ("missing", "checkpoint lacks parameter 'decoder.layers.1.ffn.wo' of its config"),
         ("shape", "checkpoint array 'encoder.rel_bias' has shape [64, 2], its config needs [32, 2]"),
         ("extra", "checkpoint array 'decoder.layers.2.ffn.wo' is not a parameter of its config"),
+        ("int32", "checkpoint array 'embedding' has dtype int32, parameters are float32 or float64"),
+        ("bool", "checkpoint array 'encoder.final_norm' has dtype bool, parameters are float32 or float64"),
+        ("float16", "checkpoint array 'decoder.layers.1.ffn_norm' has dtype float16, "
+                    "parameters are float32 or float64"),
+        ("float64", "checkpoint array 'encoder.layers.0.ffn.wi_1' has dtype float64, most parameters are float32"),
     ])
     @pytest.mark.parametrize("command", ["evaluate", "finetune"])
     def test_checkpoint_that_does_not_fit_its_config_exits_2_naming_the_array(self, tmp_path, vocab_file, capsys,
@@ -981,12 +986,16 @@ class TestExitCodes:
         cfg = ModelConfig(vocab_size=len(load_vocab(vocab_file)), d_model=8, d_ff=16, n_heads=2, d_kv=4,
                           enc_layers=1, dec_layers=2)
         ck = Checkpoint.from_model(cfg, init_params(cfg, np.random.default_rng(0)))
+        recast = {"int32": "embedding", "bool": "encoder.final_norm", "float16": "decoder.layers.1.ffn_norm",
+                  "float64": "encoder.layers.0.ffn.wi_1"}  # of the float32 arrays, the one cast to defect
         if defect == "missing":
             del ck.params["decoder.layers.1.ffn.wo"]
         elif defect == "shape":
             ck.params["encoder.rel_bias"] = np.zeros((64, cfg.n_heads), np.float32)
-        else:
+        elif defect == "extra":
             ck.params["decoder.layers.2.ffn.wo"] = np.zeros((cfg.d_ff, cfg.d_model), np.float32)
+        else:
+            ck.params[recast[defect]] = ck.params[recast[defect]].astype(defect)
         checkpoint = tmp_path / "model.bin"
         save_checkpoint(checkpoint, ck)
         dataset = tmp_path / "d.csv"

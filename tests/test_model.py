@@ -637,10 +637,10 @@ class TestRowLayout:
 
 
 class TestTapeMemory:
-    # 6.96 MB measured when the fused ops stopped keeping what they can
-    # rebuild (10.62 MB before), plus a 10% margin. Move this bound only
+    # 2.76 MB measured when the feed-forward stopped keeping its input
+    # projections (4.43 MB before), plus a 10% margin. Move this bound only
     # with its reason written in CHANGES.md.
-    HELD_BOUND = 7_660_000
+    HELD_BOUND = 3_040_000
 
     @staticmethod
     def _padded_d64_step():

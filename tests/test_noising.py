@@ -13,6 +13,7 @@ from minit5.noising import (
     noise_stream,
     plan_spans,
     reconstruct,
+    sentinels_needed,
     span_corrupt,
 )
 
@@ -169,6 +170,12 @@ class TestSentinelBudget:
         assert reconstruct(noise(3), vocab) == (ids if objective == "span" else ids[:3])
         with pytest.raises(NoisingError, match="4 spans need 5 sentinels, vocabulary reserves 4"):
             noise(4)
+
+    def test_sentinels_needed_counts_the_sentinels_a_target_holds(self):
+        ids = _token_ids(np.random.default_rng(15), 12)
+        for spans in range(1, 7):
+            pair = span_corrupt(ids, NoisePlan(12, [(2 * k, 1) for k in range(spans)]), VOCAB)
+            assert sum(t >= FIRST_SENTINEL for t in pair.target_ids) == sentinels_needed(spans)
 
 
 class TestIidDenoise:

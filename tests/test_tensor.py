@@ -427,19 +427,46 @@ class TestTapeMemory:
 
     SLACK = 32 << 10
 
-    def test_gated_ffn_keeps_its_input_projections_and_mask(self):
+    @staticmethod
+    def _ffn_case(rng):
+        """A [512, 32] input to a d_ff 1024 feed-forward: one [rows, d_ff]
+        float32 array is 2 MiB, 64 rows make a block."""
         rows, d, d_ff = 512, 32, 1024
-        rng = np.random.default_rng(41)
 
         def param(*shape):
             return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
-        x, wi_0, wi_1, wo = param(rows, d), param(d, d_ff), param(d, d_ff), param(d_ff, d)
+        return param(rows, d), param(d, d_ff), param(d, d_ff), param(d_ff, d)
+
+    def test_gated_ffn_keeps_only_its_mask(self):
+        rng = np.random.default_rng(41)
+        x, wi_0, wi_1, wo = self._ffn_case(rng)
         held, out = held_after_forward(lambda: gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.1, rng=rng))
-        h0 = h1 = rows * d_ff * 4
-        mask = rows * math.ceil(d_ff / 8)  # one bit per hidden unit
-        kept = out.data.nbytes + h0 + h1 + mask
+        rows, d_ff = x.shape[0], wo.shape[0]
+        kept = out.data.nbytes + rows * math.ceil(d_ff / 8)  # one bit per hidden unit
         assert kept <= held <= kept + self.SLACK, held
+
+    def test_gated_ffn_backward_peaks_within_three_hidden_buffers(self):
+        # the gradient at the hidden activations and the two rebuilt input
+        # projections, which become the gradient at x.wi_1 and the hidden
+        # activations; a rebuild into fresh arrays would need five
+        rng = np.random.default_rng(46)
+        x, wi_0, wi_1, wo = self._ffn_case(rng)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.1, rng=rng)
+            g = np.ones_like(out.data)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = tape.nodes[-1].vjp(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in grads)
+        hidden = 3 * x.shape[0] * wo.shape[0] * 4
+        block = 4 * _BLOCK_ELEMENTS * 4  # one block's temporaries: at most four float32 row blocks
+        assert outputs + hidden <= peak <= outputs + hidden + block, (peak, outputs, hidden)
 
     def test_padded_attention_keeps_no_grid_copy(self):
         # one zero-filled [8 * 32, 256] float32 grid copy of q, k or v is 256 KiB,
