@@ -219,16 +219,24 @@ def _sequence_stream(ids, seq_len):
             yield ids[lo:lo + seq_len]
 
 
-def _check_sentinels(cfg, vocab):
-    """Refuse noising settings whose full-length sequences need more
-    sentinels than the vocabulary reserves, before anything is written
-    (noising.sentinels_needed). For i.i.d. denoising the spans are the
-    expected count (noising.iid_spans); noising draws again a mask that
-    needs more."""
+def _last_piece_length(n_ids, seq_len):
+    """The length of the last piece of each pass _sequence_stream makes
+    over n_ids ids (n_ids >= 2); seq_len when every piece is full."""
+    return min(seq_len, n_ids - (n_ids - 2) // seq_len * seq_len)
+
+
+def _check_noising(cfg, vocab, n_ids):
+    """Refuse, before anything is written, noising settings that cannot
+    noise or batch every piece of an n_ids-id corpus: a full piece whose
+    spans need more sentinels than the vocabulary reserves (for i.i.d.
+    denoising, the expected spans, noising.iid_spans: a mask that needs
+    more is drawn again), a full or last piece with no room for the gaps
+    between its spans, or a --batch-tokens budget below the longest pair."""
     n = cfg["seq_len"]
+    kwargs = dict(noise_density=cfg["noise_density"], mean_span=cfg["mean_span"])
     spans = []
     if cfg["mix"] > 0:
-        spans.append(("span corruption", noising.noise_counts(n, cfg["noise_density"], cfg["mean_span"])[1]))
+        spans.append(("span corruption", noising.noise_counts(n, **kwargs)[1]))
     if cfg["mix"] < 1:
         spans.append(("i.i.d. denoising", noising.iid_spans(n, cfg["iid_rate"])))
     for what, num_spans in spans:
@@ -236,14 +244,24 @@ def _check_sentinels(cfg, vocab):
         if count > vocab.sentinel_count:
             raise noising.NoisingError(f"{what} of {n}-token sequences needs {count} sentinels, "
                                        f"vocabulary reserves {vocab.sentinel_count}")
+    if cfg["mix"] > 0:
+        for length in (n, _last_piece_length(n_ids, n)):
+            shortage = noising.gap_shortage(length, *noising.noise_counts(length, **kwargs))
+            if shortage:
+                piece = f"{n}-token sequences" if length == n else f"the corpus's {length}-token last piece"
+                raise noising.NoisingError(f"span corruption of {piece}: {shortage}")
+    longest = noising.longest_pair(n, vocab, mix=cfg["mix"], iid_prob=cfg["iid_rate"], **kwargs)
+    if longest > cfg["batch_tokens"]:
+        raise noising.NoisingError(f"a pair noised from a {n}-token sequence can hold {longest} tokens, "
+                                   f"more than the {cfg['batch_tokens']}-token --batch-tokens budget")
 
 
 def _cmd_pretrain(cfg):
     vocab = bpe.load_vocab(cfg["vocab"])
-    _check_sentinels(cfg, vocab)
     ids = [i for p in dedup.read_paragraphs(cfg["corpus"]) for i in bpe.encode(p.text, vocab, append_eos=True)]
     if len(ids) < 2:
         raise tasks.DatasetError(f"{cfg['corpus']}: corpus too small to pretrain on")
+    _check_noising(cfg, vocab, len(ids))
     model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
     rng = np.random.default_rng(cfg["seed"])
     params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))

@@ -7,14 +7,13 @@ The residual stream is carried as rows: a 2-D [real positions, d_model]
 array with no padding in it (encoder positions whose id is not the pad id;
 decoder positions inside each target, when `decode_logits` is given the
 target lengths). The embedding, the norms, every projection, the feed-
-forward, dropout, the residual branches (`tensor.residual`, dropout and
-add in one op) and the tied output projection are one 2-D computation over
-those rows. A grid (index, (batch, len)) names the real positions;
-`tensor.attention` alone lays its query, key and value rows out on their
-grids, zero-filled, hides the keys that are not rows and, for
-self-attention in the decoder, the later ones, and returns its context as
-rows. When every position is real (greedy decoding, full batches) that
-layout is a view, and nothing is copied.
+forward, dropout, the residual branches (`add(x, dropout(a))`) and the tied
+output projection are one 2-D computation over those rows. A grid (index,
+(batch, len)) names the real positions; `tensor.attention` alone lays its
+query, key and value rows out on their grids, zero-filled, hides the keys
+that are not rows and, for self-attention in the decoder, the later ones,
+and returns its context as rows. When every position is real (greedy
+decoding, full batches) that layout is a view, and nothing is copied.
 
 Incremental decoding passes a `DecodeCache`, which owns the per-decode
 constants (cross-attention K/V, the self-attention K/V buffer written in
@@ -49,16 +48,15 @@ from .tensor import (
     matmul,
     mul,
     reshape,
-    residual,
     rms_norm,
     softmax_lastdim,
     transpose,
 )
 
-# Unused here since attention, the gated FFN and the residual add became
-# fused ops: add, gelu and softmax_lastdim stay imported because the
-# benchmark's traced run discovers the tensor ops to time in this namespace,
-# and its tests require every op it names (perfbench/metrics.py TENSOR_OPS).
+# Unused here since attention and the gated FFN became fused ops: gelu and
+# softmax_lastdim stay imported because the benchmark's traced run discovers
+# the tensor ops to time in this namespace, and its tests require every op
+# it names (perfbench/metrics.py TENSOR_OPS).
 
 @dataclass
 class ModelConfig:
@@ -278,9 +276,9 @@ def encode(config, params, input_ids, *, train=False, rng=None):
         h = rms_norm(x, params[f"{base}.attn_norm"])
         kv = _project_kv(params, f"{base}.attn", h)
         a = _attention(params, f"{base}.attn", h, kv, (grid, grid), False, bias, config, p, rng)
-        x = residual(x, a, p, rng)
+        x = add(x, dropout(a, p, rng))
         h = rms_norm(x, params[f"{base}.ffn_norm"])
-        x = residual(x, _ffn(params, f"{base}.ffn", h, p, rng), p, rng)
+        x = add(x, dropout(_ffn(params, f"{base}.ffn", h, p, rng), p, rng))
     return rms_norm(x, params["encoder.final_norm"]), grid
 
 
@@ -341,13 +339,13 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
         if cache is not None:
             kv = cache.extend(i, kv)
         a = _attention(params, f"{base}.self", h, kv, self_grids, True, bias, config, p, rng)
-        x = residual(x, a, p, rng)
+        x = add(x, dropout(a, p, rng))
         h = rms_norm(x, params[f"{base}.cross_norm"])
         kv = _project_kv(params, f"{base}.cross", enc_out) if cache is None else cache.cross[i]
         a = _attention(params, f"{base}.cross", h, kv, cross_grids, False, None, config, p, rng)
-        x = residual(x, a, p, rng)
+        x = add(x, dropout(a, p, rng))
         h = rms_norm(x, params[f"{base}.ffn_norm"])
-        x = residual(x, _ffn(params, f"{base}.ffn", h, p, rng), p, rng)
+        x = add(x, dropout(_ffn(params, f"{base}.ffn", h, p, rng), p, rng))
     if cache is not None:
         cache.length = n_keys
     x = rms_norm(x, params["decoder.final_norm"])

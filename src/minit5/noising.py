@@ -78,11 +78,10 @@ def plan_spans(n, num_noise, num_spans, rng):
         raise NoisingError(f"cannot split {num_noise} noise tokens into {num_spans} spans")
     if num_spans < 1:
         raise NoisingError("need at least one span")
+    shortage = gap_shortage(n, num_noise, num_spans)
+    if shortage:
+        raise NoisingError(shortage)
     clean = n - num_noise
-    if clean < num_spans:
-        raise NoisingError(
-            f"no room for separating gaps: {clean} clean tokens < {num_spans} spans"
-        )
     span_lengths = _composition(num_noise, num_spans, rng)
     gaps = _composition(clean + 1, num_spans + 1, rng)
     gaps[0] -= 1  # leading gap may be empty
@@ -95,10 +94,39 @@ def plan_spans(n, num_noise, num_spans, rng):
     return NoisePlan(n, spans)
 
 
+def gap_shortage(n, num_noise, num_spans):
+    """Why num_spans spans of num_noise tokens in all do not fit n tokens
+    with a clean token after each span, or None when they fit."""
+    clean = n - num_noise
+    if clean >= num_spans:
+        return None
+    return f"no room for separating gaps: {clean} clean tokens < {num_spans} spans"
+
+
 def sentinels_needed(num_spans):
     """The sentinels a pair with num_spans spans holds: one per span, plus
     the one that closes its target."""
     return num_spans + 1
+
+
+def pair_length(n, num_spans):
+    """The ids of a pair noised from n tokens with num_spans spans: the n
+    tokens, a sentinel per span in the input and another in the target, and
+    the target's closing sentinel and EOS."""
+    return n + 2 * num_spans + 2
+
+
+def longest_pair(n, vocab, mix=0.5, noise_density=0.15, mean_span=3.0, iid_prob=0.15):
+    """The most ids a pair that mixture_sample noises from n tokens can hold,
+    over the objectives mix enables: span corruption makes noise_counts'
+    spans, i.i.d. denoising at most min(n, sentinels - 1), since a draw that
+    needs more is drawn again, and none at rate 0."""
+    spans = []
+    if mix > 0:
+        spans.append(noise_counts(n, noise_density, mean_span)[1])
+    if mix < 1:
+        spans.append(min(n, vocab.sentinel_count - 1) if iid_prob > 0 else 0)
+    return pair_length(n, max(spans))
 
 
 def _sentinel_shortage(num_spans, vocab):

@@ -20,7 +20,9 @@ that keep only what their backward rule needs, and rebuild in backward what
 is cheap to rebuild. A dropout mask is applied as booleans in forward and
 kept as bits, packed along its last axis, which backward unpacks once (per
 block, in the blocked ops):
-- ``dropout``, and ``residual`` (x + dropout(a)), keep only their mask;
+- ``dropout`` keeps only its mask, so a residual branch
+  ``add(x, dropout(a))`` holds only those bits: ``add`` keeps shapes, and
+  dropout's output is freed when the add returns;
 - multi-head ``attention`` runs over blocks of batch rows and keeps its q,
   k and v rows, its dropout mask and each query row's softmax max and sum;
   backward rebuilds the softmax weights block by block, so no
@@ -34,7 +36,7 @@ block, in the blocked ops):
 Ragged batches travel as rows: a 2-D ``[real positions, features]`` array
 holding only the positions that are not padding, so every position-wise op
 (``matmul`` by a weight, ``rms_norm``, ``gated_gelu_ffn``, ``dropout``,
-``residual``, ``cross_entropy``) is one 2-D computation over real tokens;
+``add``, ``cross_entropy``) is one 2-D computation over real tokens;
 ``cross_entropy`` has no ignore index and averages over all its rows.
 ``attention`` alone lays its rows out, one block of batch rows at a time,
 on the zero-filled ``[batch, len, features]`` grid they came from, and
@@ -545,25 +547,6 @@ def dropout(x, p, rng):
         return (_apply_mask(g, _unpack(bits, width), scale),)
 
     return _record(out, (x,), vjp)
-
-
-def residual(x, a, p, rng):
-    """x + dropout(a, p, rng) as one op, drawing the same mask from rng; a
-    plain add when p <= 0. The backward rule keeps only the dropout mask."""
-    if p <= 0:
-        return add(x, a)
-    if x.data.shape != a.data.shape:
-        raise ShapeError(f"residual of {a.shape} onto {x.shape}")
-    keep, scale = _dropout_mask(a.data.shape, p, rng)
-    out = _apply_mask(a.data, keep, scale)
-    out += x.data
-    bits, width = _pack(keep), a.data.shape[-1]
-    a_grad = a.requires_grad
-
-    def vjp(g):
-        return g, _apply_mask(g, _unpack(bits, width), scale) if a_grad else None
-
-    return _record(Tensor(out), (x, a), vjp)
 
 
 MASKED = -1e9  # additive attention-logit mask; underflows to weight 0 after softmax

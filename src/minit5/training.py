@@ -86,13 +86,18 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
 def train_step(config, params, optimizer, batch, rng, where, lr=None):
     """One teacher-forced update with dropout: loss, backward, optimizer
     step. Returns the loss. A non-finite loss raises NumericalError naming
-    `where` (e.g. "step 12") before any gradient is formed."""
+    `where` (e.g. "step 12") before any gradient is formed; a non-finite
+    gradient raises it from the optimizer, with `where` added, before any
+    parameter moves."""
     with Tape() as tape:
         loss = teacher_forced_loss(config, params, batch, train=True, rng=rng)
         if not np.isfinite(loss.data).all():
             raise NumericalError(f"non-finite loss {loss.item()} at {where}")
         backward(loss, tape)
-    optimizer.step(lr=lr)
+    try:
+        optimizer.step(lr=lr)
+    except NumericalError as e:
+        raise NumericalError(f"{e} at {where}") from None
     optimizer.zero_grad()
     return loss.item()
 
@@ -117,11 +122,17 @@ class AdamW:
 
     def step(self, lr=None):
         """One update from the gradients currently stored on the parameters.
-        Parameters without gradients are skipped. Works in place: the bias
-        corrections are folded into two scalars, and the update of each
-        parameter is formed in one scratch buffer reused across them."""
+        Parameters without gradients are skipped. A non-finite gradient
+        raises NumericalError naming the parameter and the update, and
+        nothing changes: every gradient is checked before any update. Works
+        in place: the bias corrections are folded into two scalars, and the
+        update of each parameter is formed in one scratch buffer reused
+        across them."""
         if lr is None:
             lr = self.lr
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericalError(f"non-finite gradient in parameter '{name}' in update {self.step_count + 1}")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
@@ -133,8 +144,6 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if not np.isfinite(g).all():
-                raise NumericalError(f"non-finite gradient in parameter '{name}'")
             m, v = self.m[name], self.v[name]
             s = self._scratch(p.data)
             m *= b1

@@ -15,7 +15,7 @@ import pytest
 
 import minit5
 from minit5.bpe import load_vocab, save_vocab, train_bpe
-from minit5.cli import _sequence_stream, main
+from minit5.cli import _last_piece_length, _sequence_stream, main
 from minit5.model import ModelConfig, init_params
 from minit5.tasks import TASKS
 from minit5.training import Checkpoint, load_checkpoint, save_checkpoint
@@ -213,6 +213,32 @@ class TestNumpyOnly:
         with open(os.path.join(os.path.dirname(os.path.dirname(package)), "pyproject.toml"), "rb") as f:
             dependencies = tomllib.load(f)["project"]["dependencies"]
         assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies] == ["numpy"]
+
+    def test_every_import_is_used(self):
+        # a name a module imports is used there or listed in its __all__; in
+        # model.py it may also be a tensor op that the benchmark's traced run
+        # finds in that namespace to time (perfbench/metrics.py TENSOR_OPS)
+        package = os.path.dirname(os.path.abspath(minit5.__file__))
+        with open(os.path.join(os.path.dirname(os.path.dirname(package)), "perfbench", "metrics.py"),
+                  encoding="utf-8") as f:
+            tensor_ops = next(ast.literal_eval(node.value) for node in ast.parse(f.read()).body
+                              if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TENSOR_OPS")
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            imported, allowed = {}, set(tensor_ops) if name == "model.py" else set()
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                    for alias in node.names:
+                        imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+                elif isinstance(node, ast.Name):
+                    allowed.add(node.id)
+                elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                    allowed.update(ast.literal_eval(node.value))
+            unused = {n: line for n, line in imported.items() if n not in allowed}
+            assert not unused, f"{name} imports names it does not use (name: line): {unused}"
 
 
 class TestBudget:
@@ -485,6 +511,8 @@ class TestPretrain:
             per_pass = math.ceil((len(ids) - 1) / seq_len)
             pieces = list(itertools.islice(_sequence_stream(ids, seq_len), 2 * per_pass))
             assert all(2 <= len(p) <= seq_len for p in pieces), (len(ids), seq_len)
+            assert {len(p) for p in pieces[:per_pass - 1]} <= {seq_len}
+            assert len(pieces[per_pass - 1]) == _last_piece_length(len(ids), seq_len), (len(ids), seq_len)
             assert pieces[:per_pass] == pieces[per_pass:]
             # only a last piece of one id is left out
             assert sum(pieces[:per_pass], []) == (ids[:-1] if len(ids) % seq_len == 1 else ids)
@@ -584,6 +612,52 @@ class TestPretrain:
         # a draw is drawn again rather than ending the run with exit 2
         assert self._pretrain_32(tmp_path, sentinel_vocab, ["--iid-rate", "0.25", "--mix", "0", "--steps", "4"]) == 0
         assert (tmp_path / "run" / "ckpt-00000004.bin").exists()
+
+    @pytest.fixture()
+    def word_vocab(self, tmp_path):
+        """A vocabulary with 40 sentinels in which each of four words is one
+        id, and a function writing a one-paragraph corpus of a given number
+        of ids (its words plus EOS)."""
+        words = ["voda", "teče", "mlin", "gori"]
+        vocab = tmp_path / "v73.txt"
+        save_vocab(train_bpe(" ".join(words * 40), 73, sentinel_count=40), vocab)
+
+        def corpus(n_ids):
+            path = tmp_path / f"corpus-{n_ids}.txt"
+            path.write_text(" ".join(words[i % 4] for i in range(n_ids - 1)) + "\n", encoding="utf-8")
+            return path
+
+        return vocab, corpus
+
+    def _pretrain_words(self, tmp_path, vocab, corpus, options):
+        return main(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab), "--output-dir",
+                     str(tmp_path / "run"), "--steps", "2", *options])
+
+    def test_span_corruption_that_cannot_noise_the_last_piece_exits_2_before_writing(self, tmp_path, word_vocab,
+                                                                                     capsys):
+        # 101-token pieces make 38 spans, which 40 sentinels hold; a 3-token
+        # last piece would make 2 spans of its 2 noise tokens, with 1 clean
+        # token left to separate them
+        vocab, corpus = word_vocab
+        options = ["--seq-len", "101", "--mix", "1", "--noise-density", "0.5", "--mean-span", "1.33",
+                   "--batch-tokens", "400"]
+        assert _last_piece_length(205, 101) == 3
+        assert self._pretrain_words(tmp_path, vocab, corpus(205), options) == 2
+        assert capsys.readouterr().err == ("data error: span corruption of the corpus's 3-token last piece: "
+                                           "no room for separating gaps: 1 clean tokens < 2 spans\n")
+        assert not (tmp_path / "run").exists()
+        assert self._pretrain_words(tmp_path, vocab, corpus(206), options) == 0  # a 4-token last piece
+        assert (tmp_path / "run" / "ckpt-00000002.bin").exists()
+
+    def test_batch_budget_below_the_longest_pair_exits_2_before_writing(self, tmp_path, word_vocab, capsys):
+        # i.i.d. denoising can corrupt up to 39 of 64 tokens (40 sentinels):
+        # 64 + 2 * 39 + 2 ids
+        vocab, corpus = word_vocab
+        assert self._pretrain_words(tmp_path, vocab, corpus(300), ["--seq-len", "64", "--batch-tokens", "50"]) == 2
+        assert capsys.readouterr().err == ("data error: a pair noised from a 64-token sequence can hold 144 tokens, "
+                                           "more than the 50-token --batch-tokens budget\n")
+        assert not (tmp_path / "run").exists()
+        assert self._pretrain_words(tmp_path, vocab, corpus(300), ["--seq-len", "64", "--batch-tokens", "144"]) == 0
 
     def test_finetune_resumes_from_pretrained_checkpoint(self, tmp_path, corpus_file, vocab_file):
         import csv
@@ -898,6 +972,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "numerical failure: non-finite loss nan at step 2\n"
         assert backwards == [1]  # step 2 stopped before its backward pass
+
+    def test_non_finite_gradient_exits_3_naming_parameter_and_step(self, tmp_path, corpus_file, vocab_file,
+                                                                   capsys, monkeypatch):
+        from minit5 import cli, training
+
+        real_init, real_backward, params, calls = cli.init_params, training.backward, {}, []
+
+        def init(*args):
+            params.update(real_init(*args))
+            return params
+
+        def nan_on_second_call(loss, tape):
+            real_backward(loss, tape)
+            calls.append(1)
+            if len(calls) == 2:
+                params["encoder.final_norm"].grad[0] = np.nan
+
+        monkeypatch.setattr(cli, "init_params", init)
+        monkeypatch.setattr(training, "backward", nan_on_second_call)
+        rc = main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+                   "--output-dir", str(tmp_path / "run"), "--steps", "3",
+                   "--seq-len", "16", "--batch-tokens", "96"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: non-finite gradient in parameter 'encoder.final_norm' "
+                       "in update 2 at step 2\n")
+        assert (tmp_path / "run" / "training.log").read_text(encoding="utf-8").count("\n") == 1
 
     def test_non_finite_finetune_loss_exits_3_naming_epoch_and_batch(self, tmp_path, vocab_file, capsys,
                                                                       monkeypatch):

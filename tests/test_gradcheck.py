@@ -20,7 +20,6 @@ from minit5.tensor import (
     matmul,
     mul,
     reshape,
-    residual,
     rms_norm,
     softmax_lastdim,
     sum_all,
@@ -185,10 +184,6 @@ def gated_gelu_ffn_composition(x, wi_0, wi_1, wo, p=0.0, rng=None):
     return matmul(dropout(mul(gelu(matmul(x, wi_0)), matmul(x, wi_1)), p, rng), wo)
 
 
-def residual_composition(x, a, p, rng):
-    return add(x, dropout(a, p, rng))
-
-
 def attention_keeping_grids(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rng=None):
     """attention whose backward rule keeps the zero-filled grid copies of q,
     k and v that its forward built, instead of laying the rows out again."""
@@ -351,35 +346,6 @@ def test_row_blocked_ffn_is_bitwise_the_unblocked_one(rows, p):
     assert out.dtype == np.float32 and np.array_equal(out, ref)
     for name in inputs:
         assert np.array_equal(grads[name], ref_grads[name]), name
-
-
-@pytest.mark.parametrize("p", [0.0, 0.4])
-def test_residual_gradients(p):
-    rng = np.random.default_rng(31)
-    inputs = {"x": _param(rng, 4, 5), "a": _param(rng, 4, 5)}
-    w = Tensor(rng.normal(size=(4, 5)), dtype=np.float64)
-    f = lambda: sum_all(mul(residual(inputs["x"], inputs["a"], p, np.random.default_rng(7)), w))
-    assert finite_diff_check(f, inputs) < 1e-6
-
-
-@pytest.mark.parametrize("p", [0.0, 0.1, 0.4])
-def test_residual_is_bitwise_add_of_dropout(p):
-    rng = np.random.default_rng(32)
-    inputs = {name: Tensor(rng.normal(size=(37, 16)), requires_grad=True, dtype=np.float32) for name in "xa"}
-    run = lambda op, rng: op(inputs["x"], inputs["a"], p, rng)
-    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    out, grads = _forward_and_grads(lambda: run(residual, rng), inputs)
-    ref, ref_grads = _forward_and_grads(lambda: run(residual_composition, ref_rng), inputs)
-    assert out.dtype == np.float32 and np.array_equal(out, ref)
-    for name in inputs:
-        assert np.array_equal(grads[name], ref_grads[name]), name
-    assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)  # the same draws were taken
-
-
-def test_residual_rejects_operands_of_different_shapes():
-    x, a = Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4)))
-    with pytest.raises(ShapeError):
-        residual(x, a, 0.1, np.random.default_rng(0))
 
 
 def test_dropout_gradient():

@@ -24,7 +24,7 @@ from minit5.model import (
 from minit5.noising import NoisedPair
 from minit5.tensor import Tape, backward, cross_entropy, embedding, reshape
 from minit5.training import teacher_forced_loss
-from test_gradcheck import attention_composition, gated_gelu_ffn_composition, residual_composition
+from test_gradcheck import attention_composition, gated_gelu_ffn_composition
 from test_tensor import held_after_forward
 
 
@@ -291,7 +291,6 @@ class TestFusedOps:
 
         monkeypatch.setattr(model, "attention", attention_composition)
         monkeypatch.setattr(model, "gated_gelu_ffn", gated_gelu_ffn_composition)
-        monkeypatch.setattr(model, "residual", residual_composition)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_inference_logits_bitwise_equal_to_composition(self, seed, monkeypatch):

@@ -7,10 +7,14 @@ from minit5.noising import (
     NoisePlan,
     NoisingError,
     StreamStats,
+    gap_shortage,
     iid_denoise,
+    iid_spans,
+    longest_pair,
     mixture_sample,
     noise_counts,
     noise_stream,
+    pair_length,
     plan_spans,
     reconstruct,
     sentinels_needed,
@@ -294,3 +298,45 @@ class TestMixture:
         assert stats.skipped_short == 2
         assert stats.produced == 2
         assert all(isinstance(p, NoisedPair) for p in pairs)
+
+
+class TestPairLength:
+    @staticmethod
+    def _admitted(n, vocab, mix, noise_density, mean_span, iid_prob):
+        """Whether pretrain admits the setting for n-token sequences."""
+        fits = []
+        if mix > 0:
+            num_noise, num_spans = noise_counts(n, noise_density, mean_span)
+            fits.append(sentinels_needed(num_spans) <= vocab.sentinel_count
+                        and gap_shortage(n, num_noise, num_spans) is None)
+        if mix < 1:
+            fits.append(sentinels_needed(iid_spans(n, iid_prob)) <= vocab.sentinel_count)
+        return all(fits)
+
+    def test_no_pair_is_longer_than_longest_pair(self):
+        vocab = _vocab(sentinels=12)
+        rng = np.random.default_rng(19)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            settings = dict(mix=float(rng.choice([0.0, 0.5, 1.0])), noise_density=float(rng.uniform(0.05, 0.6)),
+                            mean_span=float(rng.uniform(1, 4)), iid_prob=float(rng.choice([0.0, rng.uniform(0, 0.5)])))
+            if not self._admitted(n, vocab, **settings):
+                continue
+            bound = longest_pair(n, vocab, **settings)
+            for pair in noise_stream([_token_ids(rng, n)] * 20, vocab, rng, **settings):
+                spans = sum(t >= len(vocab) - vocab.sentinel_count for t in pair.input_ids)
+                assert len(pair.input_ids) + len(pair.target_ids) == pair_length(n, spans)
+                assert pair_length(n, spans) <= bound, (n, settings)
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("n, rate", [(9, 1.0), (30, 0.3)])
+    def test_iid_denoising_reaches_the_bound(self, n, rate):
+        # rate 1 corrupts all 9 tokens; at rate 0.3, 30 tokens expect 9 spans
+        # and 12 sentinels hold at most 11
+        vocab = _vocab(sentinels=12)
+        rng = np.random.default_rng(20)
+        lengths = [len(p.input_ids) + len(p.target_ids)
+                   for p in noise_stream([_token_ids(rng, n)] * 200, vocab, rng, mix=0.0, iid_prob=rate)]
+        assert max(lengths) == longest_pair(n, vocab, mix=0.0, iid_prob=rate) == pair_length(n, min(n, 11))

@@ -26,6 +26,7 @@ from minit5.tensor import (
     sum_all,
     transpose,
 )
+from test_gradcheck import attention_composition, gated_gelu_ffn_composition
 
 
 def _matmul_oracle(a, b):
@@ -528,6 +529,33 @@ class TestTapeMemory:
         outputs = sum(a.nbytes for a in grads)
         blocks = 4 * _BLOCK_ELEMENTS * 4  # four blocks of float32 weights
         assert outputs <= peak <= outputs + blocks, (peak, outputs)
+
+    def test_residual_branch_holds_only_the_mask(self):
+        # dropout's output feeds only the add, which keeps shapes: it is freed
+        # when the add returns
+        rows, width = 512, 250
+        rng = np.random.default_rng(47)
+        x, a = (Tensor(rng.normal(size=(rows, width)).astype(np.float32), requires_grad=True) for _ in range(2))
+        held, out = held_after_forward(lambda: add(x, dropout(a, 0.1, rng)))
+        kept = out.data.nbytes + rows * math.ceil(width / 8)
+        assert kept <= held <= kept + self.SLACK, held
+
+    def test_gated_ffn_holds_four_hidden_arrays_less_than_its_composition(self):
+        # the composition keeps x.wi_0, its GELU, x.wi_1 and the dropped-out
+        # hidden activations for its gradients
+        x, wi_0, wi_1, wo = self._ffn_case(np.random.default_rng(48))
+        held = [held_after_forward(lambda: op(x, wi_0, wi_1, wo, p=0.1, rng=np.random.default_rng(9)))[0]
+                for op in (gated_gelu_ffn, gated_gelu_ffn_composition)]
+        hidden = x.shape[0] * wo.shape[0] * x.data.itemsize
+        assert held[1] - held[0] >= 4 * hidden, held
+
+    def test_attention_holds_the_softmax_weights_less_than_its_composition(self):
+        args, bias = self._attention_case(64, np.random.default_rng(49))
+        held = [held_after_forward(lambda: op(*args, bias=bias, causal=True, p=0.1, rng=np.random.default_rng(9)))[0]
+                for op in (attention, attention_composition)]
+        b, n = args[5][0][1]
+        weights = b * args[3] * n * n * args[0].data.itemsize
+        assert held[1] - held[0] >= weights, held
 
     def test_dropout_keeps_its_mask_as_bits(self):
         rows, width = 512, 250

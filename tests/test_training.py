@@ -104,6 +104,21 @@ class TestAdamW:
         with pytest.raises(NumericalError, match="layers.0.q"):
             opt.step()
 
+    def test_nonfinite_gradient_changes_nothing_and_names_the_update(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0]), requires_grad=True)
+        opt = AdamW({"a": a, "b": b}, lr=0.1)
+        a.grad, b.grad = np.array([0.5]), np.array([np.nan])
+        before = opt.state()
+        with pytest.raises(NumericalError, match=r"^non-finite gradient in parameter 'b' in update 1$"):
+            opt.step()
+        assert a.data[0] == 1.0 and b.data[0] == 1.0
+        after = opt.state()
+        assert after["step"] == before["step"] == 0
+        for moment in ("m", "v"):
+            for name in ("a", "b"):
+                np.testing.assert_array_equal(after[moment][name], before[moment][name])
+
     def test_deterministic(self):
         def run():
             w = Tensor(np.array([0.5, 1.5]), requires_grad=True)
