@@ -320,6 +320,16 @@ def _check_vocab_size(ck, vocab, vocab_path):
                          f"{vocab_path} ({len(vocab)} tokens)")
 
 
+def _load_model(path, vocab, vocab_path):
+    """(config, parameters) of the checkpoint at path, refused unless it
+    has one embedding row per token of vocab. The checkpoint is not kept:
+    the parameters are its own arrays, and once training replaces them a
+    kept checkpoint would pin the old ones and its optimizer moments."""
+    ck = training.load_checkpoint(path)
+    _check_vocab_size(ck, vocab, vocab_path)
+    return ck.config, ck.to_params()
+
+
 def _cmd_finetune(cfg):
     task = cfg["task"]
     vocab = bpe.load_vocab(cfg["vocab"])
@@ -331,10 +341,8 @@ def _cmd_finetune(cfg):
     if not val_examples:
         raise tasks.DatasetError(f"{cfg['validation']}: no validation examples")
     if cfg["init"]:
-        start = training.load_checkpoint(cfg["init"])
-        _check_vocab_size(start, vocab, cfg["vocab"])
-        model_cfg = dataclasses.replace(start.config, dropout=cfg["dropout"])
-        params = start.to_params()
+        model_cfg, params = _load_model(cfg["init"], vocab, cfg["vocab"])
+        model_cfg = dataclasses.replace(model_cfg, dropout=cfg["dropout"])
     else:
         model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
         params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))
@@ -369,11 +377,10 @@ def _cmd_finetune(cfg):
 def _cmd_evaluate(cfg):
     task = cfg["task"]
     vocab = bpe.load_vocab(cfg["vocab"])
-    ck = training.load_checkpoint(cfg["checkpoint"])
-    _check_vocab_size(ck, vocab, cfg["vocab"])
+    model_cfg, params = _load_model(cfg["checkpoint"], vocab, cfg["vocab"])
     examples = tasks.load_csv_dataset(cfg["dataset"], task)
     report = evaluation.evaluate_examples(
-        ck.config, ck.to_params(), vocab, examples, task,
+        model_cfg, params, vocab, examples, task,
         max_output_tokens=cfg["max_output_tokens"],
     )
     evaluation.write_report(report, cfg["output_dir"])

@@ -15,23 +15,33 @@ tape cannot be replayed again. With no tape active, ops are plain forward
 computations (used for decoding and finite-difference probes).
 
 Backward rules skip the work for operands that do not require gradients
-(constants such as scales). Besides the primitives there are fused ops
-that keep only what their backward rule needs, and rebuild in backward what
-is cheap to rebuild. A dropout mask is applied as booleans in forward and
-kept as bits, packed along its last axis, which backward unpacks once (per
-block, in the blocked ops):
+(constants such as scales). An output recorded on a tape may carry a
+rebuild recipe, which forms its array again with the op's own expression
+from arrays the tape keeps anyway: ``rms_norm`` sets ``xd * inv * gd``
+from its kept input, scale and gain, and ``matmul(a, W)`` with a 2-D ``W``
+sets ``a.rebuild() @ W`` when ``a`` has one. A rule that keeps an input
+(``matmul``, ``attention``, ``gated_gelu_ffn``) keeps its recipe when
+there is one, else its array, and forms the array inside its backward;
+so no norm output and no q, k, v or cross-attention K/V projection
+outlives the forward, and the gradients are bitwise those of kept arrays.
+Besides the primitives there are fused ops that keep only what their
+backward rule needs, and rebuild in backward what is cheap to rebuild. A
+dropout mask is applied as booleans in forward and kept as bits, packed
+along its last axis, which backward unpacks once (per block, in the
+blocked ops):
 - ``dropout`` keeps only its mask, so a residual branch
   ``add(x, dropout(a))`` holds only those bits: ``add`` keeps shapes, and
   dropout's output is freed when the add returns;
 - multi-head ``attention`` runs over blocks of batch rows and keeps its q,
-  k and v rows, its dropout mask and each query row's softmax max and sum;
-  backward rebuilds the softmax weights block by block, so no
-  ``[batch, heads, queries, keys]`` array of floats is ever whole;
+  k and v rows (or their recipes), its dropout mask and each query row's
+  softmax max and sum; backward rebuilds the softmax weights block by
+  block, so no ``[batch, heads, queries, keys]`` array of floats is ever
+  whole;
 - the gated-GELU feed-forward ``gated_gelu_ffn``, with T5 v1.1's tanh GELU,
-  keeps only its dropout mask besides its input and weights; backward
-  rebuilds both input projections with the forward's products, and the
-  GELU and the hidden activations block by block, in place, so no
-  ``[rows, d_ff]`` array of floats outlives the op's forward.
+  keeps only its dropout mask besides its input (or its recipe) and
+  weights; backward rebuilds both input projections with the forward's
+  products, and the GELU and the hidden activations block by block, in
+  place, so no ``[rows, d_ff]`` array of floats outlives the op's forward.
 
 Ragged batches travel as rows: a 2-D ``[real positions, features]`` array
 holding only the positions that are not padding, so every position-wise op
@@ -66,9 +76,11 @@ class TapeError(RuntimeError):
 
 class Tensor:
     """A dense real-valued array plus an optional accumulated gradient. An
-    op's output recorded on a tape carries the key its node names it by."""
+    op's output recorded on a tape carries the key its node names it by,
+    and may carry a rebuild recipe: a function of no arguments that forms
+    the array again, bit for bit, from arrays the tape keeps anyway."""
 
-    __slots__ = ("data", "requires_grad", "grad", "key")
+    __slots__ = ("data", "requires_grad", "grad", "key", "rebuild")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -78,6 +90,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.key = None
+        self.rebuild = None
 
     @property
     def shape(self):
@@ -149,11 +162,12 @@ def _as_tensor(x, like=None):
 _KEYS = itertools.count()
 
 
-def _record(out, inputs, vjp):
+def _record(out, inputs, vjp, rebuild=None):
     tape = Tape.active()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.key = next(_KEYS)
+        out.rebuild = rebuild
         tape.keys.add(out.key)
         tape.nodes.append(Node(out.key, tuple(_input_name(t, tape) for t in inputs), vjp))
     return out
@@ -164,6 +178,17 @@ def _input_name(t, tape):
     if not t.requires_grad:
         return None
     return t.key if t.key in tape.keys else t
+
+
+def _kept(t):
+    """What a backward rule keeps of its input t to read it: t's rebuild
+    recipe when it has one, else its array (see _formed)."""
+    return t.data if t.rebuild is None else t.rebuild
+
+
+def _formed(kept):
+    """The array that _kept kept: formed again from its recipe, or itself."""
+    return kept() if callable(kept) else kept
 
 
 def _accumulate(t, g):
@@ -278,21 +303,23 @@ def matmul(a, b):
     if b.data.ndim != 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
-    ad = a.data if b.requires_grad else None  # each operand's gradient reads the other one
-    bd = b.data if a.requires_grad else None
+    ka = _kept(a) if b.requires_grad else None  # each operand's gradient reads the other one
+    kb = _kept(b) if a.requires_grad else None
     weight = b.data.ndim == 2
+    a_rebuild, bd = a.rebuild, b.data
+    rebuild = None if a_rebuild is None or not weight else (lambda: a_rebuild() @ bd)
 
     def vjp(g):
-        ga = None if bd is None else g @ _swap_last(bd)
-        if ad is None:
+        ga = None if kb is None else g @ _swap_last(_formed(kb))
+        if ka is None:
             gb = None
         elif weight:
-            gb = _rows(ad).T @ _rows(g)
+            gb = _rows(_formed(ka)).T @ _rows(g)
         else:
-            gb = _swap_last(ad) @ g
+            gb = _swap_last(_formed(ka)) @ g
         return ga, gb
 
-    return _record(out, (a, b), vjp)
+    return _record(out, (a, b), vjp, rebuild)
 
 
 def embedding(table, ids):
@@ -380,7 +407,7 @@ def rms_norm(x, gain):
         ggain = (g * xd * inv).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
-    return _record(out, (x, gain), vjp)
+    return _record(out, (x, gain), vjp, lambda: xd * inv * gd)
 
 
 def gelu(x):
@@ -666,9 +693,10 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     _BLOCK_ELEMENTS softmax weights (see _row_blocks), and lays out on the
     zero-filled grid only its own rows; the dropout mask is drawn at full
     shape first. No [batch, heads, queries, keys] array of floats outlives
-    its block: the backward rule keeps the q, k and v rows, the dropout mask
-    and each query row's softmax max and sum, and rebuilds the weights block
-    by block with the forward's own ops.
+    its block: the backward rule keeps the q, k and v rows (their rebuild
+    recipes, when they have them: see _kept), the dropout mask and each
+    query row's softmax max and sum, and rebuilds the weights block by block
+    with the forward's own ops.
     """
     inner = q.data.shape[-1]
     if inner % n_heads or k.data.shape[-1] != inner or v.data.shape != k.data.shape:
@@ -705,8 +733,10 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     q_shape, kv_shape = qd.shape, kd.shape
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
     bias_shape = bias.data.shape if bias is not None and bias.requires_grad else None
+    kept = [_kept(t) for t in (q, k, v)]
 
     def vjp(g):
+        qd, kd, vd = map(_formed, kept)
         gq, gk, gv = [], [], []
         gbias = None
         if bias_shape is not None:
@@ -771,17 +801,17 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     the elementwise work between them runs over blocks of rows (see
     _by_row_blocks), and the dropout mask is drawn at full shape first. The
     hidden activations are written over x.wi_1, and both projections go
-    once the output is formed: the backward rule keeps only x, the weights
-    and the dropout mask. It rebuilds x.wi_0 and x.wi_1 with the forward's
-    own products, and the GELU and the hidden activations block by block
-    with the forward's own ops, so its gradients are bitwise those that
-    kept copies would give. It works in three [rows, d_ff] buffers: the
+    once the output is formed: the backward rule keeps only x (or its
+    rebuild recipe), the weights and the dropout mask. It rebuilds x.wi_0
+    and x.wi_1 with the forward's own products, and the GELU and the hidden
+    activations block by block with the forward's own ops, so its gradients
+    are bitwise those that kept copies would give. It works in three [rows, d_ff] buffers: the
     gradient at the hidden activations, and the two projections, which
     become the gradient at x.wi_1 and the hidden activations in place."""
-    xd, wi_0d, wi_1d, wod = x.data, wi_0.data, wi_1.data, wo.data
+    wi_0d, wi_1d, wod = wi_0.data, wi_1.data, wo.data
     need_x, need_wi_0, need_wi_1, need_wo = x.requires_grad, wi_0.requires_grad, wi_1.requires_grad, wo.requires_grad
-    h0 = xd @ wi_0d
-    h = xd @ wi_1d
+    h0 = x.data @ wi_0d
+    h = x.data @ wi_1d
     keep, scale = _dropout_mask(h0.shape, p, rng)
 
     def gate(gelu, h1, keep):
@@ -798,8 +828,10 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     del h0
     out = Tensor(h @ wod)
     bits, width = _pack(keep), wi_0d.shape[-1]
+    kx = _kept(x)
 
     def vjp(g):
+        xd = _formed(kx)
         gh = g @ wod.T
         h0 = xd @ wi_0d
         h1 = xd @ wi_1d

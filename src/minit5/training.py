@@ -10,6 +10,11 @@ a partial artifact. Damage, or another version, raises CheckpointError;
 so do arrays that are not the parameters of the stored config, or not
 all float32 or all float64, when `Checkpoint.to_params` turns them into a
 model.
+
+`Checkpoint.from_model` holds the live parameter and AdamW moment arrays,
+not copies: `AdamW.step` replaces each array with a new one instead of
+writing into it, so a checkpoint stays a snapshot while training goes on,
+and saving one copies no array.
 """
 
 from __future__ import annotations
@@ -124,10 +129,15 @@ class AdamW:
         """One update from the gradients currently stored on the parameters.
         Parameters without gradients are skipped. A non-finite gradient
         raises NumericalError naming the parameter and the update, and
-        nothing changes: every gradient is checked before any update. Works
-        in place: the bias corrections are folded into two scalars, and the
-        update of each parameter is formed in one scratch buffer reused
-        across them."""
+        nothing changes: every gradient is checked before any update.
+
+        Each new moment and parameter is formed out of place, into an array
+        of its own, which then replaces the old one; nothing writes into an
+        array the optimizer has handed out, so `state()` and
+        `Checkpoint.from_model` can hold the live arrays as snapshots. Only
+        one array of a parameter's size is new at a time: the bias
+        corrections are folded into two scalars, and the update itself is
+        formed in one scratch buffer reused across the parameters."""
         if lr is None:
             lr = self.lr
         for name, p in self.params.items():
@@ -144,22 +154,26 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            m, v = self.m[name], self.v[name]
             s = self._scratch(p.data)
-            m *= b1
+            m = self.m[name] * b1
             m += np.multiply(g, 1.0 - b1, out=s)
-            v *= b2
+            self.m[name] = m
+            v = self.v[name] * b2
             np.square(g, out=s)
             s *= 1.0 - b2
             v += s
+            self.v[name] = v
             np.sqrt(v, out=s)
             s *= root_c2
             s += self.eps
             np.divide(m, s, out=s)
             s *= step_size
             if decay != 1.0:
-                p.data *= decay
-            p.data -= s
+                new = p.data * decay
+                new -= s
+            else:
+                new = p.data - s
+            p.data = new
 
     def _scratch(self, like):
         """A buffer shaped like `like`, a view of one per-dtype array that
@@ -170,15 +184,19 @@ class AdamW:
         return buf[: like.size].reshape(like.shape)
 
     def state(self):
+        """Step, hyperparameters and the moments: the live arrays, not
+        copies, which later steps replace instead of changing."""
         return {
             "step": self.step_count,
             "hyper": {"lr": self.lr, "betas": [self.beta1, self.beta2],
                       "eps": self.eps, "weight_decay": self.weight_decay},
-            "m": {k: a.copy() for k, a in self.m.items()},
-            "v": {k: a.copy() for k, a in self.v.items()},
+            "m": dict(self.m),
+            "v": dict(self.v),
         }
 
     def load_state(self, state):
+        """Adopt a `state()`: the moments given are used as they are when
+        their dtype is the parameters', not copied."""
         self.step_count = state["step"]
         hyper = state["hyper"]
         self.lr = hyper["lr"]
@@ -186,8 +204,8 @@ class AdamW:
         self.eps = hyper["eps"]
         self.weight_decay = hyper["weight_decay"]
         for k in self.m:
-            self.m[k] = state["m"][k].astype(self.m[k].dtype, copy=True)
-            self.v[k] = state["v"][k].astype(self.v[k].dtype, copy=True)
+            self.m[k] = state["m"][k].astype(self.m[k].dtype, copy=False)
+            self.v[k] = state["v"][k].astype(self.v[k].dtype, copy=False)
 
 
 def lr_schedule(step, base_lr, warmup=10_000):
@@ -233,19 +251,25 @@ class Checkpoint:
 
     @classmethod
     def from_model(cls, config, params, step=0, optimizer=None, rng=None):
-        raw = {k: p.data.copy() for k, p in params.items()}
+        """A snapshot of the model (and of an AdamW's state) that holds the
+        live arrays, not copies: updates replace the arrays instead of
+        writing into them, so the snapshot keeps its bytes while training
+        goes on."""
+        raw = {k: p.data for k, p in params.items()}
         rng_state = rng.bit_generator.state if rng is not None else None
         opt = optimizer.state() if isinstance(optimizer, AdamW) else optimizer
         return cls(config, raw, step=step, optimizer=opt, rng_state=rng_state)
 
     def to_params(self):
         """Parameter dict of gradient-tracking tensors over the stored arrays
-        themselves, not copies: an update to the parameters changes the
-        checkpoint's arrays too. The arrays must be the config's parameters
-        (`model.param_shapes`), all float32 or all float64; CheckpointError
-        names the first, in path order, that is missing, extra, of another
-        shape, not of a float dtype, or of another dtype than most of the
-        float arrays (the first of them in path order on a tie)."""
+        themselves, not copies. An update replaces a parameter's array and
+        leaves the checkpoint's as it was, so a caller that trains the
+        parameters should drop the checkpoint, or it keeps the old arrays.
+        The arrays must be the config's parameters (`model.param_shapes`),
+        all float32 or all float64; CheckpointError names the first, in path
+        order, that is missing, extra, of another shape, not of a float
+        dtype, or of another dtype than most of the float arrays (the first
+        of them in path order on a tie)."""
         shapes = param_shapes(self.config)
         floats = Counter(a.dtype for _, a in sorted(self.params.items()) if a.dtype in _PARAM_DTYPES)
         common = floats.most_common(1)[0][0] if floats else None

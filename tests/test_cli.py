@@ -9,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from minit5.bpe import load_vocab, save_vocab, train_bpe
 from minit5.cli import _last_piece_length, _sequence_stream, main
 from minit5.model import ModelConfig, init_params
 from minit5.tasks import TASKS
-from minit5.training import Checkpoint, load_checkpoint, save_checkpoint
+from minit5.training import AdamW, Checkpoint, load_checkpoint, save_checkpoint
 
 CORPUS = """kje gori na hribu danes zjutraj
 
@@ -853,6 +854,57 @@ class TestFinetuneAndEvaluate:
         lines = (out_dir / "selection.txt").read_text(encoding="utf-8").splitlines()
         assert [line.split()[0] for line in lines[:-1]] == [f"epoch-{e:03d}" for e in range(1, epochs + 1)]
         assert lines[-1].startswith("selected=epoch-")
+
+    def test_best_bin_holds_the_selected_epochs_arrays(self, tmp_path, vocab_file, monkeypatch):
+        # each epoch scores lower than the one before, so the first is
+        # selected while two more epochs train the parameters it shares
+        scores = itertools.count(2)
+        monkeypatch.setattr("minit5.evaluation.rouge_l", lambda c, r: 1.0 / next(scores))
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"], ["voda teče", "teče"]])
+        out_dir = tmp_path / "ft"
+        assert main(["finetune", "--train", str(dataset), "--validation", str(dataset), "--vocab", str(vocab_file),
+                     "--task", "summarization", "--output-dir", str(out_dir), "--epochs", "3",
+                     "--max-output-tokens", "2"]) == 0
+        assert (out_dir / "selection.txt").read_text(encoding="utf-8").endswith("selected=epoch-001\n")
+        best, first, last = (load_checkpoint(out_dir / name) for name in ("best.bin", "epoch-001.bin", "epoch-003.bin"))
+        assert best.step == first.step == 1
+        assert best.params.keys() == first.params.keys()
+        for name, a in best.params.items():
+            assert a.tobytes() == first.params[name].tobytes(), name
+        assert any(a.tobytes() != last.params[name].tobytes() for name, a in best.params.items())
+
+    def test_finetune_init_keeps_no_loaded_array_after_the_first_update(self, tmp_path, vocab_file, monkeypatch):
+        # training replaces every parameter array, so the checkpoint it
+        # started from, parameters and moments, must not be held on to
+        import minit5.training as training
+
+        cfg = ModelConfig(vocab_size=len(load_vocab(vocab_file)), d_model=8, d_ff=16, n_heads=2, d_kv=4,
+                          enc_layers=1, dec_layers=1, rel_buckets=4, rel_max_distance=8)
+        params = init_params(cfg, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "ck.bin", Checkpoint.from_model(cfg, params, optimizer=AdamW(params)))
+        loaded, alive = [], []
+
+        def load_checkpoint(path):
+            ck = real_load(path)
+            loaded.extend(weakref.ref(a) for group in (ck.params, ck.optimizer["m"], ck.optimizer["v"])
+                          for a in group.values())
+            return ck
+
+        def train_step(*args, **kwargs):
+            loss = real_step(*args, **kwargs)
+            alive.append(sum(ref() is not None for ref in loaded))
+            return loss
+
+        real_load, real_step = training.load_checkpoint, training.train_step
+        monkeypatch.setattr(training, "load_checkpoint", load_checkpoint)
+        monkeypatch.setattr(training, "train_step", train_step)
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"], ["voda teče", "teče"]])
+        assert main(["finetune", "--train", str(dataset), "--validation", str(dataset), "--vocab", str(vocab_file),
+                     "--task", "summarization", "--init", str(tmp_path / "ck.bin"), "--output-dir",
+                     str(tmp_path / "ft"), "--epochs", "1", "--batch-examples", "1", "--max-output-tokens", "2"]) == 0
+        assert len(loaded) == 3 * len(params) and alive == [0, 0]
 
 
 class TestExitCodes:

@@ -543,3 +543,51 @@ def test_attention_on_rows_rejects_a_row_count_its_grid_does_not_hold():
     inputs, (q_grid, kv_grid) = _rows_attention_case(np.random.default_rng(30), np.float64)
     with pytest.raises(ShapeError):
         _run_attention(attention, inputs, (q_grid, (np.flatnonzero(REAL_K)[:-1], REAL_K.shape)), False, 0.0, 0)
+
+
+def _pre_norm_block(block, inputs, p, formed):
+    """A pre-norm residual block as the model builds it, on rows: x plus the
+    attention or feed-forward branch over rms_norm(x). In cross-attention
+    the keys and values are projected from rms_norm(e), rows of another
+    grid. Under a tape, formed collects the outputs that carry a rebuild
+    recipe."""
+    i, rng = inputs, np.random.default_rng(16)
+    h = rms_norm(i["x"], i["gain"])
+    if block == "ffn":
+        branch = gated_gelu_ffn(h, i["wi_0"], i["wi_1"], i["wo"], p=p, rng=rng)
+        recipes = (h,)
+    else:
+        kv_in = h if block == "self" else rms_norm(i["e"], i["e_gain"])
+        q, k, v = matmul(h, i["q"]), matmul(kv_in, i["k"]), matmul(kv_in, i["v"])
+        grids = (np.flatnonzero(REAL_Q), REAL_Q.shape), (np.flatnonzero(REAL_K), REAL_K.shape)
+        ctx = attention(q, k, v, HEADS, D**-0.5, (grids[0], grids[0] if block == "self" else grids[1]),
+                        bias=i["bias"] if block == "self" else None, causal=block == "self", p=p, rng=rng)
+        branch = matmul(ctx, i["o"])
+        recipes = (h, kv_in, q, k, v)
+    if Tape.active() is not None:
+        formed.extend(recipes)
+    return add(i["x"], branch)
+
+
+@pytest.mark.parametrize("block", ["self", "cross", "ffn"])
+@pytest.mark.parametrize("p", [0.0, 0.4])
+def test_pre_norm_block_gradients(block, p):
+    # the norm output and the q, k, v rows reach backward only as recipes,
+    # which the rules read from form them again
+    rng = np.random.default_rng(37)
+    d, inner, nq, nk = 4, HEADS * D, int(REAL_Q.sum()), int(REAL_K.sum())
+    inputs = {"x": _param(rng, nq, d), "gain": _param(rng, d)}
+    if block == "ffn":
+        inputs.update(wi_0=_param(rng, d, 6), wi_1=_param(rng, d, 6), wo=_param(rng, 6, d))
+    else:
+        inputs.update(q=_param(rng, d, inner), k=_param(rng, d, inner), v=_param(rng, d, inner),
+                      o=_param(rng, inner, d))
+        if block == "self":
+            inputs["bias"] = _param(rng, 1, HEADS, TQ, TQ)
+        else:
+            inputs.update(e=_param(rng, nk, d), e_gain=_param(rng, d))
+    w = Tensor(rng.normal(size=(nq, d)), dtype=np.float64)
+    formed = []
+    f = lambda: sum_all(mul(_pre_norm_block(block, inputs, p, formed), w))
+    assert finite_diff_check(f, inputs) < 1e-6
+    assert len(formed) == (1 if block == "ffn" else 5) and all(t.rebuild is not None for t in formed)

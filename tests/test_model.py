@@ -23,7 +23,7 @@ from minit5.model import (
 )
 from minit5.noising import NoisedPair
 from minit5.tensor import Tape, backward, cross_entropy, embedding, reshape
-from minit5.training import teacher_forced_loss
+from minit5.training import AdamW, teacher_forced_loss
 from test_gradcheck import attention_composition, gated_gelu_ffn_composition
 from test_tensor import held_after_forward
 
@@ -320,8 +320,8 @@ class TestFusedOps:
         targets = rng.integers(3, 60, size=(2, 6))
         outputs = []  # every op output the tape records, collected as forward makes them
 
-        def record(out, inputs, vjp):
-            outputs.append(tensor_record(out, inputs, vjp))
+        def record(out, inputs, vjp, rebuild=None):
+            outputs.append(tensor_record(out, inputs, vjp, rebuild))
             return outputs[-1]
 
         tensor_record = tensor._record
@@ -636,10 +636,11 @@ class TestRowLayout:
 
 
 class TestTapeMemory:
-    # 2.76 MB measured when the feed-forward stopped keeping its input
-    # projections (4.43 MB before), plus a 10% margin. Move this bound only
-    # with its reason written in CHANGES.md.
-    HELD_BOUND = 3_040_000
+    # 1.21 MB measured when the norm outputs and the q/k/v rows became
+    # rebuild recipes (2.76 MB before, 4.43 MB while the feed-forward kept
+    # its input projections), plus a 10% margin. Move this bound only with
+    # its reason written in CHANGES.md.
+    HELD_BOUND = 1_330_000
 
     @staticmethod
     def _padded_d64_step():
@@ -659,13 +660,17 @@ class TestTapeMemory:
         assert held < self.HELD_BOUND, held
 
     def test_backward_lets_each_node_go_as_it_replays_it(self):
-        # backward must hand back every parameter's gradient, and its largest
-        # op, the encoder feed-forward, works in three [rows, d_ff] buffers;
-        # past that, the peak stays under what forward held only when the
-        # replayed nodes' arrays are freed as the gradients arrive
+        # backward must hand back every parameter's gradient, its largest op,
+        # the encoder feed-forward, works in three [rows, d_ff] buffers, and
+        # a rule forms again at most the inputs of an encoder attention, its
+        # q, k and v rows; past that, the peak stays under what forward held
+        # only when the replayed nodes' arrays are freed as the gradients
+        # arrive
         cfg, params, pairs = self._padded_d64_step()
         grads = sum(p.data.nbytes for p in params.values())
-        ffn = 3 * sum(len(p.input_ids) for p in pairs) * cfg.d_ff * 4
+        enc_rows = sum(len(p.input_ids) for p in pairs)
+        ffn = 3 * enc_rows * cfg.d_ff * 4
+        rebuilt = 3 * enc_rows * cfg.inner_dim * 4
         tracemalloc.start()
         try:
             with Tape() as tape:
@@ -677,7 +682,60 @@ class TestTapeMemory:
                 peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < held + grads + ffn, (peak, held, grads, ffn)
+        assert peak < held + grads + ffn + rebuilt, (peak, held, grads, ffn, rebuilt)
+
+    def test_two_steps_give_the_pinned_loss_and_gradients(self):
+        # sha256 of each step's loss and every gradient, in path order, at
+        # dropout 0.1; recorded while every backward rule kept its inputs'
+        # arrays, so a rule that forms an input again must form it bit for bit
+        cfg, params, pairs = self._padded_d64_step()
+        opt, rng = AdamW(params, lr=1e-2), np.random.default_rng(2)
+        digests = []
+        for _ in range(2):
+            with Tape() as tape:
+                loss = teacher_forced_loss(cfg, params, pairs, train=True, rng=rng)
+                backward(loss, tape)
+            h = hashlib.sha256(loss.data.tobytes())
+            for name in sorted(params):
+                h.update(name.encode())
+                h.update(params[name].grad.tobytes())
+            digests.append(h.hexdigest())
+            opt.step()
+            opt.zero_grad()
+        assert digests == ["6897a2700c8ca5ea390dbf7d6ac240f76fca6be3e3998c4b1d8cf9e92e0dd941",
+                           "b352439753d6dcab3e680c1e42b14d8392bcfb16c3854ed5787db0240e015bda"]
+
+    def test_norm_outputs_and_q_k_v_rows_are_freed_by_the_end_of_forward(self, monkeypatch):
+        # the q/k/v projections, the feed-forward and the tied output
+        # projection keep rebuild recipes of the norm outputs they read, and
+        # attention those of its q, k and v rows
+        import minit5.model as model
+
+        cfg, params, pairs = self._padded_d64_step()
+        projections = {id(p) for name, p in params.items() if name.rsplit(".", 1)[-1] in ("q", "k", "v")}
+        norms, rows = [], []
+
+        def rms_norm(x, gain):
+            out = model_rms_norm(x, gain)
+            norms.append(weakref.ref(out.data))
+            return out
+
+        def matmul(a, b):
+            out = model_matmul(a, b)
+            if id(b) in projections:
+                rows.append(weakref.ref(out.data))
+            return out
+
+        model_rms_norm, model_matmul = model.rms_norm, model.matmul
+        monkeypatch.setattr(model, "rms_norm", rms_norm)
+        monkeypatch.setattr(model, "matmul", matmul)
+        with Tape() as tape:
+            loss = teacher_forced_loss(cfg, params, pairs, train=True, rng=np.random.default_rng(2))
+            assert len(norms) == 2 * cfg.enc_layers + 1 + 3 * cfg.dec_layers + 1
+            assert len(rows) == 3 * cfg.enc_layers + 6 * cfg.dec_layers
+            assert [r for r in norms + rows if r() is not None] == []
+            backward(loss, tape)
+        assert all(p.grad is not None for p in params.values())
 
     def test_an_o_projection_output_is_freed_by_the_end_of_forward(self, monkeypatch):
         # attention's output projection feeds only the residual add, whose

@@ -564,3 +564,33 @@ class TestTapeMemory:
         held, out = held_after_forward(lambda: dropout(x, 0.1, rng))
         kept = out.data.nbytes + rows * math.ceil(width / 8)
         assert kept <= held <= kept + self.SLACK, held
+
+
+class TestRebuildRecipes:
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(50)
+
+        def param(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        return param(37, 24), param(24), param(24, 40)
+
+    def test_recipes_form_their_arrays_again_bit_for_bit(self):
+        x, gain, w = self._case()
+        with Tape():
+            h = rms_norm(x, gain)
+            q = matmul(h, w)
+            back = matmul(q, transpose(w))  # a product of a product of the norm
+        for t in (h, q, back):
+            again = t.rebuild()
+            assert again is not t.data and again.tobytes() == t.data.tobytes()
+
+    def test_only_a_recorded_norm_and_its_products_by_a_matrix_carry_one(self):
+        x, gain, w = self._case()
+        assert rms_norm(x, gain).rebuild is None  # no tape: nothing is recorded
+        with Tape():
+            h = rms_norm(x, gain)
+            assert matmul(x, w).rebuild is None  # a leaf has no recipe to start from
+            assert matmul(reshape(h, (1, 37, 24)), reshape(w, (1, 24, 40))).rebuild is None
+            assert add(h, h).rebuild is None and mul(h, 2.0).rebuild is None

@@ -1,12 +1,16 @@
+import ast
 import json
 import math
+import os
 import struct
+import tracemalloc
 import weakref
 import zlib
 
 import numpy as np
 import pytest
 
+import minit5
 from minit5.model import ModelConfig, forward, init_params
 from minit5.noising import NoisedPair
 from minit5.tensor import Tape, Tensor, backward
@@ -22,6 +26,7 @@ from minit5.training import (
     select_best_checkpoint,
     teacher_forced_loss,
     token_batch_pack,
+    train_step,
 )
 
 
@@ -413,6 +418,94 @@ class TestResume:
         assert resumed_opt.step_count == opt.step_count == 6
         for name, p in params.items():
             assert resumed[name].data.tobytes() == p.data.tobytes(), name
+
+    def test_load_state_adopts_the_moments_it_is_given(self, tmp_path):
+        cfg = _tiny()
+        params = init_params(cfg, np.random.default_rng(33))
+        save_checkpoint(tmp_path / "ck.bin", Checkpoint.from_model(cfg, params, optimizer=AdamW(params)))
+        ck = load_checkpoint(tmp_path / "ck.bin")
+        opt = AdamW(ck.to_params())
+        opt.load_state(ck.optimizer)
+        for moment in ("m", "v"):
+            for name, a in getattr(opt, moment).items():
+                assert a is ck.optimizer[moment][name], (moment, name)
+
+
+class TestSnapshots:
+    """Checkpoints and `AdamW.state()` hold the live arrays, not copies:
+    AdamW replaces each parameter and moment array instead of writing into
+    it, so a snapshot keeps its bytes while training goes on."""
+
+    @staticmethod
+    def _model(vocab=32):
+        cfg = _tiny(vocab=vocab, dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(60))
+        return cfg, params, AdamW(params, lr=1e-2, weight_decay=0.1)
+
+    def test_a_checkpoint_keeps_its_bytes_through_later_steps(self):
+        cfg, params, opt = self._model()
+        rng, data = np.random.default_rng(61), np.random.default_rng(62)
+
+        def step(n):
+            batch = [NoisedPair(data.integers(3, 30, size=6).tolist(), data.integers(3, 30, size=4).tolist())
+                     for _ in range(2)]
+            train_step(cfg, params, opt, batch, rng, f"step {n}")
+
+        step(1)
+        ck = Checkpoint.from_model(cfg, params, step=1, optimizer=opt, rng=rng)
+        groups = {"params": ck.params, "m": ck.optimizer["m"], "v": ck.optimizer["v"]}
+        before = {(group, name): a.tobytes() for group, arrays in groups.items() for name, a in arrays.items()}
+        for n in (2, 3, 4):
+            step(n)
+        for (group, name), data_bytes in before.items():
+            assert groups[group][name].tobytes() == data_bytes, (group, name)
+        assert all(params[name].data.tobytes() != before["params", name] for name in params)  # training went on
+
+    def test_from_model_and_save_copy_no_array(self, tmp_path):
+        # a 4 MiB embedding: the header's Python objects, about 0.1 MB here,
+        # stay under the bound
+        cfg, params, opt = self._model(vocab=65536)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        nbytes = 3 * sum(p.data.nbytes for p in params.values())  # parameters, m and v
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "ck.bin", Checkpoint.from_model(cfg, params, step=1, optimizer=opt,
+                                                                       rng=np.random.default_rng(0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * nbytes, (peak, nbytes)
+
+    def test_no_module_writes_into_a_data_array_in_place(self):
+        # by augmented assignment, subscript assignment or out=; gradcheck.py
+        # perturbs parameters in place by design
+        def writes_data(target):
+            if isinstance(target, (ast.Tuple, ast.List)):
+                return any(map(writes_data, target.elts))
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            return isinstance(target, ast.Attribute) and target.attr == "data"
+
+        package = os.path.dirname(os.path.abspath(minit5.__file__))
+        found = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py") or name == "gradcheck.py":
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                elif isinstance(node, ast.Assign):
+                    targets = [t for t in node.targets if not isinstance(t, (ast.Name, ast.Attribute))]
+                elif isinstance(node, ast.Call):
+                    targets = [k.value for k in node.keywords if k.arg == "out"]
+                else:
+                    continue
+                found += [f"{name}:{node.lineno}: {ast.unparse(t)}" for t in targets if writes_data(t)]
+        assert found == []
 
 
 class TestDeterminism:
