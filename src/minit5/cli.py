@@ -8,7 +8,9 @@ out-of-range numbers are rejected. Each option is declared once, as a
 row of `_SPECS` holding its default, type, help and check.
 Artifacts go through `fileio.atomic_write` (a `.tmp-*` file in the target
 directory, then a rename), so a failed run leaves nothing half-written;
-only training.log is appended as training runs.
+only training.log is appended as training runs. `pretrain` takes its
+batches from `training.pretrain_batches`, which refuses noising settings
+that cannot noise or batch the corpus before anything is written.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 """
@@ -211,59 +213,17 @@ def _cmd_dedup(cfg):
     return 0
 
 
-def _sequence_stream(ids, seq_len):
-    """Endless stream of seq_len-id pieces of the encoded corpus, pass after
-    pass; a pass ends with its short last piece when that holds 2 ids or more."""
-    while True:
-        for lo in range(0, len(ids) - 1, seq_len):
-            yield ids[lo:lo + seq_len]
-
-
-def _last_piece_length(n_ids, seq_len):
-    """The length of the last piece of each pass _sequence_stream makes
-    over n_ids ids (n_ids >= 2); seq_len when every piece is full."""
-    return min(seq_len, n_ids - (n_ids - 2) // seq_len * seq_len)
-
-
-def _check_noising(cfg, vocab, n_ids):
-    """Refuse, before anything is written, noising settings that cannot
-    noise or batch every piece of an n_ids-id corpus: a full piece whose
-    spans need more sentinels than the vocabulary reserves (for i.i.d.
-    denoising, the expected spans, noising.iid_spans: a mask that needs
-    more is drawn again), a full or last piece with no room for the gaps
-    between its spans, or a --batch-tokens budget below the longest pair."""
-    n = cfg["seq_len"]
-    kwargs = dict(noise_density=cfg["noise_density"], mean_span=cfg["mean_span"])
-    spans = []
-    if cfg["mix"] > 0:
-        spans.append(("span corruption", noising.noise_counts(n, **kwargs)[1]))
-    if cfg["mix"] < 1:
-        spans.append(("i.i.d. denoising", noising.iid_spans(n, cfg["iid_rate"])))
-    for what, num_spans in spans:
-        count = noising.sentinels_needed(num_spans)
-        if count > vocab.sentinel_count:
-            raise noising.NoisingError(f"{what} of {n}-token sequences needs {count} sentinels, "
-                                       f"vocabulary reserves {vocab.sentinel_count}")
-    if cfg["mix"] > 0:
-        for length in (n, _last_piece_length(n_ids, n)):
-            shortage = noising.gap_shortage(length, *noising.noise_counts(length, **kwargs))
-            if shortage:
-                piece = f"{n}-token sequences" if length == n else f"the corpus's {length}-token last piece"
-                raise noising.NoisingError(f"span corruption of {piece}: {shortage}")
-    longest = noising.longest_pair(n, vocab, mix=cfg["mix"], iid_prob=cfg["iid_rate"], **kwargs)
-    if longest > cfg["batch_tokens"]:
-        raise noising.NoisingError(f"a pair noised from a {n}-token sequence can hold {longest} tokens, "
-                                   f"more than the {cfg['batch_tokens']}-token --batch-tokens budget")
-
-
 def _cmd_pretrain(cfg):
     vocab = bpe.load_vocab(cfg["vocab"])
     ids = [i for p in dedup.read_paragraphs(cfg["corpus"]) for i in bpe.encode(p.text, vocab, append_eos=True)]
     if len(ids) < 2:
         raise tasks.DatasetError(f"{cfg['corpus']}: corpus too small to pretrain on")
-    _check_noising(cfg, vocab, len(ids))
-    model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
     rng = np.random.default_rng(cfg["seed"])
+    batches = training.pretrain_batches(
+        ids, vocab, rng, seq_len=cfg["seq_len"], batch_tokens=cfg["batch_tokens"], mix=cfg["mix"],
+        noise_density=cfg["noise_density"], mean_span=cfg["mean_span"], iid_prob=cfg["iid_rate"],
+    )
+    model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
     params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))
     opt = training.AdamW(params, lr=cfg["lr"])
     os.makedirs(cfg["output_dir"], exist_ok=True)
@@ -275,12 +235,6 @@ def _cmd_pretrain(cfg):
         training.save_checkpoint(os.path.join(cfg["output_dir"], f"ckpt-{step:08d}.bin"), ck)
         saved_steps.add(step)
 
-    pairs = noising.noise_stream(
-        _sequence_stream(ids, cfg["seq_len"]), vocab, rng,
-        mix=cfg["mix"], noise_density=cfg["noise_density"], mean_span=cfg["mean_span"],
-        iid_prob=cfg["iid_rate"],
-    )
-    batches = training.token_batch_pack(pairs, cfg["batch_tokens"])
     tokens_seen = 0
     save(0)
     with open(log_path, "w", encoding="utf-8") as log:
@@ -313,20 +267,15 @@ def _encode_examples(examples, vocab):
     return encoded
 
 
-def _check_vocab_size(ck, vocab, vocab_path):
-    """Refuse a checkpoint whose embedding does not have one row per token of the vocabulary."""
-    if ck.config.vocab_size != len(vocab):
-        raise UsageError(f"checkpoint vocabulary size {ck.config.vocab_size} does not match "
-                         f"{vocab_path} ({len(vocab)} tokens)")
-
-
 def _load_model(path, vocab, vocab_path):
     """(config, parameters) of the checkpoint at path, refused unless it
     has one embedding row per token of vocab. The checkpoint is not kept:
     the parameters are its own arrays, and once training replaces them a
     kept checkpoint would pin the old ones and its optimizer moments."""
     ck = training.load_checkpoint(path)
-    _check_vocab_size(ck, vocab, vocab_path)
+    if ck.config.vocab_size != len(vocab):
+        raise UsageError(f"checkpoint vocabulary size {ck.config.vocab_size} does not match "
+                         f"{vocab_path} ({len(vocab)} tokens)")
     return ck.config, ck.to_params()
 
 

@@ -45,11 +45,12 @@ def atomic_write_text(path, text):
 
 @contextlib.contextmanager
 def open_text(path, newline=None):
-    """Yield path open as UTF-8 text (newline as for open()). Bytes that are
-    not UTF-8 raise UnicodeDecodeError with the file's name in its reason,
-    since the codec's position counts from the start of a read chunk, not
-    of the file."""
-    with open(path, encoding="utf-8", newline=newline) as f:
+    """Yield path open as UTF-8 text (newline as for open()); a leading
+    byte order mark is skipped, not read as data. Bytes that are not UTF-8
+    raise UnicodeDecodeError with the file's name in its reason, since the
+    codec's position counts from the start of a read chunk, not of the
+    file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as f:
         try:
             yield f
         except UnicodeDecodeError as e:

@@ -187,8 +187,8 @@ def iid_denoise(ids, rng, vocab, corrupt_prob=0.15):
     expected = iid_spans(len(ids), corrupt_prob)
     shortage = _sentinel_shortage(expected, vocab)
     if shortage:
-        raise NoisingError(f"i.i.d. denoising of {len(ids)} tokens at rate {corrupt_prob} expects "
-                           f"{expected} spans: {shortage}")
+        raise NoisingError(f"a draw of {len(ids)} tokens at rate {corrupt_prob} expects {expected} spans: "
+                           f"{shortage}")
     while True:
         corrupted = np.flatnonzero(rng.random(len(ids)) < corrupt_prob)
         if not _sentinel_shortage(len(corrupted), vocab):

@@ -304,18 +304,24 @@ def merge_simplification(entries):
 
 
 def load_csv_dataset(path, task=""):
-    """Two-column CSV (input, target), RFC-style quoting. A malformed row
-    raises DatasetError naming path:line."""
+    """Two-column CSV (input, target), RFC-style quoting. A malformed row,
+    or one the csv module cannot read, raises DatasetError naming path:line,
+    the line the row starts on (a quote that never closes runs on)."""
     examples = []
     with open_text(path, newline="") as f:
         reader = csv.reader(f)
-        for row in reader:
-            if len(row) != 2:
-                raise DatasetError(f"{path}:{reader.line_num}: expected 2 columns, found {len(row)}")
-            try:
-                examples.append(TaskExample(row[0], row[1], task))
-            except TaskFormatError as e:
-                raise DatasetError(f"{path}:{reader.line_num}: {e}") from None
+        start = 1  # the line the next row starts on
+        try:
+            for row in reader:
+                if len(row) != 2:
+                    raise DatasetError(f"{path}:{start}: expected 2 columns, found {len(row)}")
+                try:
+                    examples.append(TaskExample(row[0], row[1], task))
+                except TaskFormatError as e:
+                    raise DatasetError(f"{path}:{start}: {e}") from None
+                start = reader.line_num + 1
+        except csv.Error as e:
+            raise DatasetError(f"{path}:{start}: unreadable CSV row ({e})") from None
     return examples
 
 

@@ -1,5 +1,6 @@
 """Teacher-forced loss, AdamW, LR schedule, token-budget batch packing,
-binary checkpoints and best-checkpoint selection by the task's own metric.
+the pretraining batch stream, binary checkpoints and best-checkpoint
+selection by the task's own metric.
 
 A checkpoint (format version 2) is `MNT5CKPT`, a u32 version, a u32 header
 size, a JSON header (step, config, RNG state, optimizer step and hyper, and
@@ -20,6 +21,7 @@ and saving one copies no array.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evaluation
+from . import evaluation, noising
 from .bpe import PAD_ID
 from .fileio import atomic_write
 from .model import ModelConfig, decode_logits, encode, param_shapes
@@ -241,6 +243,40 @@ def token_batch_pack(examples, budget):
         yield batch
 
 
+def pretrain_batches(ids, vocab, rng, *, seq_len, batch_tokens, mix, noise_density, mean_span, iid_prob):
+    """The pretraining data path: endless `token_batch_pack` batches of the
+    `noising.noise_stream` pairs of seq_len-id pieces of ids, pass after
+    pass; a pass ends with its short last piece when that holds 2 ids or
+    more. Before the stream is returned, the first and last piece go once
+    through each objective mix enables, on a scratch generator, not rng:
+    noising's refusals depend only on the piece length, the settings and
+    the vocabulary, so NoisingError (naming objective, piece and reason)
+    here means some piece cannot be noised. TrainingError refuses a budget
+    below the longest pair of the first, longest, piece."""
+    starts = range(0, len(ids) - 1, seq_len)
+    if not starts:
+        raise TrainingError(f"{len(ids)} ids are too few to pretrain on; a piece needs 2")
+    settings = dict(noise_density=noise_density, mean_span=mean_span, iid_prob=iid_prob)
+    first, last = ids[:seq_len], ids[starts[-1]:starts[-1] + seq_len]
+    objectives = [(name, share) for name, share, used in
+                  (("span corruption", 1.0, mix > 0), ("i.i.d. denoising", 0.0, mix < 1)) if used]
+    scratch = np.random.default_rng(0)
+    for piece in (first, last) if len(last) < len(first) else (first,):
+        what = (f"{len(piece)}-token sequences" if len(piece) == seq_len
+                else f"the corpus's {len(piece)}-token last piece")
+        for objective, share in objectives:
+            try:
+                noising.mixture_sample(piece, vocab, scratch, mix=share, **settings)
+            except noising.NoisingError as e:
+                raise noising.NoisingError(f"{objective} of {what}: {e}") from None
+    longest = noising.longest_pair(len(first), vocab, mix=mix, **settings)
+    if longest > batch_tokens:
+        raise TrainingError(f"a pair noised from a {len(first)}-token sequence can hold {longest} tokens, "
+                            f"more than the {batch_tokens}-token --batch-tokens budget")
+    pieces = (ids[lo:lo + seq_len] for _ in itertools.count() for lo in starts)
+    return token_batch_pack(noising.noise_stream(pieces, vocab, rng, mix=mix, **settings), batch_tokens)
+
+
 @dataclass(eq=False)  # identity comparison: holds numpy arrays
 class Checkpoint:
     config: ModelConfig
@@ -251,13 +287,13 @@ class Checkpoint:
 
     @classmethod
     def from_model(cls, config, params, step=0, optimizer=None, rng=None):
-        """A snapshot of the model (and of an AdamW's state) that holds the
-        live arrays, not copies: updates replace the arrays instead of
-        writing into them, so the snapshot keeps its bytes while training
-        goes on."""
+        """A snapshot of the model (and of the state of optimizer, an AdamW
+        or None) that holds the live arrays, not copies: updates replace the
+        arrays instead of writing into them, so the snapshot keeps its bytes
+        while training goes on."""
         raw = {k: p.data for k, p in params.items()}
         rng_state = rng.bit_generator.state if rng is not None else None
-        opt = optimizer.state() if isinstance(optimizer, AdamW) else optimizer
+        opt = optimizer.state() if optimizer is not None else None
         return cls(config, raw, step=step, optimizer=opt, rng_state=rng_state)
 
     def to_params(self):

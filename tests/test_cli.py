@@ -1,7 +1,6 @@
 import ast
 import itertools
 import json
-import math
 import os
 import platform
 import re
@@ -10,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import minit5
 from minit5.bpe import load_vocab, save_vocab, train_bpe
-from minit5.cli import _last_piece_length, _sequence_stream, main
+from minit5.cli import main
 from minit5.model import ModelConfig, init_params
 from minit5.tasks import TASKS
 from minit5.training import AdamW, Checkpoint, load_checkpoint, save_checkpoint
@@ -240,6 +240,35 @@ class TestNumpyOnly:
                     allowed.update(ast.literal_eval(node.value))
             unused = {n: line for n, line in imported.items() if n not in allowed}
             assert not unused, f"{name} imports names it does not use (name: line): {unused}"
+
+    def test_every_top_level_function_and_class_is_referenced(self):
+        # code that nothing calls is deleted: each function or class defined
+        # at the top of a module of the package appears as a whole word in a
+        # Python file under src/, tests/, demos/ or perfbench/, on some line
+        # other than its own def or class line
+        package = os.path.dirname(os.path.abspath(minit5.__file__))
+        root = os.path.dirname(os.path.dirname(package))
+        words, sources = Counter(), {}
+        for top in ("src", "tests", "demos", "perfbench"):
+            for directory, _, files in os.walk(os.path.join(root, top)):
+                for name in files:
+                    if name.endswith(".py"):
+                        path = os.path.join(directory, name)
+                        with open(path, encoding="utf-8") as f:
+                            sources[path] = f.read()
+                        words.update(re.findall(r"\w+", sources[path]))
+        unreferenced = []
+        for name in sorted(os.listdir(package)):
+            path = os.path.join(package, name)
+            if not name.endswith(".py"):
+                continue
+            lines = sources[path].splitlines()
+            for node in ast.parse(sources[path], name).body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    own = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
+                    if words[node.name] == own:
+                        unreferenced.append(f"{name}:{node.lineno} {node.name}")
+        assert not unreferenced, f"defined but never referenced: {unreferenced}"
 
 
 class TestBudget:
@@ -503,21 +532,6 @@ class TestConfigHandling:
 
 
 class TestPretrain:
-    def test_sequence_stream_pieces_hold_two_ids_or_more(self):
-        # so noise_stream never skips a piece as too short to noise
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            ids = list(range(int(rng.integers(2, 80))))
-            seq_len = int(rng.integers(2, 24))
-            per_pass = math.ceil((len(ids) - 1) / seq_len)
-            pieces = list(itertools.islice(_sequence_stream(ids, seq_len), 2 * per_pass))
-            assert all(2 <= len(p) <= seq_len for p in pieces), (len(ids), seq_len)
-            assert {len(p) for p in pieces[:per_pass - 1]} <= {seq_len}
-            assert len(pieces[per_pass - 1]) == _last_piece_length(len(ids), seq_len), (len(ids), seq_len)
-            assert pieces[:per_pass] == pieces[per_pass:]
-            # only a last piece of one id is left out
-            assert sum(pieces[:per_pass], []) == (ids[:-1] if len(ids) % seq_len == 1 else ids)
-
     def test_zero_steps_writes_valid_checkpoint(self, tmp_path, corpus_file, vocab_file):
         out_dir = tmp_path / "run"
         rc = main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
@@ -585,16 +599,21 @@ class TestPretrain:
                      str(tmp_path / "run"), "--steps", "1", "--seq-len", "32", "--batch-tokens", "200", *options])
 
     @pytest.mark.parametrize("options, message", [
-        (["--iid-rate", "1"], "i.i.d. denoising of 32-token sequences needs 33 sentinels"),
-        (["--iid-rate", "0.3", "--mix", "0"], "i.i.d. denoising of 32-token sequences needs 11 sentinels"),
-        (["--noise-density", "0.9", "--mean-span", "1"], "span corruption of 32-token sequences needs 30 sentinels"),
+        (["--iid-rate", "1"], "i.i.d. denoising of 32-token sequences: a draw of 32 tokens at rate 1.0 expects "
+                              "32 spans: 32 spans need 33 sentinels, vocabulary reserves 10"),
+        (["--iid-rate", "0.3", "--mix", "0"], "i.i.d. denoising of 32-token sequences: a draw of 32 tokens at "
+                                              "rate 0.3 expects 10 spans: 10 spans need 11 sentinels, "
+                                              "vocabulary reserves 10"),
+        # 29 spans would need 30 sentinels, but 3 clean tokens cannot separate them first
+        (["--noise-density", "0.9", "--mean-span", "1"],
+         "span corruption of 32-token sequences: no room for separating gaps: 3 clean tokens < 29 spans"),
         (["--noise-density", "0.6", "--mean-span", "2", "--mix", "1"],
-         "span corruption of 32-token sequences needs 11 sentinels"),
+         "span corruption of 32-token sequences: 10 spans need 11 sentinels, vocabulary reserves 10"),
     ])
     def test_too_few_sentinels_exit_2_before_writing(self, tmp_path, sentinel_vocab, capsys, options, message):
         files = sorted(tmp_path.rglob("*"))
         assert self._pretrain_32(tmp_path, sentinel_vocab, options) == 2
-        assert capsys.readouterr().err == f"data error: {message}, vocabulary reserves 10\n"
+        assert capsys.readouterr().err == f"data error: {message}\n"
         assert sorted(tmp_path.rglob("*")) == files
 
     @pytest.mark.parametrize("options", [
@@ -642,7 +661,6 @@ class TestPretrain:
         vocab, corpus = word_vocab
         options = ["--seq-len", "101", "--mix", "1", "--noise-density", "0.5", "--mean-span", "1.33",
                    "--batch-tokens", "400"]
-        assert _last_piece_length(205, 101) == 3
         assert self._pretrain_words(tmp_path, vocab, corpus(205), options) == 2
         assert capsys.readouterr().err == ("data error: span corruption of the corpus's 3-token last piece: "
                                            "no room for separating gaps: 1 clean tokens < 2 spans\n")
@@ -1183,6 +1201,27 @@ class TestExitCodes:
                     "--task", "summarization", "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"data error: {dataset}:2: TaskExample.input_text is empty\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    @pytest.mark.parametrize("row, reason", [
+        ("mlin melje zrnje,počasi\n", "unreadable CSV row (field larger than field limit (131072))"),
+        ("mlin,melje\n", "expected 2 columns, found 1"),  # the file ends first
+    ])
+    def test_a_quote_that_never_closes_exits_2_naming_its_line(self, tmp_path, vocab_file, capsys, command, row,
+                                                               reason):
+        # the quote opened on line 2 never closes, so its field runs on
+        # through the 10,000 rows below, past the csv module's field size
+        # limit or to the end of the file
+        dataset = tmp_path / "d.csv"
+        dataset.write_text('"kje gori","gori"\n"voda teče,teče\n' + row * 10_000, encoding="utf-8")
+        if command == "evaluate":
+            argv = self._evaluate_argv(tmp_path, vocab_file, dataset)
+        else:
+            argv = ["finetune", "--train", str(dataset), "--validation", str(dataset), "--vocab", str(vocab_file),
+                    "--task", "summarization", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {dataset}:2: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["dedup", "tokenizer-train", "pretrain", "finetune", "evaluate", "vocab",

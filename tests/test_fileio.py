@@ -9,9 +9,11 @@ import pytest
 
 import minit5
 from minit5 import fileio
-from minit5.bpe import save_vocab, train_bpe
+from minit5.bpe import load_vocab, save_vocab, train_bpe
 from minit5.cli import main
+from minit5.dedup import read_paragraphs
 from minit5.model import ModelConfig, init_params
+from minit5.tasks import load_csv_dataset, read_ner_file
 from minit5.training import AdamW, Checkpoint, save_checkpoint
 
 CORPUS = "kje gori na hribu\n\nvoda teče po strugi\n\nkje gori na hribu\n"
@@ -70,6 +72,51 @@ class TestAtomicWrite:
         os.umask(umask)
         assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
 
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark is not data: a file read with one
+    reads as its copy without one."""
+
+    def _twins(self, tmp_path, name, text):
+        """The same name in two directories, holding text without and with a BOM."""
+        paths = []
+        for directory, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / directory).mkdir(exist_ok=True)
+            paths.append(tmp_path / directory / name)
+            paths[-1].write_bytes(prefix + text.encode("utf-8"))
+        return paths
+
+    def test_csv(self, tmp_path):
+        plain, bom = self._twins(tmp_path, "d.csv", '"voda teče","teče"\n"kje gori","gori"\n')
+        assert load_csv_dataset(bom) == load_csv_dataset(plain)
+        assert load_csv_dataset(bom)[0].input_text == "voda teče"
+
+    def test_corpus(self, tmp_path):
+        plain, bom = self._twins(tmp_path, "corpus.txt", CORPUS)
+        assert list(read_paragraphs(bom)) == list(read_paragraphs(plain))
+        for corpus in (plain, bom):
+            assert main(["tokenizer-train", "--corpus", str(corpus), "--vocab-out", str(corpus.parent / "v.txt"),
+                         "--vocab-size", "30", "--sentinel-count", "2"]) == 0
+        assert _snapshot(tmp_path / "bom") == {**_snapshot(tmp_path / "plain"), "corpus.txt": bom.read_bytes()}
+
+    def test_ner_file(self, tmp_path):
+        plain, bom = self._twins(tmp_path, "ner.tsv", "d1\t1\tJanez\tB-PER\nd1\t1\tteče\tO\n")
+        assert read_ner_file(bom) == read_ner_file(plain)
+
+    def test_vocabulary(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        save_vocab(train_bpe(CORPUS, vocab_size=30, sentinel_count=2), tmp_path / "src" / "v.txt")
+        plain, bom = self._twins(tmp_path, "v.txt", (tmp_path / "src" / "v.txt").read_text(encoding="utf-8"))
+        self._twins(tmp_path, "v.txt.merges", (tmp_path / "src" / "v.txt.merges").read_text(encoding="utf-8"))
+        assert load_vocab(bom) == load_vocab(plain)
+
+    def test_config_file(self, tmp_path, capsys):
+        outputs = []
+        for config in self._twins(tmp_path, "c.json", '{"steps": 10, "batch_tokens": 64, "params": 1000}'):
+            assert main(["budget", "--config", str(config)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "custom" in outputs[0].out
 
 class TestFailedRenameLeavesOldArtifact:
     def test_save_checkpoint(self, tmp_path, monkeypatch):

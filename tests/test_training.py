@@ -1,18 +1,23 @@
 import ast
+import itertools
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 import weakref
 import zlib
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import minit5
+from minit5.bpe import Vocabulary
 from minit5.model import ModelConfig, forward, init_params
-from minit5.noising import NoisedPair
+from minit5.noising import NoisedPair, NoisingError, mixture_sample, noise_stream, reconstruct
 from minit5.tensor import Tape, Tensor, backward
 from minit5.training import (
     AdamW,
@@ -22,6 +27,7 @@ from minit5.training import (
     TrainingError,
     lr_schedule,
     load_checkpoint,
+    pretrain_batches,
     save_checkpoint,
     select_best_checkpoint,
     teacher_forced_loss,
@@ -185,6 +191,123 @@ class TestTokenBatchPack:
             assert flat == pairs  # multiset and order preserved
 
 
+def _word_vocab(words, sentinels):
+    """A vocabulary of the three specials, `words` ordinary tokens and
+    `sentinels` sentinels, built directly."""
+    tokens = ["<pad>", "</s>", "<unk>", *(f"w{i}" for i in range(words)), *(f"<x{k}>" for k in range(sentinels))]
+    return Vocabulary(tokens, [], sentinels)
+
+
+class TestPretrainBatches:
+    _SETTINGS = dict(seq_len=16, batch_tokens=200, mix=0.5, noise_density=0.15, mean_span=3.0, iid_prob=0.15)
+    # the piece a noising refusal names, as pretrain_batches words it
+    _REFUSAL = re.compile(r"(span corruption|i\.i\.d\. denoising) of "
+                          r"(?:(\d+)-token sequences|the corpus's (\d+)-token last piece): ")
+
+    def test_each_pass_noises_every_piece_of_two_ids_or_more(self):
+        # so noise_stream never skips a piece as too short to noise
+        rng = np.random.default_rng(0)
+        vocab = _word_vocab(20, 100)
+        for _ in range(200):
+            ids = rng.integers(3, 23, size=int(rng.integers(2, 80))).tolist()
+            seq_len = int(rng.integers(2, 24))
+            per_pass = math.ceil((len(ids) - 1) / seq_len)
+            settings = dict(self._SETTINGS, seq_len=seq_len, batch_tokens=4 * seq_len + 2)
+            batches = pretrain_batches(ids, vocab, np.random.default_rng(1), **settings)
+            pairs = list(itertools.islice((p for b in batches for p in b), 2 * per_pass))
+            pieces = [reconstruct(p, vocab) for p in pairs]
+            assert all(2 <= len(p) <= seq_len for p in pieces), (len(ids), seq_len)
+            assert {len(p) for p in pieces[:per_pass - 1]} <= {seq_len}
+            assert pieces[:per_pass] == pieces[per_pass:]
+            # only a last piece of one id is left out
+            assert sum(pieces[:per_pass], []) == (ids[:-1] if len(ids) % seq_len == 1 else ids)
+
+    def test_the_stream_draws_from_rng_as_noise_stream_does_and_not_before_its_first_batch(self):
+        vocab = _word_vocab(20, 100)
+        ids = np.random.default_rng(2).integers(3, 23, size=150).tolist()
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        batches = pretrain_batches(ids, vocab, rng, **self._SETTINGS)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        pieces = (ids[lo:lo + 16] for _ in itertools.count() for lo in range(0, len(ids) - 1, 16))
+        expected = token_batch_pack(noise_stream(pieces, vocab, twin, mix=0.5, noise_density=0.15,
+                                                 mean_span=3.0, iid_prob=0.15), 200)
+        for got, want in itertools.islice(zip(batches, expected), 12):
+            assert [(p.input_ids, p.target_ids, p.objective) for p in got] == \
+                [(p.input_ids, p.target_ids, p.objective) for p in want]
+
+    def test_a_last_piece_span_corruption_cannot_noise_is_refused(self):
+        # 101-token pieces make 38 spans, which 40 sentinels hold; the 3-token
+        # last piece of 205 ids makes 2 spans with 1 clean token between them
+        settings = dict(seq_len=101, batch_tokens=400, mix=1.0, noise_density=0.5, mean_span=1.33, iid_prob=0.15)
+        vocab = _word_vocab(4, 40)
+        with pytest.raises(NoisingError, match="^span corruption of the corpus's 3-token last piece: "
+                                               "no room for separating gaps: 1 clean tokens < 2 spans$"):
+            pretrain_batches([3] * 205, vocab, np.random.default_rng(0), **settings)
+        pretrain_batches([3] * 206, vocab, np.random.default_rng(0), **settings)  # a 4-token last piece
+
+    def test_a_corpus_shorter_than_a_piece_is_judged_by_its_one_piece(self):
+        # 20 ids noised at rate 0.3 expect 6 spans, which 8 sentinels hold;
+        # a 32-token piece would expect 10
+        settings = dict(self._SETTINGS, seq_len=32, mix=0.0, iid_prob=0.3, batch_tokens=60)
+        vocab = _word_vocab(4, 8)
+        next(pretrain_batches([3] * 20, vocab, np.random.default_rng(0), **settings))
+        with pytest.raises(NoisingError, match="^i.i.d. denoising of 32-token sequences: "):
+            pretrain_batches([3] * 40, vocab, np.random.default_rng(0), **settings)
+
+    def test_too_few_ids_are_refused(self):
+        with pytest.raises(TrainingError, match="1 ids are too few"):
+            pretrain_batches([3], _word_vocab(4, 8), np.random.default_rng(0), **self._SETTINGS)
+
+    def test_the_check_agrees_with_the_stream(self):
+        # whatever pretrain_batches admits, two full passes of its stream
+        # noise and batch without an error; whatever noising refusal it
+        # makes, noising the piece it names with the objective it names
+        # raises too
+        rng = np.random.default_rng(23)
+        cases = [(205, dict(seq_len=101, batch_tokens=400, mix=1.0, noise_density=0.5, mean_span=1.33,
+                            iid_prob=0.15), 40)]
+        for _ in range(400):
+            seq_len = int(rng.integers(2, 130))
+            cases.append((int(rng.integers(2, 401)), dict(
+                seq_len=seq_len, batch_tokens=int(rng.integers(4, 3 * seq_len + 8)),
+                mix=float(rng.choice([0.0, 0.5, 1.0])), noise_density=float(rng.choice([0.0, rng.random(), 1.0])),
+                mean_span=float(rng.uniform(1, 6)), iid_prob=float(rng.choice([0.0, rng.random()]))),
+                int(rng.integers(0, 80))))
+        outcomes = []
+        for n_ids, settings, sentinels in cases:
+            vocab = _word_vocab(10, sentinels)
+            ids = rng.integers(3, 13, size=n_ids).tolist()
+            seq_len = settings["seq_len"]
+            pieces = [ids[lo:lo + seq_len] for lo in range(0, n_ids - 1, seq_len)]
+            try:
+                batches = pretrain_batches(ids, vocab, np.random.default_rng(n_ids), **settings)
+            except NoisingError as e:
+                objective, full, last = self._REFUSAL.match(str(e)).groups()
+                piece = pieces[0] if full else pieces[-1]
+                assert len(piece) == int(full or last) and (len(piece) == seq_len) == bool(full), str(e)
+                for seed in range(3):
+                    with pytest.raises(NoisingError):
+                        mixture_sample(piece, vocab, np.random.default_rng(seed),
+                                       mix=float(objective == "span corruption"),
+                                       noise_density=settings["noise_density"], mean_span=settings["mean_span"],
+                                       iid_prob=settings["iid_prob"])
+                outcomes.append("last" if last else objective)
+                continue
+            except TrainingError as e:
+                assert "--batch-tokens budget" in str(e)
+                outcomes.append("budget")
+                continue
+            pairs = 0
+            for batch in batches:
+                pairs += len(batch)
+                if pairs >= 2 * len(pieces):
+                    break
+            outcomes.append("admitted")
+        counts = Counter(outcomes)
+        assert set(counts) == {"admitted", "budget", "last", "span corruption", "i.i.d. denoising"}, counts
+        assert outcomes[0] == "last"  # the 3-token last piece of 205 ids
+
+
 class TestCheckpoints:
     def _checkpoint(self, seed=0, optimizer=False):
         cfg = _tiny()
@@ -195,7 +318,7 @@ class TestCheckpoints:
             for p in params.values():
                 p.grad = np.ones_like(p.data)
             adam.step()
-            opt = adam.state()
+            opt = adam
         return Checkpoint.from_model(cfg, params, step=42, optimizer=opt,
                                      rng=np.random.default_rng(7))
 
