@@ -77,6 +77,9 @@ class ModelConfig:
                 raise ValueError(f"ModelConfig.{field.name} must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"ModelConfig.dropout must be in [0, 1), got {self.dropout}")
+        if self.rel_buckets < 4 or self.rel_max_distance <= self.rel_buckets // 2:  # see relative_bucket
+            raise ValueError(f"ModelConfig.rel_buckets must be at least 4 and ModelConfig.rel_max_distance more "
+                             f"than rel_buckets // 2, got {self.rel_buckets} and {self.rel_max_distance}")
 
     @property
     def inner_dim(self):

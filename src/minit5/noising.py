@@ -39,10 +39,6 @@ class NoisePlan:
                 raise NoisingError("spans must be sorted with at least one clean token between them")
             prev_end = start + span_len
 
-    @property
-    def num_noise(self):
-        return sum(length for _, length in self.spans)
-
 
 @dataclass
 class NoisedPair:
@@ -78,10 +74,9 @@ def plan_spans(n, num_noise, num_spans, rng):
         raise NoisingError(f"cannot split {num_noise} noise tokens into {num_spans} spans")
     if num_spans < 1:
         raise NoisingError("need at least one span")
-    shortage = gap_shortage(n, num_noise, num_spans)
-    if shortage:
-        raise NoisingError(shortage)
     clean = n - num_noise
+    if clean < num_spans:  # a clean token must follow each span
+        raise NoisingError(f"no room for separating gaps: {clean} clean tokens < {num_spans} spans")
     span_lengths = _composition(num_noise, num_spans, rng)
     gaps = _composition(clean + 1, num_spans + 1, rng)
     gaps[0] -= 1  # leading gap may be empty
@@ -94,45 +89,25 @@ def plan_spans(n, num_noise, num_spans, rng):
     return NoisePlan(n, spans)
 
 
-def gap_shortage(n, num_noise, num_spans):
-    """Why num_spans spans of num_noise tokens in all do not fit n tokens
-    with a clean token after each span, or None when they fit."""
-    clean = n - num_noise
-    if clean >= num_spans:
-        return None
-    return f"no room for separating gaps: {clean} clean tokens < {num_spans} spans"
-
-
-def sentinels_needed(num_spans):
-    """The sentinels a pair with num_spans spans holds: one per span, plus
-    the one that closes its target."""
-    return num_spans + 1
-
-
-def pair_length(n, num_spans):
-    """The ids of a pair noised from n tokens with num_spans spans: the n
-    tokens, a sentinel per span in the input and another in the target, and
-    the target's closing sentinel and EOS."""
-    return n + 2 * num_spans + 2
-
-
 def longest_pair(n, vocab, mix=0.5, noise_density=0.15, mean_span=3.0, iid_prob=0.15):
     """The most ids a pair that mixture_sample noises from n tokens can hold,
-    over the objectives mix enables: span corruption makes noise_counts'
-    spans, i.i.d. denoising at most min(n, sentinels - 1), since a draw that
-    needs more is drawn again, and none at rate 0."""
+    over the objectives mix enables: the n tokens, a sentinel per span in
+    the input and another in the target, and the target's closing sentinel
+    and EOS. Span corruption makes noise_counts' spans, i.i.d. denoising at
+    most min(n, sentinels - 1), since a draw that needs more is drawn
+    again, and none at rate 0."""
     spans = []
     if mix > 0:
         spans.append(noise_counts(n, noise_density, mean_span)[1])
     if mix < 1:
         spans.append(min(n, vocab.sentinel_count - 1) if iid_prob > 0 else 0)
-    return pair_length(n, max(spans))
+    return n + 2 * max(spans) + 2
 
 
 def _sentinel_shortage(num_spans, vocab):
     """Why num_spans spans do not fit vocab's sentinels, or None when they
-    fit."""
-    needed = sentinels_needed(num_spans)
+    fit: a pair holds one per span, plus the one that closes its target."""
+    needed = num_spans + 1
     if needed <= vocab.sentinel_count:
         return None
     return f"{num_spans} spans need {needed} sentinels, vocabulary reserves {vocab.sentinel_count}"
@@ -167,24 +142,16 @@ def span_corrupt(ids, plan, vocab):
     return _serialize(ids, plan.spans, vocab, "span")
 
 
-def iid_spans(n, corrupt_prob):
-    """The number of spans i.i.d. denoising makes in n tokens on average,
-    round(corrupt_prob * n): one per corrupted token. A setting is admitted
-    when these spans fit the vocabulary's sentinels; a draw that does not
-    fit is then drawn again (see iid_denoise)."""
-    return round(corrupt_prob * n)
-
-
 def iid_denoise(ids, rng, vocab, corrupt_prob=0.15):
     """Corrupt each token independently; every corrupted token is a span of
     its own, so runs of adjacent corruptions get one sentinel per token.
-    Refuses a setting whose expected spans (iid_spans) need more sentinels
-    than vocab reserves; otherwise a draw that needs more is drawn again, so
-    every admitted setting yields a pair. When the first draw fits, it is
-    the only one taken from rng."""
+    Refuses a setting whose expected spans, round(corrupt_prob * len(ids)),
+    need more sentinels than vocab reserves; otherwise a draw that needs
+    more is drawn again, so every admitted setting yields a pair. When the
+    first draw fits, it is the only one taken from rng."""
     if len(ids) < 1:
         raise NoisingError("cannot noise an empty sequence")
-    expected = iid_spans(len(ids), corrupt_prob)
+    expected = round(corrupt_prob * len(ids))
     shortage = _sentinel_shortage(expected, vocab)
     if shortage:
         raise NoisingError(f"a draw of {len(ids)} tokens at rate {corrupt_prob} expects {expected} spans: "
@@ -208,7 +175,6 @@ def mixture_sample(ids, vocab, rng, mix=0.5, noise_density=0.15, mean_span=3.0, 
 
 @dataclass
 class StreamStats:
-    produced: int = 0
     skipped_short: int = 0
 
 
@@ -220,8 +186,6 @@ def noise_stream(sequences, vocab, rng, stats=None, **kwargs):
             if stats is not None:
                 stats.skipped_short += 1
             continue
-        if stats is not None:
-            stats.produced += 1
         yield mixture_sample(ids, vocab, rng, **kwargs)
 
 

@@ -391,11 +391,16 @@ def _parse_header(data):
             _check(isinstance(shape, list) and all(map(_is_count, shape)),
                    f"invalid shape {shape!r} in '{name}'")
             table.append((name, np.dtype(dtype), tuple(shape), crc))
-        names = [row[0] for row in table]
-        params = names if opt is None else names[: len(names) // 3]
-        _check(all(a < b for a, b in zip(params, params[1:])), "parameter names are not strictly sorted")
-        _check(names == params * (1 if opt is None else 3),
-               "optimizer moment names differ from the parameter names")
+        rows = [row[:3] for row in table]  # (name, dtype, shape)
+        params = rows if opt is None else rows[: len(rows) // 3]
+        _check(all(a[0] < b[0] for a, b in zip(params, params[1:])), "parameter names are not strictly sorted")
+        if opt is not None:
+            moments = rows[len(params):]
+            _check(len(moments) == 2 * len(params), f"{len(moments)} optimizer moments for {len(params)} parameters")
+            for kind, (name, dtype, shape), param in zip("m" * len(params) + "v" * len(params), moments, params * 2):
+                _check((name, dtype, shape) == param, f"optimizer moment {kind} '{name}' ({dtype}, {list(shape)}) "
+                                                      f"differs from its parameter '{param[0]}' ({param[1]}, "
+                                                      f"{list(param[2])})")
         config = header["config"]
         _check(isinstance(config, dict), "invalid config")
         # checkpoints written before the ReLU FFN was removed hold gated_ffn=true

@@ -84,8 +84,9 @@ def test_criterion_2_parameter_counts():
         assert 5.5e7 <= count_parameters(preset("small")) <= 8.0e7
         assert 7.0e8 <= count_parameters(preset("large")) <= 8.0e8
         rng = np.random.default_rng(0)
+        counted = 0
         for _ in range(50):
-            cfg = ModelConfig(
+            settings = dict(
                 vocab_size=int(rng.integers(2, 40)),
                 d_model=int(rng.integers(1, 10)),
                 d_ff=int(rng.integers(1, 16)),
@@ -96,8 +97,16 @@ def test_criterion_2_parameter_counts():
                 rel_buckets=int(rng.integers(2, 8)),
                 rel_max_distance=int(rng.integers(4, 32)),
             )
+            # relative_bucket needs 4 buckets or more, and a distance past half of them
+            if settings["rel_buckets"] < 4 or settings["rel_max_distance"] <= settings["rel_buckets"] // 2:
+                with pytest.raises(ValueError, match="rel_buckets must be at least 4"):
+                    ModelConfig(**settings)
+                continue
+            cfg = ModelConfig(**settings)
             allocated = sum(p.data.size for p in init_params(cfg, rng).values())
             assert count_parameters(cfg) == allocated
+            counted += 1
+        assert counted >= 25
 
 
 def _splice(pair, vocab):

@@ -81,6 +81,27 @@ class TestRelativeBucket:
                 pos = buckets[offsets > 0]
                 assert (np.diff(pos) >= 0).all()
 
+    def test_config_admits_exactly_the_settings_it_can_bucket(self):
+        # a setting buckets when, in both directions, every offset lands in
+        # range with no floating-point error; ModelConfig admits just those
+        offsets = np.arange(-400, 401)
+        for buckets in range(1, 41):
+            for distance in range(1, 101):
+                try:
+                    with np.errstate(all="raise"):
+                        found = [relative_bucket(offsets, bidirectional, buckets, distance)
+                                 for bidirectional in (True, False)]
+                    bucketed = all(0 <= f.min() and f.max() < buckets for f in found)
+                except ArithmeticError:  # ZeroDivisionError, FloatingPointError
+                    bucketed = False
+                try:
+                    _tiny(rel_buckets=buckets, rel_max_distance=distance)
+                    admitted = True
+                except ValueError as e:
+                    assert f"got {buckets} and {distance}" in str(e)
+                    admitted = False
+                assert admitted == bucketed, (buckets, distance)
+
 
 class TestParameterCount:
     def test_small_preset_band(self):
@@ -92,15 +113,18 @@ class TestParameterCount:
         assert 7.0e8 <= n <= 8.0e8
 
     def test_all_dims_one(self):
-        cfg = ModelConfig(vocab_size=2, d_model=1, d_ff=1, n_heads=1, d_kv=1,
-                          enc_layers=1, dec_layers=1, rel_buckets=1, rel_max_distance=1)
+        dims = dict(vocab_size=2, d_model=1, d_ff=1, n_heads=1, d_kv=1, enc_layers=1, dec_layers=1)
+        with pytest.raises(ValueError, match="rel_buckets must be at least 4"):
+            ModelConfig(**dims, rel_buckets=1, rel_max_distance=1)
+        cfg = ModelConfig(**dims, rel_buckets=4, rel_max_distance=3)  # the fewest buckets relative_bucket takes
         params = init_params(cfg, np.random.default_rng(0))
         assert count_parameters(cfg) == sum(p.data.size for p in params.values())
 
     def test_formula_matches_allocation_on_random_configs(self):
         rng = np.random.default_rng(1)
+        counted = 0
         for _ in range(50):
-            cfg = ModelConfig(
+            settings = dict(
                 vocab_size=int(rng.integers(2, 50)),
                 d_model=int(rng.integers(1, 12)),
                 d_ff=int(rng.integers(1, 20)),
@@ -111,8 +135,15 @@ class TestParameterCount:
                 rel_buckets=int(rng.integers(2, 10)),
                 rel_max_distance=int(rng.integers(4, 40)),
             )
+            if settings["rel_buckets"] < 4 or settings["rel_max_distance"] <= settings["rel_buckets"] // 2:
+                with pytest.raises(ValueError, match="rel_buckets must be at least 4"):
+                    ModelConfig(**settings)
+                continue
+            cfg = ModelConfig(**settings)
             params = init_params(cfg, rng)
             assert count_parameters(cfg) == sum(p.data.size for p in params.values())
+            counted += 1
+        assert counted >= 30
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

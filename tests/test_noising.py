@@ -7,19 +7,16 @@ from minit5.noising import (
     NoisePlan,
     NoisingError,
     StreamStats,
-    gap_shortage,
     iid_denoise,
-    iid_spans,
     longest_pair,
     mixture_sample,
     noise_counts,
     noise_stream,
-    pair_length,
     plan_spans,
     reconstruct,
-    sentinels_needed,
     span_corrupt,
 )
+from minit5.training import pretrain_batches
 
 
 def _vocab(sentinels=100):
@@ -92,7 +89,7 @@ class TestPlanSpans:
             n = int(rng.integers(10, 200))
             num_noise, num_spans = noise_counts(n)
             plan = plan_spans(n, num_noise, num_spans, rng)
-            assert plan.num_noise == num_noise
+            assert sum(length for _, length in plan.spans) == num_noise
             assert len(plan.spans) == num_spans
             prev_end = None
             for start, length in plan.spans:
@@ -108,7 +105,7 @@ class TestPlanSpans:
         total_spans = 0
         for _ in range(10_000):
             plan = plan_spans(512, 77, 26, rng)
-            total_len += plan.num_noise
+            total_len += sum(length for _, length in plan.spans)
             total_spans += len(plan.spans)
         mean = total_len / total_spans
         assert abs(mean - 77 / 26) < 0.15
@@ -175,11 +172,11 @@ class TestSentinelBudget:
         with pytest.raises(NoisingError, match="4 spans need 5 sentinels, vocabulary reserves 4"):
             noise(4)
 
-    def test_sentinels_needed_counts_the_sentinels_a_target_holds(self):
+    def test_a_target_holds_spans_plus_one_sentinels(self):
         ids = _token_ids(np.random.default_rng(15), 12)
         for spans in range(1, 7):
             pair = span_corrupt(ids, NoisePlan(12, [(2 * k, 1) for k in range(spans)]), VOCAB)
-            assert sum(t >= FIRST_SENTINEL for t in pair.target_ids) == sentinels_needed(spans)
+            assert sum(t >= FIRST_SENTINEL for t in pair.target_ids) == spans + 1
 
 
 class TestIidDenoise:
@@ -296,22 +293,21 @@ class TestMixture:
         pairs = list(noise_stream(seqs, VOCAB, rng, stats=stats))
         assert len(pairs) == 2
         assert stats.skipped_short == 2
-        assert stats.produced == 2
         assert all(isinstance(p, NoisedPair) for p in pairs)
 
 
 class TestPairLength:
     @staticmethod
     def _admitted(n, vocab, mix, noise_density, mean_span, iid_prob):
-        """Whether pretrain admits the setting for n-token sequences."""
-        fits = []
-        if mix > 0:
-            num_noise, num_spans = noise_counts(n, noise_density, mean_span)
-            fits.append(sentinels_needed(num_spans) <= vocab.sentinel_count
-                        and gap_shortage(n, num_noise, num_spans) is None)
-        if mix < 1:
-            fits.append(sentinels_needed(iid_spans(n, iid_prob)) <= vocab.sentinel_count)
-        return all(fits)
+        """Whether pretraining admits the setting for n-token sequences: a
+        corpus of one n-token piece, under a budget no pair can exceed."""
+        try:
+            pretrain_batches([3] * n, vocab, np.random.default_rng(0), seq_len=n,
+                             batch_tokens=10**9, mix=mix, noise_density=noise_density, mean_span=mean_span,
+                             iid_prob=iid_prob)
+        except NoisingError:
+            return False
+        return True
 
     def test_no_pair_is_longer_than_longest_pair(self):
         vocab = _vocab(sentinels=12)
@@ -325,9 +321,11 @@ class TestPairLength:
                 continue
             bound = longest_pair(n, vocab, **settings)
             for pair in noise_stream([_token_ids(rng, n)] * 20, vocab, rng, **settings):
+                # a pair holds n + 2k + 2 ids: a sentinel per span in input
+                # and target, the closing sentinel and EOS
                 spans = sum(t >= len(vocab) - vocab.sentinel_count for t in pair.input_ids)
-                assert len(pair.input_ids) + len(pair.target_ids) == pair_length(n, spans)
-                assert pair_length(n, spans) <= bound, (n, settings)
+                assert len(pair.input_ids) + len(pair.target_ids) == n + 2 * spans + 2
+                assert n + 2 * spans + 2 <= bound, (n, settings)
             checked += 1
         assert checked > 100
 
@@ -339,4 +337,4 @@ class TestPairLength:
         rng = np.random.default_rng(20)
         lengths = [len(p.input_ids) + len(p.target_ids)
                    for p in noise_stream([_token_ids(rng, n)] * 200, vocab, rng, mix=0.0, iid_prob=rate)]
-        assert max(lengths) == longest_pair(n, vocab, mix=0.0, iid_prob=rate) == pair_length(n, min(n, 11))
+        assert max(lengths) == longest_pair(n, vocab, mix=0.0, iid_prob=rate) == n + 2 * min(n, 11) + 2
