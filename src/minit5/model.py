@@ -23,7 +23,7 @@ its gradient flows.
 
 Parameters live in a flat dict keyed by path. `param_shapes` declares each
 path and shape once; `init_params`, `count_parameters` and the checkpoint
-check (`training.Checkpoint.to_params`) all read it. `training_budget_ratio`
+check (`training.load_checkpoint`) all read it. `training_budget_ratio`
 is the tokens-seen over parameter-count diagnostic.
 """
 
@@ -72,9 +72,13 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        for field in fields(self):
-            if field.name != "dropout" and getattr(self, field.name) < 1:
-                raise ValueError(f"ModelConfig.{field.name} must be positive")
+        for name in (f.name for f in fields(self) if f.name != "dropout"):
+            value = getattr(self, name)
+            # numpy integers are refused too: a config must round-trip through a checkpoint's JSON header
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"ModelConfig.{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"ModelConfig.{name} must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"ModelConfig.dropout must be in [0, 1), got {self.dropout}")
         if self.rel_buckets < 4 or self.rel_max_distance <= self.rel_buckets // 2:  # see relative_bucket

@@ -7,10 +7,10 @@ size, a JSON header (step, config, RNG state, optimizer step and hyper, and
 a table of each array's name, dtype, shape and CRC32), the header's CRC32,
 then the raw little-endian arrays in table order. It round-trips bit-exactly
 and is streamed through `fileio.atomic_write`, so a failed save never leaves
-a partial artifact. Damage, or another version, raises CheckpointError;
-so do arrays that are not the parameters of the stored config, or not
-all float32 or all float64, when `Checkpoint.to_params` turns them into a
-model.
+a partial artifact. A checkpoint holds what its config implies: the table
+must be the one `save_checkpoint` writes for the stored config, checked
+before any payload byte is read. Damage, another version, or another table
+raises CheckpointError.
 
 `Checkpoint.from_model` holds the live parameter and AdamW moment arrays,
 not copies: `AdamW.step` replaces each array with a new one instead of
@@ -27,7 +27,6 @@ import math
 import os
 import struct
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ from .tensor import Tape, Tensor, backward, cross_entropy
 CHECKPOINT_MAGIC = b"MNT5CKPT"
 CHECKPOINT_VERSION = 2
 _PREFIX = struct.Struct("<8sII")  # magic, version, header size in bytes
-_PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class TrainingError(ValueError):
@@ -301,29 +299,8 @@ class Checkpoint:
         themselves, not copies. An update replaces a parameter's array and
         leaves the checkpoint's as it was, so a caller that trains the
         parameters should drop the checkpoint, or it keeps the old arrays.
-        The arrays must be the config's parameters (`model.param_shapes`),
-        all float32 or all float64; CheckpointError names the first, in path
-        order, that is missing, extra, of another shape, not of a float
-        dtype, or of another dtype than most of the float arrays (the first
-        of them in path order on a tie)."""
-        shapes = param_shapes(self.config)
-        floats = Counter(a.dtype for _, a in sorted(self.params.items()) if a.dtype in _PARAM_DTYPES)
-        common = floats.most_common(1)[0][0] if floats else None
-        for name in sorted(shapes.keys() | self.params.keys()):
-            if name not in self.params:
-                raise CheckpointError(f"checkpoint lacks parameter '{name}' of its config")
-            if name not in shapes:
-                raise CheckpointError(f"checkpoint array '{name}' is not a parameter of its config")
-            a = self.params[name]
-            if a.shape != shapes[name]:
-                raise CheckpointError(f"checkpoint array '{name}' has shape {list(a.shape)}, "
-                                      f"its config needs {list(shapes[name])}")
-            if a.dtype not in _PARAM_DTYPES:
-                raise CheckpointError(f"checkpoint array '{name}' has dtype {a.dtype}, "
-                                      f"parameters are float32 or float64")
-            if a.dtype != common:
-                raise CheckpointError(f"checkpoint array '{name}' has dtype {a.dtype}, "
-                                      f"most parameters are {common}")
+        A loaded checkpoint's arrays are its config's parameters, all of one
+        float dtype: `load_checkpoint` refuses any other table."""
         return {k: Tensor(a, requires_grad=True) for k, a in self.params.items()}
 
     def make_rng(self):
@@ -370,49 +347,47 @@ def _is_count(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-# the canonical little-endian numeric type strings, the only ones the writer stores
-_DTYPES = {np.dtype(c).newbyteorder("<").str for c in "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]}
-
-
 def _parse_header(data):
     """(step, config, rng state, optimizer step and hyper, array table) from
-    the header; table rows are (name, dtype, shape, crc32)."""
+    the header. The header's table must be the one `save_checkpoint` writes
+    for its config: the parameters in sorted path order, then, with an
+    optimizer, their m and v moments, all `<f4` or all `<f8`. The table
+    returned is built from the config: a list of parts (parameters, then m
+    and v), each a list of (name, dtype, shape, crc32) rows."""
     try:
         header = json.loads(data.decode("utf-8"))
         step, rng_state, opt = header["step"], header["rng_state"], header["optimizer"]
         _check(_is_count(step), f"invalid step {step!r}")
         _check(rng_state is None or isinstance(rng_state, dict), "invalid rng state")
         _check(opt is None or _is_count(opt["step"]) and isinstance(opt["hyper"], dict), "invalid optimizer")
-        table = []
-        for entry in header["arrays"]:
-            name, dtype, shape, crc = entry["name"], entry["dtype"], entry["shape"], entry["crc32"]
-            _check(isinstance(name, str), f"invalid array name {name!r}")
-            _check(isinstance(dtype, str) and dtype in _DTYPES, f"invalid dtype {dtype!r} in '{name}'")
-            _check(isinstance(shape, list) and all(map(_is_count, shape)),
-                   f"invalid shape {shape!r} in '{name}'")
-            table.append((name, np.dtype(dtype), tuple(shape), crc))
-        rows = [row[:3] for row in table]  # (name, dtype, shape)
-        params = rows if opt is None else rows[: len(rows) // 3]
-        _check(all(a[0] < b[0] for a, b in zip(params, params[1:])), "parameter names are not strictly sorted")
-        if opt is not None:
-            moments = rows[len(params):]
-            _check(len(moments) == 2 * len(params), f"{len(moments)} optimizer moments for {len(params)} parameters")
-            for kind, (name, dtype, shape), param in zip("m" * len(params) + "v" * len(params), moments, params * 2):
-                _check((name, dtype, shape) == param, f"optimizer moment {kind} '{name}' ({dtype}, {list(shape)}) "
-                                                      f"differs from its parameter '{param[0]}' ({param[1]}, "
-                                                      f"{list(param[2])})")
         config = header["config"]
         _check(isinstance(config, dict), "invalid config")
         # checkpoints written before the ReLU FFN was removed hold gated_ffn=true
         _check(config.pop("gated_ffn", True) is True, "unsupported config gated_ffn: the FFN is gated-GELU only")
-        return step, ModelConfig(**config), rng_state, opt, table
+        config = ModelConfig(**config)
+        got = [(entry["name"], entry["dtype"], entry["shape"]) for entry in header["arrays"]]
+        copies = 1 if opt is None else 3  # the parameters' rows, then again for m and for v
+        # each layer holds parameters: refuse a short table before listing a huge config's rows
+        _check(len(got) >= copies * (config.enc_layers + config.dec_layers),
+               f"the table lists {len(got)} arrays, too few for {config.enc_layers} + {config.dec_layers} layers")
+        shapes = sorted(param_shapes(config).items())
+        dtype = "<f8" if got[0][1] == "<f8" else "<f4"  # the check above leaves at least two rows
+        want = [(name, dtype, list(shape)) for name, shape in shapes] * copies
+        for i, (row, need) in enumerate(zip(got, want)):
+            _check(row == need, f"arrays[{i}] is {row}, its config needs {need}")
+        _check(len(got) == len(want), f"the table lists {len(got)} arrays, its config needs {len(want)}")
+        crcs = [entry["crc32"] for entry in header["arrays"]]
+        table = [[(name, np.dtype(dtype), shape, crc) for (name, shape), crc in zip(shapes, crcs[i:])]
+                 for i in range(0, len(want), len(shapes))]
+        return step, config, rng_state, opt, table
     except (ValueError, KeyError, TypeError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
         _fail(_PREFIX.size, f"invalid header ({type(e).__name__}: {e})")
 
 
 def load_checkpoint(path):
     """Parse and verify a checkpoint; never returns partial state. Any
-    damage raises CheckpointError naming the byte offset."""
+    damage, or a table other than its config's (refused before a payload
+    byte is read), raises CheckpointError naming the byte offset."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         prefix = f.read(_PREFIX.size)
@@ -430,25 +405,22 @@ def load_checkpoint(path):
         if zlib.crc32(data) != struct.unpack("<I", f.read(4))[0]:
             _fail(_PREFIX.size, "header checksum mismatch")
         step, config, rng_state, opt, table = _parse_header(data)
-        payload = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape, _ in table)
+        payload = sum(dtype.itemsize * math.prod(shape) for part in table for _, dtype, shape, _ in part)
         if payload != size - offset:
             _fail(offset, f"the header lists {payload} payload bytes but {size - offset} follow it")
-        arrays = []
-        for name, dtype, shape, crc in table:
-            try:
+        parts = []
+        for part in table:
+            parts.append({})
+            for name, dtype, shape, crc in part:
                 a = np.empty(shape, dtype)
-            except ValueError:  # a zero-size shape too large for numpy
-                _fail(offset, f"invalid shape {list(shape)} in '{name}'")
-            if f.readinto(a) != a.nbytes or zlib.crc32(a) != crc:
-                _fail(offset, f"checksum mismatch in '{name}'")
-            arrays.append(a)
-            offset += a.nbytes
-    n = len(table) if opt is None else len(table) // 3
-    names = [row[0] for row in table[:n]]
+                if f.readinto(a) != a.nbytes or zlib.crc32(a) != crc:
+                    _fail(offset, f"checksum mismatch in '{name}'")
+                parts[-1][name] = a
+                offset += a.nbytes
+    params, *moments = parts
     if opt is not None:
-        opt = {"step": opt["step"], "hyper": opt["hyper"],
-               "m": dict(zip(names, arrays[n : 2 * n])), "v": dict(zip(names, arrays[2 * n :]))}
-    return Checkpoint(config, dict(zip(names, arrays)), step=step, optimizer=opt, rng_state=rng_state)
+        opt = {"step": opt["step"], "hyper": opt["hyper"], "m": moments[0], "v": moments[1]}
+    return Checkpoint(config, params, step=step, optimizer=opt, rng_state=rng_state)
 
 
 def select_best_checkpoint(checkpoints, validation, vocab, *, max_output_tokens=None):

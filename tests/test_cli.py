@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -1141,14 +1142,19 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("defect, message", [
-        ("missing", "checkpoint lacks parameter 'decoder.layers.1.ffn.wo' of its config"),
-        ("shape", "checkpoint array 'encoder.rel_bias' has shape [64, 2], its config needs [32, 2]"),
-        ("extra", "checkpoint array 'decoder.layers.2.ffn.wo' is not a parameter of its config"),
-        ("int32", "checkpoint array 'embedding' has dtype int32, parameters are float32 or float64"),
-        ("bool", "checkpoint array 'encoder.final_norm' has dtype bool, parameters are float32 or float64"),
-        ("float16", "checkpoint array 'decoder.layers.1.ffn_norm' has dtype float16, "
-                    "parameters are float32 or float64"),
-        ("float64", "checkpoint array 'encoder.layers.0.ffn.wi_1' has dtype float64, most parameters are float32"),
+        ("missing", "arrays[22] is ('decoder.layers.1.ffn_norm', '<f4', [8]), "
+                    "its config needs ('decoder.layers.1.ffn.wo', '<f4', [16, 8])"),
+        ("shape", "arrays[41] is ('encoder.rel_bias', '<f4', [64, 2]), "
+                  "its config needs ('encoder.rel_bias', '<f4', [32, 2])"),
+        ("extra", "arrays[29] is ('decoder.layers.2.ffn.wo', '<f4', [16, 8]), "
+                  "its config needs ('decoder.rel_bias', '<f4', [32, 2])"),
+        ("int32", "arrays[30] is ('embedding', '<i4', [60, 8]), its config needs ('embedding', '<f4', [60, 8])"),
+        ("bool", "arrays[31] is ('encoder.final_norm', '|b1', [8]), "
+                 "its config needs ('encoder.final_norm', '<f4', [8])"),
+        ("float16", "arrays[23] is ('decoder.layers.1.ffn_norm', '<f2', [8]), "
+                    "its config needs ('decoder.layers.1.ffn_norm', '<f4', [8])"),
+        ("float64", "arrays[38] is ('encoder.layers.0.ffn.wi_1', '<f8', [8, 16]), "
+                    "its config needs ('encoder.layers.0.ffn.wi_1', '<f4', [8, 16])"),
     ])
     @pytest.mark.parametrize("command", ["evaluate", "finetune"])
     def test_checkpoint_that_does_not_fit_its_config_exits_2_naming_the_array(self, tmp_path, vocab_file, capsys,
@@ -1178,7 +1184,29 @@ class TestExitCodes:
         else:
             argv += ["--train", str(dataset), "--validation", str(dataset), "--init", str(checkpoint), "--epochs", "1"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert capsys.readouterr().err == f"data error: corrupt checkpoint at byte offset 16: invalid header " \
+                                          f"(ValueError: {message})\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize("field", ["vocab_size", "d_model", "d_ff", "n_heads", "d_kv", "enc_layers", "dec_layers",
+                                       "rel_buckets", "rel_max_distance"])
+    def test_checkpoint_with_a_non_integer_size_exits_2_naming_the_field(self, tmp_path, vocab_file, capsys,
+                                                                        field, value):
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"]])
+        argv = self._evaluate_argv(tmp_path, vocab_file, dataset)
+        path = tmp_path / "model.bin"
+        blob = path.read_bytes()
+        size = int.from_bytes(blob[12:16], "little")
+        header = json.loads(blob[16 : 16 + size])
+        header["config"][field] = value
+        data = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:12] + len(data).to_bytes(4, "little") + data
+                         + zlib.crc32(data).to_bytes(4, "little") + blob[16 + size + 4 :])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("data error: corrupt checkpoint at byte offset 16: invalid header "
+                                           f"(TypeError: ModelConfig.{field} must be an integer, got {value!r})\n")
         assert not (tmp_path / "out").exists()
 
     @staticmethod

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -153,6 +154,13 @@ class TestParameterCount:
     def test_every_size_field_must_be_positive(self, name):
         with pytest.raises(ValueError, match=f"ModelConfig.{name} must be positive"):
             _tiny(**{name: 0})
+
+    # numpy integers are refused like the rest: json cannot write them into a checkpoint header
+    @pytest.mark.parametrize("value", [2.0, True, "2", np.int64(2)], ids=["float", "bool", "str", "numpy"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelConfig) if f.name != "dropout"])
+    def test_every_size_field_must_be_an_int(self, name, value):
+        with pytest.raises(TypeError, match=re.escape(f"ModelConfig.{name} must be an integer, got {value!r}")):
+            _tiny(**{name: value})
 
     def test_exact_preset_counts(self):
         counts = {name: count_parameters(preset(name)) for name in ("tiny", "small", "large")}

@@ -398,16 +398,35 @@ class TestCheckpoints:
             with pytest.raises(CheckpointError, match=rf"unsupported checkpoint version {version} \(expected 2\)"):
                 load_checkpoint(path)
 
+    _SMALLEST = _tiny(vocab=1, d_model=1, d_ff=1, n_heads=1, d_kv=1, rel_max_distance=3)
+
     @staticmethod
-    def _small_file(path):
-        """Two small arrays of different dtype and rank keep every header field
-        (config, RNG state, optimizer, array table) and both moments in a
-        short file. Returns its bytes."""
-        arrays = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.array([0.5, -1.0])}
-        opt = {"step": 3, "hyper": {"lr": 0.01}, "m": arrays, "v": arrays}
+    def _small_file(path, dtype=np.float32, optimizer=True):
+        """A checkpoint of the smallest config (28 parameters) that keeps every
+        header field (config, RNG state, optimizer, array table) in a short
+        file: 8.4 KB with both moments. Returns its bytes."""
+        cfg = TestCheckpoints._SMALLEST
+        arrays = {k: p.data for k, p in init_params(cfg, np.random.default_rng(0), dtype).items()}
+        opt = None
+        if optimizer:
+            opt = {"step": 3, "hyper": {"lr": 0.01}, "m": {k: a * 2 for k, a in arrays.items()},
+                   "v": {k: a * a for k, a in arrays.items()}}
         rng_state = np.random.default_rng(7).bit_generator.state
-        save_checkpoint(path, Checkpoint(_tiny(), arrays, step=42, optimizer=opt, rng_state=rng_state))
+        save_checkpoint(path, Checkpoint(cfg, arrays, step=42, optimizer=opt, rng_state=rng_state))
         return path.read_bytes()
+
+    @pytest.mark.parametrize("optimizer", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_keeps_every_array_and_field(self, tmp_path, dtype, optimizer):
+        path = tmp_path / "model.ckpt"
+        saved = self._small_file(path, dtype, optimizer)
+        loaded = load_checkpoint(path)
+        save_checkpoint(path, loaded)  # the same bytes: config, step, RNG state, optimizer and every array
+        assert path.read_bytes() == saved
+        groups = [loaded.params] + ([loaded.optimizer["m"], loaded.optimizer["v"]] if optimizer else [])
+        assert [len(g) for g in groups] == [28] * len(groups)
+        assert all(a.dtype == dtype for g in groups for a in g.values())
+        assert (loaded.optimizer is not None) == optimizer
 
     def test_fuzzed_file_raises_checkpoint_error(self, tmp_path):
         # the header CRC and the array CRCs cover every byte
@@ -426,52 +445,97 @@ class TestCheckpoints:
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
 
+    def test_payload_must_fill_the_rest_of_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        blob = self._small_file(path)
+        (size,) = struct.unpack("<I", blob[12:16])
+        payload = len(blob) - (16 + size + 4)
+        assert payload == 3 * 34 * 4  # 34 float32 numbers in the parameters and in each moment
+        for data, follow in ((blob[:-1], payload - 1), (blob + b"\0", payload + 1)):
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError, match=f"the header lists {payload} payload bytes but {follow} follow"):
+                load_checkpoint(path)
+
+    # the smallest config's table: 28 parameters in sorted path order, then
+    # their m and v moments (arrays 28-55 and 56-83), all '<f4'
+    @staticmethod
+    def _differs(i, row, need):
+        return re.escape(f"arrays[{i}] is {row}, its config needs {need}")
+
     @staticmethod
     def _defect_bad_dtype(header):
         header["arrays"][0]["dtype"] = ">f4"  # canonical, but big-endian
-        return "invalid dtype '>f4' in 'a'"
+        return TestCheckpoints._differs(0, ("decoder.final_norm", ">f4", [1]), ("decoder.final_norm", "<f4", [1]))
 
     @staticmethod
     def _defect_negative_dimension(header):
-        header["arrays"][0]["shape"][0] = -2
-        return "invalid shape \\[-2, 3\\] in 'a'"
+        header["arrays"][15]["shape"][0] = -2
+        return TestCheckpoints._differs(15, ("decoder.rel_bias", "<f4", [-2, 1]), ("decoder.rel_bias", "<f4", [4, 1]))
 
     @staticmethod
     def _defect_unsorted_names(header):
-        for table in (header["arrays"][:2], header["arrays"][2:4], header["arrays"][4:]):
+        for table in (header["arrays"][:2], header["arrays"][28:30], header["arrays"][56:58]):
             table[0]["name"], table[1]["name"] = table[1]["name"], table[0]["name"]
-        return "parameter names are not strictly sorted"
+        return TestCheckpoints._differs(0, ("decoder.layers.0.cross.k", "<f4", [1]),
+                                        ("decoder.final_norm", "<f4", [1]))
 
     @staticmethod
     def _defect_moment_names(header):
-        header["arrays"][2]["name"] = "c"
-        return r"optimizer moment m 'c' \(float32, \[2, 3\]\) differs from its parameter 'a' \(float32, \[2, 3\]\)"
+        header["arrays"][28]["name"] = "c"
+        return TestCheckpoints._differs(28, ("c", "<f4", [1]), ("decoder.final_norm", "<f4", [1]))
 
     @staticmethod
     def _defect_moment_shape(header):
-        header["arrays"][4]["shape"] = [3, 2]  # same bytes, another shape
-        return r"optimizer moment v 'a' \(float32, \[3, 2\]\) differs from its parameter 'a' \(float32, \[2, 3\]\)"
+        header["arrays"][71]["shape"] = [1, 4]  # same bytes, another shape
+        return TestCheckpoints._differs(71, ("decoder.rel_bias", "<f4", [1, 4]), ("decoder.rel_bias", "<f4", [4, 1]))
 
     @staticmethod
     def _defect_moment_flat(header):
-        header["arrays"][2]["shape"] = [6]
-        return r"optimizer moment m 'a' \(float32, \[6\]\) differs"
+        header["arrays"][43]["shape"] = [4]
+        return TestCheckpoints._differs(43, ("decoder.rel_bias", "<f4", [4]), ("decoder.rel_bias", "<f4", [4, 1]))
 
     @staticmethod
     def _defect_moment_dtype(header):
-        header["arrays"][3]["dtype"], header["arrays"][3]["shape"] = "<f4", [4]  # 16 bytes, like [2] float64
-        return r"optimizer moment m 'b' \(float32, \[4\]\) differs from its parameter 'b' \(float64, \[2\]\)"
+        header["arrays"][44]["dtype"], header["arrays"][44]["shape"] = "<f2", [1, 2]  # 4 bytes, like [1, 1] float32
+        return TestCheckpoints._differs(44, ("embedding", "<f2", [1, 2]), ("embedding", "<f4", [1, 1]))
 
     @staticmethod
     def _defect_moment_extra(header):
         header["arrays"].append(dict(header["arrays"][-1]))
-        return "5 optimizer moments for 2 parameters"
+        return "the table lists 85 arrays, its config needs 84"
+
+    @staticmethod
+    def _defect_moment_missing(header):
+        header["arrays"].pop()
+        return "the table lists 83 arrays, its config needs 84"
+
+    @staticmethod
+    def _defect_optimizer_dropped(header):
+        header["optimizer"] = None
+        return "the table lists 84 arrays, its config needs 28"
+
+    @staticmethod
+    def _defect_mixed_dtype(header):
+        header["arrays"][5]["dtype"] = "<f8"
+        return TestCheckpoints._differs(5, ("decoder.layers.0.cross_norm", "<f8", [1]),
+                                        ("decoder.layers.0.cross_norm", "<f4", [1]))
+
+    @staticmethod
+    def _defect_config_more_layers(header):
+        header["config"]["enc_layers"] = 2
+        return TestCheckpoints._differs(27, ("encoder.rel_bias", "<f4", [4, 1]),
+                                        ("encoder.layers.1.attn.k", "<f4", [1, 1]))
+
+    @staticmethod
+    def _defect_config_huge(header):
+        header["config"]["dec_layers"] = 10**9  # refused before its rows are listed
+        return re.escape("the table lists 84 arrays, too few for 1 + 1000000000 layers")
 
     @staticmethod
     def _defect_payload_larger_than_file(header):
-        for row in header["arrays"][1::2]:  # 'b' and both its moments
+        for row in header["arrays"][16::28]:  # 'embedding' and both its moments
             row["shape"][0] += 1
-        return "the header lists 144 payload bytes but 120 follow it"
+        return TestCheckpoints._differs(16, ("embedding", "<f4", [2, 1]), ("embedding", "<f4", [1, 1]))
 
     @staticmethod
     def _defect_dropout(header):
@@ -501,10 +565,12 @@ class TestCheckpoints:
                          + blob[16 + size + 4 :])
         return result
 
-    @pytest.mark.parametrize("defect", ["bad_dtype", "negative_dimension", "unsorted_names", "moment_names",
-                                        "moment_shape", "moment_flat", "moment_dtype", "moment_extra",
-                                        "payload_larger_than_file", "dropout", "rel_max_distance",
-                                        "gated_ffn_false"])
+    _DEFECTS = ["bad_dtype", "negative_dimension", "unsorted_names", "moment_names", "moment_shape", "moment_flat",
+                "moment_dtype", "moment_extra", "moment_missing", "optimizer_dropped", "mixed_dtype",
+                "config_more_layers", "config_huge", "payload_larger_than_file", "dropout", "rel_max_distance",
+                "gated_ffn_false"]
+
+    @pytest.mark.parametrize("defect", _DEFECTS)
     def test_crafted_header_rejected(self, tmp_path, defect):
         # each file carries a valid header CRC, so only the header checks stand
         # between the defect and a load
@@ -513,11 +579,23 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("defect", _DEFECTS)
+    def test_crafted_header_rejected_before_the_payload(self, tmp_path, defect):
+        # the same headers followed by no payload: the header's own defect is
+        # reported, not the missing payload bytes
+        path = tmp_path / "model.ckpt"
+        message = self._small_file_with_header(path, getattr(self, f"_defect_{defect}"))
+        blob = path.read_bytes()
+        (size,) = struct.unpack("<I", blob[12:16])
+        path.write_bytes(blob[: 16 + size + 4])
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
     def test_header_with_gated_ffn_true_loads(self, tmp_path):
         # every checkpoint written while ModelConfig had a gated_ffn field carries it
         path = tmp_path / "model.ckpt"
         self._small_file_with_header(path, lambda header: header["config"].update(gated_ffn=True))
-        assert load_checkpoint(path).config == _tiny()
+        assert load_checkpoint(path).config == self._SMALLEST
 
     def test_deeply_nested_header_rejected(self, tmp_path):
         data = b"[" * 100_000 + b"]" * 100_000
