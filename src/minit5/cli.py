@@ -203,12 +203,16 @@ def _cmd_tokenizer_train(cfg):
 
 
 def _cmd_dedup(cfg):
+    stats_out = cfg["stats_out"] or cfg["output"] + ".stats"
+    for name in ("input", "output"):
+        if os.path.realpath(stats_out) == os.path.realpath(cfg[name]):
+            raise UsageError(f"dedup: the stats file {stats_out} would overwrite the --{name} file")
     vocab = bpe.load_vocab(cfg["vocab"]) if cfg["vocab"] else None
     kept, stats = dedup.deduplicate_stream(
         dedup.read_paragraphs(cfg["input"]), n=cfg["ngram"], threshold=cfg["threshold"], vocab=vocab
     )
     dedup.write_paragraphs(kept, cfg["output"])
-    dedup.write_stats(stats, cfg["stats_out"] or cfg["output"] + ".stats")
+    dedup.write_stats(stats, stats_out)
     print(stats.render_table())
     return 0
 
@@ -228,12 +232,10 @@ def _cmd_pretrain(cfg):
     opt = training.AdamW(params, lr=cfg["lr"])
     os.makedirs(cfg["output_dir"], exist_ok=True)
     log_path = os.path.join(cfg["output_dir"], "training.log")
-    saved_steps = set()
 
     def save(step):
         ck = training.Checkpoint.from_model(model_cfg, params, step=step, optimizer=opt, rng=rng)
         training.save_checkpoint(os.path.join(cfg["output_dir"], f"ckpt-{step:08d}.bin"), ck)
-        saved_steps.add(step)
 
     tokens_seen = 0
     save(0)
@@ -246,10 +248,8 @@ def _cmd_pretrain(cfg):
             log.write(line + "\n")
             if step % 50 == 0 or step == cfg["steps"]:
                 print(line)
-            if cfg["checkpoint_every"] and step % cfg["checkpoint_every"] == 0:
+            if step == cfg["steps"] or cfg["checkpoint_every"] and step % cfg["checkpoint_every"] == 0:
                 save(step)
-    if cfg["steps"] not in saved_steps:
-        save(cfg["steps"])
     print(f"done: {cfg['steps']} steps, {tokens_seen} tokens")
     return 0
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import bpe
 from .fileio import atomic_write, atomic_write_text
 from .model import DecodeCache, decode_logits, encode
-from .tasks import TASKS
+from .tasks import NER_EMPTY, TASKS
 
 
 class EvalError(ValueError):
@@ -103,10 +103,10 @@ def rouge_l(candidate, reference):
 
 
 def parse_entity_list(text):
-    """Comma-separated entity mentions as a multiset; 'brez' or an empty
-    string is the explicit empty answer."""
+    """Comma-separated entity mentions as a multiset; tasks.NER_EMPTY or an
+    empty string is the explicit empty answer."""
     s = text.strip()
-    if not s or s == "brez":
+    if not s or s == NER_EMPTY:
         return Counter()
     return Counter(part.strip() for part in s.split(",") if part.strip())
 

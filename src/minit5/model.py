@@ -30,6 +30,7 @@ is the tokens-seen over parameter-count diagnostic.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -232,17 +233,27 @@ class DecodeCache:
     - Self-attention K/V of every layer in one buffer [layers, 2, batch,
       capacity, inner], the batch size taken from the encoder grid. A call
       writes column `length` in place, and attention reads [batch, keys,
-      inner] views of it.
+      inner] views of it. A capacity whose buffer exceeds the machine's
+      physical memory (where `os.sysconf` tells it) is refused first.
     - The decoder's relative bias row [1, heads, 1, capacity] of a query at
       position capacity - 1, built by `_rel_bias`. The unidirectional bucket
       depends only on the distance query - key, so the query at position p
       takes the row's last p + 1 keys."""
 
     def __init__(self, config, params, enc_out, enc_grid, capacity):
+        dtype = params["embedding"].data.dtype
+        shape = (config.dec_layers, 2, enc_grid[1][0], capacity, config.inner_dim)
+        kv_bytes = math.prod(shape) * dtype.itemsize
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot tell
+            memory = -1
+        if 0 < memory < kv_bytes:
+            raise ShapeError(f"a decode budget of {capacity} tokens needs a {kv_bytes}-byte K/V buffer, "
+                             f"more than the {memory} bytes of physical memory")
         self.length = 0
         self.cross = [_project_kv(params, f"decoder.layers.{i}.cross", enc_out) for i in range(config.dec_layers)]
-        dtype = params["embedding"].data.dtype
-        self._kv = np.empty((config.dec_layers, 2, enc_grid[1][0], capacity, config.inner_dim), dtype=dtype)
+        self._kv = np.empty(shape, dtype=dtype)
         self._bias = _rel_bias(params, "decoder.rel_bias", np.array([capacity - 1]), capacity, False, config).data
 
     def bias(self, ids):

@@ -20,10 +20,12 @@ rebuild recipe, which forms its array again with the op's own expression
 from arrays the tape keeps anyway: ``rms_norm`` sets ``xd * inv * gd``
 from its kept input, scale and gain, and ``matmul(a, W)`` with a 2-D ``W``
 sets ``a.rebuild() @ W`` when ``a`` has one. A rule that keeps an input
-(``matmul``, ``attention``, ``gated_gelu_ffn``) keeps its recipe when
-there is one, else its array, and forms the array inside its backward;
+(``matmul``, ``attention``, ``gated_gelu_ffn``) keeps a function that
+returns its array, the recipe when there is one, and calls it in backward;
 so no norm output and no q, k, v or cross-attention K/V projection
 outlives the forward, and the gradients are bitwise those of kept arrays.
+A norm's recipe is memoized: the first rule to read a norm output forms
+it, later readers share it, and it goes with the last rule that kept it.
 Besides the primitives there are fused ops that keep only what their
 backward rule needs, and rebuild in backward what is cheap to rebuild. A
 dropout mask is applied as booleans in forward and kept as bits, packed
@@ -60,6 +62,7 @@ when gradient-checking; ops follow the dtype of their inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -181,14 +184,10 @@ def _input_name(t, tape):
 
 
 def _kept(t):
-    """What a backward rule keeps of its input t to read it: t's rebuild
-    recipe when it has one, else its array (see _formed)."""
-    return t.data if t.rebuild is None else t.rebuild
-
-
-def _formed(kept):
-    """The array that _kept kept: formed again from its recipe, or itself."""
-    return kept() if callable(kept) else kept
+    """What a backward rule keeps of its input t to read it: a function of
+    no arguments that returns t's array, t's rebuild recipe when it has one."""
+    data = t.data
+    return t.rebuild or (lambda: data)
 
 
 def _accumulate(t, g):
@@ -310,13 +309,13 @@ def matmul(a, b):
     rebuild = None if a_rebuild is None or not weight else (lambda: a_rebuild() @ bd)
 
     def vjp(g):
-        ga = None if kb is None else g @ _swap_last(_formed(kb))
+        ga = None if kb is None else g @ _swap_last(kb())
         if ka is None:
             gb = None
         elif weight:
-            gb = _rows(_formed(ka)).T @ _rows(g)
+            gb = _rows(ka()).T @ _rows(g)
         else:
-            gb = _swap_last(_formed(ka)) @ g
+            gb = _swap_last(ka()) @ g
         return ga, gb
 
     return _record(out, (a, b), vjp, rebuild)
@@ -407,7 +406,7 @@ def rms_norm(x, gain):
         ggain = (g * xd * inv).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
-    return _record(out, (x, gain), vjp, lambda: xd * inv * gd)
+    return _record(out, (x, gain), vjp, functools.cache(lambda: xd * inv * gd) if Tape.active() else None)
 
 
 def gelu(x):
@@ -736,7 +735,7 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     kept = [_kept(t) for t in (q, k, v)]
 
     def vjp(g):
-        qd, kd, vd = map(_formed, kept)
+        qd, kd, vd = (form() for form in kept)
         gq, gk, gv = [], [], []
         gbias = None
         if bias_shape is not None:
@@ -831,7 +830,7 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     kx = _kept(x)
 
     def vjp(g):
-        xd = _formed(kx)
+        xd = kx()
         gh = g @ wod.T
         h0 = xd @ wi_0d
         h1 = xd @ wi_1d

@@ -8,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import zlib
 from collections import Counter
@@ -431,6 +432,18 @@ class TestDedup:
             (tmp_path / "clean.txt.stats").read_text(encoding="utf-8").splitlines()
         )
         assert int(stats["tokens_in"]) > int(stats["tokens_kept"]) > 0
+
+    @pytest.mark.parametrize("target", ["output", "input"])
+    def test_stats_file_that_is_the_output_or_input_exits_1_before_writing(self, tmp_path, corpus_file, capsys,
+                                                                         target):
+        out = tmp_path / "clean.txt"
+        path = {"output": out, "input": corpus_file}[target]
+        stats = os.path.join(path.parent, ".", path.name)  # another spelling of the same file
+        rc = main(["dedup", "--input", str(corpus_file), "--output", str(out), "--stats-out", stats])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: dedup: the stats file {stats} would overwrite the --{target} file\n"
+        assert corpus_file.read_text(encoding="utf-8") == CORPUS
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
 
 
 class TestConfigHandling:
@@ -1217,6 +1230,23 @@ class TestExitCodes:
         save_checkpoint(checkpoint, Checkpoint.from_model(cfg, init_params(cfg, np.random.default_rng(0))))
         return ["evaluate", "--dataset", str(dataset), "--vocab", str(vocab_file), "--checkpoint", str(checkpoint),
                 "--task", "summarization", "--output-dir", str(tmp_path / "out")]
+
+    def test_decode_budget_beyond_physical_memory_exits_2_before_allocating(self, tmp_path, vocab_file, capsys):
+        dataset = tmp_path / "d.csv"
+        _write_dataset(dataset, [["kje gori", "gori"]])
+        argv = self._evaluate_argv(tmp_path, vocab_file, dataset) + ["--max-output-tokens", str(10**12)]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"data error: a decode budget of 1000000000000 tokens needs a (\d+)-byte K/V buffer, "
+                            r"more than the (\d+) bytes of physical memory\n", err), err
+        assert peak < 10_000_000, peak  # nothing budget-sized was allocated
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["finetune", "evaluate"])
     def test_empty_csv_input_cell_exits_2_naming_the_line(self, tmp_path, vocab_file, capsys, command):

@@ -30,8 +30,6 @@ from minit5.tensor import (
     _apply_mask,
     _dropout_mask,
     _gelu_slope,
-    _key_mask,
-    _later_keys,
     _normal_cdf,
     _record,
     _row_blocks,
@@ -186,7 +184,8 @@ def gated_gelu_ffn_composition(x, wi_0, wi_1, wo, p=0.0, rng=None):
 
 def attention_keeping_grids(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rng=None):
     """attention whose backward rule keeps the zero-filled grid copies of q,
-    k and v that its forward built, instead of laying the rows out again."""
+    k and v that its forward built, instead of laying the rows out again,
+    and whose mask is _mask_composition's, not the fused op's."""
     inner = q.data.shape[-1]
     q_grid, kv_grid = grids
     n_q = q_grid[1][1]
@@ -210,9 +209,7 @@ def attention_keeping_grids(q, k, v, n_heads, scale, grids, bias=None, causal=Fa
     w *= scale
     if bias is not None:
         w += bias.data
-    mask = _key_mask(kv_grid, _later_keys(n_q, kv_grid[1][1], causal, w.dtype), w.dtype)
-    if mask is not None:
-        w += mask
+    w += _mask_composition(kv_grid, n_q, causal).astype(w.dtype)
     w = _softmax_inplace(w)[0]
     keep, drop_scale = _dropout_mask(w.shape, p, rng)
     out = Tensor(merge(_apply_mask(w, keep, drop_scale) @ vh, q_grid, q.data))

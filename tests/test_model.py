@@ -776,6 +776,68 @@ class TestTapeMemory:
             backward(loss, tape)
         assert all(p.grad is not None for p in params.values())
 
+    def _step_with_recipes(self, monkeypatch, wrap):
+        """Loss and gradients, as bytes, of one step of _padded_d64_step with
+        every rebuild recipe replaced by wrap(recipe, kind) before _record
+        stores it; kind is "norm" for an rms_norm output, else "product"."""
+        record = tensor._record
+
+        def wrapped(out, inputs, vjp, rebuild=None):
+            if rebuild is not None:
+                rebuild = wrap(rebuild, "norm" if inputs[1].data.ndim == 1 else "product")
+            return record(out, inputs, vjp, rebuild)
+
+        monkeypatch.setattr(tensor, "_record", wrapped)
+        cfg, params, pairs = self._padded_d64_step()
+        with Tape() as tape:
+            loss = teacher_forced_loss(cfg, params, pairs, train=True, rng=np.random.default_rng(2))
+            backward(loss, tape)
+        return [loss.data.tobytes()] + [params[name].grad.tobytes() for name in sorted(params)]
+
+    def test_each_recipe_forms_its_array_at_most_once_per_backward(self, monkeypatch):
+        # a norm output is read by attention (through its q, k and v recipes)
+        # and by the weight gradients of q, k and v, and the encoder's final
+        # norm by every decoder layer's cross K/V; all those readers share
+        # one formed array, so each norm output is formed exactly once
+        formations = []
+
+        def counted(recipe, kind):
+            count, last = [kind, 0], [lambda: None]  # a weak reference to the last array formed
+            formations.append(count)
+
+            def form():
+                arr = recipe()
+                if last[0]() is not arr:
+                    count[1] += 1
+                    last[0] = weakref.ref(arr)
+                return arr
+
+            return form
+
+        self._step_with_recipes(monkeypatch, counted)
+        cfg = self._padded_d64_step()[0]
+        norms = [n for kind, n in formations if kind == "norm"]
+        products = [n for kind, n in formations if kind == "product"]
+        assert norms == [1] * (2 * cfg.enc_layers + 1 + 3 * cfg.dec_layers + 1)
+        # the q, k and v rows, each formed once by attention; the tied output
+        # projection's recipe is never called
+        assert products.count(1) == 3 * cfg.enc_layers + 6 * cfg.dec_layers and max(products) == 1
+
+    def test_no_rule_writes_into_a_formed_array(self, monkeypatch):
+        # the readers of a norm output share the array its recipe formed, so
+        # a rule that wrote into it would hand the next reader other values;
+        # with every formed array read-only, the step gives the plain bits
+        def read_only(recipe, kind):
+            def form():
+                arr = recipe()
+                arr.flags.writeable = False
+                return arr
+
+            return form
+
+        plain = self._step_with_recipes(monkeypatch, lambda recipe, kind: recipe)
+        assert self._step_with_recipes(monkeypatch, read_only) == plain
+
     def test_an_o_projection_output_is_freed_by_the_end_of_forward(self, monkeypatch):
         # attention's output projection feeds only the residual add, whose
         # backward rule reads neither operand
