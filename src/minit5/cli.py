@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bpe, dedup, evaluation, noising, tasks, training
 from .fileio import atomic_write_text, open_text
-from .model import PRESETS, budget_table, init_params, preset, training_budget_ratio
+from .model import PRESETS, budget_table, decode_cache_shape, init_params, preset, training_budget_ratio
 from .tensor import ShapeError
 
 
@@ -295,6 +295,9 @@ def _cmd_finetune(cfg):
     else:
         model_cfg = preset(cfg["preset"], vocab_size=len(vocab), dropout=cfg["dropout"])
         params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))
+    # validation decodes one example at a time; a budget its K/V buffer cannot hold is refused before training
+    budget = cfg["max_output_tokens"] if cfg["max_output_tokens"] is not None else tasks.TASKS[task].decode_limit
+    decode_cache_shape(model_cfg, params, 1, budget)
     encoded = _encode_examples(train_examples, vocab)
     opt = training.AdamW(params, lr=cfg["lr"])
     rng = np.random.default_rng(cfg["seed"] + 1)
@@ -312,7 +315,7 @@ def _cmd_finetune(cfg):
             yield ck
 
     best, scores = training.select_best_checkpoint(trained_epochs(), val_examples, vocab,
-                                                   max_output_tokens=cfg["max_output_tokens"])
+                                                   max_output_tokens=budget)
     best_epoch = best.step
     metric = tasks.TASKS[task].metric
     training.save_checkpoint(os.path.join(cfg["output_dir"], "best.bin"), best)

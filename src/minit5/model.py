@@ -222,6 +222,24 @@ def _ffn(params, prefix, x, p, rng):
                           p=p, rng=rng)
 
 
+def decode_cache_shape(config, params, batch, capacity):
+    """The shape [layers, 2, batch, capacity, inner] of a `DecodeCache`'s
+    self-attention K/V buffer in the dtype of params. A buffer that exceeds
+    the machine's physical memory (where `os.sysconf` tells it) raises
+    ShapeError naming the decode budget; nothing is allocated."""
+    dtype = params["embedding"].data.dtype
+    shape = (config.dec_layers, 2, batch, capacity, config.inner_dim)
+    kv_bytes = math.prod(shape) * dtype.itemsize
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot tell
+        memory = -1
+    if 0 < memory < kv_bytes:
+        raise ShapeError(f"a decode budget of {capacity} tokens needs a {kv_bytes}-byte K/V buffer, "
+                         f"more than the {memory} bytes of physical memory")
+    return shape
+
+
 class DecodeCache:
     """Decoder state carried across incremental `decode_logits` calls on one
     encoder output, built once per decode. Each call adds one position per
@@ -234,26 +252,17 @@ class DecodeCache:
       capacity, inner], the batch size taken from the encoder grid. A call
       writes column `length` in place, and attention reads [batch, keys,
       inner] views of it. A capacity whose buffer exceeds the machine's
-      physical memory (where `os.sysconf` tells it) is refused first.
+      physical memory is refused first (`decode_cache_shape`).
     - The decoder's relative bias row [1, heads, 1, capacity] of a query at
       position capacity - 1, built by `_rel_bias`. The unidirectional bucket
       depends only on the distance query - key, so the query at position p
       takes the row's last p + 1 keys."""
 
     def __init__(self, config, params, enc_out, enc_grid, capacity):
-        dtype = params["embedding"].data.dtype
-        shape = (config.dec_layers, 2, enc_grid[1][0], capacity, config.inner_dim)
-        kv_bytes = math.prod(shape) * dtype.itemsize
-        try:
-            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot tell
-            memory = -1
-        if 0 < memory < kv_bytes:
-            raise ShapeError(f"a decode budget of {capacity} tokens needs a {kv_bytes}-byte K/V buffer, "
-                             f"more than the {memory} bytes of physical memory")
+        shape = decode_cache_shape(config, params, enc_grid[1][0], capacity)
         self.length = 0
         self.cross = [_project_kv(params, f"decoder.layers.{i}.cross", enc_out) for i in range(config.dec_layers)]
-        self._kv = np.empty(shape, dtype=dtype)
+        self._kv = np.empty(shape, dtype=params["embedding"].data.dtype)
         self._bias = _rel_bias(params, "decoder.rel_bias", np.array([capacity - 1]), capacity, False, config).data
 
     def bias(self, ids):

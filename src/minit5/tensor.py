@@ -24,8 +24,9 @@ sets ``a.rebuild() @ W`` when ``a`` has one. A rule that keeps an input
 returns its array, the recipe when there is one, and calls it in backward;
 so no norm output and no q, k, v or cross-attention K/V projection
 outlives the forward, and the gradients are bitwise those of kept arrays.
-A norm's recipe is memoized: the first rule to read a norm output forms
-it, later readers share it, and it goes with the last rule that kept it.
+The tape memoizes every recipe it records: the first rule to read an
+output forms it, later readers share it, and it goes with the last rule
+that kept it. Off the tape no recipe is kept.
 Besides the primitives there are fused ops that keep only what their
 backward rule needs, and rebuild in backward what is cheap to rebuild. A
 dropout mask is applied as booleans in forward and kept as bits, packed
@@ -170,7 +171,7 @@ def _record(out, inputs, vjp, rebuild=None):
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.key = next(_KEYS)
-        out.rebuild = rebuild
+        out.rebuild = None if rebuild is None else functools.cache(rebuild)
         tape.keys.add(out.key)
         tape.nodes.append(Node(out.key, tuple(_input_name(t, tape) for t in inputs), vjp))
     return out
@@ -190,12 +191,6 @@ def _kept(t):
     return t.rebuild or (lambda: data)
 
 
-def _accumulate(t, g):
-    if g.shape != t.data.shape:
-        g = g.reshape(t.data.shape)
-    t.grad = g if t.grad is None else t.grad + g
-
-
 def backward(loss, tape):
     """Populate .grad on every leaf reachable from loss: a tensor that
     requires gradients and is not the output of a node on this tape.
@@ -204,9 +199,11 @@ def backward(loss, tape):
     the arrays a backward rule keeps are freed as soon as the rule has run,
     and a second backward over the same tape raises TapeError. Gradients
     accumulate additively: across fan-out within this call, and across calls
-    on other tapes into pre-existing .grad arrays. A leaf's .grad is the
-    array its backward rule returned, not a copy, so it may share memory
-    with another leaf's .grad: replace .grad, never write into it.
+    on other tapes into pre-existing .grad arrays. Each sum is a new array:
+    backward never adds in place, since a rule may return an alias of its
+    incoming gradient (add, reshape). A leaf's .grad is the array its
+    backward rule returned, not a copy, so it may share memory with another
+    leaf's .grad: replace .grad, never write into it.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -216,9 +213,6 @@ def backward(loss, tape):
     # gradients by the name a node gives its input: a key while the node
     # that produced it is still to be replayed, the leaf Tensor itself
     grads = {loss.key if loss.key in tape.keys else loss: np.ones_like(loss.data)}
-    # names whose gradient buffer this call allocated; only those are added
-    # into in place, since add and reshape rules return aliases of g
-    owned = set()
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
@@ -226,18 +220,11 @@ def backward(loss, tape):
         if g is None:
             continue
         for name, ig in zip(node.inputs, node.vjp(g)):
-            if name is None or ig is None:
-                continue
-            if name not in grads:
-                grads[name] = ig
-            elif name in owned:
-                grads[name] += ig
-            else:
-                grads[name] = grads[name] + ig
-                owned.add(name)
+            if name is not None and ig is not None:
+                grads[name] = ig if name not in grads else grads[name] + ig
     # every node is replayed, so what is left is the leaves' gradients
     for leaf, g in grads.items():
-        _accumulate(leaf, g)
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -406,7 +393,7 @@ def rms_norm(x, gain):
         ggain = (g * xd * inv).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
-    return _record(out, (x, gain), vjp, functools.cache(lambda: xd * inv * gd) if Tape.active() else None)
+    return _record(out, (x, gain), vjp, lambda: xd * inv * gd)
 
 
 def gelu(x):

@@ -119,7 +119,6 @@ class AdamW:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.step_count = 0
-        self._buffers = {}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -134,10 +133,11 @@ class AdamW:
         Each new moment and parameter is formed out of place, into an array
         of its own, which then replaces the old one; nothing writes into an
         array the optimizer has handed out, so `state()` and
-        `Checkpoint.from_model` can hold the live arrays as snapshots. Only
-        one array of a parameter's size is new at a time: the bias
-        corrections are folded into two scalars, and the update itself is
-        formed in one scratch buffer reused across the parameters."""
+        `Checkpoint.from_model` can hold the live arrays as snapshots. The
+        bias corrections are folded into two scalars, and each update is
+        formed in a buffer of its parameter's own, which goes when the
+        parameter is done: no scratch buffer is shared across parameters or
+        kept between steps."""
         if lr is None:
             lr = self.lr
         for name, p in self.params.items():
@@ -154,7 +154,7 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            s = self._scratch(p.data)
+            s = np.empty_like(p.data)
             m = self.m[name] * b1
             m += np.multiply(g, 1.0 - b1, out=s)
             self.m[name] = m
@@ -174,14 +174,6 @@ class AdamW:
             else:
                 new = p.data - s
             p.data = new
-
-    def _scratch(self, like):
-        """A buffer shaped like `like`, a view of one per-dtype array that
-        grows to the largest parameter and is reused for every update."""
-        buf = self._buffers.get(like.dtype)
-        if buf is None or buf.size < like.size:
-            buf = self._buffers[like.dtype] = np.empty(like.size, like.dtype)
-        return buf[: like.size].reshape(like.shape)
 
     def state(self):
         """Step, hyperparameters and the moments: the live arrays, not
@@ -347,19 +339,31 @@ def _is_count(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def _is_hyper(hyper):
+    """Whether hyper is what `AdamW.state()` writes: exactly lr, betas (a
+    list of two), eps and weight_decay, each a finite number, not a bool."""
+    return (isinstance(hyper, dict) and set(hyper) == {"lr", "betas", "eps", "weight_decay"}
+            and isinstance(hyper["betas"], list) and len(hyper["betas"]) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                    for x in (hyper["lr"], *hyper["betas"], hyper["eps"], hyper["weight_decay"])))
+
+
 def _parse_header(data):
     """(step, config, rng state, optimizer step and hyper, array table) from
-    the header. The header's table must be the one `save_checkpoint` writes
-    for its config: the parameters in sorted path order, then, with an
-    optimizer, their m and v moments, all `<f4` or all `<f8`. The table
-    returned is built from the config: a list of parts (parameters, then m
-    and v), each a list of (name, dtype, shape, crc32) rows."""
+    the header. The RNG state must be one a PCG64 generator takes, and the
+    optimizer's hyper the one `AdamW.state()` writes. The header's table
+    must be the one `save_checkpoint` writes for its config: the parameters
+    in sorted path order, then, with an optimizer, their m and v moments,
+    all `<f4` or all `<f8`. The table returned is built from the config: a
+    list of parts (parameters, then m and v), each a list of (name, dtype,
+    shape, crc32) rows."""
     try:
         header = json.loads(data.decode("utf-8"))
         step, rng_state, opt = header["step"], header["rng_state"], header["optimizer"]
         _check(_is_count(step), f"invalid step {step!r}")
-        _check(rng_state is None or isinstance(rng_state, dict), "invalid rng state")
-        _check(opt is None or _is_count(opt["step"]) and isinstance(opt["hyper"], dict), "invalid optimizer")
+        if rng_state is not None:  # numpy checks a PCG64 state as it sets it
+            np.random.default_rng(0).bit_generator.state = rng_state
+        _check(opt is None or _is_count(opt["step"]) and _is_hyper(opt["hyper"]), "invalid optimizer")
         config = header["config"]
         _check(isinstance(config, dict), "invalid config")
         # checkpoints written before the ReLU FFN was removed hold gated_ffn=true
@@ -380,7 +384,7 @@ def _parse_header(data):
         table = [[(name, np.dtype(dtype), shape, crc) for (name, shape), crc in zip(shapes, crcs[i:])]
                  for i in range(0, len(want), len(shapes))]
         return step, config, rng_state, opt, table
-    except (ValueError, KeyError, TypeError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
         _fail(_PREFIX.size, f"invalid header ({type(e).__name__}: {e})")
 
 

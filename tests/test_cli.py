@@ -1231,10 +1231,18 @@ class TestExitCodes:
         return ["evaluate", "--dataset", str(dataset), "--vocab", str(vocab_file), "--checkpoint", str(checkpoint),
                 "--task", "summarization", "--output-dir", str(tmp_path / "out")]
 
-    def test_decode_budget_beyond_physical_memory_exits_2_before_allocating(self, tmp_path, vocab_file, capsys):
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_decode_budget_beyond_physical_memory_exits_2_before_allocating(self, tmp_path, vocab_file, capsys,
+                                                                             command):
+        # finetune refuses the budget of its validation decodes before it trains an epoch
         dataset = tmp_path / "d.csv"
         _write_dataset(dataset, [["kje gori", "gori"]])
-        argv = self._evaluate_argv(tmp_path, vocab_file, dataset) + ["--max-output-tokens", str(10**12)]
+        if command == "evaluate":
+            argv = self._evaluate_argv(tmp_path, vocab_file, dataset)
+        else:
+            argv = ["finetune", "--train", str(dataset), "--validation", str(dataset), "--vocab", str(vocab_file),
+                    "--task", "summarization", "--output-dir", str(tmp_path / "out"), "--epochs", "1"]
+        argv += ["--max-output-tokens", str(10**12)]
         tracemalloc.start()
         try:
             rc = main(argv)

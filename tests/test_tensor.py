@@ -586,6 +586,14 @@ class TestRebuildRecipes:
             again = t.rebuild()
             assert again is not t.data and again.tobytes() == t.data.tobytes()
 
+    def test_the_tape_memoizes_every_recipe(self):
+        # every reader of a rebuilt output shares one formed array
+        x, gain, w = self._case()
+        with Tape():
+            h = rms_norm(x, gain)
+            q = matmul(h, w)
+        assert q.rebuild() is q.rebuild() and h.rebuild() is h.rebuild()
+
     def test_only_a_recorded_norm_and_its_products_by_a_matrix_carry_one(self):
         x, gain, w = self._case()
         assert rms_norm(x, gain).rebuild is None  # no tape: nothing is recorded

@@ -141,6 +141,31 @@ class TestAdamW:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_holds_only_its_parameters_and_moments_between_steps(self):
+        # each update is formed in a buffer of its own, and none outlives the step
+        rng = np.random.default_rng(0)
+        params = {"big": Tensor(rng.normal(size=(64, 8)), requires_grad=True),
+                  "small": Tensor(rng.normal(size=3), requires_grad=True)}
+        opt = AdamW(params, lr=0.1, weight_decay=0.01)
+        for _ in range(2):
+            for p in params.values():
+                p.grad = rng.normal(size=p.shape)
+            opt.step()
+        opt.zero_grad()
+        held, todo = [], list(vars(opt).values())
+        while todo:
+            x = todo.pop()
+            if isinstance(x, np.ndarray):
+                held.append(x)
+            elif isinstance(x, Tensor):
+                todo += [x.data, x.grad]
+            elif isinstance(x, dict):
+                todo += x.values()
+            elif isinstance(x, (list, tuple)):
+                todo += x
+        expected = [p.data for p in params.values()] + [*opt.m.values(), *opt.v.values()]
+        assert sorted(map(id, held)) == sorted(map(id, expected))
+
 
 class TestLrSchedule:
     def test_at_warmup(self):
@@ -409,8 +434,8 @@ class TestCheckpoints:
         arrays = {k: p.data for k, p in init_params(cfg, np.random.default_rng(0), dtype).items()}
         opt = None
         if optimizer:
-            opt = {"step": 3, "hyper": {"lr": 0.01}, "m": {k: a * 2 for k, a in arrays.items()},
-                   "v": {k: a * a for k, a in arrays.items()}}
+            opt = {"step": 3, "hyper": {"lr": 0.01, "betas": [0.9, 0.999], "eps": 1e-8, "weight_decay": 0.0},
+                   "m": {k: a * 2 for k, a in arrays.items()}, "v": {k: a * a for k, a in arrays.items()}}
         rng_state = np.random.default_rng(7).bit_generator.state
         save_checkpoint(path, Checkpoint(cfg, arrays, step=42, optimizer=opt, rng_state=rng_state))
         return path.read_bytes()
@@ -427,6 +452,10 @@ class TestCheckpoints:
         assert [len(g) for g in groups] == [28] * len(groups)
         assert all(a.dtype == dtype for g in groups for a in g.values())
         assert (loaded.optimizer is not None) == optimizer
+        # what the header gives back is usable as it is
+        assert loaded.make_rng().bit_generator.state == np.random.default_rng(7).bit_generator.state
+        if optimizer:
+            AdamW(loaded.to_params()).load_state(loaded.optimizer)
 
     def test_fuzzed_file_raises_checkpoint_error(self, tmp_path):
         # the header CRC and the array CRCs cover every byte
@@ -553,6 +582,56 @@ class TestCheckpoints:
         header["config"]["gated_ffn"] = False
         return "unsupported config gated_ffn: the FFN is gated-GELU only"
 
+    @staticmethod
+    def _defect_hyper_missing_key(header):
+        del header["optimizer"]["hyper"]["betas"]
+        return "invalid optimizer"
+
+    @staticmethod
+    def _defect_hyper_extra_key(header):
+        header["optimizer"]["hyper"]["momentum"] = 0.9
+        return "invalid optimizer"
+
+    @staticmethod
+    def _defect_hyper_three_betas(header):
+        header["optimizer"]["hyper"]["betas"].append(0.5)
+        return "invalid optimizer"
+
+    @staticmethod
+    def _defect_hyper_bool(header):
+        header["optimizer"]["hyper"]["weight_decay"] = False
+        return "invalid optimizer"
+
+    @staticmethod
+    def _defect_hyper_not_finite(header):
+        header["optimizer"]["hyper"]["eps"] = float("nan")  # json writes NaN, and reads it back
+        return "invalid optimizer"
+
+    @staticmethod
+    def _defect_hyper_huge(header):
+        header["optimizer"]["hyper"]["lr"] = 10**400  # no float holds it
+        return "OverflowError"
+
+    @staticmethod
+    def _defect_rng_not_a_dict(header):
+        header["rng_state"] = [1, 2]
+        return "TypeError: state must be a dict"
+
+    @staticmethod
+    def _defect_rng_other_generator(header):
+        header["rng_state"]["bit_generator"] = "MT19937"
+        return "ValueError: state must be for a PCG64 RNG"
+
+    @staticmethod
+    def _defect_rng_missing_key(header):
+        del header["rng_state"]["has_uint32"]
+        return "KeyError: 'has_uint32'"
+
+    @staticmethod
+    def _defect_rng_negative(header):
+        header["rng_state"]["state"]["inc"] = -1
+        return "OverflowError"
+
     def _small_file_with_header(self, path, edit):
         """_small_file with its JSON header passed through edit and a valid
         header CRC; returns what edit returned."""
@@ -568,7 +647,9 @@ class TestCheckpoints:
     _DEFECTS = ["bad_dtype", "negative_dimension", "unsorted_names", "moment_names", "moment_shape", "moment_flat",
                 "moment_dtype", "moment_extra", "moment_missing", "optimizer_dropped", "mixed_dtype",
                 "config_more_layers", "config_huge", "payload_larger_than_file", "dropout", "rel_max_distance",
-                "gated_ffn_false"]
+                "gated_ffn_false", "hyper_missing_key", "hyper_extra_key", "hyper_three_betas", "hyper_bool",
+                "hyper_not_finite", "hyper_huge", "rng_not_a_dict", "rng_other_generator", "rng_missing_key",
+                "rng_negative"]
 
     @pytest.mark.parametrize("defect", _DEFECTS)
     def test_crafted_header_rejected(self, tmp_path, defect):
