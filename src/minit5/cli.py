@@ -48,6 +48,7 @@ _DATA_ERRORS = (
     OSError,
     UnicodeDecodeError,
     json.JSONDecodeError,
+    MemoryError,  # an array that does not fit: a model or batch too large for this machine
 )
 _NUMERICAL_ERRORS = (training.NumericalError, FloatingPointError, ZeroDivisionError)
 

@@ -12,7 +12,8 @@ each node as it runs its rule, so the tape's memory goes back as the
 gradients come in; it accumulates gradients into ``Tensor.grad`` of the
 leaves only. Intermediate outputs never get a ``.grad``, and a replayed
 tape cannot be replayed again. With no tape active, ops are plain forward
-computations (used for decoding and finite-difference probes).
+computations (used for decoding and finite-difference probes). Tapes are
+per thread: a tape records only the ops of the thread that entered it.
 
 Backward rules skip the work for operands that do not require gradients
 (constants such as scales). An output recorded on a tape may carry a
@@ -66,6 +67,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -138,20 +140,29 @@ class Tape:
         self.replayed = False
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _TAPE_STACK.tapes.pop()
         return False
 
     @staticmethod
     def active():
-        """The innermost tape currently recording, or None."""
-        return _TAPE_STACK[-1] if _TAPE_STACK else None
+        """The innermost tape currently recording on this thread, or None."""
+        tapes = _TAPE_STACK.tapes
+        return tapes[-1] if tapes else None
 
 
-_TAPE_STACK: list[Tape] = []
+class _TapeStack(threading.local):
+    """Each thread's stack of active tapes: a tape records only the ops of
+    the thread that entered it."""
+
+    def __init__(self):
+        self.tapes = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 def _as_tensor(x, like=None):
@@ -191,7 +202,7 @@ def _kept(t):
     return t.rebuild or (lambda: data)
 
 
-def backward(loss, tape):
+def backward(loss, tape, on_leaf=None):
     """Populate .grad on every leaf reachable from loss: a tensor that
     requires gradients and is not the output of a node on this tape.
 
@@ -204,27 +215,49 @@ def backward(loss, tape):
     incoming gradient (add, reshape). A leaf's .grad is the array its
     backward rule returned, not a copy, so it may share memory with another
     leaf's .grad: replace .grad, never write into it.
+
+    A leaf's gradient is handed over as soon as the last node that reads
+    it (the first one recorded) has replayed, once per leaf: to
+    on_leaf(leaf, gradient) when given, which then owns it and no .grad is
+    set, else into the leaf's .grad.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     if tape.replayed:
         raise TapeError("backward over a tape that was already replayed")
     tape.replayed = True
+    if on_leaf is None:
+        on_leaf = _accumulate
+    nodes = tape.nodes
+    # the leaves whose gradient is whole once node i has replayed
+    first = {}
+    for i, node in enumerate(nodes):
+        for name in node.inputs:
+            if isinstance(name, Tensor):
+                first.setdefault(name, i)
+    done = {}
+    for leaf, i in first.items():
+        done.setdefault(i, []).append(leaf)
     # gradients by the name a node gives its input: a key while the node
     # that produced it is still to be replayed, the leaf Tensor itself
     grads = {loss.key if loss.key in tape.keys else loss: np.ones_like(loss.data)}
-    nodes = tape.nodes
     while nodes:
         node = nodes.pop()
         g = grads.pop(node.out, None)
-        if g is None:
-            continue
-        for name, ig in zip(node.inputs, node.vjp(g)):
-            if name is not None and ig is not None:
-                grads[name] = ig if name not in grads else grads[name] + ig
-    # every node is replayed, so what is left is the leaves' gradients
+        if g is not None:
+            for name, ig in zip(node.inputs, node.vjp(g)):
+                if name is not None and ig is not None:
+                    grads[name] = ig if name not in grads else grads[name] + ig
+        for leaf in done.pop(len(nodes), ()):
+            if leaf in grads:
+                on_leaf(leaf, grads.pop(leaf))
+    # a loss that no node on this tape produced is its own leaf
     for leaf, g in grads.items():
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
+        on_leaf(leaf, g)
+
+
+def _accumulate(leaf, g):
+    leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _unbroadcast(g, shape):

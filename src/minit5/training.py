@@ -20,22 +20,25 @@ and saving one copies no array.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
 import math
 import os
 import struct
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import evaluation, noising
+from . import PART_THREADS, evaluation, noising, tensor
 from .bpe import PAD_ID
 from .fileio import atomic_write
 from .model import ModelConfig, decode_logits, encode, param_shapes
-from .tensor import Tape, Tensor, backward, cross_entropy
+from .tensor import Tape, Tensor, _record, backward, cross_entropy, mul
 
 CHECKPOINT_MAGIC = b"MNT5CKPT"
 CHECKPOINT_VERSION = 2
@@ -62,6 +65,12 @@ def _pad_batch(sequences):
     return out
 
 
+# (encoder rows + decoder rows) * d_ff from which a batch runs as two parts:
+# where two parts on two threads began to beat the whole batch on one, for
+# tiny and d256 batches alike (2^17.6 to 2^18 on a 2-CPU machine)
+SPLIT_WORK = 1 << 18
+
+
 def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     """Mean cross-entropy of the targets under teacher forcing.
 
@@ -71,6 +80,11 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     skips pad inputs and the decoder stops each row at its target's length,
     so its rows are the target positions that count, every one in the mean.
     A target may not hold the pad id.
+
+    A batch of at least 2 pairs whose (encoder rows + decoder rows) * d_ff
+    reaches SPLIT_WORK runs as two parts (see _two_part_loss), each on a
+    thread of its own when PART_THREADS allows, else one after the other;
+    the bits are the same either way.
     """
     pairs = list(pairs)
     if not pairs:
@@ -79,6 +93,14 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
         raise TrainingError("empty target sequence in batch")
     if any(PAD_ID in p.target_ids for p in pairs):
         raise TrainingError(f"target sequence in batch holds the pad id {PAD_ID}")
+    rows = sum(len(p.input_ids) + len(p.target_ids) for p in pairs)
+    if len(pairs) < 2 or rows * config.d_ff < SPLIT_WORK:
+        return _loss(config, params, pairs, train, rng)
+    return _two_part_loss(config, params, pairs, train, rng)
+
+
+def _loss(config, params, pairs, train, rng):
+    """teacher_forced_loss of a checked batch, run whole."""
     enc_in = _pad_batch([p.input_ids for p in pairs])
     targets = _pad_batch([p.target_ids for p in pairs])
     dec_in = np.concatenate([np.full((len(pairs), 1), PAD_ID, dtype=np.int64), targets[:, :-1]], axis=1)
@@ -86,6 +108,85 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     logits = decode_logits(config, params, enc_out, enc_grid, dec_in, train=train, rng=rng,
                            lengths=[len(p.target_ids) for p in pairs])
     return cross_entropy(logits, np.concatenate([p.target_ids for p in pairs]))
+
+
+_POOL = None  # the part thread, started by the first split that runs on two threads
+
+
+def _both(fn):
+    """(fn(0), fn(1)): fn(1) on the part thread when PART_THREADS is 2, else
+    after fn(0) on this thread. fn(1) has finished when this returns or
+    raises; an error of fn(0) wins, and either is raised unchanged."""
+    global _POOL
+    if PART_THREADS < 2:
+        return fn(0), fn(1)
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="minit5-part")
+    second = _POOL.submit(fn, 1)
+    try:
+        first = fn(0)
+    finally:
+        wait([second])
+    return first, second.result()
+
+
+def _two_part_loss(config, params, pairs, train, rng):
+    """The loss of two parts of the batch, split at the pair boundary that
+    best balances their target rows. Each part runs _loss on its own tape,
+    over leaf Tensors of its own that share the parameter arrays, and
+    weights its mean by its share of the target rows, so the sum is the
+    mean over every target row. When dropout draws, each part draws from a
+    generator seeded by a draw of rng, so rng's state (which checkpoints
+    keep) is the whole story. On an active tape the sum is one node over
+    the parameters: its backward rule replays both part tapes at once and
+    sums each parameter's two gradients, part 0's plus part 1's, as soon as
+    both are whole (backward's on_leaf), so two full gradient sets are
+    never alive."""
+    ends = np.cumsum([len(p.target_ids) for p in pairs])
+    k = 1 + int(np.argmin(np.abs(2 * ends[:-1] - ends[-1])))
+    parts = (pairs[:k], pairs[k:])
+    shares = (ends[k - 1] / ends[-1], (ends[-1] - ends[k - 1]) / ends[-1])
+    rngs = (rng, rng)
+    if train and config.dropout > 0:
+        rngs = tuple(np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=2))
+    record = Tape.active() is not None and any(p.requires_grad for p in params.values())
+
+    def part(i):
+        own = {name: Tensor(p.data, requires_grad=p.requires_grad) for name, p in params.items()}
+        with Tape() if record else contextlib.nullcontext() as tape:
+            loss = mul(_loss(config, own, parts[i], train, rngs[i]), shares[i])
+        return own, tape, loss
+
+    done = _both(part)
+    total = Tensor(done[0][2].data + done[1][2].data)
+    if not record:
+        return total
+
+    def vjp(g):
+        summed, pending, lock = {}, {}, threading.Lock()
+
+        def replay(i):
+            own, tape, loss = done[i]
+            names = {t: name for name, t in own.items()}
+
+            def on_leaf(leaf, grad):
+                name = names[leaf]
+                with lock:
+                    other = pending.pop(name, None)
+                    if other is None:
+                        pending[name] = grad
+                        return
+                summed[name] = other + grad  # IEEE addition commutes: the same bits in either order
+
+            tensor.backward(loss, tape, on_leaf)  # not the name train_step calls, which a caller may wrap
+
+        _both(replay)
+        summed.update(pending)  # a parameter that only one part reached
+        if g.item() != 1.0:
+            summed = {name: grad * g for name, grad in summed.items()}
+        return tuple(summed.get(name) for name in params)
+
+    return _record(total, tuple(params.values()), vjp)
 
 
 def train_step(config, params, optimizer, batch, rng, where, lr=None):
@@ -111,6 +212,8 @@ class AdamW:
     """Adam with decoupled weight decay and bias-corrected moments."""
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        if problem := _hyper_problem(lr, betas, eps):
+            raise TrainingError(f"AdamW {problem}")
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
@@ -189,8 +292,10 @@ class AdamW:
     def load_state(self, state):
         """Adopt a `state()`: the moments given are used as they are when
         their dtype is the parameters', not copied."""
-        self.step_count = state["step"]
         hyper = state["hyper"]
+        if problem := _hyper_problem(hyper["lr"], hyper["betas"], hyper["eps"]):
+            raise TrainingError(f"AdamW state: {problem}")
+        self.step_count = state["step"]
         self.lr = hyper["lr"]
         self.beta1, self.beta2 = hyper["betas"]
         self.eps = hyper["eps"]
@@ -198,6 +303,19 @@ class AdamW:
         for k in self.m:
             self.m[k] = state["m"][k].astype(self.m[k].dtype, copy=False)
             self.v[k] = state["v"][k].astype(self.v[k].dtype, copy=False)
+
+
+def _hyper_problem(lr, betas, eps):
+    """What AdamW cannot run with, or None: both betas must lie in [0, 1) (a
+    beta of 1 would divide by zero in the bias correction), lr must be at
+    least 0 and eps greater than 0."""
+    if not all(0 <= b < 1 for b in betas):
+        return f"betas must lie in [0, 1), got {list(betas)}"
+    if not lr >= 0:
+        return f"lr must be at least 0, got {lr}"
+    if not eps > 0:
+        return f"eps must be greater than 0, got {eps}"
+    return None
 
 
 def lr_schedule(step, base_lr, warmup=10_000):
@@ -341,11 +459,13 @@ def _is_count(x):
 
 def _is_hyper(hyper):
     """Whether hyper is what `AdamW.state()` writes: exactly lr, betas (a
-    list of two), eps and weight_decay, each a finite number, not a bool."""
+    list of two), eps and weight_decay, each a finite number, not a bool,
+    that AdamW can run with."""
     return (isinstance(hyper, dict) and set(hyper) == {"lr", "betas", "eps", "weight_decay"}
             and isinstance(hyper["betas"], list) and len(hyper["betas"]) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-                    for x in (hyper["lr"], *hyper["betas"], hyper["eps"], hyper["weight_decay"])))
+                    for x in (hyper["lr"], *hyper["betas"], hyper["eps"], hyper["weight_decay"]))
+            and _hyper_problem(hyper["lr"], hyper["betas"], hyper["eps"]) is None)
 
 
 def _parse_header(data):

@@ -53,10 +53,13 @@ def vocab_file(tmp_path, corpus_file):
     return path
 
 
-# records OPENBLAS_NUM_THREADS at the moment numpy is first imported
+# runs on the first argv[1] CPUs it may use, imports numpy first when
+# argv[2] says so, then prints OPENBLAS_NUM_THREADS at the moment numpy is
+# first imported and minit5's part threads
 _BLAS_PROBE = """
 import os, sys
 
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
 seen = {}
 
 
@@ -68,27 +71,52 @@ class Probe:
 
 
 sys.meta_path.insert(0, Probe())
+if sys.argv[2] == "numpy":
+    import numpy
 import minit5.cli
-print(seen["numpy"])
+print(seen["numpy"], minit5.training.PART_THREADS)
 """
 
 
 class TestThreads:
-    def _blas_threads_at_numpy_import(self, **env_vars):
+    def _threads_at_numpy_import(self, cpus, first="minit5", **env_vars):
+        """(BLAS threads, part threads) in a process on cpus CPUs that
+        imports `first` first."""
+        if len(os.sched_getaffinity(0)) < cpus:
+            pytest.skip(f"needs {cpus} usable CPUs")
         env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "MINIT5_THREADS")}
         src = os.path.dirname(os.path.dirname(os.path.abspath(minit5.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         env.update(env_vars)
-        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(cpus), first], env=env, capture_output=True,
                               text=True, check=True)
-        return done.stdout.strip()
+        blas, parts = done.stdout.split()
+        return blas, int(parts)
 
     def test_minit5_threads_is_set_before_numpy_loads(self):
-        assert self._blas_threads_at_numpy_import(MINIT5_THREADS="3") == "3"
+        # on one CPU there is one part thread, so BLAS gets the whole cap
+        assert self._threads_at_numpy_import(1, MINIT5_THREADS="3") == ("3", 1)
 
     def test_explicit_blas_setting_wins(self):
-        assert self._blas_threads_at_numpy_import(MINIT5_THREADS="3", OPENBLAS_NUM_THREADS="2") == "2"
+        assert self._threads_at_numpy_import(1, MINIT5_THREADS="3", OPENBLAS_NUM_THREADS="2") == ("2", 1)
+
+    def test_two_cpus_run_two_parts_on_one_blas_thread_each(self):
+        assert self._threads_at_numpy_import(2) == ("1", 2)
+
+    def test_the_cap_is_shared_between_the_part_threads(self):
+        assert self._threads_at_numpy_import(2, MINIT5_THREADS="5") == ("2", 2)
+
+    def test_one_thread_runs_the_parts_in_turn(self):
+        assert self._threads_at_numpy_import(2, MINIT5_THREADS="1") == ("1", 1)
+
+    def test_explicit_blas_threads_cut_the_part_threads(self):
+        # two parts at 2 BLAS threads each would crowd 2 CPUs
+        assert self._threads_at_numpy_import(2, OPENBLAS_NUM_THREADS="2") == ("2", 1)
+        assert self._threads_at_numpy_import(2, OPENBLAS_NUM_THREADS="1") == ("1", 2)
+
+    def test_numpy_loaded_first_runs_blas_on_every_cpu_and_the_parts_in_turn(self):
+        assert self._threads_at_numpy_import(2, first="numpy") == ("None", 1)
 
 
 # allocates, touches and frees three 16 MiB float32 arrays per cycle, as a
@@ -581,6 +609,26 @@ class TestPretrain:
                   "--batch-tokens", "96", "--seed", "9"])
             logs.append((out_dir / "training.log").read_text(encoding="utf-8"))
         assert logs[0] == logs[1]
+
+    def test_two_part_runs_are_byte_identical_on_any_thread_count(self, tmp_path, corpus_file, vocab_file,
+                                                                   monkeypatch):
+        # every batch split in two: the same seed gives the same log and
+        # checkpoint, whether the parts run on two threads or in turn
+        from minit5 import training
+
+        real_split, splits = training._two_part_loss, []
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
+        monkeypatch.setattr(training, "_two_part_loss", lambda *args: splits.append(1) or real_split(*args))
+        runs = []
+        for name, threads in (("a", 2), ("b", 2), ("c", 1)):
+            monkeypatch.setattr(training, "PART_THREADS", threads)
+            out_dir = tmp_path / name
+            assert main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+                         "--output-dir", str(out_dir), "--steps", "3", "--seq-len", "16",
+                         "--batch-tokens", "96", "--seed", "9"]) == 0
+            runs.append([(out_dir / f).read_bytes() for f in ("training.log", "ckpt-00000003.bin")])
+        assert len(splits) == 9
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("content, message", [
         (CORPUS.encode("utf-8") + b"\nvoda \xff\n", "'utf-8' codec can't decode byte 0xff"),
@@ -1083,6 +1131,51 @@ class TestExitCodes:
         assert err == ("numerical failure: non-finite gradient in parameter 'encoder.final_norm' "
                        "in update 2 at step 2\n")
         assert (tmp_path / "run" / "training.log").read_text(encoding="utf-8").count("\n") == 1
+
+    @staticmethod
+    def _fail_in_part(monkeypatch, part, step, fail):
+        """Split every batch in two and make part `part` of step `step`
+        return fail() when it is a Tensor, else raise it."""
+        from minit5 import training
+
+        real_split, real_loss, batches = training._two_part_loss, training._loss, []
+
+        def split(config, params, pairs, train, rng):
+            batches.append(pairs)
+            return real_split(config, params, pairs, train, rng)
+
+        def loss(config, params, pairs, train, rng):
+            if len(batches) == step and (pairs[0] is batches[-1][0]) == (part == 0):
+                return fail()
+            return real_loss(config, params, pairs, train, rng)
+
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
+        monkeypatch.setattr(training, "_two_part_loss", split)
+        monkeypatch.setattr(training, "_loss", loss)
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_non_finite_loss_in_either_part_exits_3_naming_the_step(self, tmp_path, corpus_file, vocab_file,
+                                                                     capsys, monkeypatch, part):
+        from minit5.tensor import Tensor
+
+        self._fail_in_part(monkeypatch, part, 2, lambda: Tensor(np.nan))
+        rc = main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+                   "--output-dir", str(tmp_path / "run"), "--steps", "3",
+                   "--seq-len", "16", "--batch-tokens", "96"])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite loss nan at step 2\n"
+
+    def test_memory_error_in_part_1_exits_2_with_one_line(self, tmp_path, corpus_file, vocab_file, capsys,
+                                                           monkeypatch):
+        def fail():
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        self._fail_in_part(monkeypatch, 1, 1, fail)
+        rc = main(["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+                   "--output-dir", str(tmp_path / "run"), "--steps", "3",
+                   "--seq-len", "16", "--batch-tokens", "96"])
+        assert rc == 2
+        assert capsys.readouterr().err == "data error: Unable to allocate 1.00 TiB for an array\n"
 
     def test_non_finite_finetune_loss_exits_3_naming_epoch_and_batch(self, tmp_path, vocab_file, capsys,
                                                                       monkeypatch):

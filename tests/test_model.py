@@ -744,6 +744,30 @@ class TestTapeMemory:
         assert digests == ["6897a2700c8ca5ea390dbf7d6ac240f76fca6be3e3998c4b1d8cf9e92e0dd941",
                            "b352439753d6dcab3e680c1e42b14d8392bcfb16c3854ed5787db0240e015bda"]
 
+    def test_backward_hands_each_parameter_over_once_after_its_last_reader(self):
+        # the tied embedding is read by both lookups and the output
+        # projection; it goes only when the encoder lookup, recorded first,
+        # has replayed. The arrays handed over are the plain .grad arrays.
+        cfg, params, pairs = self._padded_d64_step()
+        names = {p: name for name, p in params.items()}
+        handed = {}
+        with Tape() as tape:
+            loss = teacher_forced_loss(cfg, params, pairs, train=True, rng=np.random.default_rng(2))
+            readers = [[i for i, node in enumerate(tape.nodes) if p in node.inputs] for p in params.values()]
+            first = {name: r[0] for name, r in zip(params, readers)}
+
+            def on_leaf(leaf, g):
+                assert names[leaf] not in handed
+                handed[names[leaf]] = (len(tape.nodes), g)
+
+            backward(loss, tape, on_leaf=on_leaf)
+        assert len(readers[list(params).index("embedding")]) == 3
+        assert {name: left for name, (left, _) in handed.items()} == first
+        assert all(p.grad is None for p in params.values())
+        with Tape() as tape:
+            backward(teacher_forced_loss(cfg, params, pairs, train=True, rng=np.random.default_rng(2)), tape)
+        assert all(handed[name][1].tobytes() == p.grad.tobytes() for name, p in params.items())
+
     def test_norm_outputs_and_q_k_v_rows_are_freed_by_the_end_of_forward(self, monkeypatch):
         # the q/k/v projections, the feed-forward and the tied output
         # projection keep rebuild recipes of the norm outputs they read, and

@@ -296,6 +296,30 @@ class TestBackward:
         assert tape.replayed and x.grad == 1.0
 
 
+class TestOnLeaf:
+    def test_each_leaf_is_handed_over_once_as_its_last_reader_replays(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 4.0], requires_grad=True)
+        handed = []
+        with Tape() as tape:
+            y = mul(x, 2.0)  # node 0 reads x
+            z = mul(y, w)  # node 1 reads w
+            loss = sum_all(mul(z, x))  # node 2 reads x again; the loss is sum(2 w x^2)
+            backward(loss, tape, on_leaf=lambda leaf, g: handed.append((leaf, len(tape.nodes), g)))
+        # w goes once node 1 has replayed, x only after node 0, its first reader
+        assert [(leaf, left) for leaf, left, _ in handed] == [(w, 1), (x, 0)]
+        np.testing.assert_array_equal(handed[0][2], [2.0, 8.0])
+        np.testing.assert_array_equal(handed[1][2], [12.0, 32.0])
+        assert x.grad is None and w.grad is None  # on_leaf owns the gradients
+
+    def test_a_loss_that_is_a_leaf_is_handed_over_too(self):
+        x = Tensor(3.0, requires_grad=True)
+        handed = []
+        with Tape() as tape:
+            backward(x, tape, on_leaf=lambda leaf, g: handed.append((leaf, g)))
+        assert handed == [(x, 1.0)] and x.grad is None
+
+
 class TestEmbeddingAndShapes:
     def test_lookup_and_scatter(self):
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)

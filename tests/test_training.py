@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import threading
 import tracemalloc
 import weakref
 import zlib
@@ -18,7 +19,8 @@ import minit5
 from minit5.bpe import Vocabulary, encode, train_bpe
 from minit5.model import ModelConfig, forward, init_params, preset
 from minit5.noising import NoisedPair, NoisingError, mixture_sample, noise_stream, reconstruct
-from minit5.tensor import Tape, Tensor, backward
+from minit5 import training
+from minit5.tensor import ShapeError, Tape, Tensor, backward
 from minit5.training import (
     AdamW,
     Checkpoint,
@@ -80,6 +82,102 @@ class TestTeacherForcedLoss:
             teacher_forced_loss(cfg, params, [])
 
 
+class TestTwoParts:
+    # a tiny batch made to run as two parts by a SPLIT_WORK of 0
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(3)
+        return [NoisedPair(rng.integers(3, 32, size=int(rng.integers(4, 12))).tolist(),
+                           rng.integers(3, 32, size=int(rng.integers(1, 6))).tolist()) for _ in range(7)]
+
+    @staticmethod
+    def _step(monkeypatch, *, split=True, threads=2, dtype=np.float32, dropout=0.1):
+        """(loss bytes, {name: gradient bytes}) of one forward and backward."""
+        monkeypatch.setattr(training, "SPLIT_WORK", 0 if split else 1 << 62)
+        monkeypatch.setattr(training, "PART_THREADS", threads)
+        cfg = _tiny(dropout=dropout)
+        params = init_params(cfg, np.random.default_rng(0), dtype=dtype)
+        with Tape() as tape:
+            loss = teacher_forced_loss(cfg, params, TestTwoParts._pairs(), train=True, rng=np.random.default_rng(1))
+            backward(loss, tape)
+        return loss.data, {name: p.grad for name, p in params.items()}
+
+    def test_two_threads_and_one_give_the_same_bits(self, monkeypatch):
+        loss_2, grads_2 = self._step(monkeypatch, threads=2)
+        loss_1, grads_1 = self._step(monkeypatch, threads=1)
+        assert loss_2.tobytes() == loss_1.tobytes()
+        assert all(grads_2[name].tobytes() == grads_1[name].tobytes() for name in grads_1)
+
+    def test_two_parts_match_the_whole_batch_in_float64(self, monkeypatch):
+        loss, grads = self._step(monkeypatch, dtype=np.float64, dropout=0.0)
+        loss_whole, grads_whole = self._step(monkeypatch, split=False, dtype=np.float64, dropout=0.0)
+        assert abs(loss - loss_whole) <= 1e-12 * abs(loss_whole)
+        for name, g in grads_whole.items():
+            assert np.linalg.norm(grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+    def test_the_split_balances_target_rows_at_a_pair_boundary(self, monkeypatch):
+        seen = []
+        real_loss = training._loss
+
+        def loss(config, params, pairs, train, rng):
+            seen.append([len(p.target_ids) for p in pairs])
+            return real_loss(config, params, pairs, train, rng)
+
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
+        monkeypatch.setattr(training, "PART_THREADS", 1)
+        monkeypatch.setattr(training, "_loss", loss)
+        pairs = [NoisedPair([3, 4], [5] * n) for n in (1, 1, 1, 5, 2)]
+        teacher_forced_loss(_tiny(), init_params(_tiny(), np.random.default_rng(0)), pairs)
+        assert seen == [[1, 1, 1], [5, 2]]  # 3 and 7 target rows; 2 and 8, or 8 and 2, are further apart
+
+    def test_the_size_rule(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "_two_part_loss", lambda *args: calls.append(len(args[2])))
+        cfg = _tiny()  # d_ff 32
+        params = init_params(cfg, np.random.default_rng(0))
+        pairs = [NoisedPair([3, 4, 5], [6])] * 2  # 8 rows
+        monkeypatch.setattr(training, "SPLIT_WORK", 8 * 32 + 1)
+        teacher_forced_loss(cfg, params, pairs)
+        monkeypatch.setattr(training, "SPLIT_WORK", 8 * 32)
+        teacher_forced_loss(cfg, params, pairs)
+        teacher_forced_loss(cfg, params, pairs[:1])  # one pair always runs whole
+        assert calls == [2]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("error", [NumericalError("non-finite loss"), ShapeError("bad shape"),
+                                       MemoryError("Unable to allocate 1.00 TiB")])
+    def test_an_error_in_part_1_reaches_the_caller_unchanged(self, monkeypatch, threads, error):
+        real_loss, where = training._loss, []
+
+        def loss(config, params, pairs, train, rng):
+            if pairs[0] is not batch[0]:
+                where.append(threading.current_thread().name)
+                raise error
+            return real_loss(config, params, pairs, train, rng)
+
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
+        monkeypatch.setattr(training, "PART_THREADS", threads)
+        monkeypatch.setattr(training, "_loss", loss)
+        batch = self._pairs()
+        with Tape(), pytest.raises(type(error)) as raised:
+            teacher_forced_loss(_tiny(), init_params(_tiny(), np.random.default_rng(0)), batch)
+        assert raised.value is error
+        assert (where[0] == threading.current_thread().name) == (threads == 1)
+
+    def test_dropout_draws_come_from_the_callers_generator(self, monkeypatch):
+        # each part draws from a generator seeded from rng, so rng's state
+        # (the one a checkpoint keeps) says what the next step draws
+        rng = np.random.default_rng(1)
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
+        cfg = _tiny(dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(0))
+        state = rng.bit_generator.state
+        first = teacher_forced_loss(cfg, params, self._pairs(), train=True, rng=rng).data
+        assert rng.bit_generator.state != state
+        rng.bit_generator.state = state
+        assert teacher_forced_loss(cfg, params, self._pairs(), train=True, rng=rng).data == first
+
+
 class TestAdamW:
     def test_zero_grads_no_decay_no_change(self):
         w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -107,6 +205,28 @@ class TestAdamW:
             opt.step()
             expected *= 1.0 - 0.1 * 0.01
         np.testing.assert_allclose(w.data, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("hyper, message", [
+        (dict(betas=(1.0, 0.999)), r"betas must lie in \[0, 1\), got \[1.0, 0.999\]"),
+        (dict(betas=(0.9, 1.5)), r"betas must lie in \[0, 1\), got \[0.9, 1.5\]"),
+        (dict(betas=(-0.1, 0.999)), r"betas must lie in \[0, 1\)"),
+        (dict(lr=-1e-3), "lr must be at least 0, got -0.001"),
+        (dict(eps=0.0), "eps must be greater than 0, got 0.0"),
+        (dict(eps=float("nan")), "eps must be greater than 0, got nan"),
+    ])
+    def test_out_of_range_hyperparameters_fail_at_construction(self, hyper, message):
+        # a beta of 1 used to pass here and divide by zero at the first step
+        with pytest.raises(TrainingError, match=f"^AdamW {message}"):
+            AdamW({"w": Tensor(np.array([1.0]), requires_grad=True)}, **hyper)
+
+    def test_load_state_refuses_out_of_range_hyperparameters(self):
+        w = Tensor(np.array([1.0]), requires_grad=True)
+        opt = AdamW({"w": w})
+        state = opt.state()
+        state["hyper"] = dict(state["hyper"], betas=[0.9, 1.0])
+        with pytest.raises(TrainingError, match=r"^AdamW state: betas must lie in \[0, 1\)"):
+            opt.load_state(state)
+        assert opt.beta2 == 0.999
 
     def test_nonfinite_gradient_names_parameter(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
@@ -608,6 +728,21 @@ class TestCheckpoints:
         return "invalid optimizer"
 
     @staticmethod
+    def _defect_hyper_beta_one(header):
+        header["optimizer"]["hyper"]["betas"][1] = 1.0  # the bias correction would divide by zero
+        return "invalid optimizer"
+
+    @staticmethod
+    def _defect_hyper_beta_above_one(header):
+        header["optimizer"]["hyper"]["betas"][0] = 1.5
+        return "invalid optimizer"
+
+    @staticmethod
+    def _defect_hyper_negative_lr(header):
+        header["optimizer"]["hyper"]["lr"] = -0.001
+        return "invalid optimizer"
+
+    @staticmethod
     def _defect_hyper_huge(header):
         header["optimizer"]["hyper"]["lr"] = 10**400  # no float holds it
         return "OverflowError"
@@ -648,7 +783,7 @@ class TestCheckpoints:
                 "moment_dtype", "moment_extra", "moment_missing", "optimizer_dropped", "mixed_dtype",
                 "config_more_layers", "config_huge", "payload_larger_than_file", "dropout", "rel_max_distance",
                 "gated_ffn_false", "hyper_missing_key", "hyper_extra_key", "hyper_three_betas", "hyper_bool",
-                "hyper_not_finite", "hyper_huge", "rng_not_a_dict", "rng_other_generator", "rng_missing_key",
+                "hyper_not_finite", "hyper_beta_one", "hyper_beta_above_one", "hyper_negative_lr", "hyper_huge", "rng_not_a_dict", "rng_other_generator", "rng_missing_key",
                 "rng_negative"]
 
     @pytest.mark.parametrize("defect", _DEFECTS)
@@ -1046,5 +1181,11 @@ class TestLearningGate:
     # 3.488 and 3.608, against 5.49-5.70 over the first 20 steps; the bound
     # is the worst of them plus a margin of 0.19, a tenth of the fall.
     def test_pretraining_loss_falls_below_the_bound(self):
+        losses = _pretrain_losses(seed=1)
+        assert np.mean(losses[-20:]) < 3.8, np.mean(losses[-20:])
+
+    def test_pretraining_in_two_parts_falls_below_the_bound(self, monkeypatch):
+        # every batch of the same run split in two, under the same bound
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
         losses = _pretrain_losses(seed=1)
         assert np.mean(losses[-20:]) < 3.8, np.mean(losses[-20:])
