@@ -41,7 +41,8 @@ def greedy_decode(config, params, input_ids, max_len, *, eos_id=bpe.EOS_ID):
     exclude the start symbol and the EOS.
 
     Decoding is incremental: each step runs the decoder over the newest
-    token only, against a DecodeCache of the earlier positions' K/V."""
+    token only, on arrays (`decode_logits` into `DecodeCache.step`), against
+    the cache's K/V of the earlier positions and of the encoder output."""
     if max_len < 1:
         raise EvalError(f"max_len must be >= 1, got {max_len}")
     enc_out, enc_grid = encode(config, params, input_ids)
@@ -187,27 +188,38 @@ def majority_baseline(train_golds, test_golds, metric="accuracy"):
 
 @dataclass
 class EvalReport:
+    """A task's scores. `evaluate_examples` also records the decode lengths:
+    the mean number of generated tokens per output, and the share of outputs
+    that hit the token budget without EOS."""
     task: str
     metrics: dict[str, float]
     invalid_rate: float | None = None
     predictions: list[tuple[str, str]] = field(default_factory=list)
+    generated_tokens_mean: float | None = None
+    budget_stop_rate: float | None = None
+
+    def _extras(self):
+        """(name, value, shown as a percentage) of each value set besides the metrics."""
+        extras = (("invalid_rate", self.invalid_rate, True),
+                  ("generated_tokens_mean", self.generated_tokens_mean, False),
+                  ("budget_stop_rate", self.budget_stop_rate, True))
+        return [extra for extra in extras if extra[1] is not None]
 
     def to_kv_lines(self):
         lines = [f"task={self.task}", f"examples={len(self.predictions)}"]
         for name, value in self.metrics.items():
             lines.append(f"{name}={value:.6f}")
-        if self.invalid_rate is not None:
-            lines.append(f"invalid_rate={self.invalid_rate:.6f}")
+        lines.extend(f"{name}={value:.6f}" for name, value, _ in self._extras())
         return lines
 
     def render(self):
-        width = max(len(n) for n in self.metrics) if self.metrics else 6
-        width = max(width, len("invalid_rate"))
+        extras = self._extras()
+        width = max([len("invalid_rate"), *map(len, self.metrics), *(len(name) for name, _, _ in extras)])
         lines = [f"task: {self.task}  ({len(self.predictions)} examples)"]
         for name, value in self.metrics.items():
             lines.append(f"  {name.ljust(width)}  {100.0 * value:6.2f}%")
-        if self.invalid_rate is not None:
-            lines.append(f"  {'invalid_rate'.ljust(width)}  {100.0 * self.invalid_rate:6.2f}%")
+        for name, value, percent in extras:
+            lines.append(f"  {name.ljust(width)}  " + (f"{100.0 * value:6.2f}%" if percent else f"{value:6.2f}"))
         return "\n".join(lines)
 
 
@@ -246,14 +258,19 @@ def score_predictions(task, generated, golds):
 
 
 def evaluate_examples(config, params, vocab, examples, task, *, max_output_tokens=None):
-    """Decode and score a task dataset; the output budget defaults to the row's in TASKS."""
+    """Decode and score a task dataset; the output budget defaults to the row's in TASKS.
+    The report also holds the decode lengths (see EvalReport)."""
     row = task_row(task)  # an unknown task fails before any decoding
     limit = row.decode_limit if max_output_tokens is None else max_output_tokens
     examples = list(examples)
-    outputs = (greedy_decode(config, params, bpe.encode(ex.input_text, vocab, append_eos=True), limit)
-               for ex in examples)
+    outputs = [greedy_decode(config, params, bpe.encode(ex.input_text, vocab, append_eos=True), limit)
+               for ex in examples]
     generated = [bpe.decode(out_ids, vocab, strip_specials=True) for out_ids in outputs]
-    return score_predictions(task, generated, [ex.target_text for ex in examples])
+    report = score_predictions(task, generated, [ex.target_text for ex in examples])
+    report.generated_tokens_mean = sum(map(len, outputs)) / len(outputs)
+    # greedy_decode returns max_len ids only when no EOS came within the budget
+    report.budget_stop_rate = sum(len(out_ids) == limit for out_ids in outputs) / len(outputs)
+    return report
 
 
 def write_report(report, directory):

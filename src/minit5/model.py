@@ -16,8 +16,8 @@ and returns its context as rows. When every position is real (greedy
 decoding, full batches) that layout is a view, and nothing is copied.
 
 Incremental decoding passes a `DecodeCache`, which owns the per-decode
-constants (cross-attention K/V, the self-attention K/V buffer written in
-place, the decoder bias row of its last position).
+constants (cross-attention K/V on their grid, the self-attention K/V buffer,
+the decoder bias row) and runs each step itself, on arrays, bit for bit.
 Uncached calls, training among them, build the bias with `_rel_bias`, so
 its gradient flows.
 
@@ -53,6 +53,7 @@ from .tensor import (
     softmax_lastdim,
     transpose,
 )
+from .tensor import _attention_weights, _gated_hidden, _heads, _key_mask, _merge, _rms_normed
 
 # Unused here since attention and the gated FFN became fused ops: gelu and
 # softmax_lastdim stay imported because the benchmark's traced run discovers
@@ -242,17 +243,18 @@ def decode_cache_shape(config, params, batch, capacity):
 
 class DecodeCache:
     """Decoder state carried across incremental `decode_logits` calls on one
-    encoder output, built once per decode. Each call adds one position per
-    row. Inference only: the cached K/V carry no gradient.
+    encoder output, built once per decode. Inference only: `step` adds one
+    position per row, on arrays, with the ops' own kernels and bits.
 
     - `length`: the number of positions already decoded, at most `capacity`.
-    - `cross[i]`: layer i's cross-attention K/V rows, projected here from
-      the encoder output.
+    - Each layer's cross-attention K/V, projected from the encoder output and
+      laid onto its grid once, [batch, heads, len, d_kv], and the grid's key
+      mask.
     - Self-attention K/V of every layer in one buffer [layers, 2, batch,
-      capacity, inner], the batch size taken from the encoder grid. A call
-      writes column `length` in place, and attention reads [batch, keys,
-      inner] views of it. A capacity whose buffer exceeds the machine's
-      physical memory is refused first (`decode_cache_shape`).
+      capacity, inner], the batch size taken from the encoder grid. A step
+      writes column `length` in place, and attends over views of it. A
+      capacity whose buffer exceeds the machine's physical memory is refused
+      first (`decode_cache_shape`).
     - The decoder's relative bias row [1, heads, 1, capacity] of a query at
       position capacity - 1, built by `_rel_bias`. The unidirectional bucket
       depends only on the distance query - key, so the query at position p
@@ -261,30 +263,46 @@ class DecodeCache:
     def __init__(self, config, params, enc_out, enc_grid, capacity):
         shape = decode_cache_shape(config, params, enc_grid[1][0], capacity)
         self.length = 0
-        self.cross = [_project_kv(params, f"decoder.layers.{i}.cross", enc_out) for i in range(config.dec_layers)]
+        self._config, self._params = config, params
         self._kv = np.empty(shape, dtype=params["embedding"].data.dtype)
+        self._cross = [tuple(_heads(enc_out.data @ params[f"decoder.layers.{i}.cross.{w}"].data, enc_grid,
+                                    config.n_heads, config.d_kv) for w in "kv") for i in range(config.dec_layers)]
+        self._cross_mask = _key_mask(enc_grid, None, self._kv.dtype)
         self._bias = _rel_bias(params, "decoder.rel_bias", np.array([capacity - 1]), capacity, False, config).data
 
-    def bias(self, ids):
-        """The decoder bias [1, heads, 1, keys] of the next position's query
-        against every key so far. Refuses ids that are not one position per
-        row of the cache's batch, and a full cache."""
+    def step(self, ids):
+        """Logits [batch, 1, vocab] of the next position's ids [batch, 1]: the
+        decoder's ops on arrays, new K/V into column `length`. Refuses ids that
+        are not one position per row of the batch, and a full cache."""
         batch, capacity = self._kv.shape[2:4]
         if ids.shape != (batch, 1):
             raise ShapeError(f"a DecodeCache for a batch of {batch} takes decoder ids of shape "
                              f"({batch}, 1), got {ids.shape}")
         if self.length == capacity:
             raise ShapeError(f"the DecodeCache is full: it holds {capacity} positions")
-        return Tensor(self._bias[..., capacity - 1 - self.length:])
+        c, w, t = self._config, {k: p.data for k, p in self._params.items()}, self.length
+        grid, keys = (None, (batch, 1)), (None, (batch, t + 1))
 
-    def extend(self, layer, kv):
-        """Write the K/V rows [batch, inner] of the new position into column
-        `length`; returns the K/V views [batch, keys, inner] over all
-        positions so far."""
-        buf = self._kv[layer]
-        for slot, new in zip(buf, kv):
-            slot[:, self.length] = new.data
-        return Tensor(buf[0, :, :self.length + 1]), Tensor(buf[1, :, :self.length + 1])
+        def attend(block, h, kh, vh, bias, mask):
+            qh = _heads(h @ w[f"{block}.q"], grid, c.n_heads, c.d_kv)
+            a = _attention_weights(qh, kh, c.d_kv**-0.5, bias, mask)[0]
+            return _merge(a @ vh, grid).reshape(batch, -1) @ w[f"{block}.o"]
+
+        x = w["embedding"][ids[:, 0]]
+        for i, (kv, cross) in enumerate(zip(self._kv, self._cross)):
+            base = f"decoder.layers.{i}"
+            h = _rms_normed(x, w[f"{base}.self_norm"])[0]
+            kv[0, :, t], kv[1, :, t] = h @ w[f"{base}.self.k"], h @ w[f"{base}.self.v"]
+            kh, vh = (_heads(a[:, :t + 1], keys, c.n_heads, c.d_kv) for a in kv)
+            x += attend(f"{base}.self", h, kh, vh, self._bias[..., capacity - 1 - t:], None)
+            h = _rms_normed(x, w[f"{base}.cross_norm"])[0]
+            x += attend(f"{base}.cross", h, *cross, None, self._cross_mask)
+            h = _rms_normed(x, w[f"{base}.ffn_norm"])[0]
+            x += _gated_hidden(h, w[f"{base}.ffn.wi_0"], w[f"{base}.ffn.wi_1"]) @ w[f"{base}.ffn.wo"]
+        self.length = t + 1
+        x = _rms_normed(x, w["decoder.final_norm"])[0]
+        # shared embedding as the output projection, rescaled for the tie
+        return (x @ w["embedding"].T * c.d_model**-0.5).reshape(batch, 1, c.vocab_size)
 
 
 def encode(config, params, input_ids, *, train=False, rng=None):
@@ -324,16 +342,19 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
 
     With a DecodeCache, decoder_input_ids are the one position per row that
     follows those the cache has already seen, [batch, 1] with the batch size
-    of the cache's encoder grid; their K/V are written into its buffer, so
-    greedy decoding runs one position per generated token. Cached calls are
-    for inference: they refuse train=True, lengths and an active Tape.
+    of the cache's encoder grid, and `DecodeCache.step` computes the logits,
+    so greedy decoding runs one position per generated token. Cached calls
+    are for inference: they refuse train=True, lengths, inputs_embeds and an
+    active Tape.
 
     inputs_embeds [batch, len, d_model], when given, replaces the embedding
     lookup (e.g. to probe gradients with respect to the embedded decoder
     inputs)."""
-    if cache is not None and (train or lengths is not None or Tape.active() is not None):
-        raise ValueError("a DecodeCache is for inference: no train=True, no lengths, no active Tape")
     ids = _check_ids(decoder_input_ids, config.vocab_size, "decoder_input_ids")
+    if cache is not None:
+        if train or lengths is not None or inputs_embeds is not None or Tape.active() is not None:
+            raise ValueError("a DecodeCache is for inference: no train=True, lengths, inputs_embeds or active Tape")
+        return Tensor(cache.step(ids))
     b, n = ids.shape
     real = np.ones((b, n), dtype=bool)
     if lengths is not None:
@@ -342,15 +363,7 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
             raise ShapeError(f"lengths {lengths.tolist()} do not fit decoder ids of shape {ids.shape}")
         real = np.arange(n)[None, :] < lengths[:, None]
     grid = _grid(real)
-    if cache is None:
-        n_keys = n
-        bias = _rel_bias(params, "decoder.rel_bias", np.arange(n), n, False, config)
-    else:
-        bias = cache.bias(ids)
-        n_keys = cache.length + 1
-    # keys of a cached call are every position so far; else they are the queries
-    self_grids = (grid, (grid[0], (b, n_keys)))
-    cross_grids = (grid, enc_grid)
+    bias = _rel_bias(params, "decoder.rel_bias", np.arange(n), n, False, config)
     if inputs_embeds is not None:
         if inputs_embeds.data.shape != (b, n, config.d_model):
             raise ShapeError(f"inputs_embeds shape {inputs_embeds.data.shape} does not match ids {ids.shape}")
@@ -363,18 +376,14 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
         base = f"decoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.self_norm"])
         kv = _project_kv(params, f"{base}.self", h)
-        if cache is not None:
-            kv = cache.extend(i, kv)
-        a = _attention(params, f"{base}.self", h, kv, self_grids, True, bias, config, p, rng)
+        a = _attention(params, f"{base}.self", h, kv, (grid, grid), True, bias, config, p, rng)
         x = add(x, dropout(a, p, rng))
         h = rms_norm(x, params[f"{base}.cross_norm"])
-        kv = _project_kv(params, f"{base}.cross", enc_out) if cache is None else cache.cross[i]
-        a = _attention(params, f"{base}.cross", h, kv, cross_grids, False, None, config, p, rng)
+        kv = _project_kv(params, f"{base}.cross", enc_out)
+        a = _attention(params, f"{base}.cross", h, kv, (grid, enc_grid), False, None, config, p, rng)
         x = add(x, dropout(a, p, rng))
         h = rms_norm(x, params[f"{base}.ffn_norm"])
         x = add(x, dropout(_ffn(params, f"{base}.ffn", h, p, rng), p, rng))
-    if cache is not None:
-        cache.length = n_keys
     x = rms_norm(x, params["decoder.final_norm"])
     # shared embedding as the output projection, rescaled for the tie
     logits = mul(matmul(x, transpose(params["embedding"])), config.d_model**-0.5)

@@ -12,7 +12,9 @@ each node as it runs its rule, so the tape's memory goes back as the
 gradients come in; it accumulates gradients into ``Tensor.grad`` of the
 leaves only. Intermediate outputs never get a ``.grad``, and a replayed
 tape cannot be replayed again. With no tape active, ops are plain forward
-computations (used for decoding and finite-difference probes). Tapes are
+computations (encoding for decoding, finite-difference probes); a cached
+decoding step, ``model.DecodeCache.step``, runs on arrays alone, with this
+module's array helpers and its norm and feed-forward kernels. Tapes are
 per thread: a tape records only the ops of the thread that entered it.
 
 Backward rules skip the work for operands that do not require gradients
@@ -402,6 +404,14 @@ def _softmax_grad_inplace(g, s):
 _RMS_EPS = 1e-6
 
 
+def _rms_normed(xd, gd):
+    """xd * inv * gd, and inv = 1/sqrt(mean(x^2) + _RMS_EPS) [..., 1] per row."""
+    # np.mean's result, bit for bit, without its Python-level wrapper
+    ms = np.add.reduce(np.square(xd), axis=-1, keepdims=True) / xd.shape[-1]
+    inv = 1.0 / np.sqrt(ms + _RMS_EPS)
+    return xd * inv * gd, inv
+
+
 def rms_norm(x, gain):
     """Scale each trailing-dim vector by 1/sqrt(mean(x^2) + _RMS_EPS), then by gain.
 
@@ -413,11 +423,8 @@ def rms_norm(x, gain):
     d = x.data.shape[-1]
     if gain.data.shape != (d,):
         raise ShapeError(f"gain shape {gain.data.shape} does not match trailing dimension {d}")
-    # np.mean's result, bit for bit, without its Python-level wrapper
-    ms = np.add.reduce(np.square(x.data), axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(ms + _RMS_EPS)
     xd, gd = x.data, gain.data
-    out = Tensor(xd * inv * gd)
+    out, inv = _rms_normed(xd, gd)
 
     def vjp(g):
         u = g * gd
@@ -426,7 +433,7 @@ def rms_norm(x, gain):
         ggain = (g * xd * inv).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
-    return _record(out, (x, gain), vjp, lambda: xd * inv * gd)
+    return _record(Tensor(out), (x, gain), vjp, lambda: xd * inv * gd)
 
 
 def gelu(x):
@@ -675,15 +682,14 @@ def _joined(pieces, shape):
     return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(shape)
 
 
-def _attention_weights(qh, kh, scale, bias, kv_grid, later, m=None, s=None):
+def _attention_weights(qh, kh, scale, bias, mask, m=None, s=None):
     """A block's softmax weights [batch, heads, queries, keys] with their row
     max and sum (see _softmax_inplace): the scaled scores plus the bias
-    array (or None) and the key mask."""
+    array and the key mask (see _key_mask), each of which may be None."""
     w = qh @ _swap_last(kh)
     w *= scale
     if bias is not None:
         w += bias
-    mask = _key_mask(kv_grid, later, w.dtype)
     if mask is not None:
         w += mask
     return _softmax_inplace(w, m, s)
@@ -743,7 +749,7 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     for blk in blocks:
         (q_part, qb), (kv_part, kb, vb) = _grid_block(q_grid, blk, qd), _grid_block(kv_grid, blk, kd, vd)
         w, m, s = _attention_weights(_heads(qb, q_part, n_heads, d), _heads(kb, kv_part, n_heads, d),
-                                     scale, bias_d, kv_part, later)
+                                     scale, bias_d, _key_mask(kv_part, later, qd.dtype))
         w = _apply_mask(w, None if keep is None else keep[blk], drop_scale, out=w)
         ctx.append(_merge(w @ _heads(vb, kv_part, n_heads, d), q_part))
         stats.append((m, s))
@@ -767,7 +773,7 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
             q_part, qb, gb = _grid_block(q_grid, blk, qd, g)
             kv_part, kb, vb = _grid_block(kv_grid, blk, kd, vd)
             qh, kh = _heads(qb, q_part, n_heads, d), _heads(kb, kv_part, n_heads, d)
-            w = _attention_weights(qh, kh, scale, bias_d, kv_part, later, m, s)[0]
+            w = _attention_weights(qh, kh, scale, bias_d, _key_mask(kv_part, later, qd.dtype), m, s)[0]
             keep = _unpack(None if bits is None else bits[blk], n_k)
             gh = _heads(gb, q_part, n_heads, d)
             if need_v:
@@ -813,6 +819,27 @@ def _by_row_blocks(body, *arrays):
         body(*(None if a is None else a[blk] for a in rows))
 
 
+def _gate(gelu, h1, keep, scale):
+    """The hidden activations, h1 * gelu under the keep-mask, over h1."""
+    h1 *= gelu
+    _apply_mask(h1, keep, scale, out=h1)
+
+
+def _gated_hidden(xd, wi_0d, wi_1d, keep=None, scale=1.0):
+    """gelu(x.wi_0) * (x.wi_1) under the keep-mask, over x.wi_1; the products
+    run whole, the elementwise work by row blocks (see _by_row_blocks)."""
+    h0 = xd @ wi_0d
+    h = xd @ wi_1d
+
+    def hidden(h0, h1, keep):
+        gelu = _normal_cdf(h0)
+        gelu *= h0
+        _gate(gelu, h1, keep, scale)
+
+    _by_row_blocks(hidden, h0, h, keep)
+    return h
+
+
 def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     """Gated-GELU feed-forward as one op: (gelu(x.wi_0) * (x.wi_1)) with
     inverted dropout p, then .wo. x: [..., d_model]; wi_0, wi_1:
@@ -829,23 +856,8 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
     become the gradient at x.wi_1 and the hidden activations in place."""
     wi_0d, wi_1d, wod = wi_0.data, wi_1.data, wo.data
     need_x, need_wi_0, need_wi_1, need_wo = x.requires_grad, wi_0.requires_grad, wi_1.requires_grad, wo.requires_grad
-    h0 = x.data @ wi_0d
-    h = x.data @ wi_1d
-    keep, scale = _dropout_mask(h0.shape, p, rng)
-
-    def gate(gelu, h1, keep):
-        """The hidden activations, h1 * gelu under the keep-mask, over h1."""
-        h1 *= gelu
-        _apply_mask(h1, keep, scale, out=h1)
-
-    def hidden(h0, h1, keep):
-        gelu = _normal_cdf(h0)
-        gelu *= h0
-        gate(gelu, h1, keep)
-
-    _by_row_blocks(hidden, h0, h, keep)
-    del h0
-    out = Tensor(h @ wod)
+    keep, scale = _dropout_mask(x.data.shape[:-1] + wi_0d.shape[-1:], p, rng)
+    out = Tensor(_gated_hidden(x.data, wi_0d, wi_1d, keep, scale) @ wod)
     bits, width = _pack(keep), wi_0d.shape[-1]
     kx = _kept(x)
 
@@ -870,7 +882,7 @@ def gated_gelu_ffn(x, wi_0, wi_1, wo, p=0.0, rng=None):
             np.multiply(gelu, gh, out=h0)
             gh *= slope
             gh *= h1
-            gate(gelu, h1, keep)
+            _gate(gelu, h1, keep, scale)
 
         _by_row_blocks(hidden_grad, h0, h1, bits, gh)
         gwo = _rows(h1).T @ _rows(g) if need_wo else None

@@ -848,7 +848,7 @@ class TestFinetuneAndEvaluate:
 
     def test_evaluate_with_rigged_zero_model_formats_report_exactly(self, tmp_path, vocab_file):
         # a zero checkpoint decodes pads everywhere -> every generation is
-        # invalid -> pinned report contents
+        # invalid and runs to the 4-token boolq budget -> pinned report contents
         vocab = load_vocab(vocab_file)
         cfg = ModelConfig(vocab_size=len(vocab), d_model=8, d_ff=16, n_heads=2, d_kv=4,
                           enc_layers=1, dec_layers=1, rel_buckets=4, rel_max_distance=8)
@@ -873,6 +873,8 @@ class TestFinetuneAndEvaluate:
             "examples=2\n"
             "accuracy=0.000000\n"
             "invalid_rate=1.000000\n"
+            "generated_tokens_mean=4.000000\n"
+            "budget_stop_rate=1.000000\n"
         )
 
     @staticmethod

@@ -4,12 +4,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from minit5 import bpe
 from minit5.evaluation import (
     DECODE_LIMITS,
     EvalError,
     EvalReport,
     classification_scores,
     entity_f1,
+    evaluate_examples,
     greedy_decode,
     lemma_accuracy,
     majority_baseline,
@@ -21,7 +23,7 @@ from minit5.evaluation import (
     write_report,
 )
 from minit5.model import ModelConfig, decode_logits, encode, init_params
-from minit5.tasks import TASKS
+from minit5.tasks import TASKS, TaskExample
 from minit5.tensor import Tensor
 
 
@@ -137,6 +139,42 @@ class TestGreedyDecode:
         out = self._both(cfg, params, input_ids, 3 * cfg.rel_max_distance, eos_id=-1)
         assert len(out) == 24
         self._both(cfg, params, input_ids, 3 * cfg.rel_max_distance, eos_id=1)
+
+
+class TestDecodeLengths:
+    """evaluate_examples reports the mean number of generated tokens and the
+    share of outputs that hit the budget without EOS."""
+
+    @staticmethod
+    def _report(eos_row):
+        # every decoder block adds nothing to the residual stream, and every
+        # token embeds as the same vector c but EOS, which embeds as
+        # eos_row * c: each logit is a positive multiple of c . E[id], so
+        # EOS wins at eos_row 2 and loses to id 0 (a tie, broken low) at -1
+        vocab = bpe.train_bpe(["kje gori voda teče mimo mlina"], 40, sentinel_count=2)
+        cfg = ModelConfig(vocab_size=len(vocab), d_model=8, d_ff=16, n_heads=2, d_kv=4,
+                          enc_layers=1, dec_layers=1, rel_buckets=4, rel_max_distance=8, dropout=0.0)
+        params = init_params(cfg, np.random.default_rng(0))
+        params["embedding"].data[...] = 1.0
+        params["embedding"].data[bpe.EOS_ID] = eos_row
+        for key in ("self.o", "cross.o", "ffn.wo"):
+            params[f"decoder.layers.0.{key}"].data[...] = 0.0
+        examples = [TaskExample("kje gori", "voda", "summarization"),
+                    TaskExample("voda teče mimo mlina", "gori", "summarization")]
+        return evaluate_examples(cfg, params, vocab, examples, "summarization", max_output_tokens=5)
+
+    def test_a_model_that_emits_eos_first_reads_zero(self):
+        report = self._report(2.0)
+        assert (report.generated_tokens_mean, report.budget_stop_rate) == (0.0, 0.0)
+        lines = report.to_kv_lines()
+        assert lines[-2:] == ["generated_tokens_mean=0.000000", "budget_stop_rate=0.000000"]
+
+    def test_a_model_that_never_emits_eos_reads_one(self):
+        report = self._report(-1.0)
+        assert (report.generated_tokens_mean, report.budget_stop_rate) == (5.0, 1.0)
+        assert report.to_kv_lines()[-2:] == ["generated_tokens_mean=5.000000", "budget_stop_rate=1.000000"]
+        assert report.render().splitlines()[-2:] == ["  generated_tokens_mean    5.00",
+                                                     "  budget_stop_rate       100.00%"]
 
 
 class TestPostfilter:

@@ -23,7 +23,7 @@ from minit5.model import (
     training_budget_ratio,
 )
 from minit5.noising import NoisedPair
-from minit5.tensor import Tape, backward, cross_entropy, embedding, reshape
+from minit5.tensor import Tape, Tensor, backward, cross_entropy, embedding, reshape
 from minit5.training import AdamW, teacher_forced_loss
 from test_gradcheck import attention_composition, gated_gelu_ffn_composition
 from test_tensor import held_after_forward
@@ -526,31 +526,76 @@ class TestDecodeCacheBuffers:
             assert np.array_equal(got, want), t
         assert cache.length == oracle.length == steps
 
-    def test_one_buffer_is_written_in_place(self, monkeypatch):
+    def test_one_buffer_is_written_in_place(self):
         from minit5.model import DecodeCache, decode_logits, encode
 
-        calls = []  # (layer, the K/V views' base arrays, copies of the views as returned)
-        extend = DecodeCache.extend
-
-        def recorded(self, layer, kv):
-            out = extend(self, layer, kv)
-            calls.append((layer, [t.data.base for t in out], [t.data.copy() for t in out]))
-            return out
-
-        monkeypatch.setattr(DecodeCache, "extend", recorded)
         cfg, params, rng = _random_bias_model(40, np.float32)
         enc_in, dec_in = self._batch(rng, 1, 300)
         enc_out, enc_grid = encode(cfg, params, enc_in)
         cache = DecodeCache(cfg, params, enc_out, enc_grid, 300)
+        buf = cache._kv
+        before = buf.copy()  # a snapshot of the buffer after each step, compared bit for bit
         for t in range(300):
             decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, t:t + 1], cache=cache)
-        assert all(base is cache._kv for _, bases, _ in calls for base in bases)
-        final = {layer: views for layer, _, views in calls}
-        for layer in range(cfg.dec_layers):
-            assert [views[0].shape[1] for i, _, views in calls if i == layer] == list(range(1, 301))
-        for layer, _, views in calls:
-            for view, last in zip(views, final[layer]):
-                assert np.array_equal(view, last[:, :view.shape[1]])  # earlier positions stay put
+            after = cache._kv.copy()
+            assert cache._kv is buf
+            written = (after.view(np.uint32) != before.view(np.uint32)).any(axis=(2, 4))  # [layers, 2, capacity]
+            assert written[..., t].all() and not written[..., t + 1:].any()  # one position per step, every layer
+            assert not written[..., :t].any()  # earlier positions stay put
+            before = after
+
+    def test_steps_never_read_the_encoder_output_again(self):
+        # the cross K/V are laid onto the padded encoder grid once, when the
+        # cache is built
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        cfg, params, rng = _random_bias_model(42, np.float32)
+        enc_in, dec_in = self._batch(rng, 2, 12)
+        enc_out, enc_grid = encode(cfg, params, enc_in)
+        assert enc_grid[0] is not None
+        caches = [DecodeCache(cfg, params, enc_out, enc_grid, 12) for _ in range(2)]
+
+        def logits(cache):
+            return [decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, t:t + 1], cache=cache).data
+                    for t in range(12)]
+
+        want = logits(caches[0])
+        enc_out.data[...] = np.nan
+        got = logits(caches[1])
+        assert all(np.isfinite(g).all() and np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_greedy_steps_give_the_pinned_logits_and_ids(self):
+        # sha256 of the stacked step logits and of the greedy ids of a padded
+        # batch of two, at float32: a change to any bit of a cached step shows
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        cfg, params, rng = _random_bias_model(53, np.float32)
+        steps = 40
+        enc_in, _ = self._batch(rng, 2, 0)
+        enc_out, enc_grid = encode(cfg, params, enc_in)
+        cache = DecodeCache(cfg, params, enc_out, enc_grid, steps)
+        ids = np.zeros((2, 1), dtype=np.int64)  # the start symbol
+        rows, picked = [], []
+        for _ in range(steps):
+            rows.append(decode_logits(cfg, params, enc_out, enc_grid, ids, cache=cache).data)
+            ids = rows[-1].argmax(axis=-1)
+            picked.append(ids)
+        assert hashlib.sha256(np.concatenate(rows, axis=1).tobytes()).hexdigest() == (
+            "96dcac1e6e468d43aa1fcb5ee66812354d745c6e548252848c63d2e6f9ec61a0")
+        assert hashlib.sha256(np.concatenate(picked, axis=1).tobytes()).hexdigest() == (
+            "ecb26e2858bf8fda30474b10b6198177270d30b1a3c13b21313c4d101838446b")
+
+    def test_a_cached_call_refuses_inputs_embeds(self):
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        cfg, params, rng = _random_bias_model(43, np.float32)
+        enc_in, dec_in = self._batch(rng, 1, 1)
+        enc_out, enc_grid = encode(cfg, params, enc_in)
+        cache = DecodeCache(cfg, params, enc_out, enc_grid, 2)
+        embeds = Tensor(np.zeros((1, 1, cfg.d_model), dtype=np.float32))
+        with pytest.raises(ValueError, match="inputs_embeds"):
+            decode_logits(cfg, params, enc_out, enc_grid, dec_in, cache=cache, inputs_embeds=embeds)
+        assert cache.length == 0
 
     def test_a_call_that_does_not_fit_is_refused_and_changes_nothing(self):
         from minit5.model import DecodeCache, decode_logits, encode
