@@ -12,8 +12,8 @@ output projection are one 2-D computation over those rows. A grid (index,
 (batch, len)) names the real positions; `tensor.attention` alone lays its
 query, key and value rows out on their grids, zero-filled, hides the keys
 that are not rows and, for self-attention in the decoder, the later ones,
-and returns its context as rows. When every position is real (greedy
-decoding, full batches) that layout is a view, and nothing is copied.
+and returns its context as rows. When every position is real (full
+batches, an unpadded input) that layout is a view, and nothing is copied.
 
 Incremental decoding passes a `DecodeCache`, which owns the per-decode
 constants (cross-attention K/V on their grid, the self-attention K/V buffer,
@@ -247,9 +247,10 @@ class DecodeCache:
     position per row, on arrays, with the ops' own kernels and bits.
 
     - `length`: the number of positions already decoded, at most `capacity`.
-    - Each layer's cross-attention K/V, projected from the encoder output and
-      laid onto its grid once, [batch, heads, len, d_kv], and the grid's key
-      mask.
+    - One table per decoder layer: its weight arrays, and its cross-attention
+      K/V, projected from the encoder output and laid onto its grid once,
+      [batch, heads, len, d_kv]; besides them the embedding, the final norm
+      and the encoder grid's key mask.
     - Self-attention K/V of every layer in one buffer [layers, 2, batch,
       capacity, inner], the batch size taken from the encoder grid. A step
       writes column `length` in place, and attends over views of it. A
@@ -263,10 +264,19 @@ class DecodeCache:
     def __init__(self, config, params, enc_out, enc_grid, capacity):
         shape = decode_cache_shape(config, params, enc_grid[1][0], capacity)
         self.length = 0
-        self._config, self._params = config, params
+        self._config = config
         self._kv = np.empty(shape, dtype=params["embedding"].data.dtype)
-        self._cross = [tuple(_heads(enc_out.data @ params[f"decoder.layers.{i}.cross.{w}"].data, enc_grid,
-                                    config.n_heads, config.d_kv) for w in "kv") for i in range(config.dec_layers)]
+        w = {name: p.data for name, p in params.items()}
+
+        def layer(base):
+            cross_kv = (_heads(enc_out.data @ w[f"{base}.cross.{n}"], enc_grid, config.n_heads, config.d_kv)
+                        for n in "kv")
+            return (w[f"{base}.self_norm"], tuple(w[f"{base}.self.{n}"] for n in "qkvo"),
+                    w[f"{base}.cross_norm"], (w[f"{base}.cross.q"], *cross_kv, w[f"{base}.cross.o"]),
+                    w[f"{base}.ffn_norm"], tuple(w[f"{base}.ffn.{n}"] for n in ("wi_0", "wi_1", "wo")))
+
+        self._layers = [layer(f"decoder.layers.{i}") for i in range(config.dec_layers)]
+        self._embedding, self._final_norm = w["embedding"], w["decoder.final_norm"]
         self._cross_mask = _key_mask(enc_grid, None, self._kv.dtype)
         self._bias = _rel_bias(params, "decoder.rel_bias", np.array([capacity - 1]), capacity, False, config).data
 
@@ -280,29 +290,28 @@ class DecodeCache:
                              f"({batch}, 1), got {ids.shape}")
         if self.length == capacity:
             raise ShapeError(f"the DecodeCache is full: it holds {capacity} positions")
-        c, w, t = self._config, {k: p.data for k, p in self._params.items()}, self.length
+        c, t = self._config, self.length
         grid, keys = (None, (batch, 1)), (None, (batch, t + 1))
 
-        def attend(block, h, kh, vh, bias, mask):
-            qh = _heads(h @ w[f"{block}.q"], grid, c.n_heads, c.d_kv)
-            a = _attention_weights(qh, kh, c.d_kv**-0.5, bias, mask)[0]
-            return _merge(a @ vh, grid).reshape(batch, -1) @ w[f"{block}.o"]
+        def attend(h, q, kh, vh, o, bias, mask):
+            a = _attention_weights(_heads(h @ q, grid, c.n_heads, c.d_kv), kh, c.d_kv**-0.5, bias, mask)[0]
+            return _merge(a @ vh, grid) @ o
 
-        x = w["embedding"][ids[:, 0]]
-        for i, (kv, cross) in enumerate(zip(self._kv, self._cross)):
-            base = f"decoder.layers.{i}"
-            h = _rms_normed(x, w[f"{base}.self_norm"])[0]
-            kv[0, :, t], kv[1, :, t] = h @ w[f"{base}.self.k"], h @ w[f"{base}.self.v"]
+        x = self._embedding[ids[:, 0]]
+        for kv, layer in zip(self._kv, self._layers):
+            self_norm, (q, k, v, o), cross_norm, cross, ffn_norm, (wi_0, wi_1, wo) = layer
+            h = _rms_normed(x, self_norm)[0]
+            kv[0, :, t], kv[1, :, t] = h @ k, h @ v
             kh, vh = (_heads(a[:, :t + 1], keys, c.n_heads, c.d_kv) for a in kv)
-            x += attend(f"{base}.self", h, kh, vh, self._bias[..., capacity - 1 - t:], None)
-            h = _rms_normed(x, w[f"{base}.cross_norm"])[0]
-            x += attend(f"{base}.cross", h, *cross, None, self._cross_mask)
-            h = _rms_normed(x, w[f"{base}.ffn_norm"])[0]
-            x += _gated_hidden(h, w[f"{base}.ffn.wi_0"], w[f"{base}.ffn.wi_1"]) @ w[f"{base}.ffn.wo"]
+            x += attend(h, q, kh, vh, o, self._bias[..., capacity - 1 - t:], None)
+            h = _rms_normed(x, cross_norm)[0]
+            x += attend(h, *cross, None, self._cross_mask)
+            h = _rms_normed(x, ffn_norm)[0]
+            x += _gated_hidden(h, wi_0, wi_1) @ wo
         self.length = t + 1
-        x = _rms_normed(x, w["decoder.final_norm"])[0]
+        x = _rms_normed(x, self._final_norm)[0]
         # shared embedding as the output projection, rescaled for the tie
-        return (x @ w["embedding"].T * c.d_model**-0.5).reshape(batch, 1, c.vocab_size)
+        return (x @ self._embedding.T * c.d_model**-0.5).reshape(batch, 1, c.vocab_size)
 
 
 def encode(config, params, input_ids, *, train=False, rng=None):

@@ -42,7 +42,8 @@ blocked ops):
   k and v rows (or their recipes), its dropout mask and each query row's
   softmax max and sum; backward rebuilds the softmax weights block by
   block, so no ``[batch, heads, queries, keys]`` array of floats is ever
-  whole;
+  whole, and each block writes its rows of the context (forward) and of
+  the q, k and v gradients (backward) in place;
 - the gated-GELU feed-forward ``gated_gelu_ffn``, with T5 v1.1's tanh GELU,
   keeps only its dropout mask besides its input (or its recipe) and
   weights; backward rebuilds both input projections with the forward's
@@ -56,9 +57,9 @@ holding only the positions that are not padding, so every position-wise op
 ``cross_entropy`` has no ignore index and averages over all its rows.
 ``attention`` alone lays its rows out, one block of batch rows at a time,
 on the zero-filled ``[batch, len, features]`` grid they came from, and
-returns its context as rows again. It also builds every attention mask,
-from the grid and a causal flag: a grid position that is not a row is never
-a key.
+writes each block's context rows in place. It also builds every attention
+mask, from the grid and a causal flag: a grid position that is not a row is
+never a key.
 
 float32 is the working precision for training. Build parameters as float64
 when gradient-checking; ops follow the dtype of their inputs.
@@ -383,20 +384,21 @@ def _softmax_inplace(z, m=None, s=None):
     with the row max m it subtracted and the row sum s of exponentials it
     divided by, both [..., 1]. Given the m and s of an earlier call on the
     same z, it rebuilds that call's result with the same ops, reducing
-    nothing."""
+    nothing. The reductions are ndarray.max's and .sum's ufunc reduces,
+    without their Python-level wrappers."""
     if m is None:
-        m = z.max(axis=-1, keepdims=True)
+        m = np.maximum.reduce(z, axis=-1, keepdims=True)
     z -= m
     np.exp(z, out=z)
     if s is None:
-        s = z.sum(axis=-1, keepdims=True)
+        s = np.add.reduce(z, axis=-1, keepdims=True)
     z /= s
     return z, m, s
 
 
 def _softmax_grad_inplace(g, s):
     """Gradient at the softmax input, s * (g - sum(g * s)), overwriting g."""
-    g -= (g * s).sum(axis=-1, keepdims=True)
+    g -= np.add.reduce(g * s, axis=-1, keepdims=True)
     g *= s
     return g
 
@@ -607,10 +609,9 @@ MASKED = -1e9  # additive attention-logit mask; underflows to weight 0 after sof
 
 def _later_keys(n_queries, n_keys, causal, dtype):
     """Additive mask [queries, keys] hiding from each query the keys after
-    its position, or None when not causal or when there is a single query.
-    Query i of n sits at key position n_keys - n + i, so a single query sees
-    every key."""
-    if not causal or n_queries <= 1:
+    its position, or None when not causal. Query i of n sits at key position
+    n_keys - n + i."""
+    if not causal:
         return None
     later = np.arange(n_keys) > np.arange(n_keys - n_queries, n_keys)[:, None]
     return np.where(later, MASKED, 0.0).astype(dtype)
@@ -637,24 +638,18 @@ def _row_blocks(n, width):
     max(1, _BLOCK_ELEMENTS // width) rows, so a block's temporaries stay in
     cache."""
     step = max(1, _BLOCK_ELEMENTS // max(1, width))
-    if n <= step:
-        return [slice(0, n)]
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _grid_block(grid, blk, *arrays):
-    """The grid of batch rows blk, then the rows of each array that lie on
-    them; the grid and the arrays themselves when blk is the whole batch.
-    The rows of a grid without index come as [batch, len, features] or
-    [batch * len, features]; those of a grid with index as [n, features],
-    index increasing."""
-    index, (b, n) = grid
-    if blk.stop - blk.start == b:
-        return (grid, *arrays)
+def _grid_block(grid, blk):
+    """The grid of batch rows blk, and the slice of the grid's rows that lie
+    on them (index increasing)."""
+    index, (_, n) = grid
+    shape = (blk.stop - blk.start, n)
     if index is None:
-        return ((None, (blk.stop - blk.start, n)), *(a.reshape(b, n, a.shape[-1])[blk] for a in arrays))
+        return (None, shape), slice(blk.start * n, blk.stop * n)
     lo, hi = np.searchsorted(index, (blk.start * n, blk.stop * n))
-    return ((index[lo:hi] - blk.start * n, (blk.stop - blk.start, n)), *(a[lo:hi] for a in arrays))
+    return (index[lo:hi] - blk.start * n, shape), slice(lo, hi)
 
 
 def _heads(a, grid, n_heads, d):
@@ -669,17 +664,11 @@ def _heads(a, grid, n_heads, d):
 
 
 def _merge(a, grid):
-    """Per-head a [batch, heads, len, d] of a grid (block) as its rows:
-    [batch, len, heads * d] when the grid has no index, else [n, heads * d]."""
+    """Per-head a [batch, heads, len, d] of a grid (block) as its rows
+    [n, heads * d]."""
     index, (b, n) = grid
-    inner = a.shape[1] * a.shape[3]
-    a = a.transpose(0, 2, 1, 3)
-    return a.reshape(b, n, inner) if index is None else a.reshape(b * n, inner)[index]
-
-
-def _joined(pieces, shape):
-    """The blocks' pieces of rows, in order, as one array of shape."""
-    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(shape)
+    a = a.transpose(0, 2, 1, 3).reshape(b * n, a.shape[1] * a.shape[3])
+    return a if index is None else a[index]
 
 
 def _attention_weights(qh, kh, scale, bias, mask, m=None, s=None):
@@ -702,12 +691,14 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     same batch. q holds the rows [n, heads * d] of the query grid's real
     positions, k and v those of the key grid: row i is the row-major flat
     position index[i], index increasing, or position i when index is None
-    (every position is real; k and v may then also come as
-    [batch, len, heads * d]). Attention runs on the grids, zero-filled
-    elsewhere, and decides itself which keys a query sees: no key position
-    that is not a row, and with causal=True no key after the query's own
-    position, query i of len_q sitting at key position len_k - len_q + i
-    (the queries are the keys, or the last of them in a cached decoding step).
+    (every position is real; q, k and v may then also come as
+    [batch, len, heads * d], and the context and their gradients come in
+    the same shape). Attention runs on the grids, zero-filled elsewhere, and
+    decides itself which keys a query sees: no key position that is not a
+    row, and with causal=True no key after the query's own position, query i
+    of len_q sitting at key position len_k - len_q + i (in training the
+    queries are the keys; the tests check fewer queries than keys against
+    one query at a time).
     Per head, the scores q.k^T are multiplied by scale, then the Tensor bias,
     shared by the batch rows (broadcastable to [1, heads, queries, keys]),
     is added and the hidden keys get MASKED; the softmax weights take
@@ -715,13 +706,14 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     context rows of the query grid.
 
     The work runs over blocks of batch rows, each holding about
-    _BLOCK_ELEMENTS softmax weights (see _row_blocks), and lays out on the
-    zero-filled grid only its own rows; the dropout mask is drawn at full
-    shape first. No [batch, heads, queries, keys] array of floats outlives
-    its block: the backward rule keeps the q, k and v rows (their rebuild
-    recipes, when they have them: see _kept), the dropout mask and each
-    query row's softmax max and sum, and rebuilds the weights block by block
-    with the forward's own ops.
+    _BLOCK_ELEMENTS softmax weights (see _row_blocks); a block lays out on
+    the zero-filled grid only its own rows, and writes its rows of the context
+    (in backward, of the q, k and v gradients) in place. The dropout mask is
+    drawn at full shape first. No [batch, heads, queries, keys] array of
+    floats outlives its block: the backward rule keeps the q, k and v rows
+    (their rebuild recipes, when they have them: see _kept), the dropout mask
+    and each query row's softmax max and sum, and rebuilds the weights block
+    by block with the forward's own ops.
     """
     inner = q.data.shape[-1]
     if inner % n_heads or k.data.shape[-1] != inner or v.data.shape != k.data.shape:
@@ -735,34 +727,38 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
     if bias is not None and bias.data.ndim == 4 and bias.data.shape[0] != 1:
         raise ShapeError(f"attention bias {bias.shape} is not shared by the batch rows")
     d = inner // n_heads
-    qd, kd, vd = q.data, k.data, v.data
-    for a, (index, shape) in ((qd, q_grid), (kd, kv_grid), (vd, kv_grid)):
+    for a, (index, shape) in ((q.data, q_grid), (k.data, kv_grid), (v.data, kv_grid)):
         if a.size != inner * (shape[0] * shape[1] if index is None else len(index)):
             raise ShapeError(f"attention: {a.shape} does not fill the grid {shape} with index {index}")
         if index is not None and len(index) > 1 and (index[1:] <= index[:-1]).any():
             raise ShapeError("attention: a grid index must increase")
+    qd, kd, vd = _rows(q.data), _rows(k.data), _rows(v.data)
     bias_d = None if bias is None else bias.data
     blocks = _row_blocks(b, n_heads * n_q * n_k)
     later = _later_keys(n_q, n_k, causal, qd.dtype)
     keep, drop_scale = _dropout_mask((b, n_heads, n_q, n_k), p, rng)
-    ctx, stats = [], []
+    out = np.empty(q.data.shape, np.result_type(qd, kd, vd))
+    stats = []
     for blk in blocks:
-        (q_part, qb), (kv_part, kb, vb) = _grid_block(q_grid, blk, qd), _grid_block(kv_grid, blk, kd, vd)
-        w, m, s = _attention_weights(_heads(qb, q_part, n_heads, d), _heads(kb, kv_part, n_heads, d),
+        (q_part, q_rows), (kv_part, kv_rows) = _grid_block(q_grid, blk), _grid_block(kv_grid, blk)
+        w, m, s = _attention_weights(_heads(qd[q_rows], q_part, n_heads, d),
+                                     _heads(kd[kv_rows], kv_part, n_heads, d),
                                      scale, bias_d, _key_mask(kv_part, later, qd.dtype))
         w = _apply_mask(w, None if keep is None else keep[blk], drop_scale, out=w)
-        ctx.append(_merge(w @ _heads(vb, kv_part, n_heads, d), q_part))
+        _rows(out)[q_rows] = _merge(w @ _heads(vd[kv_rows], kv_part, n_heads, d), q_part)
         stats.append((m, s))
-    out = _joined(ctx, qd.shape)
     bits = _pack(keep)
-    q_shape, kv_shape = qd.shape, kd.shape
-    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+    q_shape, k_shape, v_shape = (t.data.shape if t.requires_grad else None for t in (q, k, v))
     bias_shape = bias.data.shape if bias is not None and bias.requires_grad else None
     kept = [_kept(t) for t in (q, k, v)]
 
     def vjp(g):
-        qd, kd, vd = (form() for form in kept)
-        gq, gk, gv = [], [], []
+        qd, kd, vd = (_rows(form()) for form in kept)
+        g = _rows(g)
+        # each gradient in its operand's shape and the dtype of the products that form it
+        gq = None if q_shape is None else np.empty(q_shape, np.result_type(g, vd, kd))
+        gk = None if k_shape is None else np.empty(k_shape, np.result_type(g, vd, qd))
+        gv = None if v_shape is None else np.empty(v_shape, np.result_type(g, qd, kd))
         gbias = None
         if bias_shape is not None:
             gbias = np.empty((1, n_heads, n_q, n_k), np.promote_types(g.dtype, vd.dtype))
@@ -770,15 +766,14 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
 
         def block_grads(blk, m, s):
             """One block's gradients; its temporaries go when it returns."""
-            q_part, qb, gb = _grid_block(q_grid, blk, qd, g)
-            kv_part, kb, vb = _grid_block(kv_grid, blk, kd, vd)
-            qh, kh = _heads(qb, q_part, n_heads, d), _heads(kb, kv_part, n_heads, d)
+            (q_part, q_rows), (kv_part, kv_rows) = _grid_block(q_grid, blk), _grid_block(kv_grid, blk)
+            qh, kh = _heads(qd[q_rows], q_part, n_heads, d), _heads(kd[kv_rows], kv_part, n_heads, d)
             w = _attention_weights(qh, kh, scale, bias_d, _key_mask(kv_part, later, qd.dtype), m, s)[0]
             keep = _unpack(None if bits is None else bits[blk], n_k)
-            gh = _heads(gb, q_part, n_heads, d)
-            if need_v:
-                gv.append(_merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_part))
-            gw = gh @ _swap_last(_heads(vb, kv_part, n_heads, d))
+            gh = _heads(g[q_rows], q_part, n_heads, d)
+            if gv is not None:
+                _rows(gv)[kv_rows] = _merge(_swap_last(_apply_mask(w, keep, drop_scale)) @ gh, kv_part)
+            gw = gh @ _swap_last(_heads(vd[kv_rows], kv_part, n_heads, d))
             _apply_mask(gw, keep, drop_scale, out=gw)
             del keep, gh
             gw = _softmax_grad_inplace(gw, w)
@@ -790,16 +785,13 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
                         gbias[...] = gw[:1]
                     else:
                         np.add(gbias, gw[row:row + 1], out=gbias)
-            if need_q:
-                gq.append(_merge(gw @ kh, q_part) * scale)
-            if need_k:
-                gk.append(_merge(_swap_last(gw) @ qh, kv_part) * scale)
+            if gq is not None:
+                _rows(gq)[q_rows] = _merge(gw @ kh, q_part) * scale
+            if gk is not None:
+                _rows(gk)[kv_rows] = _merge(_swap_last(gw) @ qh, kv_part) * scale
 
         for blk, (m, s) in zip(blocks, stats):
             block_grads(blk, m, s)
-        gq = _joined(gq, q_shape) if need_q else None
-        gk = _joined(gk, kv_shape) if need_k else None
-        gv = _joined(gv, kv_shape) if need_v else None
         return gq, gk, gv, None if gbias is None else _unbroadcast(gbias, bias_shape)
 
     return _record(Tensor(out), (q, k, v) if bias is None else (q, k, v, bias), vjp)
@@ -807,15 +799,10 @@ def attention(q, k, v, n_heads, scale, grids, bias=None, causal=False, p=0.0, rn
 
 def _by_row_blocks(body, *arrays):
     """body(*blocks) over the _row_blocks of the rows of the [..., width]
-    arrays; None passes through as None. A call that fits in one block gets
-    the arrays themselves."""
+    arrays, as views; None passes through as None."""
     width = arrays[0].shape[-1]
-    blocks = _row_blocks(arrays[0].size // width, width)
-    if len(blocks) == 1:
-        body(*arrays)
-        return
     rows = [None if a is None else _rows(a) for a in arrays]
-    for blk in blocks:
+    for blk in _row_blocks(len(rows[0]), width):
         body(*(None if a is None else a[blk] for a in rows))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from minit5.tensor import (
     reshape,
     rms_norm,
     softmax_lastdim,
+    _row_blocks,
     sum_all,
     transpose,
 )
@@ -429,6 +431,63 @@ class TestAttentionMasking:
             attention(q, q, q, self.H, 0.5, (grid, grid), bias=self._tensor(rng, 2, self.H, 2, 2))
         with pytest.raises(ShapeError, match="index must increase"):
             attention(q, kv, kv, self.H, 0.5, (grid, (np.array([0, 3, 2]), (2, 2))))
+
+
+class TestAttentionPins:
+    """sha256 of attention's output and of its q, k, v and bias gradients at
+    float32: a change to any bit of the blocked forward or backward shows."""
+
+    def _digests(self, seed, b, n_q, n_k, heads, d, padded, causal, p, as_grid):
+        rng = np.random.default_rng(seed)
+        inner = heads * d
+
+        def grid(n):
+            if not padded:
+                return None, (b, n)
+            real = np.arange(n)[None, :] < rng.integers(1, n + 1, size=b)[:, None]
+            return np.flatnonzero(real), (b, n)
+
+        q_grid = grid(n_q)
+        kv_grid = q_grid if padded and n_q == n_k else grid(n_k)
+
+        def rows(g):
+            index, (bb, n) = g
+            shape = (bb, n, inner) if as_grid else (bb * n if index is None else len(index), inner)
+            return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        q, k, v = rows(q_grid), rows(kv_grid), rows(kv_grid)
+        bias = Tensor(rng.normal(size=(1, heads, n_q, n_k)).astype(np.float32), requires_grad=True)
+        probe = rng.normal(size=q.shape).astype(np.float32)
+        with Tape() as tape:
+            out = attention(q, k, v, heads, d**-0.5, (q_grid, kv_grid), bias=bias, causal=causal, p=p,
+                            rng=np.random.default_rng(seed + 1))
+            backward(sum_all(mul(out, probe)), tape)
+        assert out.shape == q.shape
+        return len(_row_blocks(b, heads * n_q * n_k)), [
+            hashlib.sha256(a.tobytes()).hexdigest() for a in (out.data, q.grad, k.grad, v.grad, bias.grad)]
+
+    def test_padded_causal_blocks_with_dropout(self):
+        blocks, digests = self._digests(61, 10, 64, 64, 4, 8, padded=True, causal=True, p=0.1, as_grid=False)
+        assert blocks == 3
+        assert digests == [
+            "5be63549eb978ca444bdd1c80a620980b6974448b55d1e45aa829a7122eaf084",
+            "a7ee2bea0d579803e4351bb0ce0ac5e3169e6d3c8e24837e09077950f80e349b",
+            "a4af6a57de04aee7987d3b70113a33c96514ddbc9b3547d93abfa6aa72e2ee8c",
+            "b07635e8fc5b1c7b993105983f00feadb1e989c54c64368afab64894e5d5f504",
+            "44fd6bf556a2bd782efc2f63d14ea668b65e39e59202ec8e6fb4201f27ba14f7",
+        ]
+
+    def test_one_batch_row_on_the_grid(self):
+        # q, k and v as [batch, len, heads * d]; 5 causal queries over 9 keys
+        blocks, digests = self._digests(62, 1, 5, 9, 2, 4, padded=False, causal=True, p=0.0, as_grid=True)
+        assert blocks == 1
+        assert digests == [
+            "770947bc6e145f5fe200f1b6bd1f0f8dc4fd75f3c40ea734642e2f2c49604a4e",
+            "305b172f5c38a9b6c01447e8a2fb14315c9658cc89a135e3f79000b011f74740",
+            "bebcc82950caa12d6db0f16045d60d8fb599432e420569385d4a9f698c286381",
+            "76bd45a79d57c9f664e46b388b665669548a6dad2135a178456046f3b3537a05",
+            "0518dd35ba7f7a2699e6be3070d7dec66024b7f590ae9a47f4d28bb6c671746b",
+        ]
 
 
 def held_after_forward(run):
