@@ -41,9 +41,9 @@ def finite_diff_check(f, params, h=1e-4, max_coords_per_param=None, rng=None):
         rng = np.random.default_rng(0)
     worst = 0.0
     for name, p in params.items():
-        flat = p.data.reshape(-1)
+        flat = p.data.flat  # writes through to the parameter, whatever its memory layout
         analytic = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-        n = flat.size
+        n = p.data.size
         if max_coords_per_param is not None and max_coords_per_param < n:
             coords = rng.choice(n, size=max_coords_per_param, replace=False)
         else:

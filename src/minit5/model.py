@@ -181,7 +181,10 @@ def count_parameters(config):
 
 
 def _check_ids(ids, vocab_size, what):
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":  # a float id would be truncated
+        raise ShapeError(f"{what} must hold integer ids, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     if ids.ndim == 1:
         ids = ids[None, :]
     if ids.ndim != 2:
@@ -282,8 +285,10 @@ class DecodeCache:
 
     def step(self, ids):
         """Logits [batch, 1, vocab] of the next position's ids [batch, 1]: the
-        decoder's ops on arrays, new K/V into column `length`. Refuses ids that
+        decoder's ops on arrays, new K/V into column `length`. Refuses, before
+        anything is written, ids that are not integers in [0, vocab), ids that
         are not one position per row of the batch, and a full cache."""
+        ids = _check_ids(ids, self._config.vocab_size, "decoder_input_ids")
         batch, capacity = self._kv.shape[2:4]
         if ids.shape != (batch, 1):
             raise ShapeError(f"a DecodeCache for a batch of {batch} takes decoder ids of shape "
@@ -359,11 +364,11 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
     inputs_embeds [batch, len, d_model], when given, replaces the embedding
     lookup (e.g. to probe gradients with respect to the embedded decoder
     inputs)."""
-    ids = _check_ids(decoder_input_ids, config.vocab_size, "decoder_input_ids")
     if cache is not None:
         if train or lengths is not None or inputs_embeds is not None or Tape.active() is not None:
             raise ValueError("a DecodeCache is for inference: no train=True, lengths, inputs_embeds or active Tape")
-        return Tensor(cache.step(ids))
+        return Tensor(cache.step(decoder_input_ids))  # step checks the ids
+    ids = _check_ids(decoder_input_ids, config.vocab_size, "decoder_input_ids")
     b, n = ids.shape
     real = np.ones((b, n), dtype=bool)
     if lengths is not None:

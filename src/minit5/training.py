@@ -110,18 +110,16 @@ def _loss(config, params, pairs, train, rng):
     return cross_entropy(logits, np.concatenate([p.target_ids for p in pairs]))
 
 
-_POOL = None  # the part thread, started by the first split that runs on two threads
+_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="minit5-part")  # no thread before a submit
 
 
 def _both(fn):
-    """(fn(0), fn(1)): fn(1) on the part thread when PART_THREADS is 2, else
-    after fn(0) on this thread. fn(1) has finished when this returns or
-    raises; an error of fn(0) wins, and either is raised unchanged."""
-    global _POOL
+    """(fn(0), fn(1)): fn(1) on the part thread, which the first call starts,
+    when PART_THREADS is 2, else after fn(0) on this thread. fn(1) has
+    finished when this returns or raises; an error of fn(0) wins, and either
+    is raised unchanged."""
     if PART_THREADS < 2:
         return fn(0), fn(1)
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="minit5-part")
     second = _POOL.submit(fn, 1)
     try:
         first = fn(0)
@@ -132,16 +130,16 @@ def _both(fn):
 
 def _two_part_loss(config, params, pairs, train, rng):
     """The loss of two parts of the batch, split at the pair boundary that
-    best balances their target rows. Each part runs _loss on its own tape,
-    over leaf Tensors of its own that share the parameter arrays, and
-    weights its mean by its share of the target rows, so the sum is the
-    mean over every target row. When dropout draws, each part draws from a
-    generator seeded by a draw of rng, so rng's state (which checkpoints
-    keep) is the whole story. On an active tape the sum is one node over
-    the parameters: its backward rule replays both part tapes at once and
-    sums each parameter's two gradients, part 0's plus part 1's, as soon as
-    both are whole (backward's on_leaf), so two full gradient sets are
-    never alive."""
+    best balances their target rows. Each part runs _loss over the caller's
+    params on its own tape (a forward writes only its outputs, so the parts
+    share them), and weights its mean by its share of the target rows, so
+    the sum is the mean over every target row. When dropout draws, each
+    part draws from a generator seeded by a draw of rng, so rng's state
+    (which checkpoints keep) is the whole story. On an active tape the sum
+    is one node over the parameters: its backward rule replays both part
+    tapes at once and sums each parameter's two gradients, part 0's plus
+    part 1's, as soon as both are whole (backward's on_leaf, by leaf), so
+    two full gradient sets are never alive and no .grad is written."""
     ends = np.cumsum([len(p.target_ids) for p in pairs])
     k = 1 + int(np.argmin(np.abs(2 * ends[:-1] - ends[-1])))
     parts = (pairs[:k], pairs[k:])
@@ -152,39 +150,31 @@ def _two_part_loss(config, params, pairs, train, rng):
     record = Tape.active() is not None and any(p.requires_grad for p in params.values())
 
     def part(i):
-        own = {name: Tensor(p.data, requires_grad=p.requires_grad) for name, p in params.items()}
         with Tape() if record else contextlib.nullcontext() as tape:
-            loss = mul(_loss(config, own, parts[i], train, rngs[i]), shares[i])
-        return own, tape, loss
+            loss = mul(_loss(config, params, parts[i], train, rngs[i]), shares[i])
+        return loss, tape
 
     done = _both(part)
-    total = Tensor(done[0][2].data + done[1][2].data)
-    if not record:
-        return total
+    total = Tensor(done[0][0].data + done[1][0].data)
 
     def vjp(g):
         summed, pending, lock = {}, {}, threading.Lock()
 
-        def replay(i):
-            own, tape, loss = done[i]
-            names = {t: name for name, t in own.items()}
+        def on_leaf(leaf, grad):
+            with lock:
+                other = pending.pop(leaf, None)
+                if other is None:
+                    pending[leaf] = grad
+                    return
+            summed[leaf] = other + grad  # IEEE addition commutes: the same bits in either order
 
-            def on_leaf(leaf, grad):
-                name = names[leaf]
-                with lock:
-                    other = pending.pop(name, None)
-                    if other is None:
-                        pending[name] = grad
-                        return
-                summed[name] = other + grad  # IEEE addition commutes: the same bits in either order
-
-            tensor.backward(loss, tape, on_leaf)  # not the name train_step calls, which a caller may wrap
-
-        _both(replay)
+        # tensor.backward, not the name train_step calls, which a caller may wrap
+        _both(lambda i: tensor.backward(*done[i], on_leaf))
         summed.update(pending)  # a parameter that only one part reached
         if g.item() != 1.0:
-            summed = {name: grad * g for name, grad in summed.items()}
-        return tuple(summed.get(name) for name in params)
+            summed = {leaf: grad * g for leaf, grad in summed.items()}
+        # pop, not get: a Tensor under two names takes its gradient once, as a whole batch's does
+        return tuple(summed.pop(p, None) for p in params.values())
 
     return _record(total, tuple(params.values()), vjp)
 

@@ -66,6 +66,13 @@ def test_constant_function():
     assert finite_diff_check(f, {"w": w}) == 0.0
 
 
+def test_perturbs_a_parameter_of_any_memory_layout():
+    # a transposed view: reshape(-1) would perturb a copy and leave f unchanged
+    a = Tensor(np.random.default_rng(1).normal(size=(3, 4)).T, requires_grad=True)
+    assert not a.data.flags.c_contiguous
+    assert finite_diff_check(lambda: sum_all(mul(a, a)), {"a": a}) < 1e-8
+
+
 def test_rejects_single_precision():
     w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     with pytest.raises(ValueError, match="float64"):

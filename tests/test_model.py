@@ -301,6 +301,21 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(cfg, params, np.array([[17]]), np.array([[1]]))
 
+    @pytest.mark.parametrize("ids", [[[3.7]], [[3.0]], [[True]]])
+    def test_non_integer_ids_rejected(self, ids):
+        # a float id used to be truncated: 3.7 ran as id 3
+        cfg = _tiny(vocab=16)
+        params = init_params(cfg, np.random.default_rng(11))
+        with pytest.raises(ShapeError, match="integer ids"):
+            forward(cfg, params, np.array([[1]]), np.array(ids))
+        with pytest.raises(ShapeError, match="integer ids"):
+            forward(cfg, params, np.array(ids), np.array([[1]]))
+
+    def test_an_empty_id_list_is_accepted(self):
+        from minit5.model import _check_ids
+
+        assert _check_ids([], 16, "ids").shape == (1, 0)
+
     def test_full_model_gradient_check(self):
         cfg = ModelConfig(vocab_size=20, d_model=8, d_ff=12, n_heads=2, d_kv=4,
                           enc_layers=2, dec_layers=2, rel_buckets=4, rel_max_distance=8,
@@ -608,12 +623,18 @@ class TestDecodeCacheBuffers:
 
         def refused(ids, match):
             state = cache._kv.tobytes()
-            with pytest.raises(ShapeError, match=match):
-                decode_logits(cfg, params, enc_out, enc_grid, ids, cache=cache)
-            assert cache._kv.tobytes() == state
+            for call in (lambda: decode_logits(cfg, params, enc_out, enc_grid, ids, cache=cache),
+                         lambda: cache.step(ids)):
+                with pytest.raises(ShapeError, match=match):
+                    call()
+                assert cache._kv.tobytes() == state
 
         refused(dec_in[:1, 1:2], r"batch of 2.*\(1, 1\)")
         refused(dec_in[:, 1:3], r"batch of 2.*\(2, 2\)")
+        # step used to embed -1 as the last vocab row and to raise IndexError at vocab_size
+        refused(np.array([[-1], [3]]), rf"outside \[0, {cfg.vocab_size}\)")
+        refused(np.array([[3], [cfg.vocab_size]]), rf"outside \[0, {cfg.vocab_size}\)")
+        refused(np.array([[3.7], [3.0]]), "integer ids")
         assert cache.length == 1
         decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, 1:2], cache=cache)
         refused(dec_in[:, 2:3], "full")

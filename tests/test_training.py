@@ -5,6 +5,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -19,8 +21,8 @@ import minit5
 from minit5.bpe import Vocabulary, encode, train_bpe
 from minit5.model import ModelConfig, forward, init_params, preset
 from minit5.noising import NoisedPair, NoisingError, mixture_sample, noise_stream, reconstruct
-from minit5 import training
-from minit5.tensor import ShapeError, Tape, Tensor, backward
+from minit5 import tensor, training
+from minit5.tensor import ShapeError, Tape, Tensor, backward, mul
 from minit5.training import (
     AdamW,
     Checkpoint,
@@ -91,14 +93,17 @@ class TestTwoParts:
                            rng.integers(3, 32, size=int(rng.integers(1, 6))).tolist()) for _ in range(7)]
 
     @staticmethod
-    def _step(monkeypatch, *, split=True, threads=2, dtype=np.float32, dropout=0.1):
-        """(loss bytes, {name: gradient bytes}) of one forward and backward."""
+    def _step(monkeypatch, *, split=True, threads=2, dtype=np.float32, dropout=0.1, scale=None):
+        """(loss bytes, {name: gradient bytes}) of one forward and backward,
+        of the loss times scale when scale is given."""
         monkeypatch.setattr(training, "SPLIT_WORK", 0 if split else 1 << 62)
         monkeypatch.setattr(training, "PART_THREADS", threads)
         cfg = _tiny(dropout=dropout)
         params = init_params(cfg, np.random.default_rng(0), dtype=dtype)
         with Tape() as tape:
             loss = teacher_forced_loss(cfg, params, TestTwoParts._pairs(), train=True, rng=np.random.default_rng(1))
+            if scale is not None:
+                loss = mul(loss, scale)
             backward(loss, tape)
         return loss.data, {name: p.grad for name, p in params.items()}
 
@@ -114,6 +119,83 @@ class TestTwoParts:
         assert abs(loss - loss_whole) <= 1e-12 * abs(loss_whole)
         for name, g in grads_whole.items():
             assert np.linalg.norm(grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+    def test_a_loss_scaled_by_the_caller_scales_the_gradients(self, monkeypatch):
+        # the part replays' sum is multiplied by the incoming gradient when it is not 1
+        loss, grads = self._step(monkeypatch, dtype=np.float64, dropout=0.0, scale=0.5)
+        loss_whole, grads_whole = self._step(monkeypatch, split=False, dtype=np.float64, dropout=0.0)
+        assert abs(loss - 0.5 * loss_whole) <= 1e-12 * abs(loss)
+        for name, g in grads_whole.items():
+            assert np.linalg.norm(grads[name] - 0.5 * g) <= 1e-12 * np.linalg.norm(0.5 * g), name
+
+    def test_a_tensor_under_two_names_gets_its_gradient_once(self, monkeypatch):
+        # the part replays sum gradients by leaf Tensor, not by name
+        def grad(split):
+            monkeypatch.setattr(training, "SPLIT_WORK", 0 if split else 1 << 62)
+            params = init_params(_tiny(), np.random.default_rng(0), dtype=np.float64)
+            params["decoder.final_norm"] = params["encoder.final_norm"]
+            with Tape() as tape:
+                backward(teacher_forced_loss(_tiny(), params, self._pairs()), tape)
+            return params["encoder.final_norm"].grad
+
+        split, whole = grad(True), grad(False)
+        assert np.linalg.norm(split - whole) <= 1e-12 * np.linalg.norm(whole)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_only_the_callers_backward_sets_grad(self, monkeypatch, threads):
+        # the parts run on the caller's own parameters; their replays hand each
+        # gradient to on_leaf and leave .grad to the caller's backward
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
+        monkeypatch.setattr(training, "PART_THREADS", threads)
+        cfg = _tiny()
+        params = init_params(cfg, np.random.default_rng(0))
+        replayed, real_backward = [], tensor.backward
+
+        def replay(loss, tape, on_leaf=None):
+            assert on_leaf is not None
+            real_backward(loss, tape, on_leaf)
+            replayed.append([p.grad for p in params.values()])
+
+        monkeypatch.setattr(tensor, "backward", replay)
+        with Tape() as tape:
+            loss = teacher_forced_loss(cfg, params, self._pairs(), train=True, rng=np.random.default_rng(1))
+            assert all(p.grad is None for p in params.values())
+            backward(loss, tape)
+        assert len(replayed) == 2 and all(g is None for grads in replayed for g in grads)
+        assert all(p.grad is not None for p in params.values())
+
+    def test_the_part_thread_starts_at_the_first_split_and_is_reused(self):
+        # in a fresh process: the import starts no thread, and every split at
+        # two part threads runs part 1 on the one pool thread
+        script = """
+import threading
+from minit5 import training
+from minit5.model import ModelConfig, init_params
+from minit5.noising import NoisedPair
+import numpy as np
+assert threading.active_count() == 1, threading.enumerate()
+training.SPLIT_WORK, training.PART_THREADS = 0, 2
+real_loss, seen = training._loss, []
+def loss(config, params, pairs, train, rng):
+    seen.append((pairs[0].target_ids[0], threading.current_thread().name))
+    return real_loss(config, params, pairs, train, rng)
+training._loss = loss
+cfg = ModelConfig(vocab_size=64, d_model=16, d_ff=32, n_heads=2, d_kv=8, enc_layers=1, dec_layers=1)
+params = init_params(cfg, np.random.default_rng(0))
+for _ in range(2):
+    training.teacher_forced_loss(cfg, params, [NoisedPair([3, 4], [5]), NoisedPair([6, 7], [8])])
+print(repr((sorted(seen), sorted(t.name for t in threading.enumerate()))))
+"""
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(minit5.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        seen, threads = ast.literal_eval(done.stdout)
+        part_thread = seen[-1][1]
+        assert part_thread.startswith("minit5-part")
+        assert seen == [(5, "MainThread")] * 2 + [(8, part_thread)] * 2  # part 0, part 1, twice
+        assert threads == ["MainThread", part_thread]
 
     def test_the_split_balances_target_rows_at_a_pair_boundary(self, monkeypatch):
         seen = []
