@@ -13,8 +13,7 @@ import numpy as np
 from minit5.bpe import encode, train_bpe
 from minit5.model import ModelConfig, init_params
 from minit5.noising import noise_stream
-from minit5.tensor import Tape, backward
-from minit5.training import AdamW, lr_schedule, teacher_forced_loss, token_batch_pack
+from minit5.training import AdamW, lr_schedule, token_batch_pack, train_step
 
 sentences = [
     "voda teče po strugi mimo mlina",
@@ -48,16 +47,11 @@ warmup = 50
 first = last = None
 for step, batch in enumerate(itertools.islice(batches, steps), start=1):
     lr = lr_schedule(step, 5e-3, warmup=warmup)
-    with Tape() as tape:
-        loss = teacher_forced_loss(config, params, batch)
-        backward(loss, tape)
-    opt.step(lr=lr)
-    opt.zero_grad()
+    last = train_step(config, params, opt, batch, rng, f"step {step}", lr=lr)
     if first is None:
-        first = loss.item()
-    last = loss.item()
+        first = last
     if step % 50 == 0:
-        print(f"step {step:4d}  loss {loss.item():7.4f}  lr {lr:.5f}")
+        print(f"step {step:4d}  loss {last:7.4f}  lr {lr:.5f}")
 
 print(f"\nloss {first:.3f} -> {last:.3f} over {steps} steps")
 assert last < first

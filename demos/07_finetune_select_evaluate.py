@@ -14,8 +14,7 @@ from minit5.evaluation import evaluate_examples
 from minit5.model import ModelConfig, init_params
 from minit5.noising import NoisedPair
 from minit5.tasks import TASKS, TaskExample
-from minit5.tensor import Tape, backward
-from minit5.training import AdamW, Checkpoint, select_best_checkpoint, teacher_forced_loss
+from minit5.training import AdamW, Checkpoint, select_best_checkpoint, train_step
 
 words = ["voda", "mlin", "reka", "hrib", "vas", "kres", "zrno", "jez"]
 corpus = " ".join(words * 3)
@@ -40,22 +39,21 @@ encoded = [
     for ex in train
 ]
 
-checkpoints = []
-for epoch in range(1, 9):
-    order = rng.permutation(len(encoded))
-    for lo in range(0, len(encoded), 8):
-        batch = [encoded[i] for i in order[lo : lo + 8]]
-        with Tape() as tape:
-            loss = teacher_forced_loss(config, params, batch)
-            backward(loss, tape)
-        opt.step()
-        opt.zero_grad()
-    checkpoints.append(Checkpoint.from_model(config, params, step=epoch))
-    print(f"epoch {epoch}: loss {loss.item():.4f}")
 
-best, scores = select_best_checkpoint(checkpoints, validation, vocab, max_output_tokens=8)
+def trained_epochs():
+    """Each epoch's checkpoint, scored by the selection as it is yielded."""
+    for epoch in range(1, 9):
+        order = rng.permutation(len(encoded))
+        for lo in range(0, len(encoded), 8):
+            batch = [encoded[i] for i in order[lo : lo + 8]]
+            loss = train_step(config, params, opt, batch, rng, f"epoch {epoch}")
+        print(f"epoch {epoch}: loss {loss:.4f}")
+        yield Checkpoint.from_model(config, params, step=epoch)
+
+
+best, scores = select_best_checkpoint(trained_epochs(), validation, vocab, max_output_tokens=8)
 print(f"\nvalidation {TASKS['summarization'].metric} per epoch: {[f'{s:.3f}' for s in scores]}")
-print(f"selected epoch {checkpoints.index(best) + 1}")
+print(f"selected epoch {best.step}")
 
 report = evaluate_examples(best.config, best.to_params(), vocab, validation,
                            "summarization", max_output_tokens=8)

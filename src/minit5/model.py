@@ -342,7 +342,7 @@ def encode(config, params, input_ids, *, train=False, rng=None):
 
 
 def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train=False, rng=None,
-                  inputs_embeds=None, cache=None, lengths=None):
+                  cache=None, lengths=None):
     """Run the decoder stack over teacher-forced (or partially generated)
     decoder input ids, against the output rows of `encode` and their grid.
     Self-attention is strictly causal; cross-attention sees non-pad encoder
@@ -358,15 +358,10 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
     follows those the cache has already seen, [batch, 1] with the batch size
     of the cache's encoder grid, and `DecodeCache.step` computes the logits,
     so greedy decoding runs one position per generated token. Cached calls
-    are for inference: they refuse train=True, lengths, inputs_embeds and an
-    active Tape.
-
-    inputs_embeds [batch, len, d_model], when given, replaces the embedding
-    lookup (e.g. to probe gradients with respect to the embedded decoder
-    inputs)."""
+    are for inference: they refuse train=True, lengths and an active Tape."""
     if cache is not None:
-        if train or lengths is not None or inputs_embeds is not None or Tape.active() is not None:
-            raise ValueError("a DecodeCache is for inference: no train=True, lengths, inputs_embeds or active Tape")
+        if train or lengths is not None or Tape.active() is not None:
+            raise ValueError("a DecodeCache is for inference: no train=True, lengths or active Tape")
         return Tensor(cache.step(decoder_input_ids))  # step checks the ids
     ids = _check_ids(decoder_input_ids, config.vocab_size, "decoder_input_ids")
     b, n = ids.shape
@@ -378,14 +373,8 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
         real = np.arange(n)[None, :] < lengths[:, None]
     grid = _grid(real)
     bias = _rel_bias(params, "decoder.rel_bias", np.arange(n), n, False, config)
-    if inputs_embeds is not None:
-        if inputs_embeds.data.shape != (b, n, config.d_model):
-            raise ShapeError(f"inputs_embeds shape {inputs_embeds.data.shape} does not match ids {ids.shape}")
-        x = embedding(reshape(inputs_embeds, (b * n, config.d_model)), np.flatnonzero(real))
-    else:
-        x = embedding(params["embedding"], ids[real])
     p = config.dropout if train else 0.0
-    x = dropout(x, p, rng)
+    x = dropout(embedding(params["embedding"], ids[real]), p, rng)
     for i in range(config.dec_layers):
         base = f"decoder.layers.{i}"
         h = rms_norm(x, params[f"{base}.self_norm"])

@@ -188,21 +188,13 @@ def format_boolq(record):
     )
 
 
-def format_cb(record):
-    premise, hypothesis, label = _require(record, "CB", "premise", "hypothesis", "label")
+def _format_entailment(record, task):
+    """CB and RTE: one premise/hypothesis template, each with its own labels."""
+    premise, hypothesis, label = _require(record, task.upper(), "premise", "hypothesis", "label")
     return TaskExample(
         input_text=f"premisa: {premise} hipoteza: {hypothesis}",
-        target_text=_verbalize("cb", label),
-        task="cb",
-    )
-
-
-def format_rte(record):
-    premise, hypothesis, label = _require(record, "RTE", "premise", "hypothesis", "label")
-    return TaskExample(
-        input_text=f"premisa: {premise} hipoteza: {hypothesis}",
-        target_text=_verbalize("rte", label),
-        task="rte",
+        target_text=_verbalize(task, label),
+        task=task,
     )
 
 
@@ -272,9 +264,9 @@ def format_wsc(record):
 
 _SUPERGLUE_FORMATTERS = {
     "boolq": format_boolq,
-    "cb": format_cb,
+    "cb": lambda record: _format_entailment(record, "cb"),
     "copa": format_copa,
-    "rte": format_rte,
+    "rte": lambda record: _format_entailment(record, "rte"),
     "wsc": format_wsc,
 }
 

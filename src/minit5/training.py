@@ -93,6 +93,8 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
         raise TrainingError("empty target sequence in batch")
     if any(PAD_ID in p.target_ids for p in pairs):
         raise TrainingError(f"target sequence in batch holds the pad id {PAD_ID}")
+    if train and config.dropout > 0 and rng is None:
+        raise TrainingError(f"a training forward at dropout {config.dropout} draws its masks from rng, which is None")
     rows = sum(len(p.input_ids) + len(p.target_ids) for p in pairs)
     if len(pairs) < 2 or rows * config.d_ff < SPLIT_WORK:
         return _loss(config, params, pairs, train, rng)

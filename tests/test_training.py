@@ -83,6 +83,15 @@ class TestTeacherForcedLoss:
         with pytest.raises(TrainingError):
             teacher_forced_loss(cfg, params, [])
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_dropout_without_a_generator_rejected(self, monkeypatch, split):
+        monkeypatch.setattr(training, "SPLIT_WORK", 0 if split else 1 << 62)
+        pairs, params = TestTwoParts._pairs(), init_params(_tiny(), np.random.default_rng(2))
+        with pytest.raises(TrainingError, match="rng, which is None"):
+            teacher_forced_loss(_tiny(dropout=0.1), params, pairs, train=True)
+        # at dropout 0 nothing is drawn, so no generator is needed
+        assert np.isfinite(teacher_forced_loss(_tiny(), params, pairs, train=True).item())
+
 
 class TestTwoParts:
     # a tiny batch made to run as two parts by a SPLIT_WORK of 0
