@@ -3,9 +3,9 @@
 
 Checkpoints, vocabulary and merges files, dedup output and stats, reports,
 predictions, selection files and CSV datasets are each written to a
-`.tmp-*` file in the target's directory, which is then renamed over the
-target, so a reader sees the old file or the new one and never a partial
-write."""
+`.tmp-*` file in the target's directory, which is flushed to disk and
+then renamed over the target, so a reader sees the old file or the new one
+and never a partial write, even after a crash."""
 
 from __future__ import annotations
 
@@ -22,8 +22,9 @@ os.umask(_UMASK)
 def atomic_write(path, binary=False):
     """Yield a file open on a temporary file beside path: binary, or UTF-8
     text with line endings written as given. A clean exit renames it over
-    path; on any exception path is left as it was and the temporary file
-    is removed. Missing directories are created."""
+    path once its bytes are flushed to disk; on any exception path is left
+    as it was and the temporary file is removed. Missing directories are
+    created."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -31,6 +32,8 @@ def atomic_write(path, binary=False):
         with (os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8", newline="")) as f:
             os.fchmod(fd, 0o666 & ~_UMASK)
             yield f
+            f.flush()
+            os.fsync(f.fileno())  # on disk before the rename, so a crash cannot leave a renamed empty file
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -84,7 +84,9 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     A batch of at least 2 pairs whose (encoder rows + decoder rows) * d_ff
     reaches SPLIT_WORK runs as two parts (see _two_part_loss), each on a
     thread of its own when PART_THREADS allows, else one after the other;
-    the bits are the same either way.
+    the bits are the same either way. On an active tape a part's backward
+    follows its forward, so a split batch's gradients are formed before
+    this returns; they reach .grad only through the caller's backward.
     """
     pairs = list(pairs)
     if not pairs:
@@ -116,10 +118,10 @@ _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="minit5-part")  # n
 
 
 def _both(fn):
-    """(fn(0), fn(1)): fn(1) on the part thread, which the first call starts,
-    when PART_THREADS is 2, else after fn(0) on this thread. fn(1) has
-    finished when this returns or raises; an error of fn(0) wins, and either
-    is raised unchanged."""
+    """(fn(0), fn(1)), each call whole on one thread: fn(1) on the part
+    thread, which the first call starts, when PART_THREADS is 2, else after
+    fn(0) on this thread. fn(1) has finished when this returns or raises;
+    an error of fn(0) wins, and either is raised unchanged."""
     if PART_THREADS < 2:
         return fn(0), fn(1)
     second = _POOL.submit(fn, 1)
@@ -137,11 +139,12 @@ def _two_part_loss(config, params, pairs, train, rng):
     share them), and weights its mean by its share of the target rows, so
     the sum is the mean over every target row. When dropout draws, each
     part draws from a generator seeded by a draw of rng, so rng's state
-    (which checkpoints keep) is the whole story. On an active tape the sum
-    is one node over the parameters: its backward rule replays both part
-    tapes at once and sums each parameter's two gradients, part 0's plus
-    part 1's, as soon as both are whole (backward's on_leaf, by leaf), so
-    two full gradient sets are never alive and no .grad is written."""
+    (which checkpoints keep) is the whole story. On an active tape each
+    part replays its own tape right after its forward, on its thread, and
+    sums each parameter's gradient into the other part's as the second
+    arrives (backward's on_leaf, by leaf): no tape outlives its part, two
+    full gradient sets are never alive, and no .grad is written. The sum is
+    one node over the parameters, whose backward rule hands out the sums."""
     ends = np.cumsum([len(p.target_ids) for p in pairs])
     k = 1 + int(np.argmin(np.abs(2 * ends[:-1] - ends[-1])))
     parts = (pairs[:k], pairs[k:])
@@ -150,43 +153,38 @@ def _two_part_loss(config, params, pairs, train, rng):
     if train and config.dropout > 0:
         rngs = tuple(np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=2))
     record = Tape.active() is not None and any(p.requires_grad for p in params.values())
+    summed, lock = {}, threading.Lock()
+
+    def on_leaf(leaf, grad):
+        with lock:  # IEEE addition commutes: the same bits in either order
+            other = summed.get(leaf)
+            summed[leaf] = grad if other is None else other + grad
 
     def part(i):
         with Tape() if record else contextlib.nullcontext() as tape:
             loss = mul(_loss(config, params, parts[i], train, rngs[i]), shares[i])
-        return loss, tape
+        if record:  # tensor.backward, not the name train_step calls, which a caller may wrap
+            tensor.backward(loss, tape, on_leaf)
+        return loss.data
 
-    done = _both(part)
-    total = Tensor(done[0][0].data + done[1][0].data)
+    first, second = _both(part)
 
     def vjp(g):
-        summed, pending, lock = {}, {}, threading.Lock()
-
-        def on_leaf(leaf, grad):
-            with lock:
-                other = pending.pop(leaf, None)
-                if other is None:
-                    pending[leaf] = grad
-                    return
-            summed[leaf] = other + grad  # IEEE addition commutes: the same bits in either order
-
-        # tensor.backward, not the name train_step calls, which a caller may wrap
-        _both(lambda i: tensor.backward(*done[i], on_leaf))
-        summed.update(pending)  # a parameter that only one part reached
-        if g.item() != 1.0:
-            summed = {leaf: grad * g for leaf, grad in summed.items()}
         # pop, not get: a Tensor under two names takes its gradient once, as a whole batch's does
-        return tuple(summed.pop(p, None) for p in params.values())
+        grads = [summed.pop(p, None) for p in params.values()]
+        if g.item() != 1.0:
+            grads = [None if grad is None else grad * g for grad in grads]
+        return tuple(grads)
 
-    return _record(total, tuple(params.values()), vjp)
+    return _record(Tensor(first + second), tuple(params.values()), vjp)
 
 
 def train_step(config, params, optimizer, batch, rng, where, lr=None):
     """One teacher-forced update with dropout: loss, backward, optimizer
     step. Returns the loss. A non-finite loss raises NumericalError naming
-    `where` (e.g. "step 12") before any gradient is formed; a non-finite
-    gradient raises it from the optimizer, with `where` added, before any
-    parameter moves."""
+    `where` (e.g. "step 12") before any `.grad` is set or any parameter
+    moves; a non-finite gradient raises it from the optimizer, with `where`
+    added, before any parameter moves."""
     with Tape() as tape:
         loss = teacher_forced_loss(config, params, batch, train=True, rng=rng)
         if not np.isfinite(loss.data).all():
@@ -204,7 +202,7 @@ class AdamW:
     """Adam with decoupled weight decay and bias-corrected moments."""
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        if problem := _hyper_problem(lr, betas, eps):
+        if problem := _hyper_problem(lr, betas, eps, weight_decay):
             raise TrainingError(f"AdamW {problem}")
         self.params = params
         self.lr = lr
@@ -285,7 +283,7 @@ class AdamW:
         """Adopt a `state()`: the moments given are used as they are when
         their dtype is the parameters', not copied."""
         hyper = state["hyper"]
-        if problem := _hyper_problem(hyper["lr"], hyper["betas"], hyper["eps"]):
+        if problem := _hyper_problem(hyper["lr"], hyper["betas"], hyper["eps"], hyper["weight_decay"]):
             raise TrainingError(f"AdamW state: {problem}")
         self.step_count = state["step"]
         self.lr = hyper["lr"]
@@ -297,16 +295,21 @@ class AdamW:
             self.v[k] = state["v"][k].astype(self.v[k].dtype, copy=False)
 
 
-def _hyper_problem(lr, betas, eps):
+def _hyper_problem(lr, betas, eps, weight_decay):
     """What AdamW cannot run with, or None: both betas must lie in [0, 1) (a
     beta of 1 would divide by zero in the bias correction), lr must be at
-    least 0 and eps greater than 0."""
+    least 0 and eps greater than 0, and each value a finite int or float,
+    not a bool, as a checkpoint header can hold it."""
     if not all(0 <= b < 1 for b in betas):
         return f"betas must lie in [0, 1), got {list(betas)}"
     if not lr >= 0:
         return f"lr must be at least 0, got {lr}"
     if not eps > 0:
         return f"eps must be greater than 0, got {eps}"
+    for name, value in (("lr", lr), ("betas", list(betas)), ("eps", eps), ("weight_decay", weight_decay)):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                   for x in (value if name == "betas" else [value])):
+            return f"{name} must be a finite int or float, not a bool, got {value!r}"
     return None
 
 
@@ -451,13 +454,10 @@ def _is_count(x):
 
 def _is_hyper(hyper):
     """Whether hyper is what `AdamW.state()` writes: exactly lr, betas (a
-    list of two), eps and weight_decay, each a finite number, not a bool,
-    that AdamW can run with."""
+    list of two), eps and weight_decay, with values AdamW can run with."""
     return (isinstance(hyper, dict) and set(hyper) == {"lr", "betas", "eps", "weight_decay"}
             and isinstance(hyper["betas"], list) and len(hyper["betas"]) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-                    for x in (hyper["lr"], *hyper["betas"], hyper["eps"], hyper["weight_decay"]))
-            and _hyper_problem(hyper["lr"], hyper["betas"], hyper["eps"]) is None)
+            and _hyper_problem(**hyper) is None)
 
 
 def _parse_header(data):

@@ -65,6 +65,28 @@ class TestAtomicWrite:
         assert path.read_text(encoding="utf-8") == "old\n"
         assert _no_temp_files(tmp_path)
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_the_written_bytes_reach_disk_before_the_rename(self, tmp_path, monkeypatch, binary):
+        # a rename that reaches disk before the data could leave an empty file after a crash
+        events, real_fsync, real_replace = [], os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fileio.os, "fsync", fsync)
+        monkeypatch.setattr(fileio.os, "replace", replace)
+        path = tmp_path / "a"
+        with fileio.atomic_write(path, binary=binary) as f:
+            f.write(b"\x00\xff" if binary else "čž")  # 2 bytes, or 4 in UTF-8
+        written = os.stat(path)
+        assert events == [(call, written.st_ino, written.st_size) for call in ("fsync", "replace")]
+        assert written.st_size == (2 if binary else 4)
+
     def test_mode_follows_umask(self, tmp_path):
         path = tmp_path / "a.txt"
         fileio.atomic_write_text(path, "x")

@@ -15,6 +15,8 @@ from minit5.model import (
     ShapeError,
     budget_table,
     count_parameters,
+    decode_logits,
+    encode,
     forward,
     init_params,
     param_shapes,
@@ -314,6 +316,17 @@ class TestForward:
             forward(cfg, params, np.array([[1]]), np.array(ids))
         with pytest.raises(ShapeError, match="integer ids"):
             forward(cfg, params, np.array(ids), np.array([[1]]))
+
+    def test_ids_neither_1d_nor_2d_rejected(self):
+        cfg = _tiny(vocab=16)
+        params = init_params(cfg, np.random.default_rng(11))
+        ids = np.ones((1, 2, 3), dtype=np.int64)
+        refused = re.escape(" must be a batch of id sequences, got shape (1, 2, 3)")
+        with pytest.raises(ShapeError, match="^input_ids" + refused):
+            encode(cfg, params, ids)
+        enc_out, enc_grid = encode(cfg, params, np.array([[3, 4]]))
+        with pytest.raises(ShapeError, match="^decoder_input_ids" + refused):
+            decode_logits(cfg, params, enc_out, enc_grid, ids)
 
     def test_an_empty_id_list_is_accepted(self):
         from minit5.model import _check_ids

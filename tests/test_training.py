@@ -152,26 +152,84 @@ class TestTwoParts:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_only_the_callers_backward_sets_grad(self, monkeypatch, threads):
-        # the parts run on the caller's own parameters; their replays hand each
-        # gradient to on_leaf and leave .grad to the caller's backward
+        # the parts run on the caller's own parameters; each replays its tape
+        # on the thread that ran its forward, before teacher_forced_loss
+        # returns, and hands each gradient to on_leaf: .grad is left to the
+        # caller's backward, which replays no part
         monkeypatch.setattr(training, "SPLIT_WORK", 0)
         monkeypatch.setattr(training, "PART_THREADS", threads)
         cfg = _tiny()
         params = init_params(cfg, np.random.default_rng(0))
-        replayed, real_backward = [], tensor.backward
+        batch = self._pairs()
+        last, replayed = {}, []  # last: thread name -> the part whose forward it ran last
+        real_loss, real_backward = training._loss, tensor.backward
+
+        def loss(config, params, pairs, train, rng):
+            last[threading.current_thread().name] = 0 if pairs[0] is batch[0] else 1
+            return real_loss(config, params, pairs, train, rng)
 
         def replay(loss, tape, on_leaf=None):
             assert on_leaf is not None
             real_backward(loss, tape, on_leaf)
-            replayed.append([p.grad for p in params.values()])
+            thread = threading.current_thread().name
+            replayed.append((last[thread], thread, [p.grad for p in params.values()]))
 
+        monkeypatch.setattr(training, "_loss", loss)
         monkeypatch.setattr(tensor, "backward", replay)
         with Tape() as tape:
-            loss = teacher_forced_loss(cfg, params, self._pairs(), train=True, rng=np.random.default_rng(1))
+            loss = teacher_forced_loss(cfg, params, batch, train=True, rng=np.random.default_rng(1))
+            assert len(replayed) == 2
             assert all(p.grad is None for p in params.values())
             backward(loss, tape)
-        assert len(replayed) == 2 and all(g is None for grads in replayed for g in grads)
+        assert len(replayed) == 2 and all(g is None for _, _, grads in replayed for g in grads)
+        assert sorted(part for part, _, _ in replayed) == [0, 1]
+        assert (replayed[0][1] == replayed[1][1]) == (threads == 1)
         assert all(p.grad is not None for p in params.values())
+
+    def test_at_one_part_thread_each_part_replays_before_the_next_forward(self, monkeypatch):
+        # part 0's tape is replayed, and its activations freed, before part 1's forward
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
+        monkeypatch.setattr(training, "PART_THREADS", 1)
+        batch, seen = self._pairs(), []
+        real_loss, real_backward = training._loss, tensor.backward
+
+        def loss(config, params, pairs, train, rng):
+            seen.append(("forward", 0 if pairs[0] is batch[0] else 1))
+            return real_loss(config, params, pairs, train, rng)
+
+        def replay(loss, tape, on_leaf=None):
+            seen.append(("backward", seen[-1][1]))
+            real_backward(loss, tape, on_leaf)
+
+        monkeypatch.setattr(training, "_loss", loss)
+        monkeypatch.setattr(tensor, "backward", replay)
+        with Tape():
+            teacher_forced_loss(_tiny(), init_params(_tiny(), np.random.default_rng(0)), batch)
+        assert seen == [("forward", 0), ("backward", 0), ("forward", 1), ("backward", 1)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_non_finite_part_loss_stops_the_step_before_any_grad_or_update(self, monkeypatch, threads):
+        # the parts' gradients are formed before the loss is checked, but
+        # none reaches .grad and no parameter moves
+        monkeypatch.setattr(training, "SPLIT_WORK", 0)
+        monkeypatch.setattr(training, "PART_THREADS", threads)
+        batch = self._pairs()
+        real_loss = training._loss
+
+        def loss(config, params, pairs, train, rng):
+            out = real_loss(config, params, pairs, train, rng)
+            return out if pairs[0] is batch[0] else mul(out, float("nan"))
+
+        monkeypatch.setattr(training, "_loss", loss)
+        cfg = _tiny(dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(0))
+        arrays = {name: p.data for name, p in params.items()}
+        opt = AdamW(params)
+        with pytest.raises(NumericalError, match="^non-finite loss nan at step 7$"):
+            train_step(cfg, params, opt, batch, np.random.default_rng(1), "step 7")
+        assert all(p.grad is None for p in params.values())
+        assert all(p.data is arrays[name] for name, p in params.items())
+        assert opt.step_count == 0
 
     def test_the_part_thread_starts_at_the_first_split_and_is_reused(self):
         # in a fresh process: the import starts no thread, and every split at
@@ -304,9 +362,16 @@ class TestAdamW:
         (dict(lr=-1e-3), "lr must be at least 0, got -0.001"),
         (dict(eps=0.0), "eps must be greater than 0, got 0.0"),
         (dict(eps=float("nan")), "eps must be greater than 0, got nan"),
+        (dict(lr=float("inf")), "lr must be a finite int or float, not a bool, got inf"),
+        (dict(eps=float("inf")), "eps must be a finite int or float, not a bool, got inf"),
+        (dict(weight_decay=float("nan")), "weight_decay must be a finite int or float, not a bool, got nan"),
+        (dict(weight_decay=float("inf")), "weight_decay must be a finite int or float, not a bool, got inf"),
+        (dict(lr=True), "lr must be a finite int or float, not a bool, got True"),
     ])
     def test_out_of_range_hyperparameters_fail_at_construction(self, hyper, message):
-        # a beta of 1 used to pass here and divide by zero at the first step
+        # a beta of 1 used to pass here and divide by zero at the first step;
+        # an infinite or bool value used to pass here and save a checkpoint
+        # that load_checkpoint refuses
         with pytest.raises(TrainingError, match=f"^AdamW {message}"):
             AdamW({"w": Tensor(np.array([1.0]), requires_grad=True)}, **hyper)
 
@@ -318,6 +383,24 @@ class TestAdamW:
         with pytest.raises(TrainingError, match=r"^AdamW state: betas must lie in \[0, 1\)"):
             opt.load_state(state)
         assert opt.beta2 == 0.999
+
+    def test_load_state_refuses_what_a_checkpoint_header_cannot_hold(self):
+        opt = AdamW({"w": Tensor(np.array([1.0]), requires_grad=True)})
+        state = opt.state()
+        state["hyper"] = dict(state["hyper"], weight_decay=float("inf"))
+        with pytest.raises(TrainingError, match="^AdamW state: weight_decay must be a finite int or float"):
+            opt.load_state(state)
+        assert opt.weight_decay == 0.0
+
+    def test_a_parameter_without_a_gradient_is_skipped(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0]), requires_grad=True)
+        opt = AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.01)
+        kept, m, v = b.data, opt.m["b"], opt.v["b"]
+        a.grad = np.array([0.5, -0.5])
+        opt.step()
+        assert b.data is kept and opt.m["b"] is m and opt.v["b"] is v and b.data[0] == 3.0
+        assert not np.array_equal(a.data, [1.0, 2.0])
 
     def test_nonfinite_gradient_names_parameter(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
@@ -834,6 +917,11 @@ class TestCheckpoints:
         return "invalid optimizer"
 
     @staticmethod
+    def _defect_hyper_string(header):
+        header["optimizer"]["hyper"]["lr"] = "0.001"  # refused by the range check's comparison
+        return "TypeError"
+
+    @staticmethod
     def _defect_hyper_huge(header):
         header["optimizer"]["hyper"]["lr"] = 10**400  # no float holds it
         return "OverflowError"
@@ -874,7 +962,8 @@ class TestCheckpoints:
                 "moment_dtype", "moment_extra", "moment_missing", "optimizer_dropped", "mixed_dtype",
                 "config_more_layers", "config_huge", "payload_larger_than_file", "dropout", "rel_max_distance",
                 "gated_ffn_false", "hyper_missing_key", "hyper_extra_key", "hyper_three_betas", "hyper_bool",
-                "hyper_not_finite", "hyper_beta_one", "hyper_beta_above_one", "hyper_negative_lr", "hyper_huge", "rng_not_a_dict", "rng_other_generator", "rng_missing_key",
+                "hyper_not_finite", "hyper_beta_one", "hyper_beta_above_one", "hyper_negative_lr", "hyper_string",
+                "hyper_huge", "rng_not_a_dict", "rng_other_generator", "rng_missing_key",
                 "rng_negative"]
 
     @pytest.mark.parametrize("defect", _DEFECTS)
