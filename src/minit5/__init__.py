@@ -13,12 +13,13 @@ when it loads. Without it the cap is the number of CPUs this process may
 run on. A large training batch runs as two parts on up to min(2, usable
 CPUs, cap) threads, and the BLAS default is max(1, cap // those threads)
 threads. A BLAS variable already set explicitly wins, and when numpy was
-loaded before minit5 without one, BLAS already runs on every CPU. Either
-way PART_THREADS is cut so that it times the BLAS threads stays within the
-cap, since two parts beside more BLAS threads crowd the CPUs (a d256 step
-on 2 CPUs took 2.3-2.5 s in two parts at 2 BLAS threads each, 1.4-1.5 s
-whole at 2, 1.1-1.2 s in two parts at 1). At one part thread the parts run
-one after the other, on the calling thread.
+loaded before minit5 without one, BLAS already runs on every CPU, as it
+does for a BLAS value that is not a positive integer, such as 0 or abc.
+Either way PART_THREADS is cut so that it times the BLAS threads stays
+within the cap, since two parts beside more BLAS threads crowd the CPUs (a
+d256 step on 2 CPUs took 2.3-2.5 s in two parts at 2 BLAS threads each,
+1.4-1.5 s whole at 2, 1.1-1.2 s in two parts at 1). At one part thread the
+parts run one after the other, on the calling thread.
 
 On glibc, importing minit5 also sets three malloc parameters for the whole
 process, so that freed activations stay mapped and the next step reuses
@@ -49,11 +50,14 @@ def _thread_counts():
         cap = cpus
     parts = min(2, cpus, cap)
     default = max(1, cap // parts)
-    given = [os.environ[var] for var in _BLAS_VARS if var in os.environ]
-    try:
-        blas = max(map(int, given)) if given else cpus if "numpy" in sys.modules else default
-    except ValueError:
-        blas = default
+    def threads(value):
+        try:
+            return int(value) if int(value) > 0 else cpus
+        except ValueError:
+            return cpus
+
+    given = [threads(os.environ[var]) for var in _BLAS_VARS if var in os.environ]
+    blas = max(given) if given else cpus if "numpy" in sys.modules else default
     return max(1, min(parts, cap // blas)), default
 
 

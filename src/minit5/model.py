@@ -3,6 +3,12 @@ residual blocks (T5-family layout): shared input/output embedding, RMS-style
 normalization, gated-GELU feed-forward, bucketed relative attention bias owned
 once per stack, strictly causal decoder self-attention.
 
+The blocks of a layer are written once, in `_BLOCKS`: attention then
+feed-forward in the encoder; causal self-attention, cross-attention, then
+feed-forward in the decoder. One walk over them, `_stack`, runs both
+stacks for `encode` and the uncached `decode_logits`, and `param_shapes`
+reads the same table.
+
 The residual stream is carried as rows: a 2-D [real positions, d_model]
 array with no padding in it (encoder positions whose id is not the pad id;
 decoder positions inside each target, when `decode_logits` is given the
@@ -135,6 +141,16 @@ def relative_bucket(relative_position, bidirectional, num_buckets=32, max_distan
     return int(bucket[0]) if scalar else bucket
 
 
+# the blocks of one layer of each stack, in order
+_BLOCKS = {"encoder": ("attn", "ffn"), "decoder": ("self", "cross", "ffn")}
+
+
+def _blocks(config, stack):
+    """(path, block) of each block of each layer of a stack, in order."""
+    layers = config.enc_layers if stack == "encoder" else config.dec_layers
+    return [(f"{stack}.layers.{i}.{block}", block) for i in range(layers) for block in _BLOCKS[stack]]
+
+
 def param_shapes(config):
     """Each parameter's path and shape, in the order `init_params` draws
     them: the one place the parameter layout is written."""
@@ -143,14 +159,11 @@ def param_shapes(config):
     attn = {"q": (d, inner), "k": (d, inner), "v": (d, inner), "o": (inner, d)}
     ffn = {"wi_0": (d, ff), "wi_1": (d, ff), "wo": (ff, d)}
     shapes = {"embedding": (c.vocab_size, d)}
-    for stack, layers, blocks in (("encoder", c.enc_layers, ("attn", "ffn")),
-                                  ("decoder", c.dec_layers, ("self", "cross", "ffn"))):
+    for stack in _BLOCKS:
         shapes[f"{stack}.rel_bias"] = (c.rel_buckets, c.n_heads)
-        for i in range(layers):
-            for block in blocks:
-                base = f"{stack}.layers.{i}.{block}"
-                shapes[f"{base}_norm"] = (d,)
-                shapes.update({f"{base}.{w}": shape for w, shape in (ffn if block == "ffn" else attn).items()})
+        for path, block in _blocks(c, stack):
+            shapes[f"{path}_norm"] = (d,)
+            shapes.update({f"{path}.{w}": shape for w, shape in (ffn if block == "ffn" else attn).items()})
         shapes[f"{stack}.final_norm"] = (d,)
     return shapes
 
@@ -203,27 +216,34 @@ def _rel_bias(params, key, query_positions, n_keys, bidirectional, config):
     return reshape(transpose(bias, (2, 0, 1)), (1, config.n_heads, len(query_positions), n_keys))
 
 
-def _grid(real):
-    """The (index, shape) grid `tensor.attention` takes for a boolean [batch,
-    len] array of real positions: their row-major flat indices, or None when
-    every position is real. Rows come in that order, as `ids[real]` lists them."""
-    return (None if real.all() else np.flatnonzero(real)), real.shape
-
-
-def _project_kv(params, prefix, x):
-    """Key and value rows [real positions, heads * d_kv] of one attention block."""
-    return matmul(x, params[f"{prefix}.k"]), matmul(x, params[f"{prefix}.v"])
-
-
-def _attention(params, prefix, queries, kv, grids, causal, bias, config, p, rng):
-    q = matmul(queries, params[f"{prefix}.q"])
-    ctx = attention(q, *kv, config.n_heads, config.d_kv**-0.5, grids, bias=bias, causal=causal, p=p, rng=rng)
-    return matmul(ctx, params[f"{prefix}.o"])
-
-
-def _ffn(params, prefix, x, p, rng):
-    return gated_gelu_ffn(x, params[f"{prefix}.wi_0"], params[f"{prefix}.wi_1"], params[f"{prefix}.wo"],
-                          p=p, rng=rng)
+def _stack(config, params, stack, ids, real, train, rng, enc=None):
+    """Run one stack over the positions of ids [batch, len] that the boolean
+    array real marks: the embedding, then each block of `_blocks` as
+    `add(x, dropout(block(rms_norm(x))))`, then the final norm. The decoder
+    takes enc, the encoder's (output rows, grid), for cross-attention's keys
+    and values; its self-attention is causal. Returns (output rows [real
+    positions, d_model], their grid). Refuses ids with no position."""
+    n = ids.shape[1]
+    if not n:
+        raise ShapeError(f"the {stack} takes ids of at least one position, got shape {ids.shape}")
+    # the grid `tensor.attention` takes: the real positions' row-major flat
+    # indices, as ids[real] lists the rows, or None when every one is real
+    grid = (None if real.all() else np.flatnonzero(real)), real.shape
+    bias = _rel_bias(params, f"{stack}.rel_bias", np.arange(n), n, stack == "encoder", config)
+    p = config.dropout if train else 0.0
+    x = dropout(embedding(params["embedding"], ids[real]), p, rng)
+    for path, block in _blocks(config, stack):
+        h = rms_norm(x, params[f"{path}_norm"])
+        if block == "ffn":
+            a = gated_gelu_ffn(h, params[f"{path}.wi_0"], params[f"{path}.wi_1"], params[f"{path}.wo"], p=p, rng=rng)
+        else:
+            rows, kv_grid = enc if block == "cross" else (h, grid)
+            k, v = matmul(rows, params[f"{path}.k"]), matmul(rows, params[f"{path}.v"])
+            a = attention(matmul(h, params[f"{path}.q"]), k, v, config.n_heads, config.d_kv**-0.5, (grid, kv_grid),
+                          bias=None if block == "cross" else bias, causal=block == "self", p=p, rng=rng)
+            a = matmul(a, params[f"{path}.o"])
+        x = add(x, dropout(a, p, rng))
+    return rms_norm(x, params[f"{stack}.final_norm"]), grid
 
 
 def decode_cache_shape(config, params, batch, capacity):
@@ -324,21 +344,7 @@ def encode(config, params, input_ids, *, train=False, rng=None):
     (encoder output rows [real positions, d_model], their grid); a pad id
     is never a row, so attention never sees it as a key."""
     ids = _check_ids(input_ids, config.vocab_size, "input_ids")
-    real = ids != PAD_ID
-    grid = _grid(real)
-    n = ids.shape[1]
-    bias = _rel_bias(params, "encoder.rel_bias", np.arange(n), n, True, config)
-    p = config.dropout if train else 0.0
-    x = dropout(embedding(params["embedding"], ids[real]), p, rng)
-    for i in range(config.enc_layers):
-        base = f"encoder.layers.{i}"
-        h = rms_norm(x, params[f"{base}.attn_norm"])
-        kv = _project_kv(params, f"{base}.attn", h)
-        a = _attention(params, f"{base}.attn", h, kv, (grid, grid), False, bias, config, p, rng)
-        x = add(x, dropout(a, p, rng))
-        h = rms_norm(x, params[f"{base}.ffn_norm"])
-        x = add(x, dropout(_ffn(params, f"{base}.ffn", h, p, rng), p, rng))
-    return rms_norm(x, params["encoder.final_norm"]), grid
+    return _stack(config, params, "encoder", ids, ids != PAD_ID, train, rng)
 
 
 def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train=False, rng=None,
@@ -349,10 +355,10 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
     positions. Returns logits [batch, len, vocab].
 
     lengths, when given, holds each row's number of real positions (its
-    target length): the rest of the row is padding and is never computed,
-    and the logits are the rows [sum(lengths), vocab] of the real positions
-    in row-major order. Position 0 holds the start symbol, the pad id, and
-    is real.
+    target length), an integer in [1, len]: the rest of the row is padding
+    and is never computed, and the logits are the rows [sum(lengths), vocab]
+    of the real positions in row-major order. Position 0 holds the start
+    symbol, the pad id, and is real.
 
     With a DecodeCache, decoder_input_ids are the one position per row that
     follows those the cache has already seen, [batch, 1] with the batch size
@@ -367,27 +373,15 @@ def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train
     b, n = ids.shape
     real = np.ones((b, n), dtype=bool)
     if lengths is not None:
+        # a bool or a float would be read as a length, 2.5 as 3 positions
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer))
+               for k in np.asarray(lengths, dtype=object).flat):
+            raise ShapeError(f"lengths must be integers, got {lengths!r}")
         lengths = np.asarray(lengths)
         if lengths.shape != (b,) or (lengths < 1).any() or (lengths > n).any():
             raise ShapeError(f"lengths {lengths.tolist()} do not fit decoder ids of shape {ids.shape}")
         real = np.arange(n)[None, :] < lengths[:, None]
-    grid = _grid(real)
-    bias = _rel_bias(params, "decoder.rel_bias", np.arange(n), n, False, config)
-    p = config.dropout if train else 0.0
-    x = dropout(embedding(params["embedding"], ids[real]), p, rng)
-    for i in range(config.dec_layers):
-        base = f"decoder.layers.{i}"
-        h = rms_norm(x, params[f"{base}.self_norm"])
-        kv = _project_kv(params, f"{base}.self", h)
-        a = _attention(params, f"{base}.self", h, kv, (grid, grid), True, bias, config, p, rng)
-        x = add(x, dropout(a, p, rng))
-        h = rms_norm(x, params[f"{base}.cross_norm"])
-        kv = _project_kv(params, f"{base}.cross", enc_out)
-        a = _attention(params, f"{base}.cross", h, kv, (grid, enc_grid), False, None, config, p, rng)
-        x = add(x, dropout(a, p, rng))
-        h = rms_norm(x, params[f"{base}.ffn_norm"])
-        x = add(x, dropout(_ffn(params, f"{base}.ffn", h, p, rng), p, rng))
-    x = rms_norm(x, params["decoder.final_norm"])
+    x, _ = _stack(config, params, "decoder", ids, real, train, rng, (enc_out, enc_grid))
     # shared embedding as the output projection, rescaled for the tie
     logits = mul(matmul(x, transpose(params["embedding"])), config.d_model**-0.5)
     return logits if lengths is not None else reshape(logits, (b, n, config.vocab_size))

@@ -79,7 +79,7 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     id as the start symbol. Only real positions are computed: the encoder
     skips pad inputs and the decoder stops each row at its target's length,
     so its rows are the target positions that count, every one in the mean.
-    A target may not hold the pad id.
+    No input or target may be empty, and a target may not hold the pad id.
 
     A batch of at least 2 pairs whose (encoder rows + decoder rows) * d_ff
     reaches SPLIT_WORK runs as two parts (see _two_part_loss), each on a
@@ -91,6 +91,8 @@ def teacher_forced_loss(config, params, pairs, *, train=False, rng=None):
     pairs = list(pairs)
     if not pairs:
         raise TrainingError("empty batch")
+    if any(len(p.input_ids) == 0 for p in pairs):
+        raise TrainingError("empty input sequence in batch")
     if any(len(p.target_ids) == 0 for p in pairs):
         raise TrainingError("empty target sequence in batch")
     if any(PAD_ID in p.target_ids for p in pairs):

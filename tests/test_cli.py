@@ -115,6 +115,11 @@ class TestThreads:
         assert self._threads_at_numpy_import(2, OPENBLAS_NUM_THREADS="2") == ("2", 1)
         assert self._threads_at_numpy_import(2, OPENBLAS_NUM_THREADS="1") == ("1", 2)
 
+    def test_a_blas_setting_that_is_not_a_positive_integer_runs_blas_on_every_cpu(self):
+        # OpenBLAS reads 0 and a word alike as every CPU, so one part thread
+        assert self._threads_at_numpy_import(2, OPENBLAS_NUM_THREADS="0") == ("0", 1)
+        assert self._threads_at_numpy_import(2, OPENBLAS_NUM_THREADS="abc") == ("abc", 1)
+
     def test_numpy_loaded_first_runs_blas_on_every_cpu_and_the_parts_in_turn(self):
         assert self._threads_at_numpy_import(2, first="numpy") == ("None", 1)
 

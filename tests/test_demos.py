@@ -16,6 +16,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 def test_demo_exits_0(demo, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(minit5.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=600)
+    # warnings are errors here as in the suite (pyproject.toml filterwarnings)
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=600)
     assert done.returncode == 0, done.stderr

@@ -216,6 +216,21 @@ class TestForward:
         assert logits.data.shape == (2, 5, 64)
         assert np.isfinite(logits.data).all()
 
+    def test_ids_with_no_position_are_refused_naming_the_stack(self):
+        from minit5.evaluation import greedy_decode
+
+        cfg = _tiny()
+        params = init_params(cfg, np.random.default_rng(2))
+        with pytest.raises(ShapeError, match="encoder"):
+            encode(cfg, params, [])
+        with pytest.raises(ShapeError, match="encoder"):
+            greedy_decode(cfg, params, [], 3)
+        enc_out, enc_grid = encode(cfg, params, [[3, 4]])
+        with pytest.raises(ShapeError, match="decoder"):
+            decode_logits(cfg, params, enc_out, enc_grid, np.zeros((1, 0), dtype=int))
+        with pytest.raises(ShapeError, match="decoder"):
+            forward(cfg, params, [[3, 4]], np.zeros((1, 0), dtype=int))
+
     def test_causality_exact(self):
         cfg = _tiny()
         params = init_params(cfg, np.random.default_rng(3), dtype=np.float64)
@@ -497,7 +512,15 @@ class _JoinedState:
 
     def logits(self, cfg, params, enc_out, enc_grid, ids):
         import minit5.model as model
-        from minit5.tensor import Tensor, add, matmul, mul, rms_norm, transpose
+        from minit5.tensor import Tensor, add, attention, gated_gelu_ffn, matmul, mul, rms_norm, transpose
+
+        def project_kv(prefix, rows):
+            return matmul(rows, params[f"{prefix}.k"]), matmul(rows, params[f"{prefix}.v"])
+
+        def attend(prefix, h, kv, grids, causal, bias):
+            ctx = attention(matmul(h, params[f"{prefix}.q"]), *kv, cfg.n_heads, cfg.d_kv**-0.5, grids, bias=bias,
+                            causal=causal)
+            return matmul(ctx, params[f"{prefix}.o"])
 
         b, n = ids.shape
         positions = np.arange(self.length, self.length + n)
@@ -509,18 +532,18 @@ class _JoinedState:
         for i in range(cfg.dec_layers):
             base = f"decoder.layers.{i}"
             h = rms_norm(x, params[f"{base}.self_norm"])
-            kv = model._project_kv(params, f"{base}.self", h)
+            kv = project_kv(f"{base}.self", h)
             if i in self.kv:
                 kv = tuple(Tensor(_join_rows(old.data, new.data, b)) for old, new in zip(self.kv[i], kv))
             self.kv[i] = kv
-            x = add(x, model._attention(params, f"{base}.self", h, kv, self_grids, True, bias, cfg, 0.0, None))
+            x = add(x, attend(f"{base}.self", h, kv, self_grids, True, bias))
             h = rms_norm(x, params[f"{base}.cross_norm"])
             if i not in self.cross:
-                self.cross[i] = model._project_kv(params, f"{base}.cross", enc_out)
-            x = add(x, model._attention(params, f"{base}.cross", h, self.cross[i], cross_grids, False, None,
-                                        cfg, 0.0, None))
+                self.cross[i] = project_kv(f"{base}.cross", enc_out)
+            x = add(x, attend(f"{base}.cross", h, self.cross[i], cross_grids, False, None))
             h = rms_norm(x, params[f"{base}.ffn_norm"])
-            x = add(x, model._ffn(params, f"{base}.ffn", h, 0.0, None))
+            x = add(x, gated_gelu_ffn(h, params[f"{base}.ffn.wi_0"], params[f"{base}.ffn.wi_1"],
+                                      params[f"{base}.ffn.wo"]))
         self.length = n_keys
         x = rms_norm(x, params["decoder.final_norm"])
         logits = mul(matmul(x, transpose(params["embedding"])), cfg.d_model**-0.5)
@@ -740,7 +763,7 @@ class TestRowLayout:
         assert rows.shape == (7, cfg.vocab_size)
         np.testing.assert_allclose(rows, np.concatenate([full[0], full[1, :1], full[2, :2]]),
                                    rtol=1e-12, atol=1e-12)
-        for bad in ([0, 1, 2], [5, 1, 1], [1, 2]):
+        for bad in ([0, 1, 2], [5, 1, 1], [1, 2], [2.5, 1, 1], [True, 1, 1]):
             with pytest.raises(ShapeError):
                 decode_logits(cfg, params, enc_out, enc_grid, dec_in, lengths=bad)
 

@@ -69,6 +69,13 @@ class TestTeacherForcedLoss:
         with pytest.raises(TrainingError):
             teacher_forced_loss(cfg, params, [NoisedPair([3], [])])
 
+    def test_empty_input_rejected(self):
+        cfg = _tiny()
+        params = init_params(cfg, np.random.default_rng(2))
+        for pairs in ([NoisedPair([], [7])], [NoisedPair([3, 4], [7]), NoisedPair([], [8])]):
+            with pytest.raises(TrainingError, match="empty input"):
+                teacher_forced_loss(cfg, params, pairs)
+
     @pytest.mark.parametrize("target", [[0], [7, 0, 8], np.array([7, 8, 0])])
     def test_target_holding_the_pad_id_rejected(self, target):
         # a pad id inside a target would be scored as class 0, not dropped
