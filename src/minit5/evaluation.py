@@ -43,8 +43,8 @@ def greedy_decode(config, params, input_ids, max_len, *, eos_id=bpe.EOS_ID):
     Decoding is incremental: each step runs the decoder over the newest
     token only, on arrays (`decode_logits` into `DecodeCache.step`), against
     the cache's K/V of the earlier positions and of the encoder output."""
-    if max_len < 1:
-        raise EvalError(f"max_len must be >= 1, got {max_len}")
+    if isinstance(max_len, bool) or not isinstance(max_len, (int, np.integer)) or max_len < 1:
+        raise EvalError(f"max_len must be an integer >= 1, got {max_len!r}")
     enc_out, enc_grid = encode(config, params, input_ids)
     cache = DecodeCache(config, params, enc_out, enc_grid, max_len)
     generated = []

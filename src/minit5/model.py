@@ -6,8 +6,9 @@ once per stack, strictly causal decoder self-attention.
 The blocks of a layer are written once, in `_BLOCKS`: attention then
 feed-forward in the encoder; causal self-attention, cross-attention, then
 feed-forward in the decoder. One walk over them, `_stack`, runs both
-stacks for `encode` and the uncached `decode_logits`, and `param_shapes`
-reads the same table.
+stacks for `encode` and the uncached `decode_logits`. `param_shapes`
+reads the same table, and `DecodeCache.step` walks it on arrays, reading
+each weight by its path as `_stack` does.
 
 The residual stream is carried as rows: a 2-D [real positions, d_model]
 array with no padding in it (encoder positions whose id is not the pad id;
@@ -22,10 +23,10 @@ and returns its context as rows. When every position is real (full
 batches, an unpadded input) that layout is a view, and nothing is copied.
 
 Incremental decoding passes a `DecodeCache`, which owns the per-decode
-constants (cross-attention K/V on their grid, the self-attention K/V buffer,
-the decoder bias row) and runs each step itself, on arrays, bit for bit.
-Uncached calls, training among them, build the bias with `_rel_bias`, so
-its gradient flows.
+constants (each cross-attention block's K/V on its grid, the self-attention
+K/V buffer, the decoder bias row) and runs each step itself, on arrays, bit
+for bit. Uncached calls, training among them, build the bias with
+`_rel_bias`, so its gradient flows.
 
 Parameters live in a flat dict keyed by path. `param_shapes` declares each
 path and shape once; `init_params`, `count_parameters` and the checkpoint
@@ -249,8 +250,11 @@ def _stack(config, params, stack, ids, real, train, rng, enc=None):
 def decode_cache_shape(config, params, batch, capacity):
     """The shape [layers, 2, batch, capacity, inner] of a `DecodeCache`'s
     self-attention K/V buffer in the dtype of params. A buffer that exceeds
-    the machine's physical memory (where `os.sysconf` tells it) raises
-    ShapeError naming the decode budget; nothing is allocated."""
+    the machine's physical memory (where `os.sysconf` tells it), or a
+    capacity that is not a positive integer, raises ShapeError naming the
+    decode budget; nothing is allocated."""
+    if isinstance(capacity, bool) or not isinstance(capacity, (int, np.integer)) or capacity < 1:
+        raise ShapeError(f"a decode budget must be a positive integer, got {capacity!r}")
     dtype = params["embedding"].data.dtype
     shape = (config.dec_layers, 2, batch, capacity, config.inner_dim)
     kv_bytes = math.prod(shape) * dtype.itemsize
@@ -270,10 +274,10 @@ class DecodeCache:
     position per row, on arrays, with the ops' own kernels and bits.
 
     - `length`: the number of positions already decoded, at most `capacity`.
-    - One table per decoder layer: its weight arrays, and its cross-attention
-      K/V, projected from the encoder output and laid onto its grid once,
-      [batch, heads, len, d_kv]; besides them the embedding, the final norm
-      and the encoder grid's key mask.
+    - The parameters as one path -> array view, read by `step` the way
+      `_stack` reads them; beside them the encoder grid's key mask, and each
+      cross-attention block's K/V, keyed by its path, projected from the
+      encoder output and laid onto its grid once, [batch, heads, len, d_kv].
     - Self-attention K/V of every layer in one buffer [layers, 2, batch,
       capacity, inner], the batch size taken from the encoder grid. A step
       writes column `length` in place, and attends over views of it. A
@@ -289,17 +293,9 @@ class DecodeCache:
         self.length = 0
         self._config = config
         self._kv = np.empty(shape, dtype=params["embedding"].data.dtype)
-        w = {name: p.data for name, p in params.items()}
-
-        def layer(base):
-            cross_kv = (_heads(enc_out.data @ w[f"{base}.cross.{n}"], enc_grid, config.n_heads, config.d_kv)
-                        for n in "kv")
-            return (w[f"{base}.self_norm"], tuple(w[f"{base}.self.{n}"] for n in "qkvo"),
-                    w[f"{base}.cross_norm"], (w[f"{base}.cross.q"], *cross_kv, w[f"{base}.cross.o"]),
-                    w[f"{base}.ffn_norm"], tuple(w[f"{base}.ffn.{n}"] for n in ("wi_0", "wi_1", "wo")))
-
-        self._layers = [layer(f"decoder.layers.{i}") for i in range(config.dec_layers)]
-        self._embedding, self._final_norm = w["embedding"], w["decoder.final_norm"]
+        self._w = w = {name: p.data for name, p in params.items()}
+        self._cross = {path: [_heads(enc_out.data @ w[f"{path}.{n}"], enc_grid, config.n_heads, config.d_kv)
+                              for n in "kv"] for path, block in _blocks(config, "decoder") if block == "cross"}
         self._cross_mask = _key_mask(enc_grid, None, self._kv.dtype)
         self._bias = _rel_bias(params, "decoder.rel_bias", np.array([capacity - 1]), capacity, False, config).data
 
@@ -315,36 +311,41 @@ class DecodeCache:
                              f"({batch}, 1), got {ids.shape}")
         if self.length == capacity:
             raise ShapeError(f"the DecodeCache is full: it holds {capacity} positions")
-        c, t = self._config, self.length
+        c, t, w = self._config, self.length, self._w
         grid, keys = (None, (batch, 1)), (None, (batch, t + 1))
-
-        def attend(h, q, kh, vh, o, bias, mask):
-            a = _attention_weights(_heads(h @ q, grid, c.n_heads, c.d_kv), kh, c.d_kv**-0.5, bias, mask)[0]
-            return _merge(a @ vh, grid) @ o
-
-        x = self._embedding[ids[:, 0]]
-        for kv, layer in zip(self._kv, self._layers):
-            self_norm, (q, k, v, o), cross_norm, cross, ffn_norm, (wi_0, wi_1, wo) = layer
-            h = _rms_normed(x, self_norm)[0]
-            kv[0, :, t], kv[1, :, t] = h @ k, h @ v
-            kh, vh = (_heads(a[:, :t + 1], keys, c.n_heads, c.d_kv) for a in kv)
-            x += attend(h, q, kh, vh, o, self._bias[..., capacity - 1 - t:], None)
-            h = _rms_normed(x, cross_norm)[0]
-            x += attend(h, *cross, None, self._cross_mask)
-            h = _rms_normed(x, ffn_norm)[0]
-            x += _gated_hidden(h, wi_0, wi_1) @ wo
+        slots = iter(self._kv)  # one [2, batch, capacity, inner] slot per self block, in order
+        x = w["embedding"][ids[:, 0]]
+        for path, block in _blocks(c, "decoder"):
+            h = _rms_normed(x, w[f"{path}_norm"])[0]
+            if block == "ffn":
+                x += _gated_hidden(h, w[f"{path}.wi_0"], w[f"{path}.wi_1"]) @ w[f"{path}.wo"]
+                continue
+            if block == "self":
+                kv = next(slots)
+                kv[0, :, t], kv[1, :, t] = h @ w[f"{path}.k"], h @ w[f"{path}.v"]
+                kh, vh = (_heads(a[:, :t + 1], keys, c.n_heads, c.d_kv) for a in kv)
+                bias, mask = self._bias[..., capacity - 1 - t:], None
+            else:
+                (kh, vh), bias, mask = self._cross[path], None, self._cross_mask
+            q = _heads(h @ w[f"{path}.q"], grid, c.n_heads, c.d_kv)
+            a = _attention_weights(q, kh, c.d_kv**-0.5, bias, mask)[0]
+            x += _merge(a @ vh, grid) @ w[f"{path}.o"]
         self.length = t + 1
-        x = _rms_normed(x, self._final_norm)[0]
+        x = _rms_normed(x, w["decoder.final_norm"])[0]
         # shared embedding as the output projection, rescaled for the tie
-        return (x @ self._embedding.T * c.d_model**-0.5).reshape(batch, 1, c.vocab_size)
+        return (x @ w["embedding"].T * c.d_model**-0.5).reshape(batch, 1, c.vocab_size)
 
 
 def encode(config, params, input_ids, *, train=False, rng=None):
     """Run the encoder stack over the non-pad input positions. Returns
     (encoder output rows [real positions, d_model], their grid); a pad id
-    is never a row, so attention never sees it as a key."""
+    is never a row, so attention never sees it as a key. Refuses a batch
+    row that holds only pad ids: cross-attention would have no key in it."""
     ids = _check_ids(input_ids, config.vocab_size, "input_ids")
-    return _stack(config, params, "encoder", ids, ids != PAD_ID, train, rng)
+    real = ids != PAD_ID
+    if ids.shape[1] and not real.any(axis=1).all():  # argmin: the first row with no real position
+        raise ShapeError(f"input_ids row {real.any(axis=1).argmin()} holds only the pad id {PAD_ID}")
+    return _stack(config, params, "encoder", ids, real, train, rng)
 
 
 def decode_logits(config, params, enc_out, enc_grid, decoder_input_ids, *, train=False, rng=None,

@@ -22,9 +22,9 @@ from minit5.evaluation import (
     score_predictions,
     write_report,
 )
-from minit5.model import ModelConfig, decode_logits, encode, init_params
+from minit5.model import DecodeCache, ModelConfig, decode_cache_shape, decode_logits, encode, init_params
 from minit5.tasks import TASKS, TaskExample
-from minit5.tensor import Tensor
+from minit5.tensor import ShapeError, Tensor
 
 
 def _lcs_oracle(a, b):
@@ -118,6 +118,27 @@ class TestGreedyDecode:
         cfg = self._cfg()
         with pytest.raises(EvalError):
             greedy_decode(cfg, init_params(cfg, np.random.default_rng(0)), [3], max_len=0)
+
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, True, "3"])
+    def test_a_decode_budget_that_is_not_a_positive_integer_is_refused(self, budget):
+        # refused before anything is allocated: numpy's TypeError or negative
+        # dimensions never show, and no cache is built that refuses its
+        # first step
+        cfg = self._cfg()
+        params = init_params(cfg, np.random.default_rng(0))
+        enc_out, enc_grid = encode(cfg, params, [3, 4])
+        with pytest.raises(EvalError, match="^max_len must be an integer >= 1"):
+            greedy_decode(cfg, params, [3, 4], budget)
+        for call in (lambda: decode_cache_shape(cfg, params, 1, budget),
+                     lambda: DecodeCache(cfg, params, enc_out, enc_grid, budget)):
+            with pytest.raises(ShapeError, match="^a decode budget must be a positive integer"):
+                call()
+
+    def test_a_numpy_integer_budget_is_accepted(self):
+        cfg = self._cfg()
+        params = _zero_params(cfg)
+        assert greedy_decode(cfg, params, [3, 4], np.int64(2), eos_id=1) == [0, 0]
+        assert decode_cache_shape(cfg, params, 1, np.int32(2))[3] == 2
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_full_prefix_oracle_float64(self, seed):

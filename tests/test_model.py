@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from minit5 import tensor
+from minit5 import tensor, training
 from minit5.gradcheck import finite_diff_check
 from minit5.model import (
     ModelConfig,
@@ -26,7 +26,7 @@ from minit5.model import (
 )
 from minit5.noising import NoisedPair
 from minit5.tensor import Tape, backward, cross_entropy, embedding, reshape
-from minit5.training import AdamW, teacher_forced_loss
+from minit5.training import AdamW, TrainingError, teacher_forced_loss
 from test_gradcheck import attention_composition, gated_gelu_ffn_composition
 from test_tensor import held_after_forward
 
@@ -367,6 +367,55 @@ class TestForward:
         assert err < 1e-4
 
 
+def _pad_only_pairs(size):
+    """`size` pairs of 64 rows each (48 input ids, 16 target ids); the input
+    of pair size // 2 holds only the pad id."""
+    rng = np.random.default_rng(size)
+    pairs = [NoisedPair(rng.integers(3, 60, size=48).tolist(), rng.integers(3, 60, size=16).tolist())
+             for _ in range(size)]
+    pairs[size // 2] = NoisedPair([0] * 48, pairs[size // 2].target_ids)
+    return pairs
+
+
+# a batch whose teacher-forced loss runs as two parts
+_SPLIT_SIZE = -(-training.SPLIT_WORK // (64 * _tiny().d_ff))
+
+
+class TestPadOnlyInput:
+    """An input that holds only the pad id has no encoder position, so
+    cross-attention would have no key: encode refuses it naming its row,
+    and teacher_forced_loss refuses the pair before any forward."""
+
+    @pytest.mark.parametrize("size", [1, 2, _SPLIT_SIZE], ids=["alone", "mixed", "split"])
+    def test_encode_and_forward_refuse_the_row(self, size):
+        cfg = _tiny()
+        params = init_params(cfg, np.random.default_rng(2))
+        ids = np.array([p.input_ids for p in _pad_only_pairs(size)])
+        with pytest.raises(ShapeError, match=f"^input_ids row {size // 2} holds only the pad id 0"):
+            encode(cfg, params, ids)
+        with pytest.raises(ShapeError, match=f"^input_ids row {size // 2} holds only the pad id 0"):
+            forward(cfg, params, ids, np.ones((size, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("ids", [[0], [0, 0], [[0, 0, 0]]])
+    def test_greedy_decode_refuses_it(self, ids):
+        from minit5.evaluation import greedy_decode
+
+        cfg = _tiny()
+        with pytest.raises(ShapeError, match="^input_ids row 0 holds only the pad id 0"):
+            greedy_decode(cfg, init_params(cfg, np.random.default_rng(2)), ids, 3)
+
+    @pytest.mark.parametrize("size", [1, 2, _SPLIT_SIZE], ids=["alone", "mixed", "split"])
+    def test_teacher_forced_loss_refuses_the_pair_before_any_forward(self, size):
+        cfg = _tiny()
+        params = init_params(cfg, np.random.default_rng(2))
+        pairs = _pad_only_pairs(size)
+        assert (len(pairs) * 64 * cfg.d_ff >= training.SPLIT_WORK) == (size == _SPLIT_SIZE)
+        with Tape() as tape:
+            with pytest.raises(TrainingError, match="only the pad id 0"):
+                teacher_forced_loss(cfg, params, pairs)
+        assert tape.nodes == []
+
+
 class TestFusedOps:
     """The model's fused attention and feed-forward ops against the
     primitive-op compositions they replaced."""
@@ -422,10 +471,10 @@ class TestFusedOps:
             np.testing.assert_allclose(g, ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
 
 
-def _random_bias_model(seed, dtype):
+def _random_bias_model(seed, dtype, **overrides):
     """Random weights and random relative-bias tables: init leaves the tables
     at zero, which would hide a wrong bucket or query offset."""
-    cfg = _tiny(rel_buckets=8, rel_max_distance=8)
+    cfg = _tiny(rel_buckets=8, rel_max_distance=8, **overrides)
     rng = np.random.default_rng(seed)
     params = init_params(cfg, rng, dtype=dtype)
     for key in ("encoder.rel_bias", "decoder.rel_bias"):
@@ -474,6 +523,30 @@ class TestDecodeCache:
         enc_in, dec_in = self._inputs(rng, 24)
         full = forward(cfg, params, enc_in, dec_in).data
         assert np.allclose(self._cached(cfg, params, enc_in, dec_in), full, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("dec_layers", [1, 3])
+    def test_padded_batch_of_two_at_other_depths_float64(self, dec_layers):
+        # each self block writes and reads its own layer's slot of the K/V
+        # buffer, in order: the logits match one full call, and slot i holds
+        # layer i's K/V as the per-step oracle forms them
+        from minit5.model import DecodeCache, decode_logits, encode
+
+        cfg, params, rng = _random_bias_model(60 + dec_layers, np.float64, dec_layers=dec_layers)
+        enc_in = rng.integers(3, 60, size=(2, 9))
+        enc_in[0, 2], enc_in[1, 6:] = 0, 0
+        dec_in = rng.integers(3, 60, size=(2, 12))
+        enc_out, enc_grid = encode(cfg, params, enc_in)
+        cache, oracle = DecodeCache(cfg, params, enc_out, enc_grid, 12), _JoinedState()
+        rows = []
+        for t in range(12):
+            rows.append(decode_logits(cfg, params, enc_out, enc_grid, dec_in[:, t:t + 1], cache=cache).data)
+            oracle.logits(cfg, params, enc_out, enc_grid, dec_in[:, t:t + 1])
+        full = forward(cfg, params, enc_in, dec_in).data
+        assert np.abs(np.concatenate(rows, axis=1) - full).max() < 1e-10
+        assert len(cache._kv) == len(oracle.kv) == dec_layers
+        for i in range(dec_layers):
+            for slot, want in zip(cache._kv[i], oracle.kv[i]):
+                assert np.abs(slot - want.data.reshape(slot.shape)).max() < 1e-10
 
     def test_cache_refuses_training_and_an_active_tape(self):
         from minit5.model import DecodeCache, decode_logits, encode
